@@ -179,3 +179,88 @@ def peel_edges(edges: dict[int, tuple[int, ...]], k: int) -> dict[int, tuple[int
     if len(alive) == len(edges):
         return dict(edges)
     return {e: vs for e, vs in edges.items() if e in alive}
+
+
+class PeelCore:
+    """A k-core under delete/restore: stash an element, peel the cascade, undo.
+
+    Built once from an edge map, whose k-core it peels to at once.  Vertices
+    and edges get local ids ``0..n-1`` and ``0..m-1`` in ascending order of
+    their original ids (``vertex_ids`` and ``edge_ids`` map back), so walking
+    local ids keeps lexicographic order.  ``degree[v]`` counts the live edges
+    on v whether v is alive or not, so it is 0 for every dead v.  Each vertex and edge that ``stash_vertex`` or
+    ``stash_edge`` kills goes onto ``trail``; ``undo(mark)`` revives all
+    killed since ``len(trail)`` was ``mark``.  A stash with its undo costs
+    time linear in the incidences of what it kills, not in the core's size.
+    """
+
+    __slots__ = ("k", "vertex_ids", "edge_ids", "edge_vertices", "vertex_edges", "degree",
+                 "vertex_alive", "edge_alive", "live_edges", "trail")
+
+    def __init__(self, edges: dict[int, tuple[int, ...]], k: int):
+        self.k = k
+        self.edge_ids = sorted(edges)
+        self.vertex_ids = sorted({v for vs in edges.values() for v in vs})
+        local = {v: i for i, v in enumerate(self.vertex_ids)}
+        self.edge_vertices = [tuple(local[v] for v in edges[e]) for e in self.edge_ids]
+        self.vertex_edges: list[list[int]] = [[] for _ in self.vertex_ids]
+        for e, vs in enumerate(self.edge_vertices):
+            for v in vs:
+                self.vertex_edges[v].append(e)
+        self.degree = [len(es) for es in self.vertex_edges]
+        self.vertex_alive = [True] * len(self.vertex_ids)
+        self.edge_alive = [True] * len(self.edge_ids)
+        self.live_edges = len(self.edge_ids)
+        self.trail: list[int] = []
+        for v in range(len(self.vertex_ids)):
+            if self.vertex_alive[v] and self.degree[v] < k:
+                self.stash_vertex(v)
+        self.trail.clear()
+
+    def stash_vertex(self, v: int) -> None:
+        """Kill live vertex v and peel what its loss cascades to."""
+        self.vertex_alive[v] = False
+        self.trail.append(v)
+        self._peel(list(self.vertex_edges[v]))
+
+    def stash_edge(self, e: int) -> None:
+        """Kill live edge e and peel what its loss cascades to."""
+        self._peel([e])
+
+    def _peel(self, stack: list[int]) -> None:
+        # Edges go on the trail as ~e, vertices as v.
+        k, deg, trail = self.k, self.degree, self.trail
+        vertex_alive, edge_alive = self.vertex_alive, self.edge_alive
+        edge_vertices, vertex_edges = self.edge_vertices, self.vertex_edges
+        killed = 0
+        while stack:
+            e = stack.pop()
+            if not edge_alive[e]:
+                continue
+            edge_alive[e] = False
+            trail.append(~e)
+            killed += 1
+            for w in edge_vertices[e]:
+                deg[w] -= 1
+                if deg[w] < k and vertex_alive[w]:
+                    vertex_alive[w] = False
+                    trail.append(w)
+                    stack.extend(vertex_edges[w])
+        self.live_edges -= killed
+
+    def undo(self, mark: int) -> None:
+        """Revive everything killed since the trail had length ``mark``."""
+        deg, edge_vertices = self.degree, self.edge_vertices
+        vertex_alive, edge_alive = self.vertex_alive, self.edge_alive
+        revived = 0
+        for x in self.trail[mark:]:
+            if x >= 0:
+                vertex_alive[x] = True
+            else:
+                e = ~x
+                edge_alive[e] = True
+                revived += 1
+                for w in edge_vertices[e]:
+                    deg[w] += 1
+        del self.trail[mark:]
+        self.live_edges += revived

@@ -3,21 +3,24 @@ vertex-cover oracle, and greedy heuristics.
 
 The exact solvers enumerate candidate stashes in cardinality-increasing,
 lexicographic order, restricted to elements of the current k-core (stashing
-anything outside the core never changes it).  Each branch carries the peeled
-residue of its prefix downward, so subset evaluation is incremental rather
-than from scratch.  Instances are expected to be desk-scale; correctness is
-the point.
+anything outside the core never changes it).  The search runs on one
+``PeelCore``: each branch stashes its element and peels the cascade in
+place, recording every kill on a trail, and backtracking pops the trail, so
+a search node costs its cascade rather than a re-peel of the whole core.
+Greedy runs on the same structure without undo.  Every stash returned is
+re-checked by ``k_core_after`` on the input graph.  Instances are expected
+to be desk-scale; correctness is the point.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 
 from .errors import CapExceededError, InvalidArityError, ParameterError
 from .hypergraph import Hypergraph
-from .peeling import k_core, k_core_after, peel_edges
+from .peeling import PeelCore, k_core_after, peel_edges
 
 DEFAULT_SIZE_CAP = 6
 
@@ -33,9 +36,12 @@ class StashResult:
     residual_core_empty: bool
 
     def __post_init__(self):
-        assert self.kind in ("vertex", "edge")
-        assert self.size == len(self.stash)
-        assert self.residual_core_empty
+        if self.kind not in ("vertex", "edge"):
+            raise AssertionError(f"stash kind must be 'vertex' or 'edge', got {self.kind!r}")
+        if self.size != len(self.stash):
+            raise AssertionError(f"size {self.size} does not match a stash of {len(self.stash)}")
+        if not self.residual_core_empty:
+            raise AssertionError("a stash result must leave an empty core")
 
 
 @dataclass(frozen=True)
@@ -58,33 +64,37 @@ def _candidate_vertices(edges: dict[int, tuple[int, ...]]) -> list[int]:
     return sorted(seen)
 
 
-def _drop_vertex(edges: dict[int, tuple[int, ...]], v: int) -> dict[int, tuple[int, ...]]:
-    return {e: vs for e, vs in edges.items() if v not in vs}
+def _search(core: PeelCore, kind: str, budget: int, first: int) -> list[int] | None:
+    """Lexicographically first `budget` more local ids, each at least `first`,
+    whose stashing empties `core`, or None.
 
-
-def _drop_edge(edges: dict[int, tuple[int, ...]], e: int) -> dict[int, tuple[int, ...]]:
-    return {f: vs for f, vs in edges.items() if f != e}
-
-
-def _search(core, k, budget, last, kind):
-    """Lexicographically first stash of exactly `budget` more elements, or None.
-
-    `core` is a nonempty k-core edge map; candidates are restricted to it
-    and must exceed `last` to keep subsets canonically ordered.
+    Candidates are the live elements of the node's core.  A failed search
+    leaves `core` as it found it; a successful one leaves the stash applied.
     """
-    candidates = _candidate_vertices(core) if kind == "vertex" else sorted(core)
-    drop = _drop_vertex if kind == "vertex" else _drop_edge
-    for x in candidates:
-        if x <= last:
-            continue
-        residue = peel_edges(drop(core, x), k)
-        if not residue:
+    if kind == "vertex":
+        alive, stash = core.vertex_alive, core.stash_vertex
+    else:
+        alive, stash = core.edge_alive, core.stash_edge
+    mark = len(core.trail)
+    for x in compress(range(first, len(alive)), alive[first:]):
+        stash(x)
+        if not core.live_edges:
             return [x]
         if budget > 1:
-            rest = _search(residue, k, budget - 1, x, kind)
+            rest = _search(core, kind, budget - 1, x + 1)
             if rest is not None:
                 return [x] + rest
+        core.undo(mark)
     return None
+
+
+def _certify(g: Hypergraph, k: int, kind: str, stash: frozenset[int]) -> None:
+    if kind == "vertex":
+        check = k_core_after(g, k, stash_vertices=stash)
+    else:
+        check = k_core_after(g, k, stash_edges=stash)
+    if not check.core_empty:
+        raise AssertionError(f"{kind} stash {sorted(stash)} leaves a nonempty {k}-core")
 
 
 def _min_stash_exact(g: Hypergraph, k: int, size_cap: int, kind: str) -> StashResult:
@@ -92,19 +102,15 @@ def _min_stash_exact(g: Hypergraph, k: int, size_cap: int, kind: str) -> StashRe
         raise ParameterError(f"k must be at least 1, got {k}")
     if size_cap < 0:
         raise ParameterError(f"size cap must be non-negative, got {size_cap}")
-    core = peel_edges(g.edges, k)
-    if not core:
+    core = PeelCore(peel_edges(g.edges, k), k)
+    if not core.live_edges:
         return StashResult(kind, frozenset(), 0, True, True)
+    ids = core.vertex_ids if kind == "vertex" else core.edge_ids
     for budget in range(1, size_cap + 1):
-        found = _search(core, k, budget, -1, kind)
+        found = _search(core, kind, budget, 0)
         if found is not None:
-            stash = frozenset(found)
-            check = (
-                k_core_after(g, k, stash_vertices=stash)
-                if kind == "vertex"
-                else k_core_after(g, k, stash_edges=stash)
-            )
-            assert check.core_empty
+            stash = frozenset(ids[x] for x in found)
+            _certify(g, k, kind, stash)
             return StashResult(kind, stash, len(stash), True, True)
     raise CapExceededError(f"no {kind} stash of size <= {size_cap} exists", size_cap)
 
@@ -167,7 +173,8 @@ def two_edge_stash_standard(g: Hypergraph) -> CyclomaticCertificate:
             removed.add(e)
     components = len({uf.find(v) for v in g.vertices})
     h = g.num_edges - g.num_vertices + components
-    assert h == len(removed)
+    if h != len(removed):
+        raise AssertionError(f"cyclomatic number {h} does not match {len(removed)} cycle-closing edges")
     return CyclomaticCertificate(h=h, components=components, removed_edges=frozenset(removed))
 
 
@@ -209,31 +216,40 @@ def greedy_stash(
     picks uniformly with a deterministic seed.  Always valid, never
     certified optimal.
     """
+    if k < 1:
+        raise ParameterError(f"k must be at least 1, got {k}")
     if mode not in ("vertex", "edge"):
         raise ParameterError(f"mode must be 'vertex' or 'edge', got {mode!r}")
     if tie_break not in TIE_BREAKS:
         raise ParameterError(f"tie_break must be one of {TIE_BREAKS}, got {tie_break!r}")
-    rng = random.Random(seed)
-    core = peel_edges(g.edges, k)
+    # The core lives only in _greedy_picks, so it is freed before the
+    # certificate check copies g.
+    stash = _greedy_picks(PeelCore(peel_edges(g.edges, k), k), mode, tie_break, random.Random(seed))
+    _certify(g, k, mode, stash)
+    return StashResult(mode, stash, len(stash), False, True)
+
+
+def _greedy_picks(core: PeelCore, mode: str, tie_break: str, rng: random.Random) -> frozenset[int]:
+    # Scores are indexed by local id.  Dead elements score 0 and live ones at
+    # least k >= 1, so the first maximum is the live pick with the lowest id.
+    deg = core.degree
+    if mode == "vertex":
+        alive, ids, remove = core.vertex_alive, core.vertex_ids, core.stash_vertex
+        scores = lambda: deg
+    else:
+        alive, ids, remove = core.edge_alive, core.edge_ids, core.stash_edge
+        scores = lambda: [
+            sum(map(deg.__getitem__, vs)) if a else 0 for vs, a in zip(core.edge_vertices, alive)
+        ]
     stash: set[int] = set()
-    while core:
-        deg: dict[int, int] = {}
-        for vs in core.values():
-            for v in vs:
-                deg[v] = deg.get(v, 0) + 1
-        if mode == "vertex":
-            pool = sorted(deg)
-            score = lambda v: deg[v]
-        else:
-            pool = sorted(core)
-            score = lambda e: sum(deg[v] for v in core[e])
+    while core.live_edges:
         if tie_break == "max_degree":
-            pick = max(pool, key=lambda x: (score(x), -x))
+            s = scores()
+            pick = s.index(max(s))
         elif tie_break == "min_id":
-            pick = pool[0]
+            pick = alive.index(True)
         else:
-            pick = rng.choice(pool)
-        stash.add(pick)
-        reduced = _drop_vertex(core, pick) if mode == "vertex" else _drop_edge(core, pick)
-        core = peel_edges(reduced, k)
-    return StashResult(mode, frozenset(stash), len(stash), False, True)
+            pick = rng.choice(list(compress(range(len(alive)), alive)))
+        stash.add(ids[pick])
+        remove(pick)
+    return frozenset(stash)

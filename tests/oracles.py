@@ -7,6 +7,7 @@ algorithms, so agreement is meaningful.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, permutations
 
 from stashpeel import Hypergraph, k_core_after
@@ -54,18 +55,61 @@ def core_by_enumeration(g: Hypergraph, k: int) -> tuple[frozenset[int], frozense
     return cores_by_enumeration(g, (k,))[k]
 
 
-def min_stash_size_by_enumeration(g: Hypergraph, k: int, kind: str) -> int:
-    """Smallest stash size by unpruned enumeration over all element subsets."""
+def _core_after(g: Hypergraph, k: int, kind: str, stash):
+    if kind == "vertex":
+        return k_core_after(g, k, stash_vertices=stash)
+    return k_core_after(g, k, stash_edges=stash)
+
+
+def min_stash_by_enumeration(g: Hypergraph, k: int, kind: str) -> frozenset[int]:
+    """Lexicographically first minimum stash: the first subset, in
+    ``combinations(sorted(pool), size)`` order for increasing size, whose
+    removal leaves an empty core.  The pool is every vertex or edge."""
     pool = sorted(g.vertices) if kind == "vertex" else sorted(g.edges)
     for size in range(len(pool) + 1):
         for subset in combinations(pool, size):
-            if kind == "vertex":
-                trace = k_core_after(g, k, stash_vertices=subset)
-            else:
-                trace = k_core_after(g, k, stash_edges=subset)
-            if trace.core_empty:
-                return size
+            if _core_after(g, k, kind, subset).core_empty:
+                return frozenset(subset)
     raise AssertionError("stashing everything always works")
+
+
+def min_stash_size_by_enumeration(g: Hypergraph, k: int, kind: str) -> int:
+    """Smallest stash size by unpruned enumeration over all element subsets."""
+    return len(min_stash_by_enumeration(g, k, kind))
+
+
+def greedy_stash_by_repeeling(
+    g: Hypergraph, k: int, mode: str, tie_break: str, seed: int
+) -> frozenset[int]:
+    """The greedy heuristic's stash, re-peeling the whole input after each pick.
+
+    Each round takes the k-core of g minus the stash so far from
+    ``k_core_after`` and picks as ``greedy_stash`` documents: maximum core
+    degree (for edges, the sum over its vertices), lowest id on ties; the
+    lowest id; or ``random.Random(seed).choice`` over the sorted pool.
+    """
+    rng = random.Random(seed)
+    stash: set[int] = set()
+    while True:
+        core = _core_after(g, k, mode, stash)
+        if core.core_empty:
+            return frozenset(stash)
+        deg = {v: 0 for v in core.core_vertices}
+        for e in core.core_edges:
+            for v in g.edge_vertices(e):
+                deg[v] += 1
+        if mode == "vertex":
+            pool, score = sorted(core.core_vertices), deg.__getitem__
+        else:
+            pool = sorted(core.core_edges)
+            score = lambda e: sum(deg[v] for v in g.edge_vertices(e))
+        if tie_break == "max_degree":
+            best = max(score(x) for x in pool)
+            stash.add(next(x for x in pool if score(x) == best))
+        elif tie_break == "min_id":
+            stash.add(pool[0])
+        else:
+            stash.add(rng.choice(pool))
 
 
 def min_cover_size_by_enumeration(g: Hypergraph) -> int:

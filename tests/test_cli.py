@@ -5,7 +5,7 @@ import pytest
 from stashpeel import ParameterError, is_k_peelable, parse
 from stashpeel.cli import gen_random, run
 
-from helpers import mkgraph
+from helpers import mkgraph, run_python
 
 TRIANGLE = "h 2 3 3\ne 0 1\ne 1 2\ne 2 0\n"
 FOREST = "h 2 4 3\ne 0 1\ne 1 2\ne 2 3\n"
@@ -73,6 +73,21 @@ def test_stash_greedy_summary(files):
     code, out, _ = invoke("stash-greedy", "--k", "2", "--mode", "vertex", files["tri"])
     assert code == 0
     assert out.splitlines()[1] == "size=1 optimal=false"
+
+
+def test_stash_k_zero_is_parameter_error(files):
+    for command in ("stash-greedy", "stash-exact"):
+        code, out, err = invoke(command, "--k", "0", "--mode", "vertex", files["tri"])
+        assert code == 2 and not out and "error" in err
+
+
+def test_python_dash_m_runs_the_cli(files):
+    argv = ("stash-exact", "--k", "2", "--mode", "edge", files["tri"])
+    proc = run_python("-m", "stashpeel", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == invoke(*argv)[1]
+    proc = run_python("-m", "stashpeel", "stash-greedy", "--k", "0", "--mode", "vertex", files["tri"])
+    assert proc.returncode == 2 and not proc.stdout and "error" in proc.stderr
 
 
 def test_cover_triangle(files):

@@ -12,6 +12,7 @@ from stashpeel import (
     k_core_after,
     verify_trace,
 )
+from stashpeel.peeling import PeelCore
 
 from helpers import complete_graph, hypergraphs, mkgraph, path, triangle, two_triangles
 from oracles import core_by_enumeration
@@ -159,3 +160,43 @@ def test_removal_monotonicity(g, k):
     for v in sorted(g.vertices):
         smaller = k_core_after(g, k, stash_vertices=[v])
         assert smaller.core_vertices <= base.core_vertices and v not in smaller.core_vertices
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hypergraphs(max_edges=12),
+    st.sampled_from((1, 2, 3)),
+    st.lists(st.tuples(st.booleans(), st.integers(0, 2**16)), max_size=5),
+)
+def test_peel_core_stash_and_undo_track_k_core_after(g, k, picks):
+    core = PeelCore(g.edges, k)
+
+    def state():
+        live_v = frozenset(core.vertex_ids[v] for v, a in enumerate(core.vertex_alive) if a)
+        live_e = frozenset(core.edge_ids[e] for e, a in enumerate(core.edge_alive) if a)
+        assert core.live_edges == len(live_e)
+        for v, c in enumerate(core.degree):
+            assert c == sum(1 for e in core.vertex_edges[v] if core.edge_alive[e])
+        return live_v, live_e, tuple(core.degree)
+
+    base = k_core(g, k)
+    assert state()[:2] == (base.core_vertices, base.core_edges)
+    stash_v, stash_e, history = [], [], []
+    for by_vertex, i in picks:
+        alive = core.vertex_alive if by_vertex else core.edge_alive
+        live = [x for x, a in enumerate(alive) if a]
+        if not live:
+            break
+        history.append((len(core.trail), state()))
+        x = live[i % len(live)]
+        if by_vertex:
+            core.stash_vertex(x)
+            stash_v.append(core.vertex_ids[x])
+        else:
+            core.stash_edge(x)
+            stash_e.append(core.edge_ids[x])
+        want = k_core_after(g, k, stash_vertices=stash_v, stash_edges=stash_e)
+        assert state()[:2] == (want.core_vertices, want.core_edges)
+    for mark, before in reversed(history):
+        core.undo(mark)
+        assert state() == before

@@ -1,3 +1,5 @@
+import textwrap
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,11 +16,14 @@ from stashpeel import (
     two_edge_stash_standard,
 )
 from stashpeel.cli import gen_random
+from stashpeel.stash_solvers import TIE_BREAKS
 
-from helpers import complete_graph, hypergraphs, mkgraph, path, triangle, two_triangles
+from helpers import complete_graph, hypergraphs, mkgraph, path, run_python, triangle, two_triangles
 from oracles import (
     connected_components,
+    greedy_stash_by_repeeling,
     min_cover_size_by_enumeration,
+    min_stash_by_enumeration,
     min_stash_size_by_enumeration,
 )
 
@@ -194,6 +199,57 @@ def test_greedy_parameter_validation():
         greedy_stash(triangle(), 2, "both")
     with pytest.raises(ParameterError):
         greedy_stash(triangle(), 2, "vertex", tie_break="widest")
+    for mode in ("vertex", "edge"):
+        with pytest.raises(ParameterError):
+            greedy_stash(gen_random(6, 9, 2, 1), 0, mode)
+
+
+@pytest.mark.parametrize("d", (2, 3))
+@pytest.mark.parametrize("k", (2, 3))
+def test_greedy_matches_repeeling_reference(k, d):
+    stashed = 0
+    for seed in range(5):
+        n = 8 + seed
+        g = gen_random(n, (3 if d == 2 else 2) * n, d, seed)
+        for mode in ("vertex", "edge"):
+            for tie_break in TIE_BREAKS:
+                got = greedy_stash(g, k, mode, tie_break, seed).stash
+                assert got == greedy_stash_by_repeeling(g, k, mode, tie_break, seed)
+                stashed += len(got)
+    assert stashed  # the instances have cores to break
+
+
+def test_certificate_checks_survive_python_optimize():
+    script = textwrap.dedent("""
+        import dataclasses, sys
+        from stashpeel import stash_solvers
+        from stashpeel.cli import gen_random
+
+        real = stash_solvers.k_core_after
+
+        def nonempty_core(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), core_vertices=frozenset({0}))
+
+        stash_solvers.k_core_after = nonempty_core
+        g = gen_random(6, 9, 2, 1)
+        calls = (
+            lambda: stash_solvers.min_vertex_stash_exact(g, 2),
+            lambda: stash_solvers.min_edge_stash_exact(g, 2),
+            lambda: stash_solvers.greedy_stash(g, 2, "vertex"),
+            lambda: stash_solvers.greedy_stash(g, 2, "edge", "seeded_random", 3),
+            lambda: stash_solvers.StashResult("vertex", frozenset({1}), 2, True, True),
+        )
+        print(sys.flags.optimize)
+        for call in calls:
+            try:
+                call()
+                print("returned")
+            except AssertionError:
+                print("raised")
+    """)
+    proc = run_python("-O", "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"] + ["raised"] * 5
 
 
 @settings(max_examples=25, deadline=None)
@@ -204,6 +260,23 @@ def test_exact_matches_unpruned_enumeration(g, k):
         result = solver(g, k, size_cap=max(g.num_vertices, g.num_edges))
         assert result.size == want
         assert_valid(g, k, result)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    hypergraphs(max_vertices=7, max_edges=9),
+    st.lists(st.integers(0, 2**16), min_size=1, max_size=3),
+    st.sampled_from((2, 3)),
+)
+def test_exact_returns_lexicographically_first_minimum(g, repeats, k):
+    g = g.copy()
+    if g.num_edges:
+        edges = sorted(g.edges)
+        for i in repeats:  # parallel copies of existing edges
+            g.add_edge(g.edge_vertices(edges[i % len(edges)]))
+    cap = max(g.num_vertices, g.num_edges)
+    assert min_vertex_stash_exact(g, k, size_cap=cap).stash == min_stash_by_enumeration(g, k, "vertex")
+    assert min_edge_stash_exact(g, k, size_cap=cap).stash == min_stash_by_enumeration(g, k, "edge")
 
 
 @settings(max_examples=30, deadline=None)
