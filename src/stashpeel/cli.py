@@ -1,20 +1,19 @@
 """stashpeel command line: peel, solve, reduce, lift, verify, generate.
 
 Exit codes: 0 success, 1 infeasible (cap exceeded or a failed gadget
-check), 2 input error.  All randomness is seed-controlled, so identical
-invocations produce byte-identical output.  STASHPEEL_THREADS caps the
-worker pool used for gadget grid verification.
+check), 2 input error: a missing or unreadable file, bytes that are not
+UTF-8, malformed text or an out-of-range parameter.  All randomness is
+seed-controlled, so identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 
 from . import gadgets, reductions, stash_solvers
-from .errors import CapExceededError, ParameterError, StashpeelError
+from .errors import CapExceededError, ParameterError, ParseError, StashpeelError
 from .hypergraph import Hypergraph, format_stash, parse, parse_stash, serialize
 from .peeling import core_subgraph, k_core
 
@@ -45,17 +44,18 @@ def gen_random(n_vertices: int, n_edges: int, d: int, seed: int) -> Hypergraph:
     return g
 
 
-def _threads() -> int:
-    raw = os.environ.get("STASHPEEL_THREADS", "1")
+def _read(path: str) -> str:
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ParameterError(f"STASHPEEL_THREADS must be an integer, got {raw!r}") from None
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})", line) from None
 
 
 def _load(path: str) -> Hypergraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+    return parse(_read(path))
 
 
 def _print_stash_result(out, kind: str, ids, optimal: bool) -> None:
@@ -121,10 +121,8 @@ def _cmd_reduce(args, out) -> int:
 
 
 def _cmd_lift(args, out) -> int:
-    with open(args.map, "r", encoding="utf-8") as fh:
-        rmap = reductions.parse_map(fh.read())
-    with open(args.stash, "r", encoding="utf-8") as fh:
-        kind, ids = parse_stash(fh.read())
+    rmap = reductions.parse_map(_read(args.map))
+    kind, ids = parse_stash(_read(args.stash))
     if rmap.direction == "vc_to_vs":
         if kind != "v":
             raise ParameterError("cover-reduction maps lift vertex stashes only")
@@ -149,28 +147,11 @@ def _report_rows(report: gadgets.GadgetReport) -> list[str]:
     ]
 
 
-def _reports_for(k: int, d: int) -> list[gadgets.GadgetReport]:
-    reports = []
-    if k >= 2:
-        reports.append(gadgets.check_ck_properties(gadgets.build_ck_gadget(k, d)))
-    if k >= 3:
-        for b in (2, 3):
-            reports.append(gadgets.check_b_block(gadgets.build_b_block(b, k, d)))
-        for m in range(1, k):
-            reports.append(gadgets.check_stable_block(gadgets.build_simple_stable_block(m, k, d)))
-        for m in gadgets.GRID_M:
-            reports.append(gadgets.check_stable_block(gadgets.build_stable_block(m, k, d)))
-    if k == 2 and d >= 3:
-        for p in gadgets.GRID_P:
-            reports.append(gadgets.check_stable_block(gadgets.build_tree_stable_block(p, d)))
-    return reports
-
-
 def _cmd_verify_gadgets(args, out) -> int:
     if args.grid:
-        reports = gadgets.run_gadget_grid(max_workers=_threads())
+        reports = gadgets.run_gadget_grid()
     elif args.k is not None and args.d is not None:
-        reports = _reports_for(args.k, args.d)
+        reports = gadgets.run_gadget_grid([args.k], [args.d])
     else:
         raise ParameterError("verify-gadgets needs --grid or both --k and --d")
     out.write("gadget\tparams\tcheck\tpass\twitness\n")

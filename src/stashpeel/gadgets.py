@@ -6,7 +6,10 @@ designated stashable (its E* set).  Builders only create internal
 structure; the neighboring edges themselves are created later, either by
 an embedding (reductions) or by the check harness, which caps every port
 slot with a high-degree anchor vertex so ports count toward internal
-degrees without ever being peelable themselves.
+degrees without ever being peelable themselves.  Every check peels the one
+harness graph with the removed edges and anchors as a stash
+(``k_core_after``), so no check copies the harness.  ``run_gadget_grid``
+builds and checks every family over a (k, d) grid, each where it exists.
 
 The families:
 
@@ -31,13 +34,12 @@ from __future__ import annotations
 
 import random
 from collections import Counter, deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import ParameterError
 from .hypergraph import Hypergraph
-from .peeling import k_core
+from .peeling import k_core_after
 
 PARTIAL_REMOVAL_EXHAUSTIVE_LIMIT = 10
 PK_SUBSET_EXHAUSTIVE_LIMIT = 5
@@ -525,12 +527,8 @@ def _surviving_block(
     removed_edges: tuple[int, ...] = (),
     removed_vertices: tuple[int, ...] = (),
 ) -> frozenset[int]:
-    g = harness.graph.copy()
-    for e in removed_edges:
-        g.remove_edge(e)
-    for v in removed_vertices:
-        g.remove_vertex(v)
-    return frozenset(k_core(g, harness.k).core_vertices) & harness.block_vertices
+    core = k_core_after(harness.graph, harness.k, removed_vertices, removed_edges)
+    return core.core_vertices & harness.block_vertices
 
 
 def _subset_pool(n: int, exhaustive_limit: int, tag: int):
@@ -713,47 +711,30 @@ def check_pk_gadget(gadget: Gadget) -> GadgetReport:
 
 # -- parameter grid -----------------------------------------------------------
 
-GRID_CK_K = range(2, 7)
-GRID_BLOCK_K = range(3, 7)
+GRID_K = range(2, 7)
 GRID_D = range(2, 5)
 GRID_M = range(1, 8)
 GRID_P = range(1, 6)
 
 
-def _grid_points() -> list:
-    """One zero-argument build-and-check job per grid parameter point."""
+def run_gadget_grid(ks=GRID_K, ds=GRID_D) -> list[GadgetReport]:
+    """Build and check every gadget family at each k in ``ks`` and d in ``ds``.
 
-    def job(check, build, *args):
-        return lambda: check(build(*args))
-
-    points = []
-    for k in GRID_CK_K:
-        for d in GRID_D:
-            points.append(job(check_ck_properties, build_ck_gadget, k, d))
-    for b in (2, 3):
-        for k in GRID_BLOCK_K:
-            for d in GRID_D:
-                points.append(job(check_b_block, build_b_block, b, k, d))
-    for k in GRID_BLOCK_K:
-        for d in GRID_D:
-            for m in range(1, k):
-                points.append(job(check_stable_block, build_simple_stable_block, m, k, d))
-            for m in GRID_M:
-                points.append(job(check_stable_block, build_stable_block, m, k, d))
-    for d in (3, 4):
-        for p in GRID_P:
-            points.append(job(check_stable_block, build_tree_stable_block, p, d))
-    return points
-
-
-def run_gadget_grid(max_workers: int = 1) -> list[GadgetReport]:
-    """Build and check every gadget family over the CI parameter grid.
-
-    Points are independent, so they fan out over ``max_workers`` threads;
-    report order is the grid order either way.
+    Each family runs only where it exists: ck at k >= 2, the b-blocks and
+    stable blocks at k >= 3, the tree stable block at k = 2 with d >= 3.
+    Reports come family by family, each in (k, d) order; the defaults are
+    the CI grid.
     """
-    points = _grid_points()
-    if max_workers <= 1:
-        return [point() for point in points]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(lambda point: point(), points))
+    block_ks = [k for k in ks if k >= 3]
+    reports = [check_ck_properties(build_ck_gadget(k, d)) for k in ks if k >= 2 for d in ds]
+    for b in (2, 3):
+        reports += [check_b_block(build_b_block(b, k, d)) for k in block_ks for d in ds]
+    for k in block_ks:
+        for d in ds:
+            reports += [check_stable_block(build_simple_stable_block(m, k, d)) for m in range(1, k)]
+            reports += [check_stable_block(build_stable_block(m, k, d)) for m in GRID_M]
+    if 2 in ks:
+        reports += [
+            check_stable_block(build_tree_stable_block(p, d)) for d in ds if d >= 3 for p in GRID_P
+        ]
+    return reports

@@ -22,7 +22,7 @@ class Hypergraph:
 
     Edges store their vertex sequence in insertion order; the order matters
     only for serialization stability.  Degree and equality semantics are
-    set-based.
+    set-based.  The peeling engine reads ``_edges`` and ``_incidence`` in place.
     """
 
     __slots__ = ("_d", "_vertices", "_edges", "_incidence", "_next_vertex", "_next_edge")
@@ -88,11 +88,6 @@ class Hypergraph:
     def edges(self) -> dict[int, tuple[int, ...]]:
         """Snapshot of edge id -> vertex sequence."""
         return dict(self._edges)
-
-    @property
-    def incidence(self) -> dict[int, frozenset[int]]:
-        """Snapshot of vertex id -> incident edge ids."""
-        return {v: frozenset(es) for v, es in self._incidence.items()}
 
     def has_vertex(self, v: int) -> bool:
         return v in self._vertices

@@ -2,9 +2,13 @@
 
 Repeatedly removes vertices of degree < k together with their incident
 edges until none remain; the survivors form the k-core, which is unique
-regardless of removal order.  The default order is lowest-vertex-id-first
-so traces are reproducible; pass ``order_seed`` to randomize the order for
-order-independence checks.
+regardless of removal order.
+
+One engine, ``_peel``, serves ``k_core`` and ``k_core_after``.  It reads the
+hypergraph in place and counts a stash as already removed, so it copies
+nothing.  Its order is lowest-vertex-id-first, so traces are reproducible;
+``order_seed`` randomizes it for order-independence checks.  ``PeelCore`` is
+the k-core of a bare edge map under delete/restore, for the stash solvers.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
+from itertools import chain, compress
 from typing import Iterable
 
 from .errors import NotFoundError, ParameterError
@@ -38,17 +43,31 @@ class PeelTrace:
         return not self.core_vertices
 
 
-def k_core(g: Hypergraph, k: int, *, order_seed: int | None = None) -> PeelTrace:
-    """Peel g down to its k-core; runs in time linear in total incidence.
+def _peel(
+    g: Hypergraph,
+    k: int,
+    stash_vertices: frozenset[int],
+    stash_edges: frozenset[int],
+    order_seed: int | None,
+) -> PeelTrace:
+    """k-core of g minus a stash, in time linear in total incidence.
 
-    Worklist algorithm with lazy degree updates: a vertex enters the heap
-    when its degree first drops below k and is peeled when popped.
+    The stash is dead from the start: stashed vertices get no degree, and
+    the stashed edges and those on stashed vertices are neither counted in
+    degrees nor alive.  A vertex enters the heap when its degree first drops
+    below k and is peeled when popped.  g is read, never mutated.
     """
     if k < 1:
         raise ParameterError(f"k must be at least 1, got {k}")
-    deg = {v: g.degree(v) for v in g.vertices}
-    edges = g.edges
-    incidence = {v: list(es) for v, es in g.incidence.items()}
+    edges, incidence = g._edges, g._incidence
+    dead_edges = set(stash_edges)
+    for v in stash_vertices:
+        dead_edges.update(incidence[v])
+    deg = {v: len(es) for v, es in incidence.items() if v not in stash_vertices}
+    for e in dead_edges:
+        for w in edges[e]:
+            if w in deg:
+                deg[w] -= 1
 
     if order_seed is None:
         prio = {v: v for v in deg}
@@ -61,7 +80,7 @@ def k_core(g: Hypergraph, k: int, *, order_seed: int | None = None) -> PeelTrace
     queued = {v for _, v in heap}
     peeled_vertices: list[int] = []
     peeled_edges: set[int] = set()
-    alive_edges = set(edges)
+    alive_edges = set(edges).difference(dead_edges)
 
     while heap:
         _, v = heapq.heappop(heap)
@@ -89,6 +108,11 @@ def k_core(g: Hypergraph, k: int, *, order_seed: int | None = None) -> PeelTrace
     )
 
 
+def k_core(g: Hypergraph, k: int, *, order_seed: int | None = None) -> PeelTrace:
+    """Peel g down to its k-core."""
+    return _peel(g, k, frozenset(), frozenset(), order_seed)
+
+
 def is_k_peelable(g: Hypergraph, k: int) -> bool:
     """True iff g has an empty k-core."""
     return k_core(g, k).core_empty
@@ -100,21 +124,20 @@ def k_core_after(
     stash_vertices: Iterable[int] = (),
     stash_edges: Iterable[int] = (),
 ) -> PeelTrace:
-    """k-core of g with the stash removed first; g itself is not mutated."""
-    sv = set(stash_vertices)
-    se = set(stash_edges)
+    """k-core of g with the stash removed first; g itself is not mutated.
+
+    The trace covers what is left after the stash: stashed vertices and
+    edges, and the edges on stashed vertices, are in neither part.
+    """
+    sv = frozenset(stash_vertices)
+    se = frozenset(stash_edges)
     for v in sv:
         if not g.has_vertex(v):
             raise NotFoundError(f"unknown vertex id {v} in stash")
     for e in se:
         if not g.has_edge(e):
             raise NotFoundError(f"unknown edge id {e} in stash")
-    h = g.copy()
-    for e in se:
-        h.remove_edge(e)
-    for v in sorted(sv):
-        h.remove_vertex(v)
-    return k_core(h, k)
+    return _peel(g, k, sv, se, None)
 
 
 def core_subgraph(g: Hypergraph, trace: PeelTrace) -> Hypergraph:
@@ -148,37 +171,9 @@ def verify_trace(g: Hypergraph, trace: PeelTrace) -> bool:
 
 
 def peel_edges(edges: dict[int, tuple[int, ...]], k: int) -> dict[int, tuple[int, ...]]:
-    """Surviving k-core edges of a bare edge map; hot path for the solvers.
-
-    Vertices are implied by edge membership, so callers that care about
-    isolated vertices must handle them separately (an isolated vertex is
-    never in a k-core for k >= 1).
-    """
-    deg: dict[int, int] = {}
-    inc: dict[int, list[int]] = {}
-    for e, vs in edges.items():
-        for v in vs:
-            deg[v] = deg.get(v, 0) + 1
-            inc.setdefault(v, []).append(e)
-    stack = [v for v, c in deg.items() if c < k]
-    dead = set(stack)
-    alive = set(edges)
-    while stack:
-        v = stack.pop()
-        for e in inc[v]:
-            if e not in alive:
-                continue
-            alive.discard(e)
-            for w in edges[e]:
-                if w in dead:
-                    continue
-                deg[w] -= 1
-                if deg[w] < k:
-                    dead.add(w)
-                    stack.append(w)
-    if len(alive) == len(edges):
-        return dict(edges)
-    return {e: vs for e, vs in edges.items() if e in alive}
+    """Surviving k-core edges of a bare edge map, in ascending id order."""
+    core = PeelCore(edges, k)
+    return {e: edges[e] for e, alive in zip(core.edge_ids, core.edge_alive) if alive}
 
 
 class PeelCore:
@@ -188,10 +183,11 @@ class PeelCore:
     and edges get local ids ``0..n-1`` and ``0..m-1`` in ascending order of
     their original ids (``vertex_ids`` and ``edge_ids`` map back), so walking
     local ids keeps lexicographic order.  ``degree[v]`` counts the live edges
-    on v whether v is alive or not, so it is 0 for every dead v.  Each vertex and edge that ``stash_vertex`` or
-    ``stash_edge`` kills goes onto ``trail``; ``undo(mark)`` revives all
-    killed since ``len(trail)`` was ``mark``.  A stash with its undo costs
-    time linear in the incidences of what it kills, not in the core's size.
+    on v whether v is alive or not, so it is 0 for every dead v.  Each vertex
+    and edge that ``stash_vertex`` or ``stash_edge`` kills goes onto
+    ``trail``; ``undo(mark)`` revives all killed since ``len(trail)`` was
+    ``mark``.  A stash with its undo costs time linear in the incidences of
+    what it kills, not in the core's size.
     """
 
     __slots__ = ("k", "vertex_ids", "edge_ids", "edge_vertices", "vertex_edges", "degree",
@@ -200,21 +196,21 @@ class PeelCore:
     def __init__(self, edges: dict[int, tuple[int, ...]], k: int):
         self.k = k
         self.edge_ids = sorted(edges)
-        self.vertex_ids = sorted({v for vs in edges.values() for v in vs})
-        local = {v: i for i, v in enumerate(self.vertex_ids)}
-        self.edge_vertices = [tuple(local[v] for v in edges[e]) for e in self.edge_ids]
+        self.vertex_ids = sorted(set(chain.from_iterable(edges.values())))
+        local = {v: i for i, v in enumerate(self.vertex_ids)}.__getitem__
+        self.edge_vertices = [tuple(map(local, edges[e])) for e in self.edge_ids]
         self.vertex_edges: list[list[int]] = [[] for _ in self.vertex_ids]
+        vertex_edges = self.vertex_edges
         for e, vs in enumerate(self.edge_vertices):
             for v in vs:
-                self.vertex_edges[v].append(e)
-        self.degree = [len(es) for es in self.vertex_edges]
-        self.vertex_alive = [True] * len(self.vertex_ids)
+                vertex_edges[v].append(e)
+        self.degree = list(map(len, vertex_edges))
+        self.vertex_alive = [c >= k for c in self.degree]
         self.edge_alive = [True] * len(self.edge_ids)
         self.live_edges = len(self.edge_ids)
         self.trail: list[int] = []
-        for v in range(len(self.vertex_ids)):
-            if self.vertex_alive[v] and self.degree[v] < k:
-                self.stash_vertex(v)
+        low = compress(vertex_edges, [not a for a in self.vertex_alive])
+        self._peel(list(chain.from_iterable(low)))
         self.trail.clear()
 
     def stash_vertex(self, v: int) -> None:

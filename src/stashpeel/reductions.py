@@ -144,8 +144,10 @@ def normalize_stash(reduced: Hypergraph, rmap: ReductionMap, stash) -> frozenset
     out = set()
     for w in s:
         out.add(w if w in images else rmap.gadget_of[w][0])
-    assert len(out) <= len(s)
-    assert k_core_after(reduced, rmap.k, stash_vertices=out).core_empty
+    if len(out) > len(s):
+        raise AssertionError(f"normalized stash grew from {len(s)} to {len(out)} vertices")
+    if not k_core_after(reduced, rmap.k, stash_vertices=out).core_empty:
+        raise AssertionError(f"normalized stash {sorted(out)} leaves a nonempty {rmap.k}-core")
     return frozenset(out)
 
 
@@ -229,8 +231,10 @@ def push_vertex_stash(g: Hypergraph, rmap: ReductionMap, stash) -> frozenset[int
     if not k_core_after(g, rmap.k, stash_vertices=s).core_empty:
         raise ContractViolationError("stash does not make the original instance peelable")
     pushed = frozenset(rmap.estar_pick[v] for v in s)
-    assert len(pushed) == len(s)
-    assert k_core_after(rmap.reduced, rmap.k, stash_edges=pushed).core_empty
+    if len(pushed) != len(s):
+        raise AssertionError(f"pushed stash has {len(pushed)} edges for {len(s)} vertices")
+    if not k_core_after(rmap.reduced, rmap.k, stash_edges=pushed).core_empty:
+        raise AssertionError(f"pushed stash {sorted(pushed)} leaves a nonempty {rmap.k}-core")
     return pushed
 
 
@@ -247,8 +251,10 @@ def lift_edge_stash(reduced: Hypergraph, rmap: ReductionMap, stash) -> frozenset
     if not k_core_after(reduced, rmap.k, stash_edges=s).core_empty:
         raise ContractViolationError("stash does not make the reduced instance peelable")
     lifted = frozenset(rmap.owner[e] for e in s)
-    assert len(lifted) <= len(s)
-    assert k_core_after(rmap.original, rmap.k, stash_vertices=lifted).core_empty
+    if len(lifted) > len(s):
+        raise AssertionError(f"lifted stash grew from {len(s)} edges to {len(lifted)} vertices")
+    if not k_core_after(rmap.original, rmap.k, stash_vertices=lifted).core_empty:
+        raise AssertionError(f"lifted stash {sorted(lifted)} leaves a nonempty {rmap.k}-core")
     return lifted
 
 
@@ -366,12 +372,16 @@ def parse_map(text: str) -> ReductionMap:
             continue
         if fields[0] != "M":
             raise ParseError(f"unexpected line {raw!r}", lineno)
+        try:
+            numbers = [int(x) for x in fields[2:]]
+        except ValueError:
+            raise ParseError(f"non-integer field in {raw!r}", lineno) from None
         if header is None:
             if len(fields) != 4 or fields[1] not in ("vc", "vstash"):
                 raise ParseError(f"expected 'M vc|vstash <k> <d>', got {raw!r}", lineno)
-            header = (fields[1], int(fields[2]), int(fields[3]))
+            header = (fields[1], *numbers)
             continue
-        kind, args = fields[1], [int(x) for x in fields[2:]]
+        kind, args = fields[1], numbers
         if kind == "v" and header[0] == "vc" and len(args) == 2:
             vertex_map[args[0]] = args[1]
         elif kind == "v" and header[0] == "vstash" and len(args) == 3:

@@ -20,7 +20,7 @@ from itertools import combinations, compress
 
 from .errors import CapExceededError, InvalidArityError, ParameterError
 from .hypergraph import Hypergraph
-from .peeling import PeelCore, k_core_after, peel_edges
+from .peeling import PeelCore, k_core_after
 
 DEFAULT_SIZE_CAP = 6
 
@@ -31,17 +31,15 @@ class StashResult:
 
     kind: str  # "vertex" | "edge"
     stash: frozenset[int]
-    size: int
     optimal: bool
-    residual_core_empty: bool
 
     def __post_init__(self):
         if self.kind not in ("vertex", "edge"):
             raise AssertionError(f"stash kind must be 'vertex' or 'edge', got {self.kind!r}")
-        if self.size != len(self.stash):
-            raise AssertionError(f"size {self.size} does not match a stash of {len(self.stash)}")
-        if not self.residual_core_empty:
-            raise AssertionError("a stash result must leave an empty core")
+
+    @property
+    def size(self) -> int:
+        return len(self.stash)
 
 
 @dataclass(frozen=True)
@@ -102,16 +100,16 @@ def _min_stash_exact(g: Hypergraph, k: int, size_cap: int, kind: str) -> StashRe
         raise ParameterError(f"k must be at least 1, got {k}")
     if size_cap < 0:
         raise ParameterError(f"size cap must be non-negative, got {size_cap}")
-    core = PeelCore(peel_edges(g.edges, k), k)
+    core = PeelCore(g.edges, k)
     if not core.live_edges:
-        return StashResult(kind, frozenset(), 0, True, True)
+        return StashResult(kind, frozenset(), True)
     ids = core.vertex_ids if kind == "vertex" else core.edge_ids
     for budget in range(1, size_cap + 1):
         found = _search(core, kind, budget, 0)
         if found is not None:
             stash = frozenset(ids[x] for x in found)
             _certify(g, k, kind, stash)
-            return StashResult(kind, stash, len(stash), True, True)
+            return StashResult(kind, stash, True)
     raise CapExceededError(f"no {kind} stash of size <= {size_cap} exists", size_cap)
 
 
@@ -223,10 +221,10 @@ def greedy_stash(
     if tie_break not in TIE_BREAKS:
         raise ParameterError(f"tie_break must be one of {TIE_BREAKS}, got {tie_break!r}")
     # The core lives only in _greedy_picks, so it is freed before the
-    # certificate check copies g.
-    stash = _greedy_picks(PeelCore(peel_edges(g.edges, k), k), mode, tie_break, random.Random(seed))
+    # certificate check peels g.
+    stash = _greedy_picks(PeelCore(g.edges, k), mode, tie_break, random.Random(seed))
     _certify(g, k, mode, stash)
-    return StashResult(mode, stash, len(stash), False, True)
+    return StashResult(mode, stash, False)
 
 
 def _greedy_picks(core: PeelCore, mode: str, tie_break: str, rng: random.Random) -> frozenset[int]:

@@ -55,6 +55,19 @@ def core_by_enumeration(g: Hypergraph, k: int) -> tuple[frozenset[int], frozense
     return cores_by_enumeration(g, (k,))[k]
 
 
+def peel_order_by_repeated_removal(g: Hypergraph, k: int) -> tuple[int, ...]:
+    """Lowest-id-first peel order: remove, from a copy, the lowest-id vertex
+    of degree < k until none is left."""
+    h = g.copy()
+    order = []
+    while True:
+        low = [v for v in h.vertices if h.degree(v) < k]
+        if not low:
+            return tuple(order)
+        order.append(min(low))
+        h.remove_vertex(order[-1])
+
+
 def _core_after(g: Hypergraph, k: int, kind: str, stash):
     if kind == "vertex":
         return k_core_after(g, k, stash_vertices=stash)

@@ -120,6 +120,27 @@ def test_malformed_file_is_input_error(tmp_path):
     assert code == 2 and "line 2" in err
 
 
+def test_undecodable_bytes_are_input_error(tmp_path):
+    bad = tmp_path / "bad.hg"
+    bad.write_bytes(b"h 2 2 1\ne 0 \xff\n")
+    code, _, err = invoke("peel", "--k", "2", str(bad))
+    assert code == 2 and err.startswith("error: line 2:")
+
+
+def test_non_integer_map_field_is_input_error(files, tmp_path):
+    mp = tmp_path / "tri.map"
+    assert invoke("reduce", "--from", "vc", "--k", "2", "--d", "2",
+                  "--map-out", str(mp), files["tri"])[0] == 0
+    stash = tmp_path / "stash.txt"
+    stash.write_text("S v 0 1\n")
+    good = mp.read_text()
+    for broken in (good.replace("M vc 2 2", "M vc 2 x"), good.replace("M v 0 ", "M v zero ")):
+        assert broken != good
+        mp.write_text(broken)
+        code, _, err = invoke("lift", "--map", str(mp), "--stash", str(stash))
+        assert code == 2 and err.startswith("error:") and "non-integer" in err
+
+
 def test_reduce_then_lift_vstash_roundtrip(files, tmp_path):
     mp = str(tmp_path / "k4.map")
     k4 = tmp_path / "k4.hg"
@@ -166,8 +187,7 @@ def test_reduce_default_map_sidecar(files):
     assert sidecar.read_text().startswith("M vc 2 3\n")
 
 
-def test_verify_gadgets_tsv(monkeypatch):
-    monkeypatch.setenv("STASHPEEL_THREADS", "2")
+def test_verify_gadgets_tsv():
     code, out, _ = invoke("verify-gadgets", "--k", "3", "--d", "2")
     assert code == 0
     lines = out.splitlines()

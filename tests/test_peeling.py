@@ -12,10 +12,10 @@ from stashpeel import (
     k_core_after,
     verify_trace,
 )
-from stashpeel.peeling import PeelCore
+from stashpeel.peeling import PeelCore, peel_edges
 
 from helpers import complete_graph, hypergraphs, mkgraph, path, triangle, two_triangles
-from oracles import core_by_enumeration
+from oracles import core_by_enumeration, peel_order_by_repeated_removal
 
 
 def test_path_has_empty_2_core():
@@ -200,3 +200,30 @@ def test_peel_core_stash_and_undo_track_k_core_after(g, k, picks):
     for mark, before in reversed(history):
         core.undo(mark)
         assert state() == before
+
+
+@settings(max_examples=60, deadline=None)
+@given(hypergraphs(max_edges=12), st.sampled_from((1, 2, 3)))
+def test_peel_edges_matches_enumeration(g, k):
+    assert set(peel_edges(g.edges, k)) == core_by_enumeration(g, k)[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(hypergraphs(max_edges=12), st.sampled_from((1, 2, 3)), st.data())
+def test_k_core_after_mixed_stash_matches_enumeration(g, k, data):
+    stash_v = data.draw(st.sets(st.sampled_from(sorted(g.vertices)), max_size=3))
+    stash_e = data.draw(st.sets(st.sampled_from(sorted(g.edges)), max_size=3)) if g.num_edges else set()
+    h = g.copy()
+    for e in stash_e:
+        h.remove_edge(e)
+    for v in stash_v:
+        h.remove_vertex(v)
+    got = k_core_after(g, k, stash_vertices=stash_v, stash_edges=stash_e)
+    assert (got.core_vertices, got.core_edges) == core_by_enumeration(h, k)
+    assert verify_trace(h, got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hypergraphs(max_edges=12), st.sampled_from((1, 2, 3)))
+def test_k_core_peels_lowest_id_first(g, k):
+    assert k_core(g, k).peeled_vertices == peel_order_by_repeated_removal(g, k)

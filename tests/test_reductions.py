@@ -1,3 +1,5 @@
+import textwrap
+
 import pytest
 
 from stashpeel import (
@@ -22,7 +24,7 @@ from stashpeel import (
 )
 from stashpeel.cli import gen_random
 
-from helpers import complete_graph, mkgraph, triangle
+from helpers import complete_graph, mkgraph, run_python, triangle
 
 PAIRS = ((2, 2), (3, 2), (2, 3))
 
@@ -308,3 +310,44 @@ def test_map_roundtrip_vc():
     assert loaded.reduced == reduced
     stash = min_vertex_stash_exact(reduced, 2).stash
     assert normalize_stash(reduced, loaded, stash) == normalize_stash(reduced, rmap, stash)
+
+
+def test_certificate_checks_survive_python_optimize():
+    script = textwrap.dedent("""
+        import dataclasses, itertools, sys
+        from stashpeel import parse, reductions
+
+        real = reductions.k_core_after
+        calls = itertools.count()
+
+        def certificate_core_nonempty(*args, **kwargs):
+            # each function checks its input first and its certificate second
+            trace = real(*args, **kwargs)
+            if next(calls) % 2:
+                return dataclasses.replace(trace, core_vertices=frozenset({0}))
+            return trace
+
+        tri = parse("h 2 3 3\\ne 0 1\\ne 1 2\\ne 2 0\\n")
+        _, vc = reductions.reduce_vc_to_vertex_stash(tri, 2, 2)
+        _, vs = reductions.reduce_vertex_to_edge_stash(tri, 3, 2)
+        pushed = reductions.push_vertex_stash(tri, vs, {0})
+        collapsed = dataclasses.replace(vs, estar_pick=dict.fromkeys(vs.estar_pick, min(pushed)))
+        cover = {vc.vertex_map[0], vc.vertex_map[1]}
+        cases = (
+            (True, lambda: reductions.normalize_stash(vc.reduced, vc, cover)),
+            (True, lambda: reductions.push_vertex_stash(tri, vs, {0})),
+            (True, lambda: reductions.lift_edge_stash(vs.reduced, vs, pushed)),
+            (False, lambda: reductions.push_vertex_stash(tri, collapsed, {0, 1})),
+        )
+        print(sys.flags.optimize)
+        for patched, call in cases:
+            reductions.k_core_after = certificate_core_nonempty if patched else real
+            try:
+                call()
+                print("returned")
+            except AssertionError:
+                print("raised")
+    """)
+    proc = run_python("-O", "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"] + ["raised"] * 4

@@ -237,7 +237,7 @@ def test_certificate_checks_survive_python_optimize():
             lambda: stash_solvers.min_edge_stash_exact(g, 2),
             lambda: stash_solvers.greedy_stash(g, 2, "vertex"),
             lambda: stash_solvers.greedy_stash(g, 2, "edge", "seeded_random", 3),
-            lambda: stash_solvers.StashResult("vertex", frozenset({1}), 2, True, True),
+            lambda: stash_solvers.StashResult("both", frozenset({1}), True),
         )
         print(sys.flags.optimize)
         for call in calls:
