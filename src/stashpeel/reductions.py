@@ -19,6 +19,7 @@ correspondences, and round-trip through a text sidecar format (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, filterfalse
 
 from .errors import ContractViolationError, ParameterError, ParseError, UnsupportedCaseError
 from .gadgets import (
@@ -343,9 +344,32 @@ def serialize_map(rmap: ReductionMap) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The kinds of entry line each map direction holds and their numbers of ids;
+# an 'M n' line holds an original edge and at least one reduced edge.
+_MAP_ARITY = {("vc", "v"): 2, ("vc", "g"): 3, ("vstash", "v"): 3, ("vstash", "e"): 2}
+
+
+def _entry_line(text: str, kind: str, x: int, at: slice) -> int:
+    """Number of the first 'M <kind>' line with id x among its ids ``[at]``.
+    Only called once every entry line has parsed, so its fields are
+    integers."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if fields[:2] == ["M", kind] and x in [int(f) for f in fields[2:]][at]:
+            return lineno
+    return 1
+
+
 def parse_map(text: str) -> ReductionMap:
     """Rebuild a reduction map from its sidecar text (audit records are not
-    restored; lifting and normalization work from files alone)."""
+    restored; lifting and normalization work from files alone).
+
+    Every id an entry names must exist in the embedded instance it refers
+    to, and the map must cover what lifting looks up: each original vertex
+    has an 'M v' line, each reduced vertex of a vc map that is not an image
+    has an 'M g' line naming two images, and each reduced edge of a vstash
+    map has an 'M e' line.
+    """
     header = None
     sections: dict[str, list[str]] = {}
     current: list[str] | None = None
@@ -370,7 +394,7 @@ def parse_map(text: str) -> ReductionMap:
                 raise ParseError(f"expected 'G orig|reduced', got {raw!r}", lineno)
             current = sections.setdefault(fields[1], [])
             continue
-        if fields[0] != "M":
+        if fields[0] != "M" or len(fields) < 2:
             raise ParseError(f"unexpected line {raw!r}", lineno)
         try:
             numbers = [int(x) for x in fields[2:]]
@@ -382,30 +406,65 @@ def parse_map(text: str) -> ReductionMap:
             header = (fields[1], *numbers)
             continue
         kind, args = fields[1], numbers
-        if kind == "v" and header[0] == "vc" and len(args) == 2:
-            vertex_map[args[0]] = args[1]
-        elif kind == "v" and header[0] == "vstash" and len(args) == 3:
-            vertex_map[args[0]] = args[1]
-            estar_pick[args[0]] = args[2]
-        elif kind == "g" and len(args) == 3:
-            gadget_of[args[0]] = (args[1], args[2])
-        elif kind == "e" and len(args) == 2:
-            owner[args[0]] = args[1]
-        elif kind == "n" and len(args) >= 2:
-            edge_map[args[0]] = tuple(args[1:])
-        else:
+        arity = len(args) if kind == "n" and len(args) >= 2 else _MAP_ARITY.get((header[0], kind))
+        if len(args) != arity:
             raise ParseError(f"malformed map line {raw!r}", lineno)
+        if kind == "v":
+            vertex_map[args[0]] = args[1]
+            if header[0] == "vstash":
+                estar_pick[args[0]] = args[2]
+        elif kind == "g":
+            gadget_of[args[0]] = (args[1], args[2])
+        elif kind == "e":
+            owner[args[0]] = args[1]
+        else:
+            edge_map[args[0]] = tuple(args[1:])
     if header is None:
         raise ParseError("missing 'M vc|vstash <k> <d>' header", 1)
     if "orig" not in sections or "reduced" not in sections:
         raise ParseError("map file must embed both G orig and G reduced sections", 1)
     tag, k, d = header
+    original = parse("\n".join(sections["orig"]) + "\n")
+    reduced = parse("\n".join(sections["reduced"]) + "\n")
+    # parse numbers vertices and edges from 0, so an id exists iff it is in range
+    original_vertices, original_edges = range(original.num_vertices), range(original.num_edges)
+    reduced_vertices, reduced_edges = range(reduced.num_vertices), range(reduced.num_edges)
+    images = set(vertex_map.values())
+    key, value, estar, values = slice(0, 1), slice(1, 2), slice(2, 3), slice(1, None)
+    # (entry kind, where the ids sit on its lines, the ids, what each must
+    # be, the ids that are)
+    checks = (
+        ("v", key, vertex_map.keys(), "an original vertex", original_vertices),
+        ("v", value, images, "a reduced vertex", reduced_vertices),
+        ("v", estar, estar_pick.values(), "a reduced edge", reduced_edges),
+        ("g", key, gadget_of.keys(), "a reduced vertex", reduced_vertices),
+        ("g", values, chain.from_iterable(gadget_of.values()), "an image", images),
+        ("e", key, owner.keys(), "a reduced edge", reduced_edges),
+        ("e", value, owner.values(), "an original vertex", original_vertices),
+        ("n", key, edge_map.keys(), "an original edge", original_edges),
+        ("n", values, chain.from_iterable(edge_map.values()), "a reduced edge", reduced_edges),
+    )
+    for kind, at, ids, what, known in checks:
+        x = next(filterfalse(known.__contains__, ids), None)
+        if x is not None:
+            raise ParseError(f"'M {kind}' line: {x} is not {what}", _entry_line(text, kind, x, at))
+    non_images = filterfalse(images.__contains__, reduced_vertices)
+    unlisted = (
+        ("v", "original vertex", filterfalse(vertex_map.__contains__, original_vertices)),
+        ("g", "reduced vertex", filterfalse(gadget_of.__contains__, non_images))
+        if tag == "vc"
+        else ("e", "reduced edge", filterfalse(owner.__contains__, reduced_edges)),
+    )
+    for kind, what, missing in unlisted:
+        x = next(missing, None)
+        if x is not None:
+            raise ParseError(f"{what} {x} has no 'M {kind}' line", 1)
     return ReductionMap(
         direction="vc_to_vs" if tag == "vc" else "vs_to_es",
         k=k,
         d=d,
-        original=parse("\n".join(sections["orig"]) + "\n"),
-        reduced=parse("\n".join(sections["reduced"]) + "\n"),
+        original=original,
+        reduced=reduced,
         vertex_map=vertex_map,
         edge_map=edge_map,
         estar_pick=estar_pick,

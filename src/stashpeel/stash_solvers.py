@@ -7,6 +7,16 @@ anything outside the core never changes it).  The search runs on one
 ``PeelCore``: each branch stashes its element and peels the cascade in
 place, recording every kill on a trail, and backtracking pops the trail, so
 a search node costs its cascade rather than a re-peel of the whole core.
+
+Subtrees that provably hold no stash are skipped, so the search still
+returns the lexicographically first minimum stash.  Every stash must hit
+every nonempty k-core of a subset of the live elements (a "witness").  At
+each node the prefix witness, the k-core of the live elements <= y for the
+smallest such y, caps the scan: a stash whose first element is above y
+misses it.  At budget 1 the one element must lie in the prefix witness,
+and each failed candidate leaves a core that is another witness, so the
+candidates still to try shrink to those alive in it.
+
 Greedy runs on the same structure without undo.  Every stash returned is
 re-checked by ``k_core_after`` on the input graph.  Instances are expected
 to be desk-scale; correctness is the point.
@@ -62,26 +72,67 @@ def _candidate_vertices(edges: dict[int, tuple[int, ...]]) -> list[int]:
     return sorted(seen)
 
 
-def _search(core: PeelCore, kind: str, budget: int, first: int) -> list[int] | None:
-    """Lexicographically first `budget` more local ids, each at least `first`,
-    whose stashing empties `core`, or None.
+def _prefix_witness(core: PeelCore, kind: str) -> tuple[int, list[bool]]:
+    """Smallest y such that the live elements <= y still hold a nonempty
+    k-core, and the alive flags of that core.
 
-    Candidates are the live elements of the node's core.  A failed search
-    leaves `core` as it found it; a successful one leaves the stash applied.
+    Stashes live elements from the highest local id down until the core
+    empties; y is the one whose stash emptied it, and the witness is the
+    core just before.  `core` must be nonempty and is left as found.
     """
     if kind == "vertex":
         alive, stash = core.vertex_alive, core.stash_vertex
     else:
         alive, stash = core.edge_alive, core.stash_edge
     mark = len(core.trail)
-    for x in compress(range(first, len(alive)), alive[first:]):
+    y = len(alive)
+    while core.live_edges:
+        y -= 1
+        if alive[y]:
+            before = len(core.trail)
+            stash(y)
+    core.undo(before)
+    witness = alive.copy()
+    core.undo(mark)
+    return y, witness
+
+
+def _search(core: PeelCore, kind: str, budget: int, first: int) -> list[int] | None:
+    """Lexicographically first `budget` more local ids, each at least `first`,
+    whose stashing empties `core`, or None.
+
+    Candidates are the live elements of the node's core, capped at the
+    node's prefix witness y: a stash must hit the witness, whose elements
+    are all <= y, so a first element above y leads nowhere.  At budget 1
+    the one element must lie in the witness and in the core left by every
+    failed candidate.  A failed search leaves `core` as it found it; a
+    successful one leaves the stash applied.
+    """
+    if kind == "vertex":
+        alive, stash = core.vertex_alive, core.stash_vertex
+    else:
+        alive, stash = core.edge_alive, core.stash_edge
+    y, witness = _prefix_witness(core, kind)
+    if y < first:
+        return None
+    mark = len(core.trail)
+    if budget == 1:
+        todo = list(compress(range(first, y + 1), witness[first : y + 1]))
+        while todo:
+            x = todo.pop(0)
+            stash(x)
+            if not core.live_edges:
+                return [x]
+            todo = [c for c in todo if alive[c]]
+            core.undo(mark)
+        return None
+    for x in compress(range(first, y + 1), alive[first : y + 1]):
         stash(x)
         if not core.live_edges:
             return [x]
-        if budget > 1:
-            rest = _search(core, kind, budget - 1, x + 1)
-            if rest is not None:
-                return [x] + rest
+        rest = _search(core, kind, budget - 1, x + 1)
+        if rest is not None:
+            return [x] + rest
         core.undo(mark)
     return None
 

@@ -157,6 +157,8 @@ def test_criterion_5_vertex_cover_reduction():
     assert exhaustive == 53  # 1+1+2+4+11+34 classes on 0..5 vertices
     for seed in range(100):
         corpus.append(gen_random(6, seed % 13, 2, seed))
+    for seed in range(100):
+        corpus.append(gen_random(8, 8 + seed % 9, 2, seed))
     violations = []
     for i, g in enumerate(corpus):
         cover = len(min_vertex_cover_exact(g, size_cap=6))
@@ -166,7 +168,8 @@ def test_criterion_5_vertex_cover_reduction():
             if stash.size != cover:
                 violations.append((i, k, d, cover, stash.size))
     _report(5, "cover reduction", violations, time.time() - t0, 300.0,
-            f"{exhaustive} graphs on <=5 vertices (all iso classes) + 100 random on 6, x3 (k,d)")
+            f"{exhaustive} graphs on <=5 vertices (all iso classes) + 100 random on 6"
+            " + 100 random on 8, x3 (k,d)")
 
 
 def _criterion_6_corpus():

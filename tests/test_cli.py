@@ -141,6 +141,37 @@ def test_non_integer_map_field_is_input_error(files, tmp_path):
         assert code == 2 and err.startswith("error:") and "non-integer" in err
 
 
+def _triangle_vc_map(files, tmp_path):
+    mp = tmp_path / "tri.map"
+    assert invoke("reduce", "--from", "vc", "--k", "2", "--d", "2",
+                  "--map-out", str(mp), files["tri"])[0] == 0
+    stash = tmp_path / "stash.txt"
+    stash.write_text("S v 0 5\n")  # 5 is inside the gadget of edge (1, 2)
+    assert invoke("lift", "--map", str(mp), "--stash", str(stash))[1] == "S v 0 1\n"
+    return mp, stash
+
+
+def test_map_without_gadget_lines_is_input_error(files, tmp_path):
+    mp, stash = _triangle_vc_map(files, tmp_path)
+    good = mp.read_text()
+    mp.write_text("".join(line for line in good.splitlines(True) if not line.startswith("M g ")))
+    code, out, err = invoke("lift", "--map", str(mp), "--stash", str(stash))
+    assert code == 2 and not out
+    assert err.startswith("error:") and "no 'M g' line" in err
+
+
+def test_map_with_unknown_vertex_is_input_error(files, tmp_path):
+    mp, stash = _triangle_vc_map(files, tmp_path)
+    good = mp.read_text()
+    broken = good.replace("M v 0 0\n", "M v 0 999\n")
+    assert broken != good
+    mp.write_text(broken)
+    code, out, err = invoke("lift", "--map", str(mp), "--stash", str(stash))
+    assert code == 2 and not out
+    line = broken.splitlines().index("M v 0 999") + 1
+    assert err.startswith(f"error: line {line}: ") and "999 is not a reduced vertex" in err
+
+
 def test_reduce_then_lift_vstash_roundtrip(files, tmp_path):
     mp = str(tmp_path / "k4.map")
     k4 = tmp_path / "k4.hg"

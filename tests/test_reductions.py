@@ -5,6 +5,7 @@ import pytest
 from stashpeel import (
     ContractViolationError,
     ParameterError,
+    ParseError,
     UnsupportedCaseError,
     audit_p1,
     audit_pk_properties,
@@ -310,6 +311,43 @@ def test_map_roundtrip_vc():
     assert loaded.reduced == reduced
     stash = min_vertex_stash_exact(reduced, 2).stash
     assert normalize_stash(reduced, loaded, stash) == normalize_stash(reduced, rmap, stash)
+
+
+def _edit_lines(text, kind, edit):
+    """Apply `edit` to each 'M <kind>' line's ids; None drops the line."""
+    out = []
+    for line in text.splitlines():
+        fields = line.split()
+        if fields[:2] == ["M", kind]:
+            ids = edit([int(x) for x in fields[2:]])
+            if ids is None:
+                continue
+            line = " ".join(["M", kind, *map(str, ids)])
+        out.append(line)
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("direction, kind, edit, message", [
+    ("vstash", "v", lambda ids: None if ids[0] == 1 else ids, "original vertex 1 has no 'M v' line"),
+    ("vc", "v", lambda ids: [ids[0] + 50, ids[1]], "is not an original vertex"),
+    ("vc", "g", lambda ids: None if ids[0] == 7 else ids, "reduced vertex 7 has no 'M g' line"),
+    ("vc", "g", lambda ids: [ids[0], ids[1], ids[0]], "is not an image"),
+    ("vc", "n", lambda ids: ids + [10_000], "10000 is not a reduced edge"),
+    ("vstash", "e", lambda ids: None if ids[0] == 3 else ids, "reduced edge 3 has no 'M e' line"),
+    ("vstash", "e", lambda ids: [ids[0], 4], "4 is not an original vertex"),
+    ("vstash", "v", lambda ids: [ids[0], ids[1], -1], "-1 is not a reduced edge"),
+    ("vstash", "n", lambda ids: [ids[0] + 50, *ids[1:]], "is not an original edge"),
+])
+def test_parse_map_checks_references(direction, kind, edit, message):
+    if direction == "vc":
+        rmap = reduce_vc_to_vertex_stash(triangle(), 2, 2)[1]
+    else:
+        rmap = reduce_vertex_to_edge_stash(gen_random(4, 5, 2, 9), 3, 2)[1]
+    text = serialize_map(rmap)
+    broken = _edit_lines(text, kind, edit)
+    assert broken != text
+    with pytest.raises(ParseError, match=message):
+        parse_map(broken)
 
 
 def test_certificate_checks_survive_python_optimize():
