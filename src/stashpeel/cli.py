@@ -13,7 +13,13 @@ import random
 import sys
 
 from . import gadgets, reductions, stash_solvers
-from .errors import CapExceededError, ParameterError, ParseError, StashpeelError
+from .errors import (
+    CapExceededError,
+    ContractViolationError,
+    ParameterError,
+    ParseError,
+    StashpeelError,
+)
 from .hypergraph import Hypergraph, format_stash, parse, parse_stash, serialize
 from .peeling import core_subgraph, k_core
 
@@ -128,7 +134,15 @@ def _cmd_lift(args, out) -> int:
             raise ParameterError("cover-reduction maps lift vertex stashes only")
         normalized = reductions.normalize_stash(rmap.reduced, rmap, ids)
         back = {img: v for v, img in rmap.vertex_map.items()}
-        out.write(format_stash("v", (back[w] for w in normalized)))
+        cover = {back[w] for w in normalized}
+        g = rmap.original
+        missed = next((e for e in sorted(g.edges) if cover.isdisjoint(g.edge_vertices(e))), None)
+        if missed is not None:
+            raise ContractViolationError(
+                f"lifted cover {sorted(cover)} misses original edge {missed}: "
+                "the map does not match its reduction"
+            )
+        out.write(format_stash("v", cover))
         return EXIT_OK
     if kind == "e":
         lifted = reductions.lift_edge_stash(rmap.reduced, rmap, ids)

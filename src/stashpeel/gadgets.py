@@ -558,6 +558,32 @@ def _report_params(gadget: Gadget) -> dict[str, int]:
     return {**gadget.params, "parallel_edges": parallel}
 
 
+def _unpeelable(harness: Harness, name: str) -> CheckResult:
+    """Nothing in the block peels with every port anchored."""
+    peeled = sorted(harness.block_vertices - _surviving_block(harness))
+    return CheckResult(name, not peeled, f"peeled={peeled}" if peeled else "")
+
+
+def _peels(
+    harness: Harness,
+    name: str,
+    label: str,
+    removed_edges: tuple[int, ...] = (),
+    removed_vertices: tuple[int, ...] = (),
+) -> CheckResult:
+    """The whole block peels once the given edges and vertices are gone."""
+    surv = sorted(_surviving_block(harness, removed_edges, removed_vertices))
+    return CheckResult(name, not surv, f"{label}survivors={surv}" if surv else "")
+
+
+def _estar_checks(gadget: Gadget, harness: Harness) -> list[CheckResult]:
+    """Stashing any one E* edge peels the whole block, all ports present."""
+    return [
+        _peels(harness, f"estar_{e}_peels", f"stash_edge={e} ", removed_edges=(harness.emap[e],))
+        for e in sorted(gadget.estar)
+    ]
+
+
 # -- checkers -----------------------------------------------------------------
 
 
@@ -569,32 +595,13 @@ def check_ck_properties(gadget: Gadget) -> GadgetReport:
     k-core; (c) with both anchors intact nothing peels.
     """
     harness = build_harness(gadget)
-    k = harness.k
-    checks = []
-    low = sorted(
-        (v, harness.graph.degree(v)) for v in harness.block_vertices if harness.graph.degree(v) < k
-    )
-    checks.append(
-        CheckResult("min_internal_degree", not low, f"low_degree={low}" if low else "")
-    )
-    surv = _surviving_block(harness)
-    peeled = sorted(harness.block_vertices - surv)
-    checks.append(
-        CheckResult(
-            "unpeelable_with_both_ports",
-            surv == harness.block_vertices,
-            f"peeled={peeled}" if peeled else "",
-        )
-    )
+    degree, k = harness.graph.degree, harness.k
+    low = sorted((v, degree(v)) for v in harness.block_vertices if degree(v) < k)
+    checks = [CheckResult("min_internal_degree", not low, f"low_degree={low}" if low else "")]
+    checks.append(_unpeelable(harness, "unpeelable_with_both_ports"))
     for name in ("u", "v"):
-        surv = _surviving_block(harness, removed_vertices=(harness.port_anchor[name],))
-        checks.append(
-            CheckResult(
-                f"peels_when_{name}_removed",
-                not surv,
-                f"survivors={sorted(surv)}" if surv else "",
-            )
-        )
+        anchor = (harness.port_anchor[name],)
+        checks.append(_peels(harness, f"peels_when_{name}_removed", "", removed_vertices=anchor))
     return GadgetReport("ck", _report_params(gadget), tuple(checks))
 
 
@@ -602,25 +609,10 @@ def check_b_block(gadget: Gadget) -> GadgetReport:
     """(a) nothing peels with every neighboring edge anchored; (b) removing
     any single neighboring edge fully peels the block."""
     harness = build_harness(gadget)
-    checks = []
-    surv = _surviving_block(harness)
-    peeled = sorted(harness.block_vertices - surv)
-    checks.append(
-        CheckResult(
-            "unpeelable_with_all_ports",
-            surv == harness.block_vertices,
-            f"peeled={peeled}" if peeled else "",
-        )
-    )
+    checks = [_unpeelable(harness, "unpeelable_with_all_ports")]
     for port in gadget.ports:
-        surv = _surviving_block(harness, removed_edges=harness.port_edges[port.name])
-        checks.append(
-            CheckResult(
-                f"peels_without_{port.name}",
-                not surv,
-                f"removed={port.name} survivors={sorted(surv)}" if surv else "",
-            )
-        )
+        name, edges = f"peels_without_{port.name}", harness.port_edges[port.name]
+        checks.append(_peels(harness, name, f"removed={port.name} ", removed_edges=edges))
     return GadgetReport(gadget.kind, _report_params(gadget), tuple(checks))
 
 
@@ -636,16 +628,7 @@ def check_stable_block(gadget: Gadget) -> GadgetReport:
     harness = build_harness(gadget)
     names = [p.name for p in gadget.ports]
     m = len(names)
-    checks = []
-    surv = _surviving_block(harness)
-    peeled = sorted(harness.block_vertices - surv)
-    checks.append(
-        CheckResult(
-            "unpeelable_with_all_ports",
-            surv == harness.block_vertices,
-            f"peeled={peeled}" if peeled else "",
-        )
-    )
+    checks = [_unpeelable(harness, "unpeelable_with_all_ports")]
     witness = ""
     for mask in _subset_pool(m, PARTIAL_REMOVAL_EXHAUSTIVE_LIMIT, m):
         if mask == 2**m - 1:
@@ -655,23 +638,9 @@ def check_stable_block(gadget: Gadget) -> GadgetReport:
             witness = f"fully_peeled_with_ports_removed={removed}"
             break
     checks.append(CheckResult("survives_partial_port_removal", not witness, witness))
-    surv = _surviving_block(harness, removed_edges=_mask_edges(harness, names, 2**m - 1))
-    checks.append(
-        CheckResult(
-            "peels_with_all_ports_removed",
-            not surv,
-            f"survivors={sorted(surv)}" if surv else "",
-        )
-    )
-    for e in sorted(gadget.estar):
-        surv = _surviving_block(harness, removed_edges=(harness.emap[e],))
-        checks.append(
-            CheckResult(
-                f"estar_{e}_peels",
-                not surv,
-                f"stash_edge={e} survivors={sorted(surv)}" if surv else "",
-            )
-        )
+    every_port = _mask_edges(harness, names, 2**m - 1)
+    checks.append(_peels(harness, "peels_with_all_ports_removed", "", removed_edges=every_port))
+    checks += _estar_checks(gadget, harness)
     return GadgetReport(gadget.kind, _report_params(gadget), tuple(checks))
 
 
@@ -686,7 +655,6 @@ def check_pk_gadget(gadget: Gadget) -> GadgetReport:
     k = gadget.params["k"]
     names = [p.name for p in gadget.ports]
     delta = len(names)
-    checks = []
     witness = ""
     for mask in _subset_pool(delta, PK_SUBSET_EXHAUSTIVE_LIMIT, 0xBD ^ delta):
         removed_count = bin(mask).count("1")
@@ -696,16 +664,8 @@ def check_pk_gadget(gadget: Gadget) -> GadgetReport:
             removed = [names[i] for i in range(delta) if mask >> i & 1]
             witness = f"removed={removed} expected_peel={expect_peel} survivors={sorted(surv)}"
             break
-    checks.append(CheckResult("peels_iff_under_k_ports", not witness, witness))
-    for e in sorted(gadget.estar):
-        surv = _surviving_block(harness, removed_edges=(harness.emap[e],))
-        checks.append(
-            CheckResult(
-                f"estar_{e}_peels",
-                not surv,
-                f"stash_edge={e} survivors={sorted(surv)}" if surv else "",
-            )
-        )
+    checks = [CheckResult("peels_iff_under_k_ports", not witness, witness)]
+    checks += _estar_checks(gadget, harness)
     return GadgetReport("pk", _report_params(gadget), tuple(checks))
 
 

@@ -209,22 +209,17 @@ def parse(text: str) -> Hypergraph:
             continue
         if fields[0] != "e":
             raise ParseError(f"expected edge line 'e v1 ... vd', got {raw!r}", lineno)
-        d, n, m = header
         if edges_seen >= m:
             raise ParseError(f"more than the declared {m} edges", lineno)
-        if len(fields) != 1 + d:
-            raise ParseError(f"edge needs {d} vertices, got {len(fields) - 1}", lineno)
         try:
             vs = [int(x) for x in fields[1:]]
         except ValueError:
             raise ParseError(f"non-integer vertex index in {raw!r}", lineno) from None
-        if len(set(vs)) != d:
-            raise ParseError(f"duplicate vertex within edge {raw!r}", lineno)
-        for v in vs:
-            if not 0 <= v < n:
-                raise ParseError(f"vertex index {v} outside 0..{n - 1}", lineno)
         assert g is not None
-        g.add_edge(vs)
+        try:
+            g.add_edge(vs)
+        except (ParameterError, NotFoundError) as exc:
+            raise ParseError(str(exc), lineno) from None
         edges_seen += 1
     if header is None:
         raise ParseError("empty input: missing 'h' header", 1)

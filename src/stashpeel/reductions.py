@@ -368,7 +368,8 @@ def parse_map(text: str) -> ReductionMap:
     to, and the map must cover what lifting looks up: each original vertex
     has an 'M v' line, each reduced vertex of a vc map that is not an image
     has an 'M g' line naming two images, and each reduced edge of a vstash
-    map has an 'M e' line.
+    map has an 'M e' line.  The two images of an 'M g' line must be exactly
+    those its vertex shares an edge with in the reduced instance.
     """
     header = None
     sections: dict[str, list[str]] = {}
@@ -459,6 +460,14 @@ def parse_map(text: str) -> ReductionMap:
         x = next(missing, None)
         if x is not None:
             raise ParseError(f"{what} {x} has no 'M {kind}' line", 1)
+    edges = reduced.edges
+    for w, ends in gadget_of.items():
+        # normalization moves w onto an end, which covers w's gadget only
+        # if the ends are the two images that gadget joins
+        near = images.intersection(chain.from_iterable(map(edges.get, reduced.incident_edges(w))))
+        if near != set(ends):
+            why = f"'M g' line: {w} shares edges with {sorted(near)}, not {list(ends)}"
+            raise ParseError(why, _entry_line(text, "g", w, key))
     return ReductionMap(
         direction="vc_to_vs" if tag == "vc" else "vs_to_es",
         k=k,

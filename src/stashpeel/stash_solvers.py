@@ -72,19 +72,19 @@ def _candidate_vertices(edges: dict[int, tuple[int, ...]]) -> list[int]:
     return sorted(seen)
 
 
-def _prefix_witness(core: PeelCore, kind: str) -> tuple[int, list[bool]]:
+def _prefix_witness(core: PeelCore, kind: str) -> int:
     """Smallest y such that the live elements <= y still hold a nonempty
-    k-core, and the alive flags of that core.
+    k-core, the witness.
 
     Stashes live elements from the highest local id down until the core
-    empties; y is the one whose stash emptied it, and the witness is the
-    core just before.  `core` must be nonempty and is left as found.
+    empties; y is the one whose stash emptied it.  That last stash is
+    undone, so `core` is left holding the witness, and the caller undoes
+    back to its own mark.  `core` must be nonempty.
     """
     if kind == "vertex":
         alive, stash = core.vertex_alive, core.stash_vertex
     else:
         alive, stash = core.edge_alive, core.stash_edge
-    mark = len(core.trail)
     y = len(alive)
     while core.live_edges:
         y -= 1
@@ -92,9 +92,7 @@ def _prefix_witness(core: PeelCore, kind: str) -> tuple[int, list[bool]]:
             before = len(core.trail)
             stash(y)
     core.undo(before)
-    witness = alive.copy()
-    core.undo(mark)
-    return y, witness
+    return y
 
 
 def _search(core: PeelCore, kind: str, budget: int, first: int) -> list[int] | None:
@@ -112,12 +110,11 @@ def _search(core: PeelCore, kind: str, budget: int, first: int) -> list[int] | N
         alive, stash = core.vertex_alive, core.stash_vertex
     else:
         alive, stash = core.edge_alive, core.stash_edge
-    y, witness = _prefix_witness(core, kind)
-    if y < first:
-        return None
     mark = len(core.trail)
+    y = _prefix_witness(core, kind)
     if budget == 1:
-        todo = list(compress(range(first, y + 1), witness[first : y + 1]))
+        todo = list(compress(range(first, y + 1), alive[first : y + 1]))
+        core.undo(mark)
         while todo:
             x = todo.pop(0)
             stash(x)
@@ -125,6 +122,9 @@ def _search(core: PeelCore, kind: str, budget: int, first: int) -> list[int] | N
                 return [x]
             todo = [c for c in todo if alive[c]]
             core.undo(mark)
+        return None
+    core.undo(mark)
+    if y < first:
         return None
     for x in compress(range(first, y + 1), alive[first : y + 1]):
         stash(x)

@@ -172,6 +172,38 @@ def test_map_with_unknown_vertex_is_input_error(files, tmp_path):
     assert err.startswith(f"error: line {line}: ") and "999 is not a reduced vertex" in err
 
 
+def test_map_with_wrong_gadget_ends_is_input_error(files, tmp_path):
+    mp, stash = _triangle_vc_map(files, tmp_path)
+    good = mp.read_text()
+    broken = good.replace("M g 5 1 2\n", "M g 5 0 1\n")  # 5 joins images 1 and 2
+    assert broken != good
+    mp.write_text(broken)
+    code, out, err = invoke("lift", "--map", str(mp), "--stash", str(stash))
+    assert code == 2 and not out
+    line = broken.splitlines().index("M g 5 0 1") + 1
+    assert err == f"error: line {line}: 'M g' line: 5 shares edges with [1, 2], not [0, 1]\n"
+
+
+def test_map_with_swapped_images_is_input_error(tmp_path):
+    path = tmp_path / "path.hg"
+    path.write_text("h 2 3 2\ne 0 1\ne 1 2\n")
+    mp = tmp_path / "path.map"
+    assert invoke("reduce", "--from", "vc", "--k", "2", "--d", "2",
+                  "--map-out", str(mp), str(path))[0] == 0
+    stash = tmp_path / "stash.txt"
+    stash.write_text("S v 1\n")
+    assert invoke("lift", "--map", str(mp), "--stash", str(stash))[1] == "S v 1\n"
+    good = mp.read_text()
+    broken = good.replace("M v 0 0\nM v 1 1\n", "M v 0 1\nM v 1 0\n")
+    assert broken != good
+    mp.write_text(broken)
+    # every id still exists and every 'M g' line still names its gadget's
+    # images, but image 1 now lifts to vertex 0, which misses edge 1-2
+    code, out, err = invoke("lift", "--map", str(mp), "--stash", str(stash))
+    assert code == 2 and not out
+    assert err.startswith("error: lifted cover [0] misses original edge 1")
+
+
 def test_reduce_then_lift_vstash_roundtrip(files, tmp_path):
     mp = str(tmp_path / "k4.map")
     k4 = tmp_path / "k4.hg"

@@ -26,6 +26,23 @@ def drop_edge(gadget: Gadget, eid: int) -> Gadget:
     return Gadget(g, gadget.ports, gadget.estar - {eid}, dict(gadget.params), dict(gadget.meta))
 
 
+def drop_vertex(gadget: Gadget, v: int) -> Gadget:
+    """Negative-control mutation: delete one non-port vertex and its edges."""
+    g = gadget.graph.copy()
+    gone = g.incident_edges(v)
+    g.remove_vertex(v)
+    return Gadget(g, gadget.ports, gadget.estar - gone, dict(gadget.params), dict(gadget.meta))
+
+
+def double_edges(gadget: Gadget) -> Gadget:
+    """Negative-control mutation: a parallel copy of every internal edge, so
+    nothing peels that the contracts expect to (removal only peels more)."""
+    g = gadget.graph.copy()
+    for e in sorted(g.edges):
+        g.add_edge(g.edge_vertices(e))
+    return Gadget(g, gadget.ports, gadget.estar, dict(gadget.params), dict(gadget.meta))
+
+
 # -- ck gadget ----------------------------------------------------------------
 
 
@@ -274,3 +291,156 @@ def test_full_grid_passes():
     failed = [r for r in reports if not r.all_passed]
     assert not failed, failed
     assert len(reports) > 100
+
+
+# -- pinned witness text ------------------------------------------------------
+
+
+def survivors(n: int) -> str:
+    return f"survivors={list(range(n))}"
+
+
+PINNED_REPORTS = [
+    pytest.param(
+        check_ck_properties,
+        lambda: drop_edge(build_ck_gadget(3, 2), 0),
+        [
+            ("min_internal_degree", False, "low_degree=[(0, 2)]"),
+            ("unpeelable_with_both_ports", False, "peeled=[0]"),
+            ("peels_when_u_removed", True, ""),
+            ("peels_when_v_removed", True, ""),
+        ],
+        id="ck-drop-edge",
+    ),
+    pytest.param(
+        check_ck_properties,
+        lambda: double_edges(build_ck_gadget(3, 2)),
+        [
+            ("min_internal_degree", True, ""),
+            ("unpeelable_with_both_ports", True, ""),
+            ("peels_when_u_removed", False, "survivors=[0, 1, 2]"),
+            ("peels_when_v_removed", False, "survivors=[0, 1, 2]"),
+        ],
+        id="ck-double",
+    ),
+    pytest.param(
+        check_b_block,
+        lambda: drop_edge(build_b_block(2, 3, 2), 0),
+        [
+            ("unpeelable_with_all_ports", False, "peeled=[0, 1, 2, 3]"),
+            ("peels_without_p0", True, ""),
+            ("peels_without_p1", True, ""),
+        ],
+        id="b2-drop-edge",
+    ),
+    pytest.param(
+        check_b_block,
+        lambda: double_edges(build_b_block(2, 3, 2)),
+        [
+            ("unpeelable_with_all_ports", True, ""),
+            ("peels_without_p0", False, "removed=p0 survivors=[0, 1, 2, 3]"),
+            ("peels_without_p1", False, "removed=p1 survivors=[0, 1, 2, 3]"),
+        ],
+        id="b2-double",
+    ),
+    pytest.param(
+        check_b_block,
+        lambda: drop_vertex(build_b_block(3, 4, 2), 5),
+        [
+            ("unpeelable_with_all_ports", False, "peeled=[0, 1, 2, 3, 4]"),
+            ("peels_without_p0", True, ""),
+            ("peels_without_p1", True, ""),
+            ("peels_without_p2", True, ""),
+        ],
+        id="b3-drop-vertex",
+    ),
+    pytest.param(
+        check_b_block,
+        lambda: double_edges(build_b_block(3, 4, 2)),
+        [
+            ("unpeelable_with_all_ports", True, ""),
+            ("peels_without_p0", False, "removed=p0 " + survivors(6)),
+            ("peels_without_p1", False, "removed=p1 " + survivors(6)),
+            ("peels_without_p2", False, "removed=p2 " + survivors(6)),
+        ],
+        id="b3-double",
+    ),
+    pytest.param(
+        check_stable_block,
+        lambda: drop_edge(build_simple_stable_block(2, 3, 2), 0),
+        [
+            ("unpeelable_with_all_ports", False, "peeled=[0, 1, 2, 3, 4, 5, 6, 7, 8]"),
+            ("survives_partial_port_removal", False, "fully_peeled_with_ports_removed=[]"),
+            ("peels_with_all_ports_removed", True, ""),
+            ("estar_10_peels", True, ""),
+            ("estar_11_peels", True, ""),
+            ("estar_12_peels", True, ""),
+        ],
+        id="stable-drop-edge",
+    ),
+    pytest.param(
+        check_stable_block,
+        lambda: double_edges(build_simple_stable_block(2, 3, 2)),
+        [
+            ("unpeelable_with_all_ports", True, ""),
+            ("survives_partial_port_removal", True, ""),
+            ("peels_with_all_ports_removed", False, survivors(9)),
+            ("estar_10_peels", False, "stash_edge=10 " + survivors(9)),
+            ("estar_11_peels", False, "stash_edge=11 " + survivors(9)),
+            ("estar_12_peels", False, "stash_edge=12 " + survivors(9)),
+        ],
+        id="stable-double",
+    ),
+    pytest.param(
+        check_stable_block,
+        lambda: drop_vertex(build_tree_stable_block(2, 3), 2),
+        [
+            ("unpeelable_with_all_ports", False, "peeled=[0, 1, 2, 3]"),
+            ("survives_partial_port_removal", False, "fully_peeled_with_ports_removed=[]"),
+            ("peels_with_all_ports_removed", True, ""),
+        ],
+        id="tree-stable-drop-vertex",
+    ),
+    pytest.param(
+        check_stable_block,
+        lambda: double_edges(build_tree_stable_block(2, 3)),
+        [
+            ("unpeelable_with_all_ports", True, ""),
+            ("survives_partial_port_removal", True, ""),
+            ("peels_with_all_ports_removed", False, "survivors=[0, 1, 2, 3, 4]"),
+            ("estar_0_peels", False, "stash_edge=0 survivors=[0, 1, 2, 3, 4]"),
+        ],
+        id="tree-stable-double",
+    ),
+    pytest.param(
+        check_pk_gadget,
+        lambda: drop_edge(build_pk_gadget(3, 3, 2), 0),
+        [
+            ("peels_iff_under_k_ports", False, "removed=[] expected_peel=False survivors=[]"),
+            ("estar_10_peels", True, ""),
+            ("estar_11_peels", True, ""),
+            ("estar_12_peels", True, ""),
+        ],
+        id="pk-drop-edge",
+    ),
+    pytest.param(
+        check_pk_gadget,
+        lambda: double_edges(build_pk_gadget(3, 3, 2)),
+        [
+            ("peels_iff_under_k_ports", False, "removed=['e0'] expected_peel=True " + survivors(19)),
+            ("estar_10_peels", False, "stash_edge=10 " + survivors(19)),
+            ("estar_11_peels", False, "stash_edge=11 " + survivors(19)),
+            ("estar_12_peels", False, "stash_edge=12 " + survivors(19)),
+        ],
+        id="pk-double",
+    ),
+]
+
+
+@pytest.mark.parametrize("check, broken, expected", PINNED_REPORTS)
+def test_broken_gadget_reports_are_pinned(check, broken, expected):
+    """Every check's name, verdict and witness text, in order, on gadgets
+    broken one way (an edge or vertex gone: too much peels) or the other
+    (every edge doubled: too little peels)."""
+    report = check(broken())
+    assert [(c.name, c.passed, c.witness) for c in report.checks] == expected

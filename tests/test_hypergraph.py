@@ -128,8 +128,9 @@ def test_parse_wrong_arity_line():
 
 
 def test_parse_vertex_index_out_of_range():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:
         parse("h 2 2 1\ne 0 5\n")
+    assert exc.value.line == 2
 
 
 def test_parse_edge_count_mismatch():
