@@ -138,10 +138,7 @@ def _cmd_lift(args, out) -> int:
         g = rmap.original
         missed = next((e for e in sorted(g.edges) if cover.isdisjoint(g.edge_vertices(e))), None)
         if missed is not None:
-            raise ContractViolationError(
-                f"lifted cover {sorted(cover)} misses original edge {missed}: "
-                "the map does not match its reduction"
-            )
+            raise ContractViolationError(f"lifted cover {sorted(cover)} misses original edge {missed}")
         out.write(format_stash("v", cover))
         return EXIT_OK
     if kind == "e":

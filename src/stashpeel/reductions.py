@@ -18,11 +18,13 @@ correspondences, and round-trip through a text sidecar format (see
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from itertools import chain, filterfalse
+from itertools import takewhile
 
 from .errors import ContractViolationError, ParameterError, ParseError, UnsupportedCaseError
 from .gadgets import (
+    Gadget,
     GadgetReport,
     build_ck_gadget,
     build_pk_gadget,
@@ -66,8 +68,8 @@ class ReductionMap:
     an original edge to the reduced edge ids it became.  ``owner`` assigns
     every reduced edge to one original vertex (neighboring edges go to the
     lowest-id endpoint), which is what makes lifted stashes never grow.
-    Maps parsed back from sidecar files keep the operational fields but
-    not the per-gadget ``ck``/``pk`` audit records.
+    ``parse_map`` rebuilds a map from its sidecar file, so parsed maps carry
+    the per-gadget ``ck``/``pk`` audit records too.
     """
 
     direction: str  # "vc_to_vs" | "vs_to_es"
@@ -96,7 +98,7 @@ def reduce_vc_to_vertex_stash(g: Hypergraph, k: int, d: int) -> tuple[Hypergraph
         raise ParameterError(f"reduction needs k >= 2 and d >= 2, got k={k}, d={d}")
     out = Hypergraph(d)
     image = {v: out.add_vertex() for v in sorted(g.vertices)}
-    gadget = build_ck_gadget(k, d)
+    gadget = build_ck_gadget(k, d) if g.num_edges else None
     ck: dict[int, CkInstance] = {}
     gadget_of: dict[int, tuple[int, int]] = {}
     edge_map: dict[int, tuple[int, ...]] = {}
@@ -177,9 +179,12 @@ def reduce_vertex_to_edge_stash(g: Hypergraph, k: int, d: int) -> tuple[Hypergra
     owner: dict[int, int] = {}
     pk: dict[int, PkInstance] = {}
     attach_of: dict[tuple[int, int], int] = {}
+    built: dict[int, Gadget] = {}  # embedding only reads a gadget
     for v in sorted(g.vertices):
         incident = sorted(g.incident_edges(v))
-        gadget = build_pk_gadget(len(incident), k, d)
+        if len(incident) not in built:
+            built[len(incident)] = build_pk_gadget(len(incident), k, d)
+        gadget = built[len(incident)]
         vmap, emap = embed_graph(gadget.graph, out)
         primary = vmap[gadget.meta["primary"]]  # type: ignore[index]
         for fe in emap.values():
@@ -344,139 +349,71 @@ def serialize_map(rmap: ReductionMap) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The kinds of entry line each map direction holds and their numbers of ids;
-# an 'M n' line holds an original edge and at least one reduced edge.
-_MAP_ARITY = {("vc", "v"): 2, ("vc", "g"): 3, ("vstash", "v"): 3, ("vstash", "e"): 2}
+# the line breaks of str.splitlines, which parse uses, so a map's line
+# numbers are those its embedded instances would have
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE = re.compile(f"[^{_BREAKS}]*(?:\r\n|[{_BREAKS}])?")
 
 
-def _entry_line(text: str, kind: str, x: int, at: slice) -> int:
-    """Number of the first 'M <kind>' line with id x among its ids ``[at]``.
-    Only called once every entry line has parsed, so its fields are
-    integers."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        fields = raw.split()
-        if fields[:2] == ["M", kind] and x in [int(f) for f in fields[2:]][at]:
-            return lineno
-    return 1
+def _content_lines(text: str):
+    """Yield (line number, stripped line) for each line that is not blank or
+    a '#' comment, without splitting the whole text at once; then (one past
+    the last line number, "") for the end of the text."""
+    lineno = 0
+    # the last match is the empty one at the end of the text
+    for lineno, match in enumerate(_LINE.finditer(text), start=1):
+        line = match.group().strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+    yield lineno, ""
 
 
 def parse_map(text: str) -> ReductionMap:
-    """Rebuild a reduction map from its sidecar text (audit records are not
-    restored; lifting and normalization work from files alone).
+    """Rebuild a reduction map from its sidecar text.
 
-    Every id an entry names must exist in the embedded instance it refers
-    to, and the map must cover what lifting looks up: each original vertex
-    has an 'M v' line, each reduced vertex of a vc map that is not an image
-    has an 'M g' line naming two images, and each reduced edge of a vstash
-    map has an 'M e' line.  The two images of an 'M g' line must be exactly
-    those its vertex shares an edge with in the reduced instance.
+    A map is a function of its header and its embedded original, so those
+    are read and the reduction is built again.  The text must then be what
+    ``serialize_map`` writes for the rebuild, apart from blank lines, '#'
+    comment lines and whitespace around a line; the first line that
+    differs raises ParseError.  The rebuild, audit records included, is
+    returned.
     """
-    header = None
-    sections: dict[str, list[str]] = {}
-    current: list[str] | None = None
-    vertex_map: dict[int, int] = {}
-    estar_pick: dict[int, int] = {}
-    owner: dict[int, int] = {}
-    gadget_of: dict[int, tuple[int, int]] = {}
-    edge_map: dict[int, tuple[int, ...]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if current is not None:
-            if fields[0] == "G" and fields[1:] == ["end"]:
-                current = None
-            else:
-                current.append(line)
-            continue
-        if fields[0] == "G":
-            if len(fields) != 2 or fields[1] not in ("orig", "reduced"):
-                raise ParseError(f"expected 'G orig|reduced', got {raw!r}", lineno)
-            current = sections.setdefault(fields[1], [])
-            continue
-        if fields[0] != "M" or len(fields) < 2:
-            raise ParseError(f"unexpected line {raw!r}", lineno)
-        try:
-            numbers = [int(x) for x in fields[2:]]
-        except ValueError:
-            raise ParseError(f"non-integer field in {raw!r}", lineno) from None
-        if header is None:
-            if len(fields) != 4 or fields[1] not in ("vc", "vstash"):
-                raise ParseError(f"expected 'M vc|vstash <k> <d>', got {raw!r}", lineno)
-            header = (fields[1], *numbers)
-            continue
-        kind, args = fields[1], numbers
-        arity = len(args) if kind == "n" and len(args) >= 2 else _MAP_ARITY.get((header[0], kind))
-        if len(args) != arity:
-            raise ParseError(f"malformed map line {raw!r}", lineno)
-        if kind == "v":
-            vertex_map[args[0]] = args[1]
-            if header[0] == "vstash":
-                estar_pick[args[0]] = args[2]
-        elif kind == "g":
-            gadget_of[args[0]] = (args[1], args[2])
-        elif kind == "e":
-            owner[args[0]] = args[1]
-        else:
-            edge_map[args[0]] = tuple(args[1:])
-    if header is None:
-        raise ParseError("missing 'M vc|vstash <k> <d>' header", 1)
-    if "orig" not in sections or "reduced" not in sections:
-        raise ParseError("map file must embed both G orig and G reduced sections", 1)
-    tag, k, d = header
-    original = parse("\n".join(sections["orig"]) + "\n")
-    reduced = parse("\n".join(sections["reduced"]) + "\n")
-    # parse numbers vertices and edges from 0, so an id exists iff it is in range
-    original_vertices, original_edges = range(original.num_vertices), range(original.num_edges)
-    reduced_vertices, reduced_edges = range(reduced.num_vertices), range(reduced.num_edges)
-    images = set(vertex_map.values())
-    key, value, estar, values = slice(0, 1), slice(1, 2), slice(2, 3), slice(1, None)
-    # (entry kind, where the ids sit on its lines, the ids, what each must
-    # be, the ids that are)
-    checks = (
-        ("v", key, vertex_map.keys(), "an original vertex", original_vertices),
-        ("v", value, images, "a reduced vertex", reduced_vertices),
-        ("v", estar, estar_pick.values(), "a reduced edge", reduced_edges),
-        ("g", key, gadget_of.keys(), "a reduced vertex", reduced_vertices),
-        ("g", values, chain.from_iterable(gadget_of.values()), "an image", images),
-        ("e", key, owner.keys(), "a reduced edge", reduced_edges),
-        ("e", value, owner.values(), "an original vertex", original_vertices),
-        ("n", key, edge_map.keys(), "an original edge", original_edges),
-        ("n", values, chain.from_iterable(edge_map.values()), "a reduced edge", reduced_edges),
-    )
-    for kind, at, ids, what, known in checks:
-        x = next(filterfalse(known.__contains__, ids), None)
-        if x is not None:
-            raise ParseError(f"'M {kind}' line: {x} is not {what}", _entry_line(text, kind, x, at))
-    non_images = filterfalse(images.__contains__, reduced_vertices)
-    unlisted = (
-        ("v", "original vertex", filterfalse(vertex_map.__contains__, original_vertices)),
-        ("g", "reduced vertex", filterfalse(gadget_of.__contains__, non_images))
-        if tag == "vc"
-        else ("e", "reduced edge", filterfalse(owner.__contains__, reduced_edges)),
-    )
-    for kind, what, missing in unlisted:
-        x = next(missing, None)
-        if x is not None:
-            raise ParseError(f"{what} {x} has no 'M {kind}' line", 1)
-    edges = reduced.edges
-    for w, ends in gadget_of.items():
-        # normalization moves w onto an end, which covers w's gadget only
-        # if the ends are the two images that gadget joins
-        near = images.intersection(chain.from_iterable(map(edges.get, reduced.incident_edges(w))))
-        if near != set(ends):
-            why = f"'M g' line: {w} shares edges with {sorted(near)}, not {list(ends)}"
-            raise ParseError(why, _entry_line(text, "g", w, key))
-    return ReductionMap(
-        direction="vc_to_vs" if tag == "vc" else "vs_to_es",
-        k=k,
-        d=d,
-        original=original,
-        reduced=reduced,
-        vertex_map=vertex_map,
-        edge_map=edge_map,
-        estar_pick=estar_pick,
-        owner=owner,
-        gadget_of=gadget_of,
-    )
+    lines = _content_lines(text)
+    header_at, header = next(lines)
+    fields = header.split()
+    if len(fields) != 4 or fields[0] != "M" or fields[1] not in ("vc", "vstash"):
+        raise ParseError(f"expected 'M vc|vstash <k> <d>', got {header!r}", header_at)
+    try:
+        k, d = int(fields[2]), int(fields[3])
+    except ValueError:
+        raise ParseError(f"non-integer field in {header!r}", header_at) from None
+    at, line = next(lines)
+    if line != "G orig":
+        raise ParseError(f"expected 'G orig', got {line!r}", at)
+    # a missing 'G end' is reported by the comparison below
+    section = dict(takewhile(lambda item: item[1] != "G end", lines))
+    # blank lines in place of the rest keep parse's line numbers the file's
+    last = max(section, default=0)
+    original = parse("\n".join(section.get(n, "") for n in range(1, last + 1)))
+    tag = fields[1]
+    # refuse a header asking for more reduced edges than the text can hold
+    # before building any: each is an 'e' line of d ids, and there are at
+    # least these many (checked for k = 2..20 and d = 2..5)
+    if tag == "vc":
+        need = original.num_edges * k * (k - 1) // 2
+    else:
+        need = original.num_vertices * k**3 // 3
+    if len(text) < 2 * d * need:
+        why = f"{len(text)} characters cannot hold a {tag} map with k={k}, d={d} of this original"
+        raise ParseError(why, header_at)
+    build = reduce_vc_to_vertex_stash if tag == "vc" else reduce_vertex_to_edge_stash
+    try:
+        rmap = build(original, k, d)[1]
+    except ParameterError as exc:
+        raise ParseError(str(exc), header_at) from None
+    expected = serialize_map(rmap)
+    if text != expected:
+        for (at, got), (_, want) in zip(_content_lines(text), _content_lines(expected)):
+            if got != want:
+                raise ParseError(f"expected {want!r}, got {got!r}", at)
+    return rmap

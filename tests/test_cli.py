@@ -1,3 +1,4 @@
+import time
 from io import StringIO
 
 import pytest
@@ -134,11 +135,15 @@ def test_non_integer_map_field_is_input_error(files, tmp_path):
     stash = tmp_path / "stash.txt"
     stash.write_text("S v 0 1\n")
     good = mp.read_text()
-    for broken in (good.replace("M vc 2 2", "M vc 2 x"), good.replace("M v 0 ", "M v zero ")):
+    for old, new, message in (
+        ("M vc 2 2", "M vc 2 x", "line 1: non-integer field in 'M vc 2 x'"),
+        ("M v 0 ", "M v zero ", "line 23: expected 'M v 0 0', got 'M v zero 0'"),
+    ):
+        broken = good.replace(old, new)
         assert broken != good
         mp.write_text(broken)
         code, _, err = invoke("lift", "--map", str(mp), "--stash", str(stash))
-        assert code == 2 and err.startswith("error:") and "non-integer" in err
+        assert code == 2 and err == f"error: {message}\n"
 
 
 def _triangle_vc_map(files, tmp_path):
@@ -154,10 +159,12 @@ def _triangle_vc_map(files, tmp_path):
 def test_map_without_gadget_lines_is_input_error(files, tmp_path):
     mp, stash = _triangle_vc_map(files, tmp_path)
     good = mp.read_text()
-    mp.write_text("".join(line for line in good.splitlines(True) if not line.startswith("M g ")))
+    broken = "".join(line for line in good.splitlines(True) if not line.startswith("M g "))
+    mp.write_text(broken)
     code, out, err = invoke("lift", "--map", str(mp), "--stash", str(stash))
     assert code == 2 and not out
-    assert err.startswith("error:") and "no 'M g' line" in err
+    line = broken.splitlines().index("M n 0 0 1 2 3") + 1
+    assert err == f"error: line {line}: expected 'M g 3 0 1', got 'M n 0 0 1 2 3'\n"
 
 
 def test_map_with_unknown_vertex_is_input_error(files, tmp_path):
@@ -169,7 +176,7 @@ def test_map_with_unknown_vertex_is_input_error(files, tmp_path):
     code, out, err = invoke("lift", "--map", str(mp), "--stash", str(stash))
     assert code == 2 and not out
     line = broken.splitlines().index("M v 0 999") + 1
-    assert err.startswith(f"error: line {line}: ") and "999 is not a reduced vertex" in err
+    assert err == f"error: line {line}: expected 'M v 0 0', got 'M v 0 999'\n"
 
 
 def test_map_with_wrong_gadget_ends_is_input_error(files, tmp_path):
@@ -181,7 +188,7 @@ def test_map_with_wrong_gadget_ends_is_input_error(files, tmp_path):
     code, out, err = invoke("lift", "--map", str(mp), "--stash", str(stash))
     assert code == 2 and not out
     line = broken.splitlines().index("M g 5 0 1") + 1
-    assert err == f"error: line {line}: 'M g' line: 5 shares edges with [1, 2], not [0, 1]\n"
+    assert err == f"error: line {line}: expected 'M g 5 1 2', got 'M g 5 0 1'\n"
 
 
 def test_map_with_swapped_images_is_input_error(tmp_path):
@@ -198,10 +205,51 @@ def test_map_with_swapped_images_is_input_error(tmp_path):
     assert broken != good
     mp.write_text(broken)
     # every id still exists and every 'M g' line still names its gadget's
-    # images, but image 1 now lifts to vertex 0, which misses edge 1-2
+    # images, but image 1 would lift to vertex 0, which misses edge 1-2
     code, out, err = invoke("lift", "--map", str(mp), "--stash", str(stash))
     assert code == 2 and not out
-    assert err.startswith("error: lifted cover [0] misses original edge 1")
+    line = broken.splitlines().index("M v 0 1") + 1
+    assert err == f"error: line {line}: expected 'M v 0 0', got 'M v 0 1'\n"
+
+
+def test_map_with_wrong_edge_owner_is_input_error(tmp_path):
+    src = tmp_path / "k4p.hg"
+    src.write_text("h 2 5 7\ne 0 1\ne 0 2\ne 0 3\ne 1 2\ne 1 3\ne 2 3\ne 0 4\n")
+    mp = tmp_path / "k4p.map"
+    assert invoke("reduce", "--from", "vstash", "--k", "3", "--d", "2",
+                  "--map-out", str(mp), str(src))[0] == 0
+    stash = tmp_path / "stash.txt"
+    stash.write_text("S v 0\n")
+    assert invoke("lift", "--map", str(mp), "--stash", str(stash))[1] == "S e 10\n"
+    good = mp.read_text()
+    broken = good.replace("M e 10 0\n", "M e 10 4\n")  # edge 10 is vertex 0's E* edge
+    assert broken != good
+    mp.write_text(broken)
+    stash.write_text("S e 10\n")
+    code, out, err = invoke("lift", "--map", str(mp), "--stash", str(stash))
+    assert code == 2 and not out
+    line = broken.splitlines().index("M e 10 4") + 1
+    assert err == f"error: line {line}: expected 'M e 10 0', got 'M e 10 4'\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("M vstash 300 2\nG orig\nh 2 1 0\nG end\n",
+     "line 1: {} characters cannot hold a vstash map with k=300, d=2 of this original\n"),
+    ("M vc 100000 2\nG orig\nh 2 3 0\nG end\n", "line 5: expected 'G reduced', got ''\n"),
+    ("M vc 2 10000000\nG orig\nh 2 2 1\ne 0 1\nG end\n",
+     "line 1: {} characters cannot hold a vc map with k=2, d=10000000 of this original\n"),
+])
+def test_map_header_asking_for_a_huge_reduction_is_input_error(tmp_path, text, message):
+    # each header asks for gadgets far larger than the text, or for k=100000
+    # gadgets over no edge at all, so the map is rejected before any is built
+    mp = tmp_path / "hostile.map"
+    mp.write_text(text)
+    stash = tmp_path / "stash.txt"
+    stash.write_text("S v 0\n")
+    start = time.perf_counter()
+    code, out, err = invoke("lift", "--map", str(mp), "--stash", str(stash))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", "error: " + message.format(len(text)))
 
 
 def test_reduce_then_lift_vstash_roundtrip(files, tmp_path):

@@ -3,15 +3,20 @@ may leave ``parse``, ``parse_stash`` or ``parse_map`` is a StashpeelError.
 
 Inputs are arbitrary text, text built from the formats' own tokens, and
 valid files after a few random line and token edits.  Numbers are kept
-small so that no mutated header asks for millions of vertices.
+small so that no mutated header asks for millions of vertices.  Valid
+maps with blank lines, comments and surrounding whitespace must parse to
+the same map, and a changed number must be reported on its own line.
 """
 
 from __future__ import annotations
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stashpeel import StashpeelError, format_stash, parse, parse_stash, serialize
+from stashpeel import ParseError, StashpeelError, format_stash, parse, parse_stash, serialize
 from stashpeel.cli import gen_random
 from stashpeel.reductions import (
     parse_map,
@@ -92,3 +97,51 @@ def test_parse_map_raises_only_stashpeel_errors(text):
 def test_mutation_sources_are_valid():
     for text in MAPS:
         parse_map(text)
+
+
+NOISE = ("", "  ", "\t", "# comment", "  # M v 0 0")
+PAD = ("", "", " ", "\t", " \t ")
+
+
+@st.composite
+def padded_maps(draw):
+    """A valid map with blank lines, comment lines and whitespace around
+    its lines inserted; returns (the valid map, the padded text)."""
+    text = draw(st.sampled_from(MAPS))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    lines = []
+    for line in text.splitlines():
+        lines.extend(rnd.choices(NOISE, k=rnd.choice((0, 0, 0, 1, 2))))
+        lines.append(rnd.choice(PAD) + line + rnd.choice(PAD))
+    lines.extend(rnd.choices(NOISE, k=rnd.choice((0, 1, 2))))
+    return text, "\n".join(lines) + rnd.choice(("", "\n"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(padded_maps())
+def test_parse_map_ignores_comments_blank_lines_and_surrounding_whitespace(maps):
+    text, noisy = maps
+    assert parse_map(noisy) == parse_map(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(padded_maps(), st.data())
+def test_parse_map_reports_a_changed_number_on_its_line(maps, data):
+    _, noisy = maps
+    lines = noisy.splitlines()
+    orig_end = next(i for i, line in enumerate(lines) if line.strip() == "G end")
+    numbered = [
+        (i, j)
+        for i in range(orig_end + 1, len(lines))
+        if not lines[i].strip().startswith("#")
+        for j, token in enumerate(lines[i].split())
+        if token.isdigit()
+    ]
+    i, j = data.draw(st.sampled_from(numbered))
+    fields = lines[i].split()
+    changed = int(fields[j]) + data.draw(st.integers(-3, 3).filter(bool))
+    fields[j] = str(changed)
+    lines[i] = " ".join(fields)
+    with pytest.raises(ParseError) as exc:
+        parse_map("\n".join(lines))
+    assert exc.value.line == i + 1

@@ -290,14 +290,8 @@ def test_map_roundtrip_vstash():
     g = gen_random(4, 5, 2, 9)
     fg, rmap = reduce_vertex_to_edge_stash(g, 3, 2)
     loaded = parse_map(serialize_map(rmap))
-    assert loaded.direction == rmap.direction
-    assert (loaded.k, loaded.d) == (rmap.k, rmap.d)
-    assert loaded.original == rmap.original
-    assert loaded.reduced == rmap.reduced
-    assert loaded.vertex_map == rmap.vertex_map
-    assert loaded.estar_pick == rmap.estar_pick
-    assert loaded.owner == rmap.owner
-    assert loaded.edge_map == rmap.edge_map
+    assert loaded == rmap  # every field, the pk audit records included
+    assert audit_p1(loaded) == []
     stash = min_vertex_stash_exact(g, 3).stash
     assert push_vertex_stash(g, loaded, stash) == push_vertex_stash(g, rmap, stash)
 
@@ -306,9 +300,7 @@ def test_map_roundtrip_vc():
     g = triangle()
     reduced, rmap = reduce_vc_to_vertex_stash(g, 2, 2)
     loaded = parse_map(serialize_map(rmap))
-    assert loaded.direction == "vc_to_vs"
-    assert loaded.gadget_of == rmap.gadget_of
-    assert loaded.reduced == reduced
+    assert loaded == rmap  # every field, the ck audit records included
     stash = min_vertex_stash_exact(reduced, 2).stash
     assert normalize_stash(reduced, loaded, stash) == normalize_stash(reduced, rmap, stash)
 
@@ -327,7 +319,8 @@ def _edit_lines(text, kind, edit):
     return "\n".join(out) + "\n"
 
 
-@pytest.mark.parametrize("direction, kind, edit, message", [
+# each case breaks one map line; `defect` names what the edit breaks
+@pytest.mark.parametrize("direction, kind, edit, defect", [
     ("vstash", "v", lambda ids: None if ids[0] == 1 else ids, "original vertex 1 has no 'M v' line"),
     ("vc", "v", lambda ids: [ids[0] + 50, ids[1]], "is not an original vertex"),
     ("vc", "g", lambda ids: None if ids[0] == 7 else ids, "reduced vertex 7 has no 'M g' line"),
@@ -338,7 +331,7 @@ def _edit_lines(text, kind, edit):
     ("vstash", "v", lambda ids: [ids[0], ids[1], -1], "-1 is not a reduced edge"),
     ("vstash", "n", lambda ids: [ids[0] + 50, *ids[1:]], "is not an original edge"),
 ])
-def test_parse_map_checks_references(direction, kind, edit, message):
+def test_parse_map_checks_references(direction, kind, edit, defect):
     if direction == "vc":
         rmap = reduce_vc_to_vertex_stash(triangle(), 2, 2)[1]
     else:
@@ -346,8 +339,15 @@ def test_parse_map_checks_references(direction, kind, edit, message):
     text = serialize_map(rmap)
     broken = _edit_lines(text, kind, edit)
     assert broken != text
-    with pytest.raises(ParseError, match=message):
+    # the edit leaves every line before it intact, so the first line that
+    # differs from the intact map is the one to report
+    pairs = enumerate(zip(text.splitlines(), broken.splitlines()), start=1)
+    line, want, got = next((i, a, b) for i, (a, b) in pairs if a != b)
+    assert got.startswith(f"M {kind} ")
+    with pytest.raises(ParseError) as exc:
         parse_map(broken)
+    assert str(exc.value) == f"line {line}: expected {want!r}, got {got!r}"
+    assert exc.value.line == line
 
 
 def test_certificate_checks_survive_python_optimize():
@@ -389,3 +389,17 @@ def test_certificate_checks_survive_python_optimize():
     proc = run_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1"] + ["raised"] * 4
+
+
+def test_broken_map_is_input_error_under_python_optimize(tmp_path):
+    text = serialize_map(reduce_vc_to_vertex_stash(triangle(), 2, 2)[1])
+    broken = text.replace("M g 5 1 2\n", "M g 5 0 1\n")
+    assert broken != text
+    mp = tmp_path / "tri.map"
+    mp.write_text(broken)
+    stash = tmp_path / "stash.txt"
+    stash.write_text("S v 0 5\n")
+    proc = run_python("-O", "-m", "stashpeel", "lift", "--map", str(mp), "--stash", str(stash))
+    line = broken.splitlines().index("M g 5 0 1") + 1
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: line {line}: expected 'M g 5 1 2', got 'M g 5 0 1'\n"
