@@ -187,6 +187,7 @@ class Hypergraph:
 def parse(text: str) -> Hypergraph:
     """Parse the standard text format. Raises ParseError with a line number."""
     header: tuple[int, int, int] | None = None
+    header_at = 0
     g: Hypergraph | None = None
     edges_seen = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -203,7 +204,7 @@ def parse(text: str) -> Hypergraph:
                 raise ParseError(f"non-integer field in header {raw!r}", lineno) from None
             if d < 2 or n < 0 or m < 0:
                 raise ParseError(f"header out of range: d={d}, n={n}, m={m}", lineno)
-            header = (d, n, m)
+            header, header_at = (d, n, m), lineno
             g = Hypergraph(d)
             g.add_vertices(n)
             continue
@@ -224,7 +225,7 @@ def parse(text: str) -> Hypergraph:
     if header is None:
         raise ParseError("empty input: missing 'h' header", 1)
     if edges_seen != header[2]:
-        raise ParseError(f"declared {header[2]} edges but found {edges_seen}", 1)
+        raise ParseError(f"declared {header[2]} edges but found {edges_seen}", header_at)
     assert g is not None
     return g
 

@@ -151,12 +151,16 @@ def core_subgraph(g: Hypergraph, trace: PeelTrace) -> Hypergraph:
 def verify_trace(g: Hypergraph, trace: PeelTrace) -> bool:
     """Replay a trace against its input instead of trusting the engine.
 
-    Checks the partition property, that each peeled vertex had degree < k
-    at its removal moment, and that the residue has minimum degree >= k.
+    Checks the partition property, that each peeled vertex is peeled once
+    and had degree < k at its removal moment, and that the residue has
+    minimum degree >= k.
     """
-    if set(trace.peeled_vertices) | set(trace.core_vertices) != g.vertices:
+    peeled = set(trace.peeled_vertices)
+    if len(peeled) != len(trace.peeled_vertices):
         return False
-    if set(trace.peeled_vertices) & set(trace.core_vertices):
+    if peeled | trace.core_vertices != g.vertices:
+        return False
+    if peeled & trace.core_vertices:
         return False
     if trace.peeled_edges | trace.core_edges != set(g.edges):
         return False
@@ -212,6 +216,20 @@ class PeelCore:
         low = compress(vertex_edges, [not a for a in self.vertex_alive])
         self._peel(list(chain.from_iterable(low)))
         self.trail.clear()
+
+    def copy(self) -> PeelCore:
+        """A core in this one's state with an empty trail, to stash on and
+        throw away.  It shares the incidence lists, which no stash or undo
+        writes, and copies the degrees and alive flags."""
+        c = type(self).__new__(type(self))
+        c.k, c.vertex_ids, c.edge_ids = self.k, self.vertex_ids, self.edge_ids
+        c.edge_vertices, c.vertex_edges = self.edge_vertices, self.vertex_edges
+        c.degree = self.degree.copy()
+        c.vertex_alive = self.vertex_alive.copy()
+        c.edge_alive = self.edge_alive.copy()
+        c.live_edges = self.live_edges
+        c.trail = []
+        return c
 
     def stash_vertex(self, v: int) -> None:
         """Kill live vertex v and peel what its loss cascades to."""

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import takewhile
 
 from .errors import ContractViolationError, ParameterError, ParseError, UnsupportedCaseError
 from .gadgets import (
@@ -390,10 +389,17 @@ def parse_map(text: str) -> ReductionMap:
     at, line = next(lines)
     if line != "G orig":
         raise ParseError(f"expected 'G orig', got {line!r}", at)
-    # a missing 'G end' is reported by the comparison below
-    section = dict(takewhile(lambda item: item[1] != "G end", lines))
+    # a missing 'G end' is reported by the comparison below; the end of the
+    # text is the one blank item `lines` yields
+    section = {}
+    for end_at, line in lines:
+        if line in ("G end", ""):
+            break
+        section[end_at] = line
+    if not section:
+        raise ParseError("empty 'G orig' section: missing 'h' header", end_at)
     # blank lines in place of the rest keep parse's line numbers the file's
-    last = max(section, default=0)
+    last = max(section)
     original = parse("\n".join(section.get(n, "") for n in range(1, last + 1)))
     tag = fields[1]
     # refuse a header asking for more reduced edges than the text can hold

@@ -15,7 +15,11 @@ each node the prefix witness, the k-core of the live elements <= y for the
 smallest such y, caps the scan: a stash whose first element is above y
 misses it.  At budget 1 the one element must lie in the prefix witness,
 and each failed candidate leaves a core that is another witness, so the
-candidates still to try shrink to those alive in it.
+candidates still to try shrink to those alive in it.  A child whose
+stashed element lies outside its parent's witness inherits that witness
+rather than finding its own, and new witnesses are found on a throwaway
+copy of the core, so the search core's trail holds only the branch's
+stashes.
 
 Greedy runs on the same structure without undo.  Every stash returned is
 re-checked by ``k_core_after`` on the input graph.  Instances are expected
@@ -72,30 +76,38 @@ def _candidate_vertices(edges: dict[int, tuple[int, ...]]) -> list[int]:
     return sorted(seen)
 
 
-def _prefix_witness(core: PeelCore, kind: str) -> int:
+def _prefix_witness(core: PeelCore, kind: str) -> tuple[int, list[bool]]:
     """Smallest y such that the live elements <= y still hold a nonempty
-    k-core, the witness.
+    k-core, the witness, and the witness's alive flags.
 
-    Stashes live elements from the highest local id down until the core
-    empties; y is the one whose stash emptied it.  That last stash is
-    undone, so `core` is left holding the witness, and the caller undoes
-    back to its own mark.  `core` must be nonempty.
+    On a copy of `core`, stashes live elements from the highest local id
+    down until the copy empties; y is the one whose stash emptied it.  Only
+    that last cascade is undone, which leaves the copy holding the witness,
+    so its flags are True exactly on the witness's elements (none above y).
+    `core` itself is not touched and must be nonempty.
     """
+    w = core.copy()
     if kind == "vertex":
-        alive, stash = core.vertex_alive, core.stash_vertex
+        alive, stash = w.vertex_alive, w.stash_vertex
     else:
-        alive, stash = core.edge_alive, core.stash_edge
+        alive, stash = w.edge_alive, w.stash_edge
     y = len(alive)
-    while core.live_edges:
+    while w.live_edges:
         y -= 1
         if alive[y]:
-            before = len(core.trail)
+            before = len(w.trail)
             stash(y)
-    core.undo(before)
-    return y
+    w.undo(before)
+    return y, alive
 
 
-def _search(core: PeelCore, kind: str, budget: int, first: int) -> list[int] | None:
+def _search(
+    core: PeelCore,
+    kind: str,
+    budget: int,
+    first: int,
+    witness: tuple[int, list[bool]] | None = None,
+) -> list[int] | None:
     """Lexicographically first `budget` more local ids, each at least `first`,
     whose stashing empties `core`, or None.
 
@@ -103,7 +115,11 @@ def _search(core: PeelCore, kind: str, budget: int, first: int) -> list[int] | N
     node's prefix witness y: a stash must hit the witness, whose elements
     are all <= y, so a first element above y leads nowhere.  At budget 1
     the one element must lie in the witness and in the core left by every
-    failed candidate.  A failed search leaves `core` as it found it; a
+    failed candidate.  A child whose stashed element is outside the
+    witness inherits it as `witness`: the witness has minimum degree >= k
+    without that element, so it survives the cascade and is the child's
+    prefix core at y, while the child's prefix cores below y lie inside the
+    parent's empty ones.  A failed search leaves `core` as it found it; a
     successful one leaves the stash applied.
     """
     if kind == "vertex":
@@ -111,10 +127,9 @@ def _search(core: PeelCore, kind: str, budget: int, first: int) -> list[int] | N
     else:
         alive, stash = core.edge_alive, core.stash_edge
     mark = len(core.trail)
-    y = _prefix_witness(core, kind)
+    y, flags = witness or _prefix_witness(core, kind)
     if budget == 1:
-        todo = list(compress(range(first, y + 1), alive[first : y + 1]))
-        core.undo(mark)
+        todo = list(compress(range(first, y + 1), flags[first : y + 1]))
         while todo:
             x = todo.pop(0)
             stash(x)
@@ -123,14 +138,13 @@ def _search(core: PeelCore, kind: str, budget: int, first: int) -> list[int] | N
             todo = [c for c in todo if alive[c]]
             core.undo(mark)
         return None
-    core.undo(mark)
     if y < first:
         return None
     for x in compress(range(first, y + 1), alive[first : y + 1]):
         stash(x)
         if not core.live_edges:
             return [x]
-        rest = _search(core, kind, budget - 1, x + 1)
+        rest = _search(core, kind, budget - 1, x + 1, None if flags[x] else (y, flags))
         if rest is not None:
             return [x] + rest
         core.undo(mark)

@@ -121,6 +121,26 @@ def test_malformed_file_is_input_error(tmp_path):
     assert code == 2 and "line 2" in err
 
 
+def test_edge_count_mismatch_names_the_header_line(tmp_path):
+    bad = tmp_path / "bad.hg"
+    bad.write_text("# c\n\nh 2 3 2\ne 0 1\n")
+    code, out, err = invoke("peel", "--k", "2", str(bad))
+    assert (code, out, err) == (2, "", "error: line 3: declared 2 edges but found 1\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("M vc 2 2\nG orig\nh 2 3 3\ne 0 1\nG end\nG reduced\n", "declared 3 edges but found 1"),
+    ("M vc 2 2\nG orig\nG end\n", "empty 'G orig' section: missing 'h' header"),
+])
+def test_map_with_bad_original_section_names_its_line(tmp_path, text, message):
+    mp = tmp_path / "bad.map"
+    mp.write_text(text)
+    stash = tmp_path / "stash.txt"
+    stash.write_text("S v 0\n")
+    code, out, err = invoke("lift", "--map", str(mp), "--stash", str(stash))
+    assert (code, out, err) == (2, "", f"error: line 3: {message}\n")
+
+
 def test_undecodable_bytes_are_input_error(tmp_path):
     bad = tmp_path / "bad.hg"
     bad.write_bytes(b"h 2 2 1\ne 0 \xff\n")

@@ -138,6 +138,10 @@ def test_parse_edge_count_mismatch():
         parse("h 2 3 2\ne 0 1\n")
     with pytest.raises(ParseError):
         parse("h 2 3 0\ne 0 1\n")
+    # a count mismatch is reported at the header that declared the count
+    with pytest.raises(ParseError) as exc:
+        parse("# c\n\nh 2 3 2\ne 0 1\n")
+    assert str(exc.value) == "line 3: declared 2 edges but found 1"
 
 
 def test_parse_skips_comments_and_blank_lines():

@@ -6,6 +6,7 @@ from stashpeel import (
     Hypergraph,
     NotFoundError,
     ParameterError,
+    PeelTrace,
     core_subgraph,
     is_k_peelable,
     k_core,
@@ -113,6 +114,20 @@ def test_trace_replay_and_core_subgraph():
     core = core_subgraph(g, trace)
     assert core.vertices == trace.core_vertices
     assert set(core.edges) == trace.core_edges
+
+
+def test_verify_trace_rejects_a_vertex_peeled_twice():
+    g = triangle()
+    trace = k_core(g, 3)
+    assert trace.peeled_vertices == (0, 1, 2) and verify_trace(g, trace)
+    twice = PeelTrace(
+        k=3,
+        peeled_vertices=(0, 0, 1, 2),
+        peeled_edges=trace.peeled_edges,
+        core_vertices=trace.core_vertices,
+        core_edges=trace.core_edges,
+    )
+    assert verify_trace(g, twice) is False
 
 
 @settings(max_examples=80, deadline=None)

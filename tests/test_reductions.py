@@ -305,6 +305,16 @@ def test_map_roundtrip_vc():
     assert normalize_stash(reduced, loaded, stash) == normalize_stash(reduced, rmap, stash)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("M vc 2 2\nG orig\nh 2 3 3\ne 0 1\nG end\nG reduced\n", "declared 3 edges but found 1"),
+    ("M vc 2 2\nG orig\nG end\n", "empty 'G orig' section: missing 'h' header"),
+])
+def test_parse_map_reports_a_bad_original_section_at_its_own_line(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_map(text)
+    assert str(exc.value) == f"line 3: {message}"
+
+
 def _edit_lines(text, kind, edit):
     """Apply `edit` to each 'M <kind>' line's ids; None drops the line."""
     out = []

@@ -258,9 +258,12 @@ def test_certificate_checks_survive_python_optimize():
 
 def test_exact_search_prunes_to_prefix_witnesses(monkeypatch):
     # Each search node scans only up to its prefix witness, and a budget-1
-    # node only the elements every failed candidate left in the core.
-    # Scanning every live element makes about 10,000 stash calls on the
-    # edge instance and 53,000 on the vertex one; the cap without the
+    # node only the elements every failed candidate left in the core.  A
+    # child whose stashed element lies outside the witness inherits it, and
+    # new witnesses are found on copies of the core, whose stash calls are
+    # counted too: 99 on the edge instance and 3,380 on the vertex one.
+    # Recomputing the witness at every node makes 183 and 5,147; scanning
+    # every live element makes about 10,000 and 53,000; the cap without the
     # budget-1 refinement makes about 7,500 on the edge instance.
     calls = Counter()
 
@@ -281,7 +284,7 @@ def test_exact_search_prunes_to_prefix_witnesses(monkeypatch):
     assert min_edge_stash_exact(edge_case, 3).stash == {28, 89}
     vertex_case, _ = reduce_vc_to_vertex_stash(gen_random(9, 14, 2, 60308648), 2, 2)
     assert min_vertex_stash_exact(vertex_case, 2).stash == {0, 1, 2, 5, 8}
-    assert calls["edge"] < 1_000 and calls["vertex"] < 15_000
+    assert calls["edge"] < 150 and calls["vertex"] < 4_500
 
 
 @settings(max_examples=25, deadline=None)
@@ -292,6 +295,35 @@ def test_exact_matches_unpruned_enumeration(g, k):
         result = solver(g, k, size_cap=max(g.num_vertices, g.num_edges))
         assert result.size == want
         assert_valid(g, k, result)
+
+
+# (kind, n, m, d, k, seeds): random instances whose minimum stashes run to
+# 3-7, where the search passes inherited witnesses down long chains; the
+# hypothesis tests above rarely go past stash 2
+DEEP_STASH_CASES = [
+    ("vertex", 9, 16, 2, 2, 40),
+    ("vertex", 11, 30, 2, 2, 20),
+    ("vertex", 12, 36, 2, 2, 12),
+    ("edge", 7, 13, 2, 3, 40),
+    ("edge", 7, 15, 2, 3, 30),
+    ("edge", 8, 11, 2, 2, 20),
+    ("edge", 9, 13, 2, 2, 10),
+]
+
+
+@pytest.mark.parametrize("kind, n, m, d, k, seeds", DEEP_STASH_CASES)
+def test_exact_matches_enumeration_on_deep_stashes(kind, n, m, d, k, seeds):
+    solver = min_vertex_stash_exact if kind == "vertex" else min_edge_stash_exact
+    deep = 0
+    for seed in range(seeds):
+        g = gen_random(n, m, d, seed)
+        want = min_stash_by_enumeration(g, k, kind)
+        if len(want) >= 3:
+            deep += 1
+            assert solver(g, k, size_cap=len(want)).stash == want, seed
+            with pytest.raises(CapExceededError):
+                solver(g, k, size_cap=len(want) - 1)
+    assert deep >= seeds // 5
 
 
 @settings(max_examples=40, deadline=None)
