@@ -165,6 +165,8 @@ def _cmd_verify_gadgets(args, out) -> int:
         reports = gadgets.run_gadget_grid([args.k], [args.d])
     else:
         raise ParameterError("verify-gadgets needs --grid or both --k and --d")
+    if not reports:
+        raise ParameterError(f"no gadget family exists at k={args.k}, d={args.d}")
     out.write("gadget\tparams\tcheck\tpass\twitness\n")
     for report in reports:
         for row in _report_rows(report):

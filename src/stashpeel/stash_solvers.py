@@ -69,13 +69,6 @@ class CyclomaticCertificate:
     removed_edges: frozenset[int]
 
 
-def _candidate_vertices(edges: dict[int, tuple[int, ...]]) -> list[int]:
-    seen: set[int] = set()
-    for vs in edges.values():
-        seen.update(vs)
-    return sorted(seen)
-
-
 def _prefix_witness(core: PeelCore, kind: str) -> tuple[int, list[bool]]:
     """Smallest y such that the live elements <= y still hold a nonempty
     k-core, the witness, and the witness's alive flags.
@@ -192,33 +185,6 @@ def min_edge_stash_exact(g: Hypergraph, k: int, size_cap: int = DEFAULT_SIZE_CAP
     return _min_stash_exact(g, k, size_cap, "edge")
 
 
-class _UnionFind:
-    """Disjoint sets with path compression and union by rank."""
-
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-        self.rank = {x: 0 for x in items}
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return True
-
-
 def two_edge_stash_standard(g: Hypergraph) -> CyclomaticCertificate:
     """Minimum 2-edge-stash of a standard graph via its cyclomatic number.
 
@@ -228,13 +194,21 @@ def two_edge_stash_standard(g: Hypergraph) -> CyclomaticCertificate:
     """
     if g.d != 2:
         raise InvalidArityError(f"2-edge-stash shortcut needs d=2, got d={g.d}")
-    uf = _UnionFind(g.vertices)
+    parent = {v: v for v in g.vertices}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
     removed: set[int] = set()
     for e in sorted(g.edges):
-        u, v = g.edge_vertices(e)
-        if not uf.union(u, v):
+        ru, rv = (find(v) for v in g.edge_vertices(e))
+        if ru == rv:
             removed.add(e)
-    components = len({uf.find(v) for v in g.vertices})
+        else:
+            parent[ru] = rv
+    components = len({find(v) for v in parent})
     h = g.num_edges - g.num_vertices + components
     if h != len(removed):
         raise AssertionError(f"cyclomatic number {h} does not match {len(removed)} cycle-closing edges")
@@ -252,7 +226,7 @@ def min_vertex_cover_exact(g: Hypergraph, size_cap: int = DEFAULT_SIZE_CAP) -> f
     if size_cap < 0:
         raise ParameterError(f"size cap must be non-negative, got {size_cap}")
     edges = list(g.edges.values())
-    candidates = _candidate_vertices(g.edges)
+    candidates = sorted(v for v in g.vertices if g.degree(v))
     for size in range(0, min(size_cap, len(candidates)) + 1):
         for combo in combinations(candidates, size):
             chosen = set(combo)

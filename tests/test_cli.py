@@ -333,6 +333,13 @@ def test_verify_gadgets_requires_scope():
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("k", ["1", "-3"])
+def test_verify_gadgets_with_no_family_is_parameter_error(k):
+    code, out, err = invoke("verify-gadgets", "--k", k, "--d", "2")
+    assert code == 2 and out == ""
+    assert f"no gadget family exists at k={k}, d=2" in err
+
+
 def test_gadget_emission_reparses():
     for argv in (
         ("gadget", "--type", "ck", "--k", "3", "--d", "2"),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -147,6 +149,21 @@ def test_parse_edge_count_mismatch():
 def test_parse_skips_comments_and_blank_lines():
     g = parse("# triangle\n\nh 2 3 3\ne 0 1\n# middle\ne 1 2\ne 2 0\n")
     assert g == triangle()
+
+
+def test_declared_vertices_stay_small():
+    # Near-threshold instances are sparse, so most vertices have few or no
+    # edges; an isolated vertex must not cost hundreds of bytes.
+    n = 20000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = parse(f"h 2 {n} 0")
+        per_vertex = (tracemalloc.get_traced_memory()[0] - before) / n
+    finally:
+        tracemalloc.stop()
+    assert g.num_vertices == n
+    assert per_vertex < 200
 
 
 def test_roundtrip_identity_on_canonical_input():
