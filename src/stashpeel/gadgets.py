@@ -367,7 +367,8 @@ def build_stable_block(m: int, k: int, d: int) -> Gadget:
     st = _add_stable(g2, k, m)
     g, dummies = _lift_to_d(g2, d)
     bound = STABLE_SIZE_CONSTANT * m * k * k + max(0, d - 2)
-    assert g.num_vertices <= bound, f"stable block size {g.num_vertices} exceeds bound {bound}"
+    if g.num_vertices > bound:
+        raise AssertionError(f"stable block size {g.num_vertices} exceeds bound {bound}")
     ports = tuple(Port(f"p{i}", ((v,),)) for i, v in enumerate(st["port_attach"]))
     return Gadget(
         graph=g,
@@ -398,7 +399,8 @@ def build_tree_stable_block(p: int, d: int) -> Gadget:
     g = Hypergraph(d)
     t = _add_tree_stable(g, d, p)
     bound = TREE_STABLE_SIZE_CONSTANT * p * d
-    assert g.num_vertices <= bound, f"tree stable size {g.num_vertices} exceeds bound {bound}"
+    if g.num_vertices > bound:
+        raise AssertionError(f"tree stable size {g.num_vertices} exceeds bound {bound}")
     ports = tuple(Port(f"p{i}", (attach,)) for i, attach in enumerate(t["port_attach"]))
     return Gadget(
         graph=g,

@@ -184,17 +184,18 @@ class Hypergraph:
 
 
 def parse(text: str) -> Hypergraph:
-    """Parse the standard text format. Raises ParseError with a line number."""
-    header: tuple[int, int, int] | None = None
-    header_at = 0
+    """Parse the standard text format. Raises ParseError with a line number.
+
+    Each edge gets the checks of ``Hypergraph.add_edge``, with its messages,
+    but is written straight into the edge map and incidence index.
+    """
     g: Hypergraph | None = None
-    edges_seen = 0
+    header_at = d = m = eid = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
             continue
-        fields = line.split()
-        if header is None:
+        if g is None:
             if fields[0] != "h" or len(fields) != 4:
                 raise ParseError(f"expected header 'h <d> <n> <m>', got {raw!r}", lineno)
             try:
@@ -203,29 +204,35 @@ def parse(text: str) -> Hypergraph:
                 raise ParseError(f"non-integer field in header {raw!r}", lineno) from None
             if d < 2 or n < 0 or m < 0:
                 raise ParseError(f"header out of range: d={d}, n={n}, m={m}", lineno)
-            header, header_at = (d, n, m), lineno
+            header_at = lineno
             g = Hypergraph(d)
             g.add_vertices(n)
+            edges, incidence = g._edges, g._incidence
             continue
         if fields[0] != "e":
             raise ParseError(f"expected edge line 'e v1 ... vd', got {raw!r}", lineno)
-        if edges_seen >= m:
+        if eid >= m:
             raise ParseError(f"more than the declared {m} edges", lineno)
         try:
-            vs = [int(x) for x in fields[1:]]
+            vs = tuple(map(int, fields[1:]))
         except ValueError:
             raise ParseError(f"non-integer vertex index in {raw!r}", lineno) from None
-        assert g is not None
+        if len(vs) != d:
+            raise ParseError(f"edge needs {d} vertices, got {len(vs)}", lineno)
+        if len(set(vs)) != d:
+            raise ParseError(f"edge has a repeated vertex: {vs}", lineno)
         try:
-            g.add_edge(vs)
-        except (ParameterError, NotFoundError) as exc:
-            raise ParseError(str(exc), lineno) from None
-        edges_seen += 1
-    if header is None:
+            for v in vs:
+                incidence[v][eid] = None
+        except KeyError:
+            raise ParseError(f"unknown vertex id {v}", lineno) from None
+        edges[eid] = vs
+        eid += 1
+    if g is None:
         raise ParseError("empty input: missing 'h' header", 1)
-    if edges_seen != header[2]:
-        raise ParseError(f"declared {header[2]} edges but found {edges_seen}", header_at)
-    assert g is not None
+    if eid != m:
+        raise ParseError(f"declared {m} edges but found {eid}", header_at)
+    g._next_edge = eid
     return g
 
 
@@ -236,12 +243,10 @@ def serialize(g: Hypergraph) -> str:
     emitted in ascending id order, so a hypergraph whose ids are already
     contiguous round-trips through parse() with identical ids.
     """
-    order = sorted(g.vertices)
-    rank = {v: i for i, v in enumerate(order)}
-    lines = [f"h {g.d} {len(order)} {g.num_edges}"]
-    for e in sorted(g.edges):
-        vs = " ".join(str(rank[v]) for v in g.edge_vertices(e))
-        lines.append(f"e {vs}")
+    edges = g._edges
+    rank = {v: str(i) for i, v in enumerate(sorted(g._incidence))}.__getitem__
+    lines = [f"h {g._d} {len(g._incidence)} {len(edges)}"]
+    lines.extend(["e " + " ".join(map(rank, edges[e])) for e in sorted(edges)])
     return "\n".join(lines) + "\n"
 
 

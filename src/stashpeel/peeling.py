@@ -7,8 +7,12 @@ regardless of removal order.
 One engine, ``_peel``, serves ``k_core`` and ``k_core_after``.  It reads the
 hypergraph in place and counts a stash as already removed, so it copies
 nothing.  Its order is lowest-vertex-id-first, so traces are reproducible;
-``order_seed`` randomizes it for order-independence checks.  ``PeelCore`` is
-the k-core of a bare edge map under delete/restore, for the stash solvers.
+``order_seed`` randomizes it for order-independence checks.  The replay
+auditor ``verify_trace`` also reads the graph in place, replaying on a
+degree dict, and ``core_subgraph`` copies the edge map and the core's
+incidences only, so no step from peel to core extraction copies the whole
+graph.  ``PeelCore`` is the k-core of a bare edge map under delete/restore,
+for the stash solvers.
 """
 
 from __future__ import annotations
@@ -60,51 +64,56 @@ def _peel(
     if k < 1:
         raise ParameterError(f"k must be at least 1, got {k}")
     edges, incidence = g._edges, g._incidence
-    dead_edges = set(stash_edges)
+    stashed_edges = set(stash_edges)
     for v in stash_vertices:
-        dead_edges.update(incidence[v])
+        stashed_edges.update(incidence[v])
+    dead_edges = stashed_edges.copy()
     deg = {v: len(es) for v, es in incidence.items() if v not in stash_vertices}
-    for e in dead_edges:
+    for e in stashed_edges:
         for w in edges[e]:
             if w in deg:
                 deg[w] -= 1
 
     if order_seed is None:
-        prio = {v: v for v in deg}
+        order = None
     else:
+        # The heap holds each vertex's position in a seeded shuffle of the
+        # ascending vertex ids, and order maps a position back to its vertex.
         rng = random.Random(order_seed)
         prio = {v: rng.random() for v in sorted(deg)}
+        order = sorted(prio, key=prio.__getitem__)
+        position = {v: i for i, v in enumerate(order)}
 
-    heap = [(prio[v], v) for v in deg if deg[v] < k]
+    # A vertex is queued exactly when its degree first drops below k, and
+    # a queued vertex's degree is never lowered again.
+    low = [v for v, c in deg.items() if c < k]
+    heap = low if order is None else [position[v] for v in low]
     heapq.heapify(heap)
-    queued = {v for _, v in heap}
+    heappop, heappush = heapq.heappop, heapq.heappush
     peeled_vertices: list[int] = []
-    peeled_edges: set[int] = set()
-    alive_edges = set(edges).difference(dead_edges)
 
     while heap:
-        _, v = heapq.heappop(heap)
+        v = heappop(heap)
+        if order is not None:
+            v = order[v]
         peeled_vertices.append(v)
         for e in incidence[v]:
-            if e not in alive_edges:
+            if e in dead_edges:
                 continue
-            alive_edges.discard(e)
-            peeled_edges.add(e)
+            dead_edges.add(e)
             for w in edges[e]:
-                if w == v or w in queued:
-                    continue
-                deg[w] -= 1
-                if deg[w] < k:
-                    queued.add(w)
-                    heapq.heappush(heap, (prio[w], w))
+                c = deg[w]
+                if c >= k:
+                    deg[w] = c - 1
+                    if c == k:
+                        heappush(heap, w if order is None else position[w])
 
-    peeled_set = set(peeled_vertices)
     return PeelTrace(
         k=k,
         peeled_vertices=tuple(peeled_vertices),
-        peeled_edges=frozenset(peeled_edges),
-        core_vertices=frozenset(v for v in deg if v not in peeled_set),
-        core_edges=frozenset(alive_edges),
+        peeled_edges=frozenset(dead_edges - stashed_edges),
+        core_vertices=frozenset(v for v, c in deg.items() if c >= k),
+        core_edges=frozenset(edges.keys() - dead_edges),
     )
 
 
@@ -141,10 +150,21 @@ def k_core_after(
 
 
 def core_subgraph(g: Hypergraph, trace: PeelTrace) -> Hypergraph:
-    """The surviving core as a hypergraph with its original ids."""
-    h = g.copy()
-    for v in trace.peeled_vertices:
-        h.remove_vertex(v)
+    """The trace's core as a hypergraph with its original ids.
+
+    It holds exactly ``trace.core_vertices`` and ``trace.core_edges``, in
+    g's insertion order, with g's id counters; g is not changed.
+    """
+    core_v, edges = trace.core_vertices, g._edges
+    h = Hypergraph(g._d)
+    h._next_vertex, h._next_edge = g._next_vertex, g._next_edge
+    kept = h._edges = dict(edges)
+    incidence = h._incidence = {v: es.copy() for v, es in g._incidence.items() if v in core_v}
+    for e in edges.keys() - trace.core_edges:
+        del kept[e]
+        for w in edges[e]:
+            if w in core_v:
+                del incidence[w][e]
     return h
 
 
@@ -152,26 +172,31 @@ def verify_trace(g: Hypergraph, trace: PeelTrace) -> bool:
     """Replay a trace against its input instead of trusting the engine.
 
     Checks the partition property, that each peeled vertex is peeled once
-    and had degree < k at its removal moment, and that the residue has
-    minimum degree >= k.
+    and had degree < k at its removal moment, that the peeled edges are
+    those on peeled vertices, and that the residue has minimum degree >= k.
+    The replay runs on a degree dict and reads g in place.
     """
-    peeled = set(trace.peeled_vertices)
-    if len(peeled) != len(trace.peeled_vertices):
+    k, peeled_order = trace.k, trace.peeled_vertices
+    core_v, core_e = trace.core_vertices, trace.core_edges
+    edges, incidence = g._edges, g._incidence
+    peeled = set(peeled_order)
+    if len(peeled) != len(peeled_order):
         return False
-    if peeled | trace.core_vertices != g.vertices:
+    if not peeled.isdisjoint(core_v) or peeled | core_v != incidence.keys():
         return False
-    if peeled & trace.core_vertices:
+    if not core_e.isdisjoint(trace.peeled_edges) or core_e | trace.peeled_edges != edges.keys():
         return False
-    if trace.peeled_edges | trace.core_edges != set(g.edges):
-        return False
-    if trace.peeled_edges & trace.core_edges:
-        return False
-    h = g.copy()
-    for v in trace.peeled_vertices:
-        if h.degree(v) >= trace.k:
+    deg = {v: len(es) for v, es in incidence.items()}
+    dead: set[int] = set()
+    for v in peeled_order:
+        if deg[v] >= k:
             return False
-        h.remove_vertex(v)
-    return all(h.degree(v) >= trace.k for v in h.vertices)
+        for e in incidence[v]:
+            if e not in dead:
+                dead.add(e)
+                for w in edges[e]:
+                    deg[w] -= 1
+    return dead == trace.peeled_edges and all(deg[v] >= k for v in core_v)
 
 
 def peel_edges(edges: dict[int, tuple[int, ...]], k: int) -> dict[int, tuple[int, ...]]:

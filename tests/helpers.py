@@ -54,3 +54,29 @@ def hypergraphs(draw, d: int | None = None, max_vertices: int = 8, max_edges: in
     pool = list(combinations(range(n), arity))
     edges = draw(st.lists(st.sampled_from(pool), max_size=max_edges))
     return mkgraph(n, edges, arity)
+
+
+def layout(g: Hypergraph) -> tuple:
+    """Everything a Hypergraph stores, in its stored order: arity, id
+    counters, the edge map and each vertex's incidence."""
+    return (
+        g.d,
+        g._next_vertex,
+        g._next_edge,
+        list(g._edges.items()),
+        [(v, list(es)) for v, es in g._incidence.items()],
+    )
+
+
+@st.composite
+def sparse_hypergraphs(draw, max_vertices: int = 8, max_edges: int = 10):
+    """``hypergraphs()`` after a few removals, so ids are not contiguous."""
+    g = draw(hypergraphs(max_vertices=max_vertices, max_edges=max_edges))
+    for by_vertex, i in draw(st.lists(st.tuples(st.booleans(), st.integers(0, 2**16)), max_size=3)):
+        if by_vertex and g.num_vertices:
+            vertices = sorted(g.vertices)
+            g.remove_vertex(vertices[i % len(vertices)])
+        elif g.num_edges:
+            edges = sorted(g.edges)
+            g.remove_edge(edges[i % len(edges)])
+    return g

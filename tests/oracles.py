@@ -55,17 +55,46 @@ def core_by_enumeration(g: Hypergraph, k: int) -> tuple[frozenset[int], frozense
     return cores_by_enumeration(g, (k,))[k]
 
 
-def peel_order_by_repeated_removal(g: Hypergraph, k: int) -> tuple[int, ...]:
-    """Lowest-id-first peel order: remove, from a copy, the lowest-id vertex
-    of degree < k until none is left."""
+def peel_order_by_repeated_removal(g: Hypergraph, k: int, order_seed: int | None = None) -> tuple[int, ...]:
+    """Peel order by removing, from a copy, the vertex of degree < k that
+    comes first until none is left.  Without a seed the lowest id comes
+    first; with one, the lowest of ``random.Random(order_seed).random()``
+    drawn for each vertex in ascending id order, ties to the lower id."""
+    if order_seed is None:
+        prio = {v: v for v in g.vertices}
+    else:
+        rng = random.Random(order_seed)
+        prio = {v: rng.random() for v in sorted(g.vertices)}
     h = g.copy()
     order = []
     while True:
         low = [v for v in h.vertices if h.degree(v) < k]
         if not low:
             return tuple(order)
-        order.append(min(low))
+        order.append(min(low, key=lambda v: (prio[v], v)))
         h.remove_vertex(order[-1])
+
+
+def core_subgraph_by_removal(g: Hypergraph, trace) -> Hypergraph:
+    """The trace's core cut out of a copy of g: every vertex outside
+    ``trace.core_vertices``, then every edge outside ``trace.core_edges``,
+    removed one at a time."""
+    h = g.copy()
+    for v in sorted(h.vertices - trace.core_vertices):
+        h.remove_vertex(v)
+    for e in sorted(set(h.edges) - trace.core_edges):
+        h.remove_edge(e)
+    return h
+
+
+def serialize_by_rendering(g: Hypergraph) -> str:
+    """The text format written line by line through the public queries:
+    vertices ranked by ascending id, edges in ascending id order."""
+    rank = {v: i for i, v in enumerate(sorted(g.vertices))}
+    lines = [f"h {g.d} {g.num_vertices} {g.num_edges}"]
+    for e in sorted(g.edges):
+        lines.append("e " + " ".join(str(rank[v]) for v in g.edge_vertices(e)))
+    return "\n".join(lines) + "\n"
 
 
 def _core_after(g: Hypergraph, k: int, kind: str, stash):

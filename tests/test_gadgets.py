@@ -1,3 +1,5 @@
+import textwrap
+
 import pytest
 
 from stashpeel import (
@@ -17,6 +19,8 @@ from stashpeel import (
     run_gadget_grid,
 )
 from stashpeel.gadgets import build_harness
+
+from helpers import run_python
 
 
 def drop_edge(gadget: Gadget, eid: int) -> Gadget:
@@ -199,6 +203,28 @@ def test_stable_size_bound_recorded():
         g = build_stable_block(m, k, d)
         c = g.params["size_bound_c"]
         assert g.graph.num_vertices <= c * m * k * k + max(0, d - 2)
+
+
+def test_size_bound_checks_survive_python_optimize():
+    # With the size constants zeroed every block exceeds its bound; the
+    # builders must still refuse it when asserts are compiled out.
+    script = textwrap.dedent("""
+        import sys
+        from stashpeel import gadgets
+
+        gadgets.STABLE_SIZE_CONSTANT = 0
+        gadgets.TREE_STABLE_SIZE_CONSTANT = 0
+        print(sys.flags.optimize)
+        for call in (lambda: gadgets.build_stable_block(2, 3, 2), lambda: gadgets.build_tree_stable_block(2, 3)):
+            try:
+                call()
+                print("returned")
+            except AssertionError:
+                print("raised")
+    """)
+    proc = run_python("-O", "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "raised", "raised"]
 
 
 def test_stable_root_estar_peels_whole_tree():

@@ -15,7 +15,8 @@ from stashpeel import (
     serialize,
 )
 
-from helpers import hypergraphs, mkgraph, triangle
+from helpers import hypergraphs, layout, mkgraph, sparse_hypergraphs, triangle
+from oracles import serialize_by_rendering
 
 TRIANGLE_TEXT = "h 2 3 3\ne 0 1\ne 1 2\ne 2 0\n"
 
@@ -218,3 +219,45 @@ def test_serialize_parse_roundtrip_random(g):
     h = parse(serialize(g))
     assert h == g  # generated instances are canonical, so ids survive
     assert serialize(h) == serialize(g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_hypergraphs())
+def test_serialize_matches_reference_renderer(g):
+    text = serialize(g)
+    assert text == serialize_by_rendering(g)
+    h = parse(text)
+    h.validate()
+    # parsing renumbers to contiguous ids in ascending order of the old ones
+    rank = {v: i for i, v in enumerate(sorted(g.vertices))}
+    renumbered = [tuple(rank[v] for v in g.edge_vertices(e)) for e in sorted(g.edges)]
+    assert list(h.edges.values()) == renumbered
+    assert (h.num_vertices, h._next_vertex, h._next_edge) == (g.num_vertices, g.num_vertices, g.num_edges)
+    assert serialize(h) == text
+
+
+def test_parse_fills_the_same_layout_as_add_edge():
+    text = "h 3 6 3\n# c\ne 4 0 2\n\n  e 1 2 5  \ne 4 0 2\n"
+    g = Hypergraph(3)
+    g.add_vertices(6)
+    for vs in ((4, 0, 2), (1, 2, 5), (4, 0, 2)):
+        g.add_edge(vs)
+    assert layout(parse(text)) == layout(g)
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("h 2 3 1\ne 0 1 2\n", 2, "edge needs 2 vertices, got 3"),
+        ("h 3 3 1\ne 0 2 0\n", 2, "edge has a repeated vertex: (0, 2, 0)"),
+        ("h 2 3 2\ne 0 1\n\ne 1 7\n", 4, "unknown vertex id 7"),
+        ("h 2 3 1\ne -1 1\n", 2, "unknown vertex id -1"),
+        ("h 2 3 1\ne 0 x\n", 2, "non-integer vertex index in 'e 0 x'"),
+        ("h 2 3 1\ne 0 1\ne 1 2\n", 3, "more than the declared 1 edges"),
+        ("h 2 3 1\nf 0 1\n", 2, "expected edge line 'e v1 ... vd', got 'f 0 1'"),
+    ],
+)
+def test_parse_edge_errors_name_their_line(text, line, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, str(exc.value)) == (line, f"line {line}: {message}")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,8 +17,17 @@ from stashpeel import (
 )
 from stashpeel.peeling import PeelCore, peel_edges
 
-from helpers import complete_graph, hypergraphs, mkgraph, path, triangle, two_triangles
-from oracles import core_by_enumeration, peel_order_by_repeated_removal
+from helpers import (
+    complete_graph,
+    hypergraphs,
+    layout,
+    mkgraph,
+    path,
+    sparse_hypergraphs,
+    triangle,
+    two_triangles,
+)
+from oracles import core_by_enumeration, core_subgraph_by_removal, peel_order_by_repeated_removal
 
 
 def test_path_has_empty_2_core():
@@ -130,6 +141,99 @@ def test_verify_trace_rejects_a_vertex_peeled_twice():
     assert verify_trace(g, twice) is False
 
 
+def test_core_subgraph_of_a_stashed_trace_holds_only_the_core():
+    # a stashed vertex is in neither part of the trace, and a stashed edge
+    # between two core vertices is not a core edge
+    cases = (
+        (two_triangles(), {"stash_vertices": [0]}, {3, 4, 5}, {3, 4, 5}),
+        (complete_graph(4), {"stash_edges": [0]}, {0, 1, 2, 3}, {1, 2, 3, 4, 5}),
+    )
+    for g, stash, want_v, want_e in cases:
+        trace = k_core_after(g, 2, **stash)
+        assert (trace.core_vertices, trace.core_edges) == (want_v, want_e)
+        core = core_subgraph(g, trace)
+        core.validate()
+        assert core.vertices == trace.core_vertices
+        assert set(core.edges) == trace.core_edges
+        assert layout(core) == layout(core_subgraph_by_removal(g, trace))
+
+
+def _tail_triangle() -> Hypergraph:
+    # triangle 0-1-2 with the path 2-3-4: k=2 peels 4, then 3
+    return mkgraph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
+
+
+def _tail_parallel_d3() -> Hypergraph:
+    # two parallel edges on 0,1,2 and the chain 2,3,4 / 3,4,5: k=2 peels 5,
+    # then 3, then 4
+    return mkgraph(6, [(0, 1, 2), (0, 1, 2), (2, 3, 4), (3, 4, 5)], d=3)
+
+
+@pytest.mark.parametrize(
+    "g, peeled, wrong_order",
+    [(_tail_triangle(), (4, 3), (3, 4)), (_tail_parallel_d3(), (5, 3, 4), (3, 5, 4))],
+    ids=["d2", "d3-parallel"],
+)
+def test_verify_trace_rejects_bad_traces(g, peeled, wrong_order):
+    trace = k_core(g, 2)
+    assert trace.peeled_vertices == peeled and verify_trace(g, trace)
+    first, last = peeled[0], peeled[-1]
+    first_edges = g.incident_edges(first)
+    core_edge = min(trace.core_edges)
+    bad = {
+        # the second vertex still has degree >= k at the first removal
+        "wrong order": dataclasses.replace(trace, peeled_vertices=wrong_order),
+        # stop after the first removal: the next vertex has degree < k
+        "low residue": dataclasses.replace(
+            trace,
+            peeled_vertices=(first,),
+            peeled_edges=first_edges,
+            core_vertices=trace.core_vertices | set(peeled[1:]),
+            core_edges=trace.core_edges | (trace.peeled_edges - first_edges),
+        ),
+        "edge in both parts": dataclasses.replace(trace, peeled_edges=trace.peeled_edges | {core_edge}),
+        "edge in neither part": dataclasses.replace(trace, core_edges=trace.core_edges - {core_edge}),
+        "vertex in neither part": dataclasses.replace(trace, peeled_vertices=peeled[:-1]),
+        "vertex in both parts": dataclasses.replace(trace, core_vertices=trace.core_vertices | {last}),
+        # the partition holds, but an edge on a peeled vertex is called core
+        "peeled edge kept": dataclasses.replace(
+            trace,
+            peeled_edges=trace.peeled_edges - first_edges,
+            core_edges=trace.core_edges | first_edges,
+        ),
+        "core edge peeled": dataclasses.replace(
+            trace,
+            peeled_edges=trace.peeled_edges | {core_edge},
+            core_edges=trace.core_edges - {core_edge},
+        ),
+    }
+    assert {name: verify_trace(g, t) for name, t in bad.items()} == dict.fromkeys(bad, False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_hypergraphs(), st.sampled_from((1, 2, 3)), st.one_of(st.none(), st.integers(0, 2**32)))
+def test_verify_trace_accepts_every_k_core_trace(g, k, order_seed):
+    assert verify_trace(g, k_core(g, k, order_seed=order_seed))
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_hypergraphs(), st.sampled_from((1, 2, 3)), st.data())
+def test_core_subgraph_matches_copy_and_remove(g, k, data):
+    stash_v = data.draw(st.sets(st.sampled_from(sorted(g.vertices)), max_size=2)) if g.num_vertices else set()
+    stash_e = data.draw(st.sets(st.sampled_from(sorted(g.edges)), max_size=2)) if g.num_edges else set()
+    before = layout(g)
+    for trace in (k_core(g, k), k_core_after(g, k, stash_v, stash_e)):
+        core = core_subgraph(g, trace)
+        assert layout(core) == layout(core_subgraph_by_removal(g, trace))
+        core.validate()
+        # the result shares no mutable state with its input
+        for v in sorted(core.vertices):
+            core.remove_vertex(v)
+        core.add_edge(core.add_vertices(core.d))
+        assert layout(g) == before
+        g.validate()
+
+
 @settings(max_examples=80, deadline=None)
 @given(hypergraphs(max_vertices=7, max_edges=9), st.sampled_from((1, 2, 3)))
 def test_core_matches_enumeration_oracle(g, k):
@@ -239,6 +343,13 @@ def test_k_core_after_mixed_stash_matches_enumeration(g, k, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(hypergraphs(max_edges=12), st.sampled_from((1, 2, 3)))
+@given(sparse_hypergraphs(max_edges=12), st.sampled_from((1, 2, 3)))
 def test_k_core_peels_lowest_id_first(g, k):
     assert k_core(g, k).peeled_vertices == peel_order_by_repeated_removal(g, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_hypergraphs(max_edges=12), st.sampled_from((1, 2, 3)), st.integers(0, 2**32))
+def test_seeded_k_core_peels_in_seeded_order(g, k, order_seed):
+    want = peel_order_by_repeated_removal(g, k, order_seed)
+    assert k_core(g, k, order_seed=order_seed).peeled_vertices == want
