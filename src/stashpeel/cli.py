@@ -9,7 +9,6 @@ seed-controlled, so identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 
 from . import gadgets, reductions, stash_solvers
@@ -20,34 +19,12 @@ from .errors import (
     ParseError,
     StashpeelError,
 )
-from .hypergraph import Hypergraph, format_stash, parse, parse_stash, serialize
+from .hypergraph import Hypergraph, format_stash, gen_random, parse, parse_stash, serialize
 from .peeling import core_subgraph, k_core
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_INPUT_ERROR = 2
-
-
-def gen_random(n_vertices: int, n_edges: int, d: int, seed: int) -> Hypergraph:
-    """Seeded random d-uniform hypergraph: each edge picks d distinct
-    vertices uniformly at random.
-
-    The generator is CPython's ``random.Random`` (Mersenne Twister), with
-    one ``sample(range(n_vertices), d)`` call per edge in order, so a seed
-    pins the instance exactly.
-    """
-    if d < 2:
-        raise ParameterError(f"edge arity must be at least 2, got {d}")
-    if n_vertices < d:
-        raise ParameterError(f"need at least d={d} vertices, got {n_vertices}")
-    if n_edges < 0:
-        raise ParameterError(f"edge count must be non-negative, got {n_edges}")
-    rng = random.Random(seed)
-    g = Hypergraph(d)
-    g.add_vertices(n_vertices)
-    for _ in range(n_edges):
-        g.add_edge(rng.sample(range(n_vertices), d))
-    return g
 
 
 def _read(path: str) -> str:

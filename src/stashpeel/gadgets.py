@@ -96,12 +96,15 @@ class GadgetReport:
 
 
 def embed_graph(g: Hypergraph, target: Hypergraph) -> tuple[dict[int, int], dict[int, int]]:
-    """Copy g into target with fresh ids; returns (vertex map, edge map)."""
-    vmap = {v: target.add_vertex() for v in sorted(g.vertices)}
-    emap = {}
-    for e in sorted(g.edges):
-        emap[e] = target.add_edge(tuple(vmap[v] for v in g.edge_vertices(e)))
-    return vmap, emap
+    """Append a copy of g to target, every id shifted past target's own;
+    returns (vertex map, edge map)."""
+    if g.d != target.d:
+        raise ParameterError(f"edge needs {target.d} vertices, got {g.d}")
+    dv, de = target.num_vertices, target.num_edges
+    target._edges.extend([tuple(v + dv for v in vs) for vs in g._edges])
+    target._incidence.extend([[e + de for e in es] for es in g._incidence])
+    vmap = {v: v + dv for v in range(g.num_vertices)}
+    return vmap, {e: e + de for e in range(g.num_edges)}
 
 
 # -- internal 2-uniform assembly ---------------------------------------------

@@ -1,17 +1,19 @@
-"""d-uniform hypergraph data model and its text serialization.
+"""d-uniform hypergraph data model, its text serialization, and a seeded
+random generator.
 
 Every edge spans exactly ``d`` distinct vertices.  Parallel edges (two edges
 over the same vertex set) are allowed and count separately toward degree.
-Vertex and edge ids are opaque non-negative integers that are never reused
-within one hypergraph's lifetime, so removals keep surviving ids stable.
+A hypergraph only grows: a vertex id is its position ``0..n-1`` and an edge
+id its position ``0..m-1``, in the order they were added.
 
-Mutation (``add_*`` / ``remove_*``) requires exclusive access; all query
-methods leave the structure untouched, and instances hold no shared state,
-so values can be handed freely between threads.
+Mutation (``add_*``) requires exclusive access; all query methods leave the
+structure untouched, and instances hold no shared state, so values can be
+handed freely between threads.
 """
 
 from __future__ import annotations
 
+import random
 from typing import Iterable, Sequence
 
 from .errors import NotFoundError, ParameterError, ParseError
@@ -20,35 +22,31 @@ from .errors import NotFoundError, ParameterError, ParseError
 class Hypergraph:
     """Incidence structure of a d-uniform hypergraph.
 
-    Edges keep their vertex sequence in insertion order, which matters only
-    for serialization.  Degree and equality are set-based.  ``_incidence``
-    maps each vertex to its edge ids, so its keys are the vertex set.  The
-    peeling engine reads ``_edges`` and ``_incidence`` in place.
+    ``_edges[e]`` is edge e's vertex sequence in insertion order, which
+    matters only for serialization; degree and equality are set-based.
+    ``_incidence[v]`` lists the ids of the edges on v in ascending order.
+    The peeling engine reads both lists in place.
     """
 
-    __slots__ = ("_d", "_edges", "_incidence", "_next_vertex", "_next_edge")
+    __slots__ = ("_d", "_edges", "_incidence")
 
     def __init__(self, d: int):
         if d < 2:
             raise ParameterError(f"edge arity must be at least 2, got {d}")
         self._d = d
-        self._edges: dict[int, tuple[int, ...]] = {}
-        # dict[eid, None] as an insertion-ordered set: an empty dict is 64 B
-        # against 216 B for a set, and removal stays O(1), unlike a list.
-        self._incidence: dict[int, dict[int, None]] = {}
-        self._next_vertex = 0
-        self._next_edge = 0
+        self._edges: list[tuple[int, ...]] = []
+        self._incidence: list[list[int]] = []
 
     # -- construction -------------------------------------------------------
 
     def add_vertex(self) -> int:
-        vid = self._next_vertex
-        self._next_vertex += 1
-        self._incidence[vid] = {}
-        return vid
+        self._incidence.append([])
+        return len(self._incidence) - 1
 
     def add_vertices(self, count: int) -> list[int]:
-        return [self.add_vertex() for _ in range(count)]
+        n = len(self._incidence)
+        self._incidence.extend([] for _ in range(count))
+        return list(range(n, len(self._incidence)))
 
     def add_edge(self, vertices: Sequence[int]) -> int:
         """Add an edge over exactly d distinct existing vertices."""
@@ -58,13 +56,12 @@ class Hypergraph:
         if len(set(vs)) != len(vs):
             raise ParameterError(f"edge has a repeated vertex: {vs}")
         for v in vs:
-            if v not in self._incidence:
+            if not self.has_vertex(v):
                 raise NotFoundError(f"unknown vertex id {v}")
-        eid = self._next_edge
-        self._next_edge += 1
-        self._edges[eid] = vs
+        eid = len(self._edges)
+        self._edges.append(vs)
         for v in vs:
-            self._incidence[v][eid] = None
+            self._incidence[v].append(eid)
         return eid
 
     # -- queries ------------------------------------------------------------
@@ -83,95 +80,94 @@ class Hypergraph:
 
     @property
     def vertices(self) -> frozenset[int]:
-        return frozenset(self._incidence)
+        return frozenset(range(len(self._incidence)))
 
     @property
     def edges(self) -> dict[int, tuple[int, ...]]:
         """Snapshot of edge id -> vertex sequence."""
-        return dict(self._edges)
+        return dict(enumerate(self._edges))
+
+    # A list accepts a negative index, so an outside id is range-checked
+    # before it is used as one.
 
     def has_vertex(self, v: int) -> bool:
-        return v in self._incidence
+        return isinstance(v, int) and 0 <= v < len(self._incidence)
 
     def has_edge(self, e: int) -> bool:
-        return e in self._edges
+        return isinstance(e, int) and 0 <= e < len(self._edges)
 
     def edge_vertices(self, e: int) -> tuple[int, ...]:
-        try:
-            return self._edges[e]
-        except KeyError:
-            raise NotFoundError(f"unknown edge id {e}") from None
+        if not self.has_edge(e):
+            raise NotFoundError(f"unknown edge id {e}")
+        return self._edges[e]
 
     def incident_edges(self, v: int) -> frozenset[int]:
-        try:
-            return frozenset(self._incidence[v])
-        except KeyError:
-            raise NotFoundError(f"unknown vertex id {v}") from None
+        if not self.has_vertex(v):
+            raise NotFoundError(f"unknown vertex id {v}")
+        return frozenset(self._incidence[v])
 
     def degree(self, v: int) -> int:
         """Number of incident edges, counting parallel edges separately."""
-        try:
-            return len(self._incidence[v])
-        except KeyError:
-            raise NotFoundError(f"unknown vertex id {v}") from None
-
-    # -- mutation -----------------------------------------------------------
-
-    def remove_edge(self, e: int) -> None:
-        try:
-            vs = self._edges.pop(e)
-        except KeyError:
-            raise NotFoundError(f"unknown edge id {e}") from None
-        for v in vs:
-            del self._incidence[v][e]
-
-    def remove_vertex(self, v: int) -> None:
-        """Delete v together with every edge incident to it."""
-        if v not in self._incidence:
+        if not self.has_vertex(v):
             raise NotFoundError(f"unknown vertex id {v}")
-        for e in list(self._incidence[v]):
-            self.remove_edge(e)
-        del self._incidence[v]
+        return len(self._incidence[v])
 
     def copy(self) -> "Hypergraph":
-        g = Hypergraph.__new__(Hypergraph)
-        g._d = self._d
-        g._edges = dict(self._edges)
-        g._incidence = {v: es.copy() for v, es in self._incidence.items()}
-        g._next_vertex = self._next_vertex
-        g._next_edge = self._next_edge
+        g = Hypergraph(self._d)
+        g._edges = self._edges.copy()
+        g._incidence = [es.copy() for es in self._incidence]
         return g
 
     # -- consistency --------------------------------------------------------
 
     def validate(self) -> None:
-        """Full-rescan check that the incidence index inverts the edge map."""
-        rescan: dict[int, dict[int, None]] = {v: {} for v in self._incidence}
-        for e, vs in self._edges.items():
+        """Full-rescan check that the incidence index inverts the edge list."""
+        n = len(self._incidence)
+        rescan: list[list[int]] = [[] for _ in range(n)]
+        for e, vs in enumerate(self._edges):
             if len(vs) != self._d or len(set(vs)) != self._d:
                 raise AssertionError(f"edge {e} is not a set of {self._d} distinct vertices")
             for v in vs:
-                if v not in rescan:
+                if not 0 <= v < n:
                     raise AssertionError(f"edge {e} references missing vertex {v}")
-                rescan[v][e] = None
+                rescan[v].append(e)
         if rescan != self._incidence:
-            raise AssertionError("incidence index does not match edge map")
+            raise AssertionError("incidence index does not match edge list")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypergraph):
             return NotImplemented
         return (
             self._d == other._d
-            and self._incidence.keys() == other._incidence.keys()
-            and self._edges.keys() == other._edges.keys()
-            and all(set(vs) == set(other._edges[e]) for e, vs in self._edges.items())
+            and len(self._incidence) == len(other._incidence)
+            and len(self._edges) == len(other._edges)
+            and all(set(a) == set(b) for a, b in zip(self._edges, other._edges))
         )
-
-    def __hash__(self) -> int:  # pragma: no cover - mutable, not hashable
-        raise TypeError("Hypergraph is not hashable")
 
     def __repr__(self) -> str:
         return f"Hypergraph(d={self._d}, vertices={self.num_vertices}, edges={self.num_edges})"
+
+
+def gen_random(n_vertices: int, n_edges: int, d: int, seed: int) -> Hypergraph:
+    """Seeded random d-uniform hypergraph: each edge picks d distinct
+    vertices uniformly at random.
+
+    The generator is CPython's ``random.Random`` (Mersenne Twister), with
+    one ``sample(range(n_vertices), d)`` call per edge in order, so a seed
+    pins the instance exactly.
+    """
+    if d < 2:
+        raise ParameterError(f"edge arity must be at least 2, got {d}")
+    if n_vertices < d:
+        raise ParameterError(f"need at least d={d} vertices, got {n_vertices}")
+    if n_edges < 0:
+        raise ParameterError(f"edge count must be non-negative, got {n_edges}")
+    rng = random.Random(seed)
+    g = Hypergraph(d)
+    g.add_vertices(n_vertices)
+    for _ in range(n_edges):
+        g.add_edge(rng.sample(range(n_vertices), d))
+    return g
 
 
 # -- text format -------------------------------------------------------------
@@ -187,10 +183,10 @@ def parse(text: str) -> Hypergraph:
     """Parse the standard text format. Raises ParseError with a line number.
 
     Each edge gets the checks of ``Hypergraph.add_edge``, with its messages,
-    but is written straight into the edge map and incidence index.
+    but is appended straight to the edge list and incidence index.
     """
     g: Hypergraph | None = None
-    header_at = d = m = eid = 0
+    header_at = d = m = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
         if not fields or fields[0][0] == "#":
@@ -206,11 +202,12 @@ def parse(text: str) -> Hypergraph:
                 raise ParseError(f"header out of range: d={d}, n={n}, m={m}", lineno)
             header_at = lineno
             g = Hypergraph(d)
-            g.add_vertices(n)
-            edges, incidence = g._edges, g._incidence
+            edges = g._edges
+            incidence = g._incidence = [[] for _ in range(n)]
             continue
         if fields[0] != "e":
             raise ParseError(f"expected edge line 'e v1 ... vd', got {raw!r}", lineno)
+        eid = len(edges)
         if eid >= m:
             raise ParseError(f"more than the declared {m} edges", lineno)
         try:
@@ -221,32 +218,24 @@ def parse(text: str) -> Hypergraph:
             raise ParseError(f"edge needs {d} vertices, got {len(vs)}", lineno)
         if len(set(vs)) != d:
             raise ParseError(f"edge has a repeated vertex: {vs}", lineno)
-        try:
-            for v in vs:
-                incidence[v][eid] = None
-        except KeyError:
-            raise ParseError(f"unknown vertex id {v}", lineno) from None
-        edges[eid] = vs
-        eid += 1
+        for v in vs:
+            if not 0 <= v < n:
+                raise ParseError(f"unknown vertex id {v}", lineno)
+            incidence[v].append(eid)
+        edges.append(vs)
     if g is None:
         raise ParseError("empty input: missing 'h' header", 1)
-    if eid != m:
-        raise ParseError(f"declared {m} edges but found {eid}", header_at)
-    g._next_edge = eid
+    if len(edges) != m:
+        raise ParseError(f"declared {m} edges but found {len(edges)}", header_at)
     return g
 
 
 def serialize(g: Hypergraph) -> str:
-    """Render in the standard text format.
-
-    Vertices are renumbered to 0..n-1 in ascending id order and edges are
-    emitted in ascending id order, so a hypergraph whose ids are already
-    contiguous round-trips through parse() with identical ids.
-    """
-    edges = g._edges
-    rank = {v: str(i) for i, v in enumerate(sorted(g._incidence))}.__getitem__
-    lines = [f"h {g._d} {len(g._incidence)} {len(edges)}"]
-    lines.extend(["e " + " ".join(map(rank, edges[e])) for e in sorted(edges)])
+    """Render in the standard text format, which ``parse`` reads back into
+    an equal hypergraph with the same ids."""
+    line = "e" + " %d" * g._d
+    lines = [f"h {g._d} {len(g._incidence)} {len(g._edges)}"]
+    lines.extend([line % vs for vs in g._edges])
     return "\n".join(lines) + "\n"
 
 

@@ -5,20 +5,18 @@ edges until none remain; the survivors form the k-core, which is unique
 regardless of removal order.
 
 One engine, ``_peel``, serves ``k_core`` and ``k_core_after``.  It reads the
-hypergraph in place and counts a stash as already removed, so it copies
-nothing.  Its order is lowest-vertex-id-first, so traces are reproducible;
-``order_seed`` randomizes it for order-independence checks.  The replay
-auditor ``verify_trace`` also reads the graph in place, replaying on a
-degree dict, and ``core_subgraph`` copies the edge map and the core's
-incidences only, so no step from peel to core extraction copies the whole
-graph.  ``PeelCore`` is the k-core of a bare edge map under delete/restore,
-for the stash solvers.
+hypergraph's lists in place and counts a stash as already removed, so it
+copies nothing.  Its order is lowest-vertex-id-first, so traces are
+reproducible.  The replay auditor ``verify_trace`` also reads the graph in
+place, replaying on a degree list, and ``core_subgraph`` builds the core
+alone, so no step from peel to core extraction copies the whole graph.
+``PeelCore`` is the k-core of a hypergraph under delete/restore, for the
+stash solvers; it reads the graph's lists in place too.
 """
 
 from __future__ import annotations
 
 import heapq
-import random
 from dataclasses import dataclass
 from itertools import chain, compress
 from typing import Iterable
@@ -52,14 +50,14 @@ def _peel(
     k: int,
     stash_vertices: frozenset[int],
     stash_edges: frozenset[int],
-    order_seed: int | None,
 ) -> PeelTrace:
     """k-core of g minus a stash, in time linear in total incidence.
 
-    The stash is dead from the start: stashed vertices get no degree, and
-    the stashed edges and those on stashed vertices are neither counted in
-    degrees nor alive.  A vertex enters the heap when its degree first drops
-    below k and is peeled when popped.  g is read, never mutated.
+    The stash is dead from the start: stashed vertices are never queued and
+    never core, and the stashed edges and those on stashed vertices are
+    neither counted in degrees nor alive.  A vertex enters the heap when its
+    degree first drops below k and is peeled when popped.  g is read, never
+    mutated.
     """
     if k < 1:
         raise ParameterError(f"k must be at least 1, got {k}")
@@ -68,34 +66,23 @@ def _peel(
     for v in stash_vertices:
         stashed_edges.update(incidence[v])
     dead_edges = stashed_edges.copy()
-    deg = {v: len(es) for v, es in incidence.items() if v not in stash_vertices}
+    deg = list(map(len, incidence))
     for e in stashed_edges:
         for w in edges[e]:
-            if w in deg:
-                deg[w] -= 1
-
-    if order_seed is None:
-        order = None
-    else:
-        # The heap holds each vertex's position in a seeded shuffle of the
-        # ascending vertex ids, and order maps a position back to its vertex.
-        rng = random.Random(order_seed)
-        prio = {v: rng.random() for v in sorted(deg)}
-        order = sorted(prio, key=prio.__getitem__)
-        position = {v: i for i, v in enumerate(order)}
+            deg[w] -= 1
+    for v in stash_vertices:
+        deg[v] = k  # never queued, and dropped from the core below
 
     # A vertex is queued exactly when its degree first drops below k, and
-    # a queued vertex's degree is never lowered again.
-    low = [v for v, c in deg.items() if c < k]
-    heap = low if order is None else [position[v] for v in low]
-    heapq.heapify(heap)
+    # a queued vertex's degree is never lowered again.  An ascending list
+    # is already a heap.
+    ids = range(len(deg))
+    heap = list(compress(ids, map(k.__gt__, deg)))
     heappop, heappush = heapq.heappop, heapq.heappush
     peeled_vertices: list[int] = []
 
     while heap:
         v = heappop(heap)
-        if order is not None:
-            v = order[v]
         peeled_vertices.append(v)
         for e in incidence[v]:
             if e in dead_edges:
@@ -106,20 +93,20 @@ def _peel(
                 if c >= k:
                     deg[w] = c - 1
                     if c == k:
-                        heappush(heap, w if order is None else position[w])
+                        heappush(heap, w)
 
     return PeelTrace(
         k=k,
         peeled_vertices=tuple(peeled_vertices),
         peeled_edges=frozenset(dead_edges - stashed_edges),
-        core_vertices=frozenset(v for v, c in deg.items() if c >= k),
-        core_edges=frozenset(edges.keys() - dead_edges),
+        core_vertices=frozenset(compress(ids, map(k.__le__, deg))) - stash_vertices,
+        core_edges=frozenset(range(len(edges))) - dead_edges,
     )
 
 
-def k_core(g: Hypergraph, k: int, *, order_seed: int | None = None) -> PeelTrace:
+def k_core(g: Hypergraph, k: int) -> PeelTrace:
     """Peel g down to its k-core."""
-    return _peel(g, k, frozenset(), frozenset(), order_seed)
+    return _peel(g, k, frozenset(), frozenset())
 
 
 def is_k_peelable(g: Hypergraph, k: int) -> bool:
@@ -146,25 +133,26 @@ def k_core_after(
     for e in se:
         if not g.has_edge(e):
             raise NotFoundError(f"unknown edge id {e} in stash")
-    return _peel(g, k, sv, se, None)
+    return _peel(g, k, sv, se)
 
 
 def core_subgraph(g: Hypergraph, trace: PeelTrace) -> Hypergraph:
-    """The trace's core as a hypergraph with its original ids.
-
-    It holds exactly ``trace.core_vertices`` and ``trace.core_edges``, in
-    g's insertion order, with g's id counters; g is not changed.
-    """
-    core_v, edges = trace.core_vertices, g._edges
+    """The trace's core as a hypergraph of its own: ``trace.core_vertices``
+    and ``trace.core_edges`` renumbered in ascending order of their ids in
+    g, each edge keeping its vertex order.  g is not changed.  The trace
+    must be one of g, so that core edges lie on core vertices."""
+    core_v = sorted(trace.core_vertices)
+    rank = [0] * len(g._incidence)
+    for i, v in enumerate(core_v):
+        rank[v] = i
+    ends = map(rank.__getitem__, chain.from_iterable(map(g._edges.__getitem__, sorted(trace.core_edges))))
     h = Hypergraph(g._d)
-    h._next_vertex, h._next_edge = g._next_vertex, g._next_edge
-    kept = h._edges = dict(edges)
-    incidence = h._incidence = {v: es.copy() for v, es in g._incidence.items() if v in core_v}
-    for e in edges.keys() - trace.core_edges:
-        del kept[e]
-        for w in edges[e]:
-            if w in core_v:
-                del incidence[w][e]
+    # zip over d references to one iterator takes its items d at a time
+    edges = h._edges = list(zip(*[ends] * g._d))
+    incidence = h._incidence = [[] for _ in core_v]
+    for e, vs in enumerate(edges):
+        for v in vs:
+            incidence[v].append(e)
     return h
 
 
@@ -174,7 +162,7 @@ def verify_trace(g: Hypergraph, trace: PeelTrace) -> bool:
     Checks the partition property, that each peeled vertex is peeled once
     and had degree < k at its removal moment, that the peeled edges are
     those on peeled vertices, and that the residue has minimum degree >= k.
-    The replay runs on a degree dict and reads g in place.
+    The replay runs on a degree list and reads g in place.
     """
     k, peeled_order = trace.k, trace.peeled_vertices
     core_v, core_e = trace.core_vertices, trace.core_edges
@@ -182,11 +170,11 @@ def verify_trace(g: Hypergraph, trace: PeelTrace) -> bool:
     peeled = set(peeled_order)
     if len(peeled) != len(peeled_order):
         return False
-    if not peeled.isdisjoint(core_v) or peeled | core_v != incidence.keys():
+    if not peeled.isdisjoint(core_v) or peeled | core_v != set(range(len(incidence))):
         return False
-    if not core_e.isdisjoint(trace.peeled_edges) or core_e | trace.peeled_edges != edges.keys():
+    if not core_e.isdisjoint(trace.peeled_edges) or core_e | trace.peeled_edges != set(range(len(edges))):
         return False
-    deg = {v: len(es) for v, es in incidence.items()}
+    deg = list(map(len, incidence))
     dead: set[int] = set()
     for v in peeled_order:
         if deg[v] >= k:
@@ -200,45 +188,51 @@ def verify_trace(g: Hypergraph, trace: PeelTrace) -> bool:
 
 
 def peel_edges(edges: dict[int, tuple[int, ...]], k: int) -> dict[int, tuple[int, ...]]:
-    """Surviving k-core edges of a bare edge map, in ascending id order."""
-    core = PeelCore(edges, k)
-    return {e: edges[e] for e, alive in zip(core.edge_ids, core.edge_alive) if alive}
+    """Surviving k-core edges of a bare edge map, in ascending id order.
+
+    The edge ids must be 0..m-1 and the vertex ids non-negative, as in
+    ``Hypergraph.edges``; the map is checked like ``Hypergraph.add_edge``
+    input.
+    """
+    m = len(edges)
+    if not all(e in edges for e in range(m)):
+        raise ParameterError(f"edge ids must be 0..{m - 1}")
+    g = Hypergraph(len(edges[0]) if m else 2)
+    g.add_vertices(1 + max((max(vs) for vs in edges.values()), default=-1))
+    try:
+        for e in range(m):
+            g.add_edge(edges[e])
+    except NotFoundError as exc:
+        raise ParameterError(str(exc)) from None
+    return {e: edges[e] for e in compress(range(m), PeelCore(g, k).edge_alive)}
 
 
 class PeelCore:
     """A k-core under delete/restore: stash an element, peel the cascade, undo.
 
-    Built once from an edge map, whose k-core it peels to at once.  Vertices
-    and edges get local ids ``0..n-1`` and ``0..m-1`` in ascending order of
-    their original ids (``vertex_ids`` and ``edge_ids`` map back), so walking
-    local ids keeps lexicographic order.  ``degree[v]`` counts the live edges
-    on v whether v is alive or not, so it is 0 for every dead v.  Each vertex
-    and edge that ``stash_vertex`` or ``stash_edge`` kills goes onto
-    ``trail``; ``undo(mark)`` revives all killed since ``len(trail)`` was
-    ``mark``.  A stash with its undo costs time linear in the incidences of
-    what it kills, not in the core's size.
+    Built once from a hypergraph, whose k-core it peels to at once.  It
+    reads the graph's edge list and incidence lists in place and never
+    writes them, so its ids are the graph's; vertices on no edge start
+    dead, as does every vertex outside the k-core.  ``degree[v]`` counts the live edges on v whether v is alive or
+    not, so it is 0 for every dead v.  Each vertex and edge that
+    ``stash_vertex`` or ``stash_edge`` kills goes onto ``trail``;
+    ``undo(mark)`` revives all killed since ``len(trail)`` was ``mark``.  A
+    stash with its undo costs time linear in the incidences of what it
+    kills, not in the core's size.
     """
 
-    __slots__ = ("k", "vertex_ids", "edge_ids", "edge_vertices", "vertex_edges", "degree",
-                 "vertex_alive", "edge_alive", "live_edges", "trail")
+    __slots__ = ("k", "edge_vertices", "vertex_edges", "degree", "vertex_alive", "edge_alive",
+                 "live_edges", "trail")
 
-    def __init__(self, edges: dict[int, tuple[int, ...]], k: int):
+    def __init__(self, g: Hypergraph, k: int):
         self.k = k
-        self.edge_ids = sorted(edges)
-        self.vertex_ids = sorted(set(chain.from_iterable(edges.values())))
-        local = {v: i for i, v in enumerate(self.vertex_ids)}.__getitem__
-        self.edge_vertices = [tuple(map(local, edges[e])) for e in self.edge_ids]
-        self.vertex_edges: list[list[int]] = [[] for _ in self.vertex_ids]
-        vertex_edges = self.vertex_edges
-        for e, vs in enumerate(self.edge_vertices):
-            for v in vs:
-                vertex_edges[v].append(e)
-        self.degree = list(map(len, vertex_edges))
+        self.edge_vertices, self.vertex_edges = g._edges, g._incidence
+        self.degree = list(map(len, self.vertex_edges))
         self.vertex_alive = [c >= k for c in self.degree]
-        self.edge_alive = [True] * len(self.edge_ids)
-        self.live_edges = len(self.edge_ids)
+        self.edge_alive = [True] * len(self.edge_vertices)
+        self.live_edges = len(self.edge_vertices)
         self.trail: list[int] = []
-        low = compress(vertex_edges, [not a for a in self.vertex_alive])
+        low = compress(self.vertex_edges, [c < k for c in self.degree])
         self._peel(list(chain.from_iterable(low)))
         self.trail.clear()
 
@@ -247,7 +241,7 @@ class PeelCore:
         throw away.  It shares the incidence lists, which no stash or undo
         writes, and copies the degrees and alive flags."""
         c = type(self).__new__(type(self))
-        c.k, c.vertex_ids, c.edge_ids = self.k, self.vertex_ids, self.edge_ids
+        c.k = self.k
         c.edge_vertices, c.vertex_edges = self.edge_vertices, self.vertex_edges
         c.degree = self.degree.copy()
         c.vertex_alive = self.vertex_alive.copy()

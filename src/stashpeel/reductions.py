@@ -307,17 +307,8 @@ def audit_pk_properties(rmap: ReductionMap) -> list[GadgetReport]:
 # -- sidecar text format -------------------------------------------------------
 
 
-def _require_canonical(g: Hypergraph, label: str) -> None:
-    if sorted(g.vertices) != list(range(g.num_vertices)) or sorted(g.edges) != list(
-        range(g.num_edges)
-    ):
-        raise ParameterError(f"map serialization requires canonical ids in the {label} instance")
-
-
 def serialize_map(rmap: ReductionMap) -> str:
     """Sidecar text form of a reduction map, embedding both instances."""
-    _require_canonical(rmap.original, "original")
-    _require_canonical(rmap.reduced, "reduced")
     tag = "vc" if rmap.direction == "vc_to_vs" else "vstash"
     lines = [f"M {tag} {rmap.k} {rmap.d}"]
     if tag == "vstash" and rmap.k == 2:

@@ -73,7 +73,7 @@ def _prefix_witness(core: PeelCore, kind: str) -> tuple[int, list[bool]]:
     """Smallest y such that the live elements <= y still hold a nonempty
     k-core, the witness, and the witness's alive flags.
 
-    On a copy of `core`, stashes live elements from the highest local id
+    On a copy of `core`, stashes live elements from the highest id
     down until the copy empties; y is the one whose stash emptied it.  Only
     that last cascade is undone, which leaves the copy holding the witness,
     so its flags are True exactly on the witness's elements (none above y).
@@ -101,7 +101,7 @@ def _search(
     first: int,
     witness: tuple[int, list[bool]] | None = None,
 ) -> list[int] | None:
-    """Lexicographically first `budget` more local ids, each at least `first`,
+    """Lexicographically first `budget` more ids, each at least `first`,
     whose stashing empties `core`, or None.
 
     Candidates are the live elements of the node's core, capped at the
@@ -158,14 +158,13 @@ def _min_stash_exact(g: Hypergraph, k: int, size_cap: int, kind: str) -> StashRe
         raise ParameterError(f"k must be at least 1, got {k}")
     if size_cap < 0:
         raise ParameterError(f"size cap must be non-negative, got {size_cap}")
-    core = PeelCore(g.edges, k)
+    core = PeelCore(g, k)
     if not core.live_edges:
         return StashResult(kind, frozenset(), True)
-    ids = core.vertex_ids if kind == "vertex" else core.edge_ids
     for budget in range(1, size_cap + 1):
         found = _search(core, kind, budget, 0)
         if found is not None:
-            stash = frozenset(ids[x] for x in found)
+            stash = frozenset(found)
             _certify(g, k, kind, stash)
             return StashResult(kind, stash, True)
     raise CapExceededError(f"no {kind} stash of size <= {size_cap} exists", size_cap)
@@ -261,20 +260,20 @@ def greedy_stash(
         raise ParameterError(f"tie_break must be one of {TIE_BREAKS}, got {tie_break!r}")
     # The core lives only in _greedy_picks, so it is freed before the
     # certificate check peels g.
-    stash = _greedy_picks(PeelCore(g.edges, k), mode, tie_break, random.Random(seed))
+    stash = _greedy_picks(PeelCore(g, k), mode, tie_break, random.Random(seed))
     _certify(g, k, mode, stash)
     return StashResult(mode, stash, False)
 
 
 def _greedy_picks(core: PeelCore, mode: str, tie_break: str, rng: random.Random) -> frozenset[int]:
-    # Scores are indexed by local id.  Dead elements score 0 and live ones at
-    # least k >= 1, so the first maximum is the live pick with the lowest id.
+    # Scores are indexed by id.  Dead elements score 0 and live ones at least
+    # k >= 1, so the first maximum is the live pick with the lowest id.
     deg = core.degree
     if mode == "vertex":
-        alive, ids, remove = core.vertex_alive, core.vertex_ids, core.stash_vertex
+        alive, remove = core.vertex_alive, core.stash_vertex
         scores = lambda: deg
     else:
-        alive, ids, remove = core.edge_alive, core.edge_ids, core.stash_edge
+        alive, remove = core.edge_alive, core.stash_edge
         scores = lambda: [
             sum(map(deg.__getitem__, vs)) if a else 0 for vs, a in zip(core.edge_vertices, alive)
         ]
@@ -287,6 +286,6 @@ def _greedy_picks(core: PeelCore, mode: str, tie_break: str, rng: random.Random)
             pick = alive.index(True)
         else:
             pick = rng.choice(list(compress(range(len(alive)), alive)))
-        stash.add(ids[pick])
+        stash.add(pick)
         remove(pick)
     return frozenset(stash)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
-from stashpeel import Hypergraph
+from stashpeel import Gadget, Hypergraph
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -57,26 +58,30 @@ def hypergraphs(draw, d: int | None = None, max_vertices: int = 8, max_edges: in
 
 
 def layout(g: Hypergraph) -> tuple:
-    """Everything a Hypergraph stores, in its stored order: arity, id
-    counters, the edge map and each vertex's incidence."""
-    return (
-        g.d,
-        g._next_vertex,
-        g._next_edge,
-        list(g._edges.items()),
-        [(v, list(es)) for v, es in g._incidence.items()],
+    """Everything a Hypergraph stores, in its stored order: arity, the edge
+    list and each vertex's incidence list."""
+    return g.d, list(g._edges), [list(es) for es in g._incidence]
+
+
+def without(g: Hypergraph, vertices=(), edges=()) -> tuple[Hypergraph, dict[int, int], dict[int, int]]:
+    """g rebuilt without the given vertices, the edges on them and the given
+    edges, through the public builders.  Survivors are renumbered in
+    ascending order of their old ids; returns (graph, vertex map, edge map),
+    each from old id to new id."""
+    gone = set(edges).union(*(g.incident_edges(v) for v in vertices))
+    h = Hypergraph(g.d)
+    vmap = {v: h.add_vertex() for v in sorted(g.vertices - set(vertices))}
+    emap = {e: h.add_edge([vmap[v] for v in g.edge_vertices(e)]) for e in sorted(g.edges) if e not in gone}
+    return h, vmap, emap
+
+
+def gadget_without(gadget: Gadget, vertices=(), edges=()) -> Gadget:
+    """Negative-control mutation: the gadget rebuilt by ``without``, with its
+    ports and E* renumbered to match.  Only non-port vertices may go."""
+    g, vmap, emap = without(gadget.graph, vertices, edges)
+    ports = tuple(
+        dataclasses.replace(p, edges=tuple(tuple(vmap[v] for v in attach) for attach in p.edges))
+        for p in gadget.ports
     )
-
-
-@st.composite
-def sparse_hypergraphs(draw, max_vertices: int = 8, max_edges: int = 10):
-    """``hypergraphs()`` after a few removals, so ids are not contiguous."""
-    g = draw(hypergraphs(max_vertices=max_vertices, max_edges=max_edges))
-    for by_vertex, i in draw(st.lists(st.tuples(st.booleans(), st.integers(0, 2**16)), max_size=3)):
-        if by_vertex and g.num_vertices:
-            vertices = sorted(g.vertices)
-            g.remove_vertex(vertices[i % len(vertices)])
-        elif g.num_edges:
-            edges = sorted(g.edges)
-            g.remove_edge(edges[i % len(edges)])
-    return g
+    estar = frozenset(emap[e] for e in gadget.estar if e in emap)
+    return Gadget(g, ports, estar, dict(gadget.params), dict(gadget.meta))

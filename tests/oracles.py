@@ -1,8 +1,10 @@
 """Independent brute-force oracles the engine and solvers are checked against.
 
-Everything here works by plain subset enumeration over the input, with no
-worklists, no pruning to cores, and no shared code with the package's
-algorithms, so agreement is meaningful.
+Everything here works on plain sets and dicts built from the input through
+its read-only queries (``vertices``, ``edges``, ``edge_vertices``), by
+subset enumeration or naive repeated removal, with no worklists, no pruning
+to cores, and no shared code with the package's algorithms, so agreement is
+meaningful.
 """
 
 from __future__ import annotations
@@ -10,22 +12,33 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations
 
-from stashpeel import Hypergraph, k_core_after
+from stashpeel import Hypergraph
 
 
-def cores_by_enumeration(g: Hypergraph, ks) -> dict[int, tuple[frozenset[int], frozenset[int]]]:
-    """Maximal subgraph of minimum degree >= k for each k, by trying every
-    vertex subset.
+def _live(g: Hypergraph, stash_vertices=(), stash_edges=()) -> tuple[set[int], dict[int, tuple[int, ...]]]:
+    """The vertices and edges of g left after a stash: the stashed vertices,
+    the stashed edges and the edges on stashed vertices are gone."""
+    vertices = set(g.vertices) - set(stash_vertices)
+    edges = {e: g.edge_vertices(e) for e in set(g.edges) - set(stash_edges)}
+    return vertices, {e: vs for e, vs in edges.items() if vertices.issuperset(vs)}
+
+
+def cores_by_enumeration(
+    g: Hypergraph, ks, stash_vertices=(), stash_edges=()
+) -> dict[int, tuple[frozenset[int], frozenset[int]]]:
+    """Maximal subgraph of minimum degree >= k for each k, of g minus a
+    stash, by trying every vertex subset.
 
     A subset qualifies when every member has at least k induced edges; the
     union of qualifying subsets is itself qualifying and is the k-core.
     Subsets are walked as bitmasks so n up to ~12 stays cheap.
     """
-    vertices = sorted(g.vertices)
+    live_v, live_e = _live(g, stash_vertices, stash_edges)
+    vertices = sorted(live_v)
     n = len(vertices)
     index = {v: i for i, v in enumerate(vertices)}
     edge_masks = []
-    for vs in g.edges.values():
+    for vs in live_e.values():
         mask = 0
         idxs = []
         for v in vs:
@@ -46,45 +59,58 @@ def cores_by_enumeration(g: Hypergraph, ks) -> dict[int, tuple[frozenset[int], f
     out = {}
     for k, mask in best.items():
         core_v = frozenset(vertices[i] for i in range(n) if mask >> i & 1)
-        core_e = frozenset(e for e, vs in g.edges.items() if all(v in core_v for v in vs))
+        core_e = frozenset(e for e, vs in live_e.items() if all(v in core_v for v in vs))
         out[k] = (core_v, core_e)
     return out
 
 
-def core_by_enumeration(g: Hypergraph, k: int) -> tuple[frozenset[int], frozenset[int]]:
-    return cores_by_enumeration(g, (k,))[k]
+def core_by_enumeration(
+    g: Hypergraph, k: int, stash_vertices=(), stash_edges=()
+) -> tuple[frozenset[int], frozenset[int]]:
+    return cores_by_enumeration(g, (k,), stash_vertices, stash_edges)[k]
 
 
-def peel_order_by_repeated_removal(g: Hypergraph, k: int, order_seed: int | None = None) -> tuple[int, ...]:
-    """Peel order by removing, from a copy, the vertex of degree < k that
-    comes first until none is left.  Without a seed the lowest id comes
-    first; with one, the lowest of ``random.Random(order_seed).random()``
-    drawn for each vertex in ascending id order, ties to the lower id."""
+def peel_by_repeated_removal(
+    g: Hypergraph, k: int, order_seed: int | None = None, stash_vertices=(), stash_edges=()
+) -> tuple[tuple[int, ...], frozenset[int], frozenset[int]]:
+    """(peel order, core vertices, core edges) of g minus a stash, by
+    removing the vertex of degree < k that comes first, with its edges,
+    until none is left.
+
+    Without a seed the lowest id comes first; with one, the lowest of
+    ``random.Random(order_seed).random()`` drawn for each vertex in
+    ascending id order, ties to the lower id.  Every seed gives a valid
+    peel schedule of its own, and the core must not depend on it.
+    """
+    vertices, edges = _live(g, stash_vertices, stash_edges)
     if order_seed is None:
-        prio = {v: v for v in g.vertices}
+        prio = {v: v for v in vertices}
     else:
         rng = random.Random(order_seed)
-        prio = {v: rng.random() for v in sorted(g.vertices)}
-    h = g.copy()
+        prio = {v: rng.random() for v in sorted(vertices)}
     order = []
     while True:
-        low = [v for v in h.vertices if h.degree(v) < k]
+        deg = dict.fromkeys(vertices, 0)
+        for vs in edges.values():
+            for v in vs:
+                deg[v] += 1
+        low = [v for v in vertices if deg[v] < k]
         if not low:
-            return tuple(order)
-        order.append(min(low, key=lambda v: (prio[v], v)))
-        h.remove_vertex(order[-1])
+            return tuple(order), frozenset(vertices), frozenset(edges)
+        v = min(low, key=lambda v: (prio[v], v))
+        order.append(v)
+        vertices.remove(v)
+        edges = {e: vs for e, vs in edges.items() if v not in vs}
 
 
-def core_subgraph_by_removal(g: Hypergraph, trace) -> Hypergraph:
-    """The trace's core cut out of a copy of g: every vertex outside
-    ``trace.core_vertices``, then every edge outside ``trace.core_edges``,
-    removed one at a time."""
-    h = g.copy()
-    for v in sorted(h.vertices - trace.core_vertices):
-        h.remove_vertex(v)
-    for e in sorted(set(h.edges) - trace.core_edges):
-        h.remove_edge(e)
-    return h
+def core_layout_by_renumbering(g: Hypergraph, core_vertices, core_edges) -> tuple:
+    """What the core holds, as ``helpers.layout`` shows it: arity, the core
+    edges in ascending id order with their vertices renamed by rank among
+    the core vertices, and each core vertex's edges."""
+    rank = {v: i for i, v in enumerate(sorted(core_vertices))}
+    edges = [tuple(rank[v] for v in g.edge_vertices(e)) for e in sorted(core_edges)]
+    incidence = [[i for i, vs in enumerate(edges) if v in vs] for v in range(len(rank))]
+    return g.d, edges, incidence
 
 
 def serialize_by_rendering(g: Hypergraph) -> str:
@@ -97,10 +123,10 @@ def serialize_by_rendering(g: Hypergraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _core_after(g: Hypergraph, k: int, kind: str, stash):
+def _core_after(g: Hypergraph, k: int, kind: str, stash) -> tuple[frozenset[int], frozenset[int]]:
     if kind == "vertex":
-        return k_core_after(g, k, stash_vertices=stash)
-    return k_core_after(g, k, stash_edges=stash)
+        return peel_by_repeated_removal(g, k, stash_vertices=stash)[1:]
+    return peel_by_repeated_removal(g, k, stash_edges=stash)[1:]
 
 
 def min_stash_by_enumeration(g: Hypergraph, k: int, kind: str) -> frozenset[int]:
@@ -110,7 +136,7 @@ def min_stash_by_enumeration(g: Hypergraph, k: int, kind: str) -> frozenset[int]
     pool = sorted(g.vertices) if kind == "vertex" else sorted(g.edges)
     for size in range(len(pool) + 1):
         for subset in combinations(pool, size):
-            if _core_after(g, k, kind, subset).core_empty:
+            if not _core_after(g, k, kind, subset)[0]:
                 return frozenset(subset)
     raise AssertionError("stashing everything always works")
 
@@ -126,24 +152,24 @@ def greedy_stash_by_repeeling(
     """The greedy heuristic's stash, re-peeling the whole input after each pick.
 
     Each round takes the k-core of g minus the stash so far from
-    ``k_core_after`` and picks as ``greedy_stash`` documents: maximum core
+    ``peel_by_repeated_removal`` and picks as ``greedy_stash`` documents: maximum core
     degree (for edges, the sum over its vertices), lowest id on ties; the
     lowest id; or ``random.Random(seed).choice`` over the sorted pool.
     """
     rng = random.Random(seed)
     stash: set[int] = set()
     while True:
-        core = _core_after(g, k, mode, stash)
-        if core.core_empty:
+        core_v, core_e = _core_after(g, k, mode, stash)
+        if not core_v:
             return frozenset(stash)
-        deg = {v: 0 for v in core.core_vertices}
-        for e in core.core_edges:
+        deg = {v: 0 for v in core_v}
+        for e in core_e:
             for v in g.edge_vertices(e):
                 deg[v] += 1
         if mode == "vertex":
-            pool, score = sorted(core.core_vertices), deg.__getitem__
+            pool, score = sorted(core_v), deg.__getitem__
         else:
-            pool = sorted(core.core_edges)
+            pool = sorted(core_e)
             score = lambda e: sum(deg[v] for v in g.edge_vertices(e))
         if tie_break == "max_degree":
             best = max(score(x) for x in pool)

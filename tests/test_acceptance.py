@@ -8,7 +8,7 @@ import time
 
 from stashpeel import (
     CapExceededError,
-    Gadget,
+    PeelTrace,
     audit_p1,
     build_b_block,
     build_ck_gadget,
@@ -20,6 +20,7 @@ from stashpeel import (
     check_ck_properties,
     check_pk_gadget,
     check_stable_block,
+    gen_random,
     greedy_stash,
     k_core,
     k_core_after,
@@ -34,10 +35,8 @@ from stashpeel import (
     two_edge_stash_standard,
     verify_trace,
 )
-from stashpeel.cli import gen_random
-
-from helpers import mkgraph
-from oracles import connected_components, cores_by_enumeration, nonisomorphic_graphs
+from helpers import gadget_without, mkgraph
+from oracles import connected_components, cores_by_enumeration, nonisomorphic_graphs, peel_by_repeated_removal
 
 SIZE_BOUND_C = 6  # pinned constant for criterion 8
 
@@ -86,9 +85,10 @@ def test_criterion_2_order_independence():
         k = 2 + i % 2
         base = k_core(g, k)
         for seed in range(20):
-            other = k_core(g, k, order_seed=seed)
-            if (other.core_vertices, other.core_edges) != (base.core_vertices, base.core_edges):
+            order, core_v, core_e = peel_by_repeated_removal(g, k, seed)
+            if (core_v, core_e) != (base.core_vertices, base.core_edges):
                 violations.append((i, k, seed))
+            other = PeelTrace(k, order, frozenset(g.edges) - core_e, core_v, core_e)
             if not verify_trace(g, other):
                 violations.append((i, k, seed, "replay"))
     _report(2, "order independence", violations, time.time() - t0, 30.0,
@@ -110,12 +110,6 @@ def test_criterion_3_cyclomatic_solver():
             violations.append((i, "invalid stash"))
     _report(3, "cyclomatic 2-edge-stash", violations, time.time() - t0, 30.0,
             f"{len(corpus)} instances")
-
-
-def _mutated(gadget: Gadget, eid: int) -> Gadget:
-    g = gadget.graph.copy()
-    g.remove_edge(eid)
-    return Gadget(g, gadget.ports, gadget.estar - {eid}, dict(gadget.params), dict(gadget.meta))
 
 
 def test_criterion_4_gadget_grid_and_negative_controls():
@@ -141,7 +135,7 @@ def test_criterion_4_gadget_grid_and_negative_controls():
         # the first edge always carries a degree-exactly-k vertex, so its
         # loss is observable (some later edges are harmlessly redundant)
         eid = sorted(gadget.graph.edges)[0]
-        report = check(_mutated(gadget, eid))
+        report = check(gadget_without(gadget, edges=[eid]))
         if not report.all_passed and all(c.witness for c in report.failures()):
             detected += 1
         else:

@@ -3,8 +3,8 @@ from io import StringIO
 
 import pytest
 
-from stashpeel import ParameterError, is_k_peelable, parse
-from stashpeel.cli import gen_random, run
+from stashpeel import ParameterError, gen_random, is_k_peelable, parse
+from stashpeel.cli import run
 
 from helpers import mkgraph, run_python
 
@@ -291,6 +291,16 @@ def test_reduce_then_lift_vstash_roundtrip(files, tmp_path):
     estash.write_text(pushed)
     code, lifted, _ = invoke("lift", "--map", mp, "--stash", str(estash))
     assert code == 0 and lifted == "S v 0\n"
+
+
+@pytest.mark.parametrize("source, stash", [("vstash", "S e -1"), ("vstash", "S v -1"), ("vc", "S v -1")])
+def test_lift_with_a_negative_id_is_input_error(files, tmp_path, source, stash):
+    mp = str(tmp_path / "tri.map")
+    assert invoke("reduce", "--from", source, "--k", "3", "--d", "2", "--map-out", mp, files["tri"])[0] == 0
+    path = tmp_path / "stash.txt"
+    path.write_text(stash + "\n")
+    code, out, err = invoke("lift", "--map", mp, "--stash", str(path))
+    assert code == 2 and not out and err.startswith("error: ")
 
 
 def test_reduce_vc_and_normalize_via_lift(files, tmp_path):

@@ -10,12 +10,13 @@ from stashpeel import (
     ParameterError,
     ParseError,
     format_stash,
+    k_core_after,
     parse,
     parse_stash,
     serialize,
 )
 
-from helpers import hypergraphs, layout, mkgraph, sparse_hypergraphs, triangle
+from helpers import hypergraphs, layout, mkgraph, triangle
 from oracles import serialize_by_rendering
 
 TRIANGLE_TEXT = "h 2 3 3\ne 0 1\ne 1 2\ne 2 0\n"
@@ -43,42 +44,35 @@ def test_degree_unknown_vertex():
         triangle().degree(7)
 
 
-def test_remove_vertex_from_triangle():
-    g = triangle()
-    g.remove_vertex(0)
-    assert g.vertices == {1, 2}
-    assert list(g.edges.values()) == [(1, 2)]
-    g.validate()
-
-
-def test_remove_edge_from_triangle():
-    g = triangle()
-    g.remove_edge(0)
-    assert g.num_vertices == 3 and g.num_edges == 2
-    g.validate()
-
-
-def test_remove_vertex_from_single_3_edge():
-    g = mkgraph(3, [(0, 1, 2)], d=3)
-    g.remove_vertex(0)
-    assert g.vertices == {1, 2} and g.num_edges == 0
-
-
-def test_remove_unknown_ids():
-    g = triangle()
-    with pytest.raises(NotFoundError):
-        g.remove_vertex(9)
-    with pytest.raises(NotFoundError):
-        g.remove_edge(9)
-
-
 def test_ids_never_reused():
+    # ids are positions: each add hands out the next one
     g = triangle()
-    g.remove_vertex(2)
     assert g.add_vertex() == 3
-    g.remove_edge(0)
-    g.add_vertex()
-    assert g.add_edge((0, 1)) == 3
+    assert g.add_vertices(2) == [4, 5]
+    assert g.add_edge((0, 5)) == 3
+    assert (g.vertices, set(g.edges)) == (set(range(6)), set(range(4)))
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 10**9])
+def test_bad_ids_are_rejected(bad):
+    g = triangle()
+    assert not g.has_vertex(bad) and not g.has_edge(bad)
+    for query in (g.edge_vertices, g.degree, g.incident_edges):
+        with pytest.raises(NotFoundError):
+            query(bad)
+    with pytest.raises(NotFoundError):
+        k_core_after(g, 2, stash_vertices=[bad])
+    with pytest.raises(NotFoundError):
+        k_core_after(g, 2, stash_edges=[bad])
+    with pytest.raises(NotFoundError):
+        g.add_edge((0, bad))
+    g.validate()
+
+
+def test_parse_rejects_a_negative_vertex_id():
+    with pytest.raises(ParseError) as exc:
+        parse("h 2 2 1\ne -1 0")
+    assert exc.value.line == 2 and str(exc.value) == "line 2: unknown vertex id -1"
 
 
 def test_add_edge_validation():
@@ -164,22 +158,13 @@ def test_declared_vertices_stay_small():
     finally:
         tracemalloc.stop()
     assert g.num_vertices == n
-    assert per_vertex < 200
+    assert per_vertex < 114
 
 
 def test_roundtrip_identity_on_canonical_input():
     g = triangle()
     assert parse(serialize(g)) == g
     assert serialize(parse(TRIANGLE_TEXT)) == TRIANGLE_TEXT
-
-
-def test_serialize_renumbers_after_removals():
-    g = triangle()
-    g.remove_vertex(0)
-    text = serialize(g)
-    assert text.startswith("h 2 2 1")
-    h = parse(text)
-    assert sorted(h.degree(v) for v in h.vertices) == sorted(g.degree(v) for v in g.vertices)
 
 
 def test_stash_file_roundtrip():
@@ -196,20 +181,20 @@ def test_stash_file_roundtrip():
 
 @settings(max_examples=60, deadline=None)
 @given(hypergraphs(), st.randoms(use_true_random=False))
-def test_incidence_consistent_under_random_removals(g, rng):
+def test_incidence_consistent_under_random_adds(g, rng):
     g.validate()
-    while g.num_vertices:
-        if g.num_edges and rng.random() < 0.4:
-            e = rng.choice(sorted(g.edges))
-            before = g.num_vertices
-            g.remove_edge(e)
-            assert g.num_vertices == before
+    for _ in range(12):
+        n, m = g.num_vertices, g.num_edges
+        if rng.random() < 0.3:
+            assert g.add_vertex() == n
+            assert g.degree(n) == 0
         else:
-            v = rng.choice(sorted(g.vertices))
-            before = g.num_edges
-            deg = g.degree(v)
-            g.remove_vertex(v)
-            assert g.num_edges == before - deg
+            vs = rng.sample(range(n), g.d)
+            degrees = [g.degree(v) for v in vs]
+            assert g.add_edge(vs) == m
+            assert [g.degree(v) for v in vs] == [c + 1 for c in degrees]
+            assert g.edge_vertices(m) == tuple(vs)
+        assert (g.num_vertices, g.num_edges) in ((n + 1, m), (n, m + 1))
         g.validate()
 
 
@@ -222,17 +207,15 @@ def test_serialize_parse_roundtrip_random(g):
 
 
 @settings(max_examples=80, deadline=None)
-@given(sparse_hypergraphs())
+@given(hypergraphs())
 def test_serialize_matches_reference_renderer(g):
     text = serialize(g)
     assert text == serialize_by_rendering(g)
     h = parse(text)
     h.validate()
-    # parsing renumbers to contiguous ids in ascending order of the old ones
-    rank = {v: i for i, v in enumerate(sorted(g.vertices))}
-    renumbered = [tuple(rank[v] for v in g.edge_vertices(e)) for e in sorted(g.edges)]
-    assert list(h.edges.values()) == renumbered
-    assert (h.num_vertices, h._next_vertex, h._next_edge) == (g.num_vertices, g.num_vertices, g.num_edges)
+    # parsing gives every vertex and edge back its id
+    assert list(h.edges.values()) == [g.edge_vertices(e) for e in sorted(g.edges)]
+    assert (h.num_vertices, h.num_edges) == (g.num_vertices, g.num_edges)
     assert serialize(h) == text
 
 

@@ -16,8 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stashpeel import ParseError, StashpeelError, format_stash, parse, parse_stash, serialize
-from stashpeel.cli import gen_random
+from stashpeel import ParseError, StashpeelError, format_stash, gen_random, parse, parse_stash, serialize
 from stashpeel.reductions import (
     parse_map,
     reduce_vc_to_vertex_stash,

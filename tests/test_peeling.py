@@ -17,17 +17,8 @@ from stashpeel import (
 )
 from stashpeel.peeling import PeelCore, peel_edges
 
-from helpers import (
-    complete_graph,
-    hypergraphs,
-    layout,
-    mkgraph,
-    path,
-    sparse_hypergraphs,
-    triangle,
-    two_triangles,
-)
-from oracles import core_by_enumeration, core_subgraph_by_removal, peel_order_by_repeated_removal
+from helpers import complete_graph, hypergraphs, layout, mkgraph, path, triangle, two_triangles, without
+from oracles import core_by_enumeration, core_layout_by_renumbering, peel_by_repeated_removal
 
 
 def test_path_has_empty_2_core():
@@ -97,9 +88,7 @@ def test_k_core_after_stash_vertex_on_triangle():
 def test_k_core_after_disjoint_triangles_matches_oracle():
     g = two_triangles()
     trace = k_core_after(g, 2, stash_edges=[0])
-    pruned = g.copy()
-    pruned.remove_edge(0)
-    want_v, want_e = core_by_enumeration(pruned, 2)
+    want_v, want_e = core_by_enumeration(g, 2, stash_edges=[0])
     assert trace.core_vertices == want_v == {3, 4, 5}
     assert trace.core_edges == want_e
 
@@ -153,9 +142,8 @@ def test_core_subgraph_of_a_stashed_trace_holds_only_the_core():
         assert (trace.core_vertices, trace.core_edges) == (want_v, want_e)
         core = core_subgraph(g, trace)
         core.validate()
-        assert core.vertices == trace.core_vertices
-        assert set(core.edges) == trace.core_edges
-        assert layout(core) == layout(core_subgraph_by_removal(g, trace))
+        assert (core.num_vertices, core.num_edges) == (len(want_v), len(want_e))
+        assert layout(core) == core_layout_by_renumbering(g, want_v, want_e)
 
 
 def _tail_triangle() -> Hypergraph:
@@ -210,26 +198,33 @@ def test_verify_trace_rejects_bad_traces(g, peeled, wrong_order):
     assert {name: verify_trace(g, t) for name, t in bad.items()} == dict.fromkeys(bad, False)
 
 
+def _trace_of_schedule(g: Hypergraph, k: int, order_seed: int | None) -> PeelTrace:
+    """The trace of the oracle's peel schedule for this seed."""
+    order, core_v, core_e = peel_by_repeated_removal(g, k, order_seed)
+    return PeelTrace(k, order, frozenset(g.edges) - core_e, core_v, core_e)
+
+
 @settings(max_examples=80, deadline=None)
-@given(sparse_hypergraphs(), st.sampled_from((1, 2, 3)), st.one_of(st.none(), st.integers(0, 2**32)))
+@given(hypergraphs(), st.sampled_from((1, 2, 3)), st.one_of(st.none(), st.integers(0, 2**32)))
 def test_verify_trace_accepts_every_k_core_trace(g, k, order_seed):
-    assert verify_trace(g, k_core(g, k, order_seed=order_seed))
+    assert verify_trace(g, k_core(g, k))
+    assert verify_trace(g, _trace_of_schedule(g, k, order_seed))
 
 
 @settings(max_examples=80, deadline=None)
-@given(sparse_hypergraphs(), st.sampled_from((1, 2, 3)), st.data())
+@given(hypergraphs(), st.sampled_from((1, 2, 3)), st.data())
 def test_core_subgraph_matches_copy_and_remove(g, k, data):
     stash_v = data.draw(st.sets(st.sampled_from(sorted(g.vertices)), max_size=2)) if g.num_vertices else set()
     stash_e = data.draw(st.sets(st.sampled_from(sorted(g.edges)), max_size=2)) if g.num_edges else set()
     before = layout(g)
     for trace in (k_core(g, k), k_core_after(g, k, stash_v, stash_e)):
         core = core_subgraph(g, trace)
-        assert layout(core) == layout(core_subgraph_by_removal(g, trace))
+        assert layout(core) == core_layout_by_renumbering(g, trace.core_vertices, trace.core_edges)
         core.validate()
         # the result shares no mutable state with its input
-        for v in sorted(core.vertices):
-            core.remove_vertex(v)
         core.add_edge(core.add_vertices(core.d))
+        for vs in list(core.edges.values()):
+            core.add_edge(vs)
         assert layout(g) == before
         g.validate()
 
@@ -249,7 +244,7 @@ def test_core_matches_enumeration_oracle(g, k):
 def test_order_independence_under_random_worklists(g, k, seeds):
     base = k_core(g, k)
     for seed in seeds:
-        other = k_core(g, k, order_seed=seed)
+        other = _trace_of_schedule(g, k, seed)
         assert other.core_vertices == base.core_vertices
         assert other.core_edges == base.core_edges
         assert verify_trace(g, other)
@@ -260,9 +255,10 @@ def test_order_independence_under_random_worklists(g, k, seeds):
 def test_idempotence_and_threshold_monotonicity(g, k):
     trace = k_core(g, k)
     core = core_subgraph(g, trace)
+    assert (core.num_vertices, core.num_edges) == (len(trace.core_vertices), len(trace.core_edges))
     again = k_core(core, k)
-    assert again.core_vertices == trace.core_vertices
-    assert again.core_edges == trace.core_edges
+    assert again.core_vertices == core.vertices
+    assert again.core_edges == set(core.edges)
     higher = k_core(g, k + 1)
     assert higher.core_vertices <= trace.core_vertices
     assert higher.core_edges <= trace.core_edges
@@ -288,11 +284,11 @@ def test_removal_monotonicity(g, k):
     st.lists(st.tuples(st.booleans(), st.integers(0, 2**16)), max_size=5),
 )
 def test_peel_core_stash_and_undo_track_k_core_after(g, k, picks):
-    core = PeelCore(g.edges, k)
+    core = PeelCore(g, k)
 
     def state():
-        live_v = frozenset(core.vertex_ids[v] for v, a in enumerate(core.vertex_alive) if a)
-        live_e = frozenset(core.edge_ids[e] for e, a in enumerate(core.edge_alive) if a)
+        live_v = frozenset(v for v, a in enumerate(core.vertex_alive) if a)
+        live_e = frozenset(e for e, a in enumerate(core.edge_alive) if a)
         assert core.live_edges == len(live_e)
         for v, c in enumerate(core.degree):
             assert c == sum(1 for e in core.vertex_edges[v] if core.edge_alive[e])
@@ -310,10 +306,10 @@ def test_peel_core_stash_and_undo_track_k_core_after(g, k, picks):
         x = live[i % len(live)]
         if by_vertex:
             core.stash_vertex(x)
-            stash_v.append(core.vertex_ids[x])
+            stash_v.append(x)
         else:
             core.stash_edge(x)
-            stash_e.append(core.edge_ids[x])
+            stash_e.append(x)
         want = k_core_after(g, k, stash_vertices=stash_v, stash_edges=stash_e)
         assert state()[:2] == (want.core_vertices, want.core_edges)
     for mark, before in reversed(history):
@@ -332,24 +328,31 @@ def test_peel_edges_matches_enumeration(g, k):
 def test_k_core_after_mixed_stash_matches_enumeration(g, k, data):
     stash_v = data.draw(st.sets(st.sampled_from(sorted(g.vertices)), max_size=3))
     stash_e = data.draw(st.sets(st.sampled_from(sorted(g.edges)), max_size=3)) if g.num_edges else set()
-    h = g.copy()
-    for e in stash_e:
-        h.remove_edge(e)
-    for v in stash_v:
-        h.remove_vertex(v)
     got = k_core_after(g, k, stash_vertices=stash_v, stash_edges=stash_e)
-    assert (got.core_vertices, got.core_edges) == core_by_enumeration(h, k)
-    assert verify_trace(h, got)
+    assert (got.core_vertices, got.core_edges) == core_by_enumeration(g, k, stash_v, stash_e)
+    # the trace, renumbered like the graph left after the stash, replays on it
+    h, vmap, emap = without(g, stash_v, stash_e)
+    renumbered = PeelTrace(
+        k,
+        tuple(vmap[v] for v in got.peeled_vertices),
+        frozenset(map(emap.__getitem__, got.peeled_edges)),
+        frozenset(map(vmap.__getitem__, got.core_vertices)),
+        frozenset(map(emap.__getitem__, got.core_edges)),
+    )
+    assert verify_trace(h, renumbered)
 
 
 @settings(max_examples=60, deadline=None)
-@given(sparse_hypergraphs(max_edges=12), st.sampled_from((1, 2, 3)))
+@given(hypergraphs(max_edges=12), st.sampled_from((1, 2, 3)))
 def test_k_core_peels_lowest_id_first(g, k):
-    assert k_core(g, k).peeled_vertices == peel_order_by_repeated_removal(g, k)
+    order, core_v, core_e = peel_by_repeated_removal(g, k)
+    trace = k_core(g, k)
+    assert (trace.peeled_vertices, trace.core_vertices, trace.core_edges) == (order, core_v, core_e)
 
 
-@settings(max_examples=60, deadline=None)
-@given(sparse_hypergraphs(max_edges=12), st.sampled_from((1, 2, 3)), st.integers(0, 2**32))
-def test_seeded_k_core_peels_in_seeded_order(g, k, order_seed):
-    want = peel_order_by_repeated_removal(g, k, order_seed)
-    assert k_core(g, k, order_seed=order_seed).peeled_vertices == want
+def test_peel_edges_rejects_maps_that_are_not_canonical():
+    for edges in ({1: (0, 1)}, {0: (0, 1), 2: (1, 2)}, {0: (-1, 0)}, {0: (0, 0)}, {0: (0, 1), 1: (0, 1, 2)}):
+        with pytest.raises(ParameterError):
+            peel_edges(edges, 2)
+    assert peel_edges({}, 2) == {}
+    assert peel_edges({1: (0, 2), 0: (2, 1), 2: (1, 0)}, 2) == {0: (2, 1), 1: (0, 2), 2: (1, 0)}

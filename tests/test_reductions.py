@@ -9,6 +9,7 @@ from stashpeel import (
     UnsupportedCaseError,
     audit_p1,
     audit_pk_properties,
+    gen_random,
     greedy_stash,
     is_k_peelable,
     k_core_after,
@@ -23,7 +24,6 @@ from stashpeel import (
     reduce_vertex_to_edge_stash,
     serialize_map,
 )
-from stashpeel.cli import gen_random
 
 from helpers import complete_graph, mkgraph, run_python, triangle
 

@@ -9,6 +9,7 @@ from stashpeel import (
     CapExceededError,
     InvalidArityError,
     ParameterError,
+    gen_random,
     greedy_stash,
     k_core_after,
     min_edge_stash_exact,
@@ -19,10 +20,9 @@ from stashpeel import (
     stash_solvers,
     two_edge_stash_standard,
 )
-from stashpeel.cli import gen_random
 from stashpeel.stash_solvers import TIE_BREAKS
 
-from helpers import complete_graph, hypergraphs, mkgraph, path, run_python, triangle, two_triangles
+from helpers import complete_graph, hypergraphs, mkgraph, path, run_python, triangle, two_triangles, without
 from oracles import (
     connected_components,
     greedy_stash_by_repeeling,
@@ -125,9 +125,7 @@ def test_cyclomatic_certificate_leaves_acyclic_remainder():
     g = gen_random(8, 13, 2, 5)
     cert = two_edge_stash_standard(g)
     assert cert.components == connected_components(g)
-    pruned = g.copy()
-    for e in cert.removed_edges:
-        pruned.remove_edge(e)
+    pruned = without(g, edges=cert.removed_edges)[0]
     # acyclic iff every component is a tree
     assert pruned.num_edges == pruned.num_vertices - connected_components(pruned)
     assert k_core_after(g, 2, stash_edges=cert.removed_edges).core_empty
@@ -227,7 +225,7 @@ def test_certificate_checks_survive_python_optimize():
     script = textwrap.dedent("""
         import dataclasses, sys
         from stashpeel import stash_solvers
-        from stashpeel.cli import gen_random
+        from stashpeel import gen_random
 
         real = stash_solvers.k_core_after
 
