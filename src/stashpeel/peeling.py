@@ -194,6 +194,8 @@ def peel_edges(edges: dict[int, tuple[int, ...]], k: int) -> dict[int, tuple[int
     ``Hypergraph.edges``; the map is checked like ``Hypergraph.add_edge``
     input.
     """
+    if k < 1:
+        raise ParameterError(f"k must be at least 1, got {k}")
     m = len(edges)
     if not all(e in edges for e in range(m)):
         raise ParameterError(f"edge ids must be 0..{m - 1}")

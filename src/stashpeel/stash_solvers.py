@@ -21,6 +21,17 @@ rather than finding its own, and new witnesses are found on a throwaway
 copy of the core, so the search core's trail holds only the branch's
 stashes.
 
+A minimum stash is a minimum hitting set of the witnesses, so witnesses
+that share no element a stash may still use bound it from below.  A node
+with budget >= 2 packs them greedily on a copy of its core: it stashes its
+prefix witness's elements >= `first` (the smallest id the node may still
+stash), takes the copy's prefix witness as the next, and repeats until the
+copy empties.  Every stash below the node hits each packed witness in an
+element of its own, so a node with more packed witnesses than budget, or
+one with no element >= `first`, holds no stash and is cut; with exactly
+as many, only packed elements are tried.  The root's packing is taken
+once, and iterative deepening starts at its count.
+
 Greedy runs on the same structure without undo.  Every stash returned is
 re-checked by ``k_core_after`` on the input graph.  Instances are expected
 to be desk-scale; correctness is the point.
@@ -94,12 +105,50 @@ def _prefix_witness(core: PeelCore, kind: str) -> tuple[int, list[bool]]:
     return y, alive
 
 
+def _packing(
+    core: PeelCore, kind: str, limit: int, first: int, y: int, flags: list[bool]
+) -> tuple[int, set[int]]:
+    """Greedily pack witnesses of `core` that are pairwise disjoint on the
+    ids >= `first`.  Returns their number, or `limit` + 1 once there are
+    more than `limit` or one has no id >= `first`, and the packed
+    witnesses' ids >= `first`.
+
+    `flags` marks the first witness, whose ids are all <= y, with y >=
+    `first`.  On a copy of `core`, stashes the witness's ids >= `first`,
+    takes the copy's prefix witness as the next one, and repeats until the
+    copy empties.  Each witness lies in what the ones before it left alive,
+    so a stash of ids >= `first` hits each in an id of its own: no such
+    stash is smaller than the count, and one of exactly that size holds
+    only packed ids.  `core` itself is not touched.
+    """
+    w = core.copy()
+    if kind == "vertex":
+        alive, stash = w.vertex_alive, w.stash_vertex
+    else:
+        alive, stash = w.edge_alive, w.stash_edge
+    packed, hit = 0, set()
+    while True:
+        for x in compress(range(first, y + 1), flags[first : y + 1]):
+            hit.add(x)
+            if alive[x]:
+                stash(x)
+        packed += 1
+        if not w.live_edges:
+            return packed, hit
+        if packed >= limit:
+            return limit + 1, hit
+        y, flags = _prefix_witness(w, kind)
+        if y < first:
+            return limit + 1, hit
+
+
 def _search(
     core: PeelCore,
     kind: str,
     budget: int,
     first: int,
     witness: tuple[int, list[bool]] | None = None,
+    packing: tuple[int, set[int]] | None = None,
 ) -> list[int] | None:
     """Lexicographically first `budget` more ids, each at least `first`,
     whose stashing empties `core`, or None.
@@ -112,8 +161,15 @@ def _search(
     witness inherits it as `witness`: the witness has minimum degree >= k
     without that element, so it survives the cascade and is the child's
     prefix core at y, while the child's prefix cores below y lie inside the
-    parent's empty ones.  A failed search leaves `core` as it found it; a
-    successful one leaves the stash applied.
+    parent's empty ones.
+
+    A node with budget >= 2 also packs witnesses disjoint on the ids >=
+    `first` (`_packing`), which every stash from here on must hit in ids
+    of their own: with more than `budget` of them the node holds no stash,
+    and with exactly `budget` every stash id is a packed one, so the scan
+    skips the rest.  `packing` is the node's packing when the caller has
+    it; the root's is the same at every budget.  A failed search leaves
+    `core` as it found it; a successful one leaves the stash applied.
     """
     if kind == "vertex":
         alive, stash = core.vertex_alive, core.stash_vertex
@@ -133,7 +189,12 @@ def _search(
         return None
     if y < first:
         return None
+    packed, hit = packing or _packing(core, kind, budget, first, y, flags)
+    if packed > budget:
+        return None
     for x in compress(range(first, y + 1), alive[first : y + 1]):
+        if packed == budget and x not in hit:
+            continue
         stash(x)
         if not core.live_edges:
             return [x]
@@ -161,8 +222,10 @@ def _min_stash_exact(g: Hypergraph, k: int, size_cap: int, kind: str) -> StashRe
     core = PeelCore(g, k)
     if not core.live_edges:
         return StashResult(kind, frozenset(), True)
-    for budget in range(1, size_cap + 1):
-        found = _search(core, kind, budget, 0)
+    witness = _prefix_witness(core, kind)
+    packing = _packing(core, kind, size_cap, 0, *witness)
+    for budget in range(packing[0], size_cap + 1):
+        found = _search(core, kind, budget, 0, witness, packing)
         if found is not None:
             stash = frozenset(found)
             _certify(g, k, kind, stash)

@@ -168,7 +168,8 @@ def test_criterion_5_vertex_cover_reduction():
 
 def _criterion_6_corpus():
     """50 instances per case with every vertex used; stash sizes stay <= 2
-    at these densities by construction of the shapes."""
+    at these densities by construction of the shapes.  Then pinned draws of
+    denser shapes whose minimum stash is 3, each found by scanning seeds."""
     cases = []
     for k, d, shapes in (
         (3, 2, [(3, 4), (4, 5), (5, 6), (4, 7), (5, 8), (5, 9)]),
@@ -184,13 +185,18 @@ def _criterion_6_corpus():
                 continue
             picked.append(g)
         cases.append((k, d, picked))
+    for k, d, draws in (
+        (3, 2, [(7, 14, 302), (8, 22, 6), (8, 22, 28)]),
+        (2, 3, [(8, 18, 21), (8, 18, 38), (8, 18, 46)]),
+    ):
+        cases.append((k, d, [gen_random(n, m, d, seed) for n, m, seed in draws]))
     return cases
 
 
 def test_criterion_6_edge_stash_reduction():
     t0 = time.time()
     violations = []
-    nonzero = 0
+    nonzero = deep = 0
     maps = []
     for k, d, corpus in _criterion_6_corpus():
         for i, g in enumerate(corpus):
@@ -205,15 +211,18 @@ def test_criterion_6_edge_stash_reduction():
             if vs.size != es.size:
                 violations.append((k, d, i, vs.size, es.size))
             nonzero += vs.size > 0
+            deep += vs.size >= 3
             pushed = push_vertex_stash(g, rmap, vs.stash)
             lifted = lift_edge_stash(fg, rmap, pushed)
             if len(pushed) != vs.size or len(lifted) > len(pushed):
                 violations.append((k, d, i, "round trip grew"))
     if nonzero < 20:
         violations.append(("corpus too easy", nonzero))
+    if deep < 6:
+        violations.append(("too few stash-3 instances", deep))
     test_criterion_6_edge_stash_reduction.maps = maps
     _report(6, "edge-stash reduction", violations, time.time() - t0, 600.0,
-            f"100 instances, {nonzero} with nonzero stash, round trips valid")
+            f"106 instances, {nonzero} with nonzero stash, {deep} with stash 3, round trips valid")
 
 
 def _collected_maps():

@@ -24,6 +24,7 @@ INSTANCES = {
     "g3": (9, 10, 3, 2),
     "vc": (5, 6, 2, 3),
     "vs": (6, 12, 2, 4),
+    "v5": (9, 14, 2, 60308648),  # its k=2 d=2 vc reduction has minimum vertex stash 5
 }
 
 
@@ -56,6 +57,11 @@ def _cases(tmp: Path):
     yield "exact-vs", ["stash-exact", "--k", "3", "--mode", "vertex", f["vs"]], (), p("vs.stash")
     yield "lift-push", ["lift", "--map", p("vs.map"), "--stash", p("vs.stash")], (), p("vs.estash")
     yield "lift-edge", ["lift", "--map", p("vs.map"), "--stash", p("vs.estash")], (), None
+    argv = ["reduce", "--from", "vc", "--k", "2", "--d", "2", "--map-out", p("v5.map"), f["v5"]]
+    yield "reduce-v5", argv, (), p("v5.red")
+    yield "exact-v5-red", ["stash-exact", "--k", "2", "--mode", "vertex", p("v5.red")], (), None
+    argv = ["stash-exact", "--k", "2", "--mode", "vertex", "--cap", "4", p("v5.red")]
+    yield "exact-v5-red-cap4", argv, (), None
     for kind in ("ck", "b2", "b3", "simple-stable", "stable", "tree-stable"):
         yield f"gadget-{kind}", ["gadget", "--type", kind], (), None
     yield "gadget-ck-k4-d3", ["gadget", "--type", "ck", "--k", "4", "--d", "3"], (), None
@@ -127,6 +133,9 @@ GOLDEN = {
     "exact-vs": "791ba75e7f733f6030eff3ca918b59e5d8e429abc771693564e426e0d80a9a8e",
     "lift-push": "bbb92e33fddeab03098b8acdf080f99e1b3a78c0705c48bd2057ccbd58dfbbdd",
     "lift-edge": "a327466783be4049feb0a9fcc00e8c1ab24afa87dcfb7d78795bbc105236b3c7",
+    "reduce-v5": "fb6bcfa04ff408702270d92ac820c7520300010f10afc009a0b12bb615b2d651",
+    "exact-v5-red": "c9ad88ff163d461272c0edb8027d284470a8f33682042f026a2e7f6a9d60bb5f",
+    "exact-v5-red-cap4": "0c6868c2c44f053619cef1cc383e1d530743b574ca192ace9168a9ccf46a86e3",
     "gadget-ck": "deaf1a8d152ab7a9bb24630cc3b5662b3e088af34d65cae6ee999fa6c06f669d",
     "gadget-b2": "9bfdd94ef24a563fdfd7f3918470e61c3ddb128f0c6c09a491dcb676f156df82",
     "gadget-b3": "f01d3ff2b1bd0fc504403a0ae080c69a65f75fd0f791e15d236a62c475ab8a9a",

@@ -10,9 +10,12 @@ from stashpeel import (
     ParameterError,
     PeelTrace,
     core_subgraph,
+    greedy_stash,
     is_k_peelable,
     k_core,
     k_core_after,
+    min_edge_stash_exact,
+    min_vertex_stash_exact,
     verify_trace,
 )
 from stashpeel.peeling import PeelCore, peel_edges
@@ -356,3 +359,19 @@ def test_peel_edges_rejects_maps_that_are_not_canonical():
             peel_edges(edges, 2)
     assert peel_edges({}, 2) == {}
     assert peel_edges({1: (0, 2), 0: (2, 1), 2: (1, 0)}, 2) == {0: (2, 1), 1: (0, 2), 2: (1, 0)}
+
+
+@pytest.mark.parametrize("k", (0, -1))
+def test_every_entry_point_rejects_k_below_one_alike(k):
+    g = mkgraph(2, [(0, 1)])
+    calls = (
+        lambda: peel_edges(g.edges, k),
+        lambda: k_core(g, k),
+        lambda: k_core_after(g, k),
+        lambda: min_vertex_stash_exact(g, k),
+        lambda: min_edge_stash_exact(g, k),
+        lambda: greedy_stash(g, k, "vertex"),
+    )
+    for call in calls:
+        with pytest.raises(ParameterError, match=f"^k must be at least 1, got {k}$"):
+            call()
