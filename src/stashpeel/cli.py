@@ -113,7 +113,7 @@ def _cmd_lift(args, out) -> int:
         back = {img: v for v, img in rmap.vertex_map.items()}
         cover = {back[w] for w in normalized}
         g = rmap.original
-        missed = next((e for e in sorted(g.edges) if cover.isdisjoint(g.edge_vertices(e))), None)
+        missed = next((e for e in range(g.num_edges) if cover.isdisjoint(g.edge_vertices(e))), None)
         if missed is not None:
             raise ContractViolationError(f"lifted cover {sorted(cover)} misses original edge {missed}")
         out.write(format_stash("v", cover))

@@ -6,10 +6,11 @@ designated stashable (its E* set).  Builders only create internal
 structure; the neighboring edges themselves are created later, either by
 an embedding (reductions) or by the check harness, which caps every port
 slot with a high-degree anchor vertex so ports count toward internal
-degrees without ever being peelable themselves.  Every check peels the one
-harness graph with the removed edges and anchors as a stash
-(``k_core_after``), so no check copies the harness.  ``run_gadget_grid``
-builds and checks every family over a (k, d) grid, each where it exists.
+degrees without ever being peelable themselves.  Every check builds one
+``PeelCore`` of the harness graph with the removed edges and anchors as its
+stash and reads which block vertices it leaves alive, so no check copies
+the harness or builds a trace.  ``run_gadget_grid`` builds and checks every
+family over a (k, d) grid, each where it exists.
 
 The families:
 
@@ -39,7 +40,7 @@ from itertools import combinations
 
 from .errors import ParameterError
 from .hypergraph import Hypergraph
-from .peeling import k_core_after
+from .peeling import PeelCore
 
 PARTIAL_REMOVAL_EXHAUSTIVE_LIMIT = 10
 PK_SUBSET_EXHAUSTIVE_LIMIT = 5
@@ -95,16 +96,16 @@ class GadgetReport:
         return [c for c in self.checks if not c.passed]
 
 
-def embed_graph(g: Hypergraph, target: Hypergraph) -> tuple[dict[int, int], dict[int, int]]:
+def embed_graph(g: Hypergraph, target: Hypergraph) -> tuple[int, int]:
     """Append a copy of g to target, every id shifted past target's own;
-    returns (vertex map, edge map)."""
+    returns the (vertex, edge) offsets, so g's vertex v is target's v + the
+    first and g's edge e is target's e + the second."""
     if g.d != target.d:
         raise ParameterError(f"edge needs {target.d} vertices, got {g.d}")
     dv, de = target.num_vertices, target.num_edges
     target._edges.extend([tuple(v + dv for v in vs) for vs in g._edges])
     target._incidence.extend([[e + de for e in es] for es in g._incidence])
-    vmap = {v: v + dv for v in range(g.num_vertices)}
-    return vmap, {e: e + de for e in range(g.num_edges)}
+    return dv, de
 
 
 # -- internal 2-uniform assembly ---------------------------------------------
@@ -277,8 +278,8 @@ def _lift_to_d(g2: Hypergraph, d: int) -> tuple[Hypergraph, list[int]]:
     if g2.num_edges == 0:
         return g, []
     dummies = g.add_vertices(d - 2)
-    for e in sorted(g2.edges):
-        g.add_edge((*g2.edge_vertices(e), *dummies))
+    for vs in g2._edges:
+        g.add_edge((*vs, *dummies))
     return g, dummies
 
 
@@ -474,22 +475,23 @@ def build_pk_gadget(delta: int, k: int, d: int) -> Gadget:
 
 @dataclass
 class Harness:
-    """A gadget embedded with all ports capped by pumped anchor vertices."""
+    """A gadget embedded with all ports capped by pumped anchor vertices.
+
+    The gadget comes first, so its vertex and edge ids are the harness's.
+    """
 
     graph: Hypergraph
     k: int
     block_vertices: frozenset[int]
     port_edges: dict[str, tuple[int, ...]]
     port_anchor: dict[str, int]
-    vmap: dict[int, int]
-    emap: dict[int, int]
 
 
 def build_harness(gadget: Gadget) -> Harness:
     k = gadget.params["k"]
     d = gadget.graph.d
     h = Hypergraph(d)
-    vmap, emap = embed_graph(gadget.graph, h)
+    embed_graph(gadget.graph, h)
     anchors: list[int] = []
     port_edges: dict[str, tuple[int, ...]] = {}
     port_anchor: dict[str, int] = {}
@@ -504,7 +506,7 @@ def build_harness(gadget: Gadget) -> Harness:
             ext_needed = d - len(attach) - (1 if shared is not None else 0)
             ext = h.add_vertices(ext_needed)
             anchors.extend(ext)
-            slots = [vmap[v] for v in attach]
+            slots = list(attach)
             if shared is not None:
                 slots.append(shared)
             realized.append(h.add_edge((*slots, *ext)))
@@ -519,11 +521,9 @@ def build_harness(gadget: Gadget) -> Harness:
     return Harness(
         graph=h,
         k=k,
-        block_vertices=frozenset(vmap.values()),
+        block_vertices=frozenset(range(gadget.graph.num_vertices)),
         port_edges=port_edges,
         port_anchor=port_anchor,
-        vmap=vmap,
-        emap=emap,
     )
 
 
@@ -532,8 +532,8 @@ def _surviving_block(
     removed_edges: tuple[int, ...] = (),
     removed_vertices: tuple[int, ...] = (),
 ) -> frozenset[int]:
-    core = k_core_after(harness.graph, harness.k, removed_vertices, removed_edges)
-    return core.core_vertices & harness.block_vertices
+    alive = PeelCore(harness.graph, harness.k, removed_vertices, removed_edges).vertex_alive
+    return frozenset(v for v in harness.block_vertices if alive[v])
 
 
 def _subset_pool(n: int, exhaustive_limit: int, tag: int):
@@ -558,7 +558,7 @@ def _mask_edges(harness: Harness, names: list[str], mask: int) -> tuple[int, ...
 def _report_params(gadget: Gadget) -> dict[str, int]:
     """Gadget params plus a record of whether parallel edges were produced
     (the data model permits them; the builders happen not to need any)."""
-    counts = Counter(frozenset(vs) for vs in gadget.graph.edges.values())
+    counts = Counter(frozenset(vs) for vs in gadget.graph._edges)
     parallel = sum(c - 1 for c in counts.values() if c > 1)
     return {**gadget.params, "parallel_edges": parallel}
 
@@ -584,7 +584,7 @@ def _peels(
 def _estar_checks(gadget: Gadget, harness: Harness) -> list[CheckResult]:
     """Stashing any one E* edge peels the whole block, all ports present."""
     return [
-        _peels(harness, f"estar_{e}_peels", f"stash_edge={e} ", removed_edges=(harness.emap[e],))
+        _peels(harness, f"estar_{e}_peels", f"stash_edge={e} ", removed_edges=(e,))
         for e in sorted(gadget.estar)
     ]
 

@@ -4,22 +4,24 @@ Repeatedly removes vertices of degree < k together with their incident
 edges until none remain; the survivors form the k-core, which is unique
 regardless of removal order.
 
-One engine, ``_peel``, serves ``k_core`` and ``k_core_after``.  It reads the
-hypergraph's lists in place and counts a stash as already removed, so it
-copies nothing.  Its order is lowest-vertex-id-first, so traces are
-reproducible.  The replay auditor ``verify_trace`` also reads the graph in
-place, replaying on a degree list, and ``core_subgraph`` builds the core
-alone, so no step from peel to core extraction copies the whole graph.
-``PeelCore`` is the k-core of a hypergraph under delete/restore, for the
-stash solvers; it reads the graph's lists in place too.
+One engine, ``PeelCore``, computes every k-core in the package: a k-core
+under delete/restore that reads the hypergraph's lists in place, takes a
+stash at construction and then peels lowest vertex id first, so traces
+are reproducible.  ``k_core`` and ``k_core_after`` read their trace off
+one, the gadget checks read its alive flags, ``peel_edges`` its live
+edges, and the stash solvers stash and undo on one.  The replay auditor
+``verify_trace`` shares no code with it and also reads the graph in place,
+replaying on a degree list, and ``core_subgraph`` builds the core alone,
+so no step from peel to core extraction copies the whole graph.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from itertools import chain, compress
-from typing import Iterable
+from heapq import heappop, heappush
+from itertools import chain, compress, count
+from operator import not_
+from typing import Collection, Iterable
 
 from .errors import NotFoundError, ParameterError
 from .hypergraph import Hypergraph
@@ -45,68 +47,9 @@ class PeelTrace:
         return not self.core_vertices
 
 
-def _peel(
-    g: Hypergraph,
-    k: int,
-    stash_vertices: frozenset[int],
-    stash_edges: frozenset[int],
-) -> PeelTrace:
-    """k-core of g minus a stash, in time linear in total incidence.
-
-    The stash is dead from the start: stashed vertices are never queued and
-    never core, and the stashed edges and those on stashed vertices are
-    neither counted in degrees nor alive.  A vertex enters the heap when its
-    degree first drops below k and is peeled when popped.  g is read, never
-    mutated.
-    """
-    if k < 1:
-        raise ParameterError(f"k must be at least 1, got {k}")
-    edges, incidence = g._edges, g._incidence
-    stashed_edges = set(stash_edges)
-    for v in stash_vertices:
-        stashed_edges.update(incidence[v])
-    dead_edges = stashed_edges.copy()
-    deg = list(map(len, incidence))
-    for e in stashed_edges:
-        for w in edges[e]:
-            deg[w] -= 1
-    for v in stash_vertices:
-        deg[v] = k  # never queued, and dropped from the core below
-
-    # A vertex is queued exactly when its degree first drops below k, and
-    # a queued vertex's degree is never lowered again.  An ascending list
-    # is already a heap.
-    ids = range(len(deg))
-    heap = list(compress(ids, map(k.__gt__, deg)))
-    heappop, heappush = heapq.heappop, heapq.heappush
-    peeled_vertices: list[int] = []
-
-    while heap:
-        v = heappop(heap)
-        peeled_vertices.append(v)
-        for e in incidence[v]:
-            if e in dead_edges:
-                continue
-            dead_edges.add(e)
-            for w in edges[e]:
-                c = deg[w]
-                if c >= k:
-                    deg[w] = c - 1
-                    if c == k:
-                        heappush(heap, w)
-
-    return PeelTrace(
-        k=k,
-        peeled_vertices=tuple(peeled_vertices),
-        peeled_edges=frozenset(dead_edges - stashed_edges),
-        core_vertices=frozenset(compress(ids, map(k.__le__, deg))) - stash_vertices,
-        core_edges=frozenset(range(len(edges))) - dead_edges,
-    )
-
-
 def k_core(g: Hypergraph, k: int) -> PeelTrace:
     """Peel g down to its k-core."""
-    return _peel(g, k, frozenset(), frozenset())
+    return k_core_after(g, k)
 
 
 def is_k_peelable(g: Hypergraph, k: int) -> bool:
@@ -123,7 +66,10 @@ def k_core_after(
     """k-core of g with the stash removed first; g itself is not mutated.
 
     The trace covers what is left after the stash: stashed vertices and
-    edges, and the edges on stashed vertices, are in neither part.
+    edges, and the edges on stashed vertices, are in neither part.  It is
+    read off one ``PeelCore``: the peel order from its trail, the core from
+    its alive flags, and the peeled edges are the dead ones outside the
+    stash.
     """
     sv = frozenset(stash_vertices)
     se = frozenset(stash_edges)
@@ -133,7 +79,15 @@ def k_core_after(
     for e in se:
         if not g.has_edge(e):
             raise NotFoundError(f"unknown edge id {e} in stash")
-    return _peel(g, k, sv, se)
+    core = PeelCore(g, k, sv, se)
+    dead_edges = frozenset(compress(count(), map(not_, core.edge_alive)))
+    return PeelTrace(
+        k=k,
+        peeled_vertices=tuple([v for v in core.trail if v >= 0]),
+        peeled_edges=dead_edges.difference(se, *map(g._incidence.__getitem__, sv)),
+        core_vertices=frozenset(compress(count(), core.vertex_alive)),
+        core_edges=frozenset(compress(count(), core.edge_alive)),
+    )
 
 
 def core_subgraph(g: Hypergraph, trace: PeelTrace) -> Hypergraph:
@@ -212,31 +166,55 @@ def peel_edges(edges: dict[int, tuple[int, ...]], k: int) -> dict[int, tuple[int
 class PeelCore:
     """A k-core under delete/restore: stash an element, peel the cascade, undo.
 
-    Built once from a hypergraph, whose k-core it peels to at once.  It
-    reads the graph's edge list and incidence lists in place and never
-    writes them, so its ids are the graph's; vertices on no edge start
-    dead, as does every vertex outside the k-core.  ``degree[v]`` counts the live edges on v whether v is alive or
-    not, so it is 0 for every dead v.  Each vertex and edge that
-    ``stash_vertex`` or ``stash_edge`` kills goes onto ``trail``;
-    ``undo(mark)`` revives all killed since ``len(trail)`` was ``mark``.  A
-    stash with its undo costs time linear in the incidences of what it
-    kills, not in the core's size.
+    Built from a hypergraph and an optional stash, the package's one k-core
+    engine.  The stashed vertices and edges, and the edges on stashed
+    vertices, die first, with no cascade; then every live vertex of degree
+    < k is peeled.  It reads the graph's edge list and incidence lists in
+    place and never writes them, so its ids are the graph's.
+
+    A vertex dies when its degree first falls below k and is peeled when it
+    is taken from the dead vertices not yet peeled: it goes onto ``trail``
+    as v, and each live edge on it dies and goes on as ~e.  At construction
+    the dead vertices wait in a heap and leave it lowest id first, which is
+    ``k_core``'s peel order; after construction the trail holds that peel
+    of g minus the stash, and not the stash itself, so ``undo(0)`` would
+    give back g minus the stash, unpeeled.  ``degree[v]`` counts the live
+    edges on v whether v is alive or not, so it is 0 for every peeled v.
+    ``stash_vertex`` and ``stash_edge`` kill a live element and peel its
+    cascade the same way, from a stack rather than a heap; ``undo(mark)``
+    revives all killed since ``len(trail)`` was ``mark``.  A stash with its
+    undo costs time linear in the incidences of what it kills, not in the
+    core's size.
     """
 
     __slots__ = ("k", "edge_vertices", "vertex_edges", "degree", "vertex_alive", "edge_alive",
                  "live_edges", "trail")
 
-    def __init__(self, g: Hypergraph, k: int):
+    def __init__(
+        self,
+        g: Hypergraph,
+        k: int,
+        stash_vertices: Collection[int] = (),
+        stash_edges: Collection[int] = (),
+    ):
+        if k < 1:
+            raise ParameterError(f"k must be at least 1, got {k}")
         self.k = k
-        self.edge_vertices, self.vertex_edges = g._edges, g._incidence
-        self.degree = list(map(len, self.vertex_edges))
-        self.vertex_alive = [c >= k for c in self.degree]
-        self.edge_alive = [True] * len(self.edge_vertices)
-        self.live_edges = len(self.edge_vertices)
+        edges, incidence = self.edge_vertices, self.vertex_edges = g._edges, g._incidence
+        deg = self.degree = list(map(len, incidence))
+        edge_alive = self.edge_alive = [True] * len(edges)
+        for e in chain(stash_edges, *map(incidence.__getitem__, stash_vertices)):
+            if edge_alive[e]:
+                edge_alive[e] = False
+                for w in edges[e]:
+                    deg[w] -= 1
+        self.live_edges = edge_alive.count(True)
+        # stashed vertices are left with degree 0, so they start dead too
+        self.vertex_alive = list(map(k.__le__, deg))
         self.trail: list[int] = []
-        low = compress(self.vertex_edges, [c < k for c in self.degree])
-        self._peel(list(chain.from_iterable(low)))
-        self.trail.clear()
+        # the other vertices of degree < k, ascending, which is already a heap
+        low = [v for v in compress(count(), map(k.__gt__, deg)) if v not in stash_vertices]
+        self._peel(low, ())
 
     def copy(self) -> PeelCore:
         """A core in this one's state with an empty trail, to stash on and
@@ -256,31 +234,41 @@ class PeelCore:
         """Kill live vertex v and peel what its loss cascades to."""
         self.vertex_alive[v] = False
         self.trail.append(v)
-        self._peel(list(self.vertex_edges[v]))
+        self._peel([], self.vertex_edges[v], list.append, list.pop)
 
     def stash_edge(self, e: int) -> None:
         """Kill live edge e and peel what its loss cascades to."""
-        self._peel([e])
+        self._peel([], (e,), list.append, list.pop)
 
-    def _peel(self, stack: list[int]) -> None:
-        # Edges go on the trail as ~e, vertices as v.
-        k, deg, trail = self.k, self.degree, self.trail
+    def _peel(self, dead: list[int], dying: Iterable[int], push=heappush, pop=heappop) -> None:
+        # Kill the live edges among `dying`, then peel the dead vertices
+        # in `dead` until none is left: `pop` one, put it on the trail and
+        # kill the live edges on it; each vertex that dies on the way goes
+        # into `dead` by `push`.  By default `dead` is a heap, lowest id
+        # first.  A stash passes list.append and list.pop, a stack, which
+        # costs less per vertex: the cascade is the same, and undo does
+        # not depend on the trail's order.
+        k, deg, record = self.k, self.degree, self.trail.append
         vertex_alive, edge_alive = self.vertex_alive, self.edge_alive
         edge_vertices, vertex_edges = self.edge_vertices, self.vertex_edges
         killed = 0
-        while stack:
-            e = stack.pop()
-            if not edge_alive[e]:
-                continue
-            edge_alive[e] = False
-            trail.append(~e)
-            killed += 1
-            for w in edge_vertices[e]:
-                deg[w] -= 1
-                if deg[w] < k and vertex_alive[w]:
-                    vertex_alive[w] = False
-                    trail.append(w)
-                    stack.extend(vertex_edges[w])
+        while True:
+            for e in dying:
+                if edge_alive[e]:
+                    edge_alive[e] = False
+                    record(~e)
+                    killed += 1
+                    for w in edge_vertices[e]:
+                        c = deg[w] - 1
+                        deg[w] = c
+                        if c < k and vertex_alive[w]:
+                            vertex_alive[w] = False
+                            push(dead, w)
+            if not dead:
+                break
+            v = pop(dead)
+            record(v)
+            dying = vertex_edges[v]
         self.live_edges -= killed
 
     def undo(self, mark: int) -> None:

@@ -96,20 +96,20 @@ def reduce_vc_to_vertex_stash(g: Hypergraph, k: int, d: int) -> tuple[Hypergraph
     if k < 2 or d < 2:
         raise ParameterError(f"reduction needs k >= 2 and d >= 2, got k={k}, d={d}")
     out = Hypergraph(d)
-    image = {v: out.add_vertex() for v in sorted(g.vertices)}
+    image = {v: out.add_vertex() for v in range(g.num_vertices)}
     gadget = build_ck_gadget(k, d) if g.num_edges else None
     ck: dict[int, CkInstance] = {}
     gadget_of: dict[int, tuple[int, int]] = {}
     edge_map: dict[int, tuple[int, ...]] = {}
-    for e in sorted(g.edges):
+    for e in range(g.num_edges):
         u, v = g.edge_vertices(e)
-        vmap, emap = embed_graph(gadget.graph, out)
-        edges = list(emap.values())
+        dv, de = embed_graph(gadget.graph, out)
+        edges = list(range(de, de + gadget.graph.num_edges))
         for port, endpoint in (("u", image[u]), ("v", image[v])):
             spec = next(p for p in gadget.ports if p.name == port)
             for attach in spec.edges:
-                edges.append(out.add_edge((endpoint, *(vmap[a] for a in attach))))
-        internal = frozenset(vmap.values())
+                edges.append(out.add_edge((endpoint, *(dv + a for a in attach))))
+        internal = frozenset(range(dv, dv + gadget.graph.num_vertices))
         for w in internal:
             gadget_of[w] = (image[u], image[v])
         ck[e] = CkInstance(e, image[u], image[v], internal, frozenset(edges))
@@ -179,19 +179,20 @@ def reduce_vertex_to_edge_stash(g: Hypergraph, k: int, d: int) -> tuple[Hypergra
     pk: dict[int, PkInstance] = {}
     attach_of: dict[tuple[int, int], int] = {}
     built: dict[int, Gadget] = {}  # embedding only reads a gadget
-    for v in sorted(g.vertices):
-        incident = sorted(g.incident_edges(v))
+    for v in range(g.num_vertices):
+        incident = g._incidence[v]
         if len(incident) not in built:
             built[len(incident)] = build_pk_gadget(len(incident), k, d)
         gadget = built[len(incident)]
-        vmap, emap = embed_graph(gadget.graph, out)
-        primary = vmap[gadget.meta["primary"]]  # type: ignore[index]
-        for fe in emap.values():
+        dv, de = embed_graph(gadget.graph, out)
+        internal_edges = range(de, de + gadget.graph.num_edges)
+        primary = dv + gadget.meta["primary"]  # type: ignore[operator]
+        for fe in internal_edges:
             owner[fe] = v
-        estar = frozenset(emap[e] for e in gadget.estar)
+        estar = frozenset(de + e for e in gadget.estar)
         ports = []
         for i, e in enumerate(incident):
-            attach = vmap[gadget.ports[i].edges[0][0]]
+            attach = dv + gadget.ports[i].edges[0][0]
             attach_of[(e, v)] = attach
             ports.append((e, attach))
         vertex_map[v] = primary
@@ -199,13 +200,13 @@ def reduce_vertex_to_edge_stash(g: Hypergraph, k: int, d: int) -> tuple[Hypergra
         pk[v] = PkInstance(
             orig_vertex=v,
             primary=primary,
-            vertices=frozenset(vmap.values()),
-            internal_edges=frozenset(emap.values()),
+            vertices=frozenset(range(dv, dv + gadget.graph.num_vertices)),
+            internal_edges=frozenset(internal_edges),
             estar=estar,
             ports=tuple(ports),
         )
     edge_map: dict[int, tuple[int, ...]] = {}
-    for e in sorted(g.edges):
+    for e in range(g.num_edges):
         members = g.edge_vertices(e)
         shared = out.add_edge(tuple(attach_of[(e, w)] for w in members))
         edge_map[e] = (shared,)
@@ -278,14 +279,14 @@ def audit_p1(rmap: ReductionMap) -> list[str]:
         raise ParameterError("audit_p1 applies to stash-reduction maps")
     g = rmap.original
     problems = []
-    for v in sorted(g.vertices):
+    for v in range(g.num_vertices):
         inst = rmap.pk[v]
-        expected = sorted(g.incident_edges(v))
+        expected = g._incidence[v]
         got = sorted(e for e, _ in inst.ports)
         if got != expected:
             problems.append(f"vertex {v}: ports {got} != incident edges {expected}")
-    attach = {v: dict(rmap.pk[v].ports) for v in g.vertices}
-    for e in sorted(g.edges):
+    attach = {v: dict(rmap.pk[v].ports) for v in range(g.num_vertices)}
+    for e in range(g.num_edges):
         members = g.edge_vertices(e)
         shared = rmap.edge_map[e][0]
         want = {attach[w][e] for w in members}

@@ -42,6 +42,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, compress
+from typing import Callable
 
 from .errors import CapExceededError, InvalidArityError, ParameterError
 from .hypergraph import Hypergraph
@@ -80,6 +81,13 @@ class CyclomaticCertificate:
     removed_edges: frozenset[int]
 
 
+def _kind_ops(core: PeelCore, kind: str) -> tuple[list[bool], Callable[[int], None]]:
+    """`core`'s alive flags and stash method for elements of `kind`."""
+    if kind == "vertex":
+        return core.vertex_alive, core.stash_vertex
+    return core.edge_alive, core.stash_edge
+
+
 def _prefix_witness(core: PeelCore, kind: str) -> tuple[int, list[bool]]:
     """Smallest y such that the live elements <= y still hold a nonempty
     k-core, the witness, and the witness's alive flags.
@@ -91,10 +99,7 @@ def _prefix_witness(core: PeelCore, kind: str) -> tuple[int, list[bool]]:
     `core` itself is not touched and must be nonempty.
     """
     w = core.copy()
-    if kind == "vertex":
-        alive, stash = w.vertex_alive, w.stash_vertex
-    else:
-        alive, stash = w.edge_alive, w.stash_edge
+    alive, stash = _kind_ops(w, kind)
     y = len(alive)
     while w.live_edges:
         y -= 1
@@ -122,10 +127,7 @@ def _packing(
     only packed ids.  `core` itself is not touched.
     """
     w = core.copy()
-    if kind == "vertex":
-        alive, stash = w.vertex_alive, w.stash_vertex
-    else:
-        alive, stash = w.edge_alive, w.stash_edge
+    alive, stash = _kind_ops(w, kind)
     packed, hit = 0, set()
     while True:
         for x in compress(range(first, y + 1), flags[first : y + 1]):
@@ -171,10 +173,7 @@ def _search(
     it; the root's is the same at every budget.  A failed search leaves
     `core` as it found it; a successful one leaves the stash applied.
     """
-    if kind == "vertex":
-        alive, stash = core.vertex_alive, core.stash_vertex
-    else:
-        alive, stash = core.edge_alive, core.stash_edge
+    alive, stash = _kind_ops(core, kind)
     mark = len(core.trail)
     y, flags = witness or _prefix_witness(core, kind)
     if budget == 1:
@@ -256,7 +255,7 @@ def two_edge_stash_standard(g: Hypergraph) -> CyclomaticCertificate:
     """
     if g.d != 2:
         raise InvalidArityError(f"2-edge-stash shortcut needs d=2, got d={g.d}")
-    parent = {v: v for v in g.vertices}
+    parent = list(range(g.num_vertices))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -264,13 +263,13 @@ def two_edge_stash_standard(g: Hypergraph) -> CyclomaticCertificate:
         return x
 
     removed: set[int] = set()
-    for e in sorted(g.edges):
+    for e in range(g.num_edges):
         ru, rv = (find(v) for v in g.edge_vertices(e))
         if ru == rv:
             removed.add(e)
         else:
             parent[ru] = rv
-    components = len({find(v) for v in parent})
+    components = len({find(v) for v in range(len(parent))})
     h = g.num_edges - g.num_vertices + components
     if h != len(removed):
         raise AssertionError(f"cyclomatic number {h} does not match {len(removed)} cycle-closing edges")
@@ -287,8 +286,8 @@ def min_vertex_cover_exact(g: Hypergraph, size_cap: int = DEFAULT_SIZE_CAP) -> f
         raise InvalidArityError(f"vertex cover is defined here for d=2, got d={g.d}")
     if size_cap < 0:
         raise ParameterError(f"size cap must be non-negative, got {size_cap}")
-    edges = list(g.edges.values())
-    candidates = sorted(v for v in g.vertices if g.degree(v))
+    edges = g._edges
+    candidates = [v for v in range(g.num_vertices) if g._incidence[v]]
     for size in range(0, min(size_cap, len(candidates)) + 1):
         for combo in combinations(candidates, size):
             chosen = set(combo)
@@ -332,11 +331,10 @@ def _greedy_picks(core: PeelCore, mode: str, tie_break: str, rng: random.Random)
     # Scores are indexed by id.  Dead elements score 0 and live ones at least
     # k >= 1, so the first maximum is the live pick with the lowest id.
     deg = core.degree
+    alive, remove = _kind_ops(core, mode)
     if mode == "vertex":
-        alive, remove = core.vertex_alive, core.stash_vertex
         scores = lambda: deg
     else:
-        alive, remove = core.edge_alive, core.stash_edge
         scores = lambda: [
             sum(map(deg.__getitem__, vs)) if a else 0 for vs, a in zip(core.edge_vertices, alive)
         ]

@@ -58,7 +58,7 @@ def test_ck_k2_d2_shape():
 def test_ck_k3_d2_degrees_and_peel():
     g = build_ck_gadget(3, 2)
     harness = build_harness(g)
-    first, middle, last = (harness.vmap[v] for v in g.meta["internals"])
+    first, middle, last = g.meta["internals"]
     u = harness.port_anchor["u"]
     v = harness.port_anchor["v"]
     neighbors = lambda x: {
@@ -154,7 +154,7 @@ def test_simple_stable_k3_m2_shape():
     g = build_simple_stable_block(2, 3, 2)
     assert g.graph.num_vertices == 9  # central + two 2-blocks of 4
     harness = build_harness(g)
-    central = harness.vmap[g.meta["central"]]
+    central = g.meta["central"]
     assert harness.graph.degree(central) == 3 - 1 + 2
     assert check_stable_block(g).all_passed
 
@@ -226,7 +226,7 @@ def test_size_bound_checks_survive_python_optimize():
 def test_stable_root_estar_peels_whole_tree():
     g = build_stable_block(5, 3, 2)
     harness = build_harness(g)
-    core = k_core_after(harness.graph, 3, stash_edges=[harness.emap[min(g.estar)]])
+    core = k_core_after(harness.graph, 3, stash_edges=[min(g.estar)])
     assert not (core.core_vertices & harness.block_vertices)
 
 
@@ -240,7 +240,7 @@ def test_stable_negative_control():
 def test_tree_stable_root_degree_is_ports_plus_one():
     g = build_tree_stable_block(2, 3)
     harness = build_harness(g)
-    root = harness.vmap[g.meta["root"]]
+    root = g.meta["root"]
     assert harness.graph.degree(root) == 2 + 1
     assert len(g.meta["ws"]) >= 2
     assert check_stable_block(g).all_passed

@@ -346,11 +346,18 @@ def test_k_core_after_mixed_stash_matches_enumeration(g, k, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(hypergraphs(max_edges=12), st.sampled_from((1, 2, 3)))
-def test_k_core_peels_lowest_id_first(g, k):
+@given(hypergraphs(max_edges=12), st.sampled_from((1, 2, 3)), st.data())
+def test_k_core_peels_lowest_id_first(g, k, data):
     order, core_v, core_e = peel_by_repeated_removal(g, k)
     trace = k_core(g, k)
     assert (trace.peeled_vertices, trace.core_vertices, trace.core_edges) == (order, core_v, core_e)
+    # with a stash, the whole stash goes first and the peel order is still
+    # lowest id first among what is left
+    stash_v = data.draw(st.sets(st.sampled_from(sorted(g.vertices)), max_size=3))
+    stash_e = data.draw(st.sets(st.sampled_from(sorted(g.edges)), max_size=3)) if g.num_edges else set()
+    got = k_core_after(g, k, stash_vertices=stash_v, stash_edges=stash_e)
+    want = peel_by_repeated_removal(g, k, None, stash_v, stash_e)
+    assert (got.peeled_vertices, got.core_vertices, got.core_edges) == want
 
 
 def test_peel_edges_rejects_maps_that_are_not_canonical():
@@ -371,7 +378,15 @@ def test_every_entry_point_rejects_k_below_one_alike(k):
         lambda: min_vertex_stash_exact(g, k),
         lambda: min_edge_stash_exact(g, k),
         lambda: greedy_stash(g, k, "vertex"),
+        # k is checked before a second bad argument ...
+        lambda: peel_edges({1: (0, 1)}, k),
+        lambda: min_vertex_stash_exact(g, k, -1),
+        lambda: min_edge_stash_exact(g, k, -1),
+        lambda: greedy_stash(g, k, "bogus"),
     )
     for call in calls:
         with pytest.raises(ParameterError, match=f"^k must be at least 1, got {k}$"):
             call()
+    # ... but after the ids of a stash
+    with pytest.raises(NotFoundError, match="^unknown vertex id 99 in stash$"):
+        k_core_after(g, k, [99])
