@@ -9,6 +9,7 @@ seed-controlled, so identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import gadgets, reductions, stash_solvers
@@ -176,8 +177,17 @@ def _cmd_gen_random(args, out) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a bad command line as a
+    ``ParameterError`` instead of printing usage and exiting; its
+    subcommand parsers are of the same class."""
+
+    def error(self, message: str):
+        raise ParameterError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stashpeel",
         description="k-core peeling, minimum stashes, and stash-hardness gadgets",
     )
@@ -253,12 +263,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # built on the first call and reused: parsing never changes a parser
+    return build_parser()
+
+
 def run(argv: list[str], out=None, err=None) -> int:
     """Dispatch one invocation; returns the process exit code."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    args = build_parser().parse_args(argv)
     try:
+        args = _shared_parser().parse_args(argv)
         return args.func(args, out)
     except CapExceededError as exc:
         err.write(f"infeasible: {exc}\n")

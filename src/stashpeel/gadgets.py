@@ -12,6 +12,18 @@ stash and reads which block vertices it leaves alive, so no check copies
 the harness or builds a trace.  ``run_gadget_grid`` builds and checks every
 family over a (k, d) grid, each where it exists.
 
+The port-removal sweeps lean on monotonicity: removing more edges never
+lets more of a graph stay in its k-core, so a block that fully peels under
+one removal fully peels under every larger one, and a block that keeps a
+survivor keeps it under every smaller one.  A contract that asks for
+survival up to some removal size, or peeling from some size on, is then
+decided by the removals of exactly that size, the frontier.  Each sweep
+peels the frontier first, and when the frontier is smaller than the pool of
+removals the contract is checked on and none of it fails, no pool removal
+can fail either, so the pool is not peeled.  Otherwise the pool is scanned
+in order, so a failing witness is the pool's first, whatever the frontier
+found.
+
 The families:
 
 * ``ck``           -- the edge-replacement fragment of the cover reduction;
@@ -37,6 +49,7 @@ import random
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 
 from .errors import ParameterError
 from .hypergraph import Hypergraph
@@ -547,6 +560,29 @@ def _subset_pool(n: int, exhaustive_limit: int, tag: int):
     return sorted(masks)
 
 
+def _frontier(n: int, removed_counts, pool_size: int) -> list[int] | None:
+    """The masks of n items with exactly r bits set, for each r in
+    ``removed_counts``, or None when there are at least ``pool_size`` of
+    them.  The count comes from ``math.comb`` before any mask is built, so
+    a large n costs nothing when the frontier would not pay."""
+    if sum(comb(n, r) for r in removed_counts) >= pool_size:
+        return None
+    return [sum(1 << i for i in c) for r in removed_counts for c in combinations(range(n), r)]
+
+
+def _first_failure(pool: list[int], frontier: list[int] | None, fails) -> int | None:
+    """The first mask of ``pool`` that ``fails``, or None if none does.
+
+    ``frontier`` must be masks whose passing implies every pool mask
+    passes (see the module docstring); when it is given and none of it
+    fails, the pool is not scanned.  None means no frontier, for one no
+    smaller than the pool.
+    """
+    if frontier is not None and not any(map(fails, frontier)):
+        return None
+    return next(filter(fails, pool), None)
+
+
 def _mask_edges(harness: Harness, names: list[str], mask: int) -> tuple[int, ...]:
     removed: list[int] = []
     for i, name in enumerate(names):
@@ -629,21 +665,29 @@ def check_stable_block(gadget: Gadget) -> GadgetReport:
     degree 10, seeded sample above); (b) removing all of them fully peels
     it; (c) stashing any recorded E* edge fully peels it with all
     neighboring edges still present.
+
+    Every proper removal lies inside one that keeps exactly one port, and
+    a block that fully peels under a removal fully peels under any larger
+    one, so the m removals that keep one port decide (a): when they all
+    leave a survivor, the subset pool is not peeled.
     """
     harness = build_harness(gadget)
     names = [p.name for p in gadget.ports]
     m = len(names)
+    full = 2**m - 1
     checks = [_unpeelable(harness, "unpeelable_with_all_ports")]
+    pool = [mask for mask in _subset_pool(m, PARTIAL_REMOVAL_EXHAUSTIVE_LIMIT, m) if mask != full]
+
+    def fully_peels(mask: int) -> bool:
+        return not _surviving_block(harness, removed_edges=_mask_edges(harness, names, mask))
+
+    mask = _first_failure(pool, _frontier(m, (m - 1,), len(pool)), fully_peels)
     witness = ""
-    for mask in _subset_pool(m, PARTIAL_REMOVAL_EXHAUSTIVE_LIMIT, m):
-        if mask == 2**m - 1:
-            continue
-        if not _surviving_block(harness, removed_edges=_mask_edges(harness, names, mask)):
-            removed = [names[i] for i in range(m) if mask >> i & 1]
-            witness = f"fully_peeled_with_ports_removed={removed}"
-            break
+    if mask is not None:
+        removed = [names[i] for i in range(m) if mask >> i & 1]
+        witness = f"fully_peeled_with_ports_removed={removed}"
     checks.append(CheckResult("survives_partial_port_removal", not witness, witness))
-    every_port = _mask_edges(harness, names, 2**m - 1)
+    every_port = _mask_edges(harness, names, full)
     checks.append(_peels(harness, "peels_with_all_ports_removed", "", removed_edges=every_port))
     checks += _estar_checks(gadget, harness)
     return GadgetReport(gadget.kind, _report_params(gadget), tuple(checks))
@@ -655,20 +699,34 @@ def check_pk_gadget(gadget: Gadget) -> GadgetReport:
     With no internal stash, the gadget fully peels if and only if fewer
     than k of its neighboring edges remain (exhaustive over subsets for
     delta <= 5); stashing any E* edge fully peels it regardless.
+
+    A removal that keeps k or more ports lies inside one that keeps exactly
+    k, and one that keeps fewer than k contains one that keeps exactly k-1
+    (the empty removal when delta < k-1).  Peeling only grows with the
+    removal, so those removals decide the contract: when they all behave,
+    the subset pool is not peeled.
     """
     harness = build_harness(gadget)
     k = gadget.params["k"]
     names = [p.name for p in gadget.ports]
     delta = len(names)
+    pool = _subset_pool(delta, PK_SUBSET_EXHAUSTIVE_LIMIT, 0xBD ^ delta)
+
+    def surviving(mask: int) -> frozenset[int]:
+        return _surviving_block(harness, removed_edges=_mask_edges(harness, names, mask))
+
+    def expect_peel(mask: int) -> bool:
+        return delta - mask.bit_count() < k
+
+    def misbehaves(mask: int) -> bool:
+        return (not surviving(mask)) != expect_peel(mask)
+
+    sizes = (delta - k, delta - k + 1) if delta >= k else (max(0, delta - k + 1),)
+    mask = _first_failure(pool, _frontier(delta, sizes, len(pool)), misbehaves)
     witness = ""
-    for mask in _subset_pool(delta, PK_SUBSET_EXHAUSTIVE_LIMIT, 0xBD ^ delta):
-        removed_count = bin(mask).count("1")
-        surv = _surviving_block(harness, removed_edges=_mask_edges(harness, names, mask))
-        expect_peel = delta - removed_count < k
-        if (not surv) != expect_peel:
-            removed = [names[i] for i in range(delta) if mask >> i & 1]
-            witness = f"removed={removed} expected_peel={expect_peel} survivors={sorted(surv)}"
-            break
+    if mask is not None:
+        removed = [names[i] for i in range(delta) if mask >> i & 1]
+        witness = f"removed={removed} expected_peel={expect_peel(mask)} survivors={sorted(surviving(mask))}"
     checks = [CheckResult("peels_iff_under_k_ports", not witness, witness)]
     checks += _estar_checks(gadget, harness)
     return GadgetReport("pk", _report_params(gadget), tuple(checks))

@@ -55,8 +55,10 @@ class Hypergraph:
             raise ParameterError(f"edge needs {self._d} vertices, got {len(vs)}")
         if len(set(vs)) != len(vs):
             raise ParameterError(f"edge has a repeated vertex: {vs}")
+        n = len(self._incidence)
         for v in vs:
-            if not self.has_vertex(v):
+            # has_vertex, inlined: the builders add edges by the thousand
+            if not (isinstance(v, int) and 0 <= v < n):
                 raise NotFoundError(f"unknown vertex id {v}")
         eid = len(self._edges)
         self._edges.append(vs)

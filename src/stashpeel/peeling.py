@@ -8,11 +8,12 @@ One engine, ``PeelCore``, computes every k-core in the package: a k-core
 under delete/restore that reads the hypergraph's lists in place, takes a
 stash at construction and then peels lowest vertex id first, so traces
 are reproducible.  ``k_core`` and ``k_core_after`` read their trace off
-one, the gadget checks read its alive flags, ``peel_edges`` its live
-edges, and the stash solvers stash and undo on one.  The replay auditor
-``verify_trace`` shares no code with it and also reads the graph in place,
-replaying on a degree list, and ``core_subgraph`` builds the core alone,
-so no step from peel to core extraction copies the whole graph.
+one, the gadget checks read its alive flags, ``is_k_peelable`` and
+``peel_edges`` its live edges, and the stash solvers stash and undo on
+one.  The replay auditor ``verify_trace`` shares no code with it and also
+reads the graph in place, replaying on a degree list, and
+``core_subgraph`` builds the core alone, so no step from peel to core
+extraction copies the whole graph.
 """
 
 from __future__ import annotations
@@ -52,9 +53,35 @@ def k_core(g: Hypergraph, k: int) -> PeelTrace:
     return k_core_after(g, k)
 
 
-def is_k_peelable(g: Hypergraph, k: int) -> bool:
-    """True iff g has an empty k-core."""
-    return k_core(g, k).core_empty
+def is_k_peelable(
+    g: Hypergraph,
+    k: int,
+    stash_vertices: Iterable[int] = (),
+    stash_edges: Iterable[int] = (),
+) -> bool:
+    """True iff g with the stash removed first has an empty k-core.
+
+    The stash is checked as by ``k_core_after``, but no trace is built: the
+    core is empty exactly when no edge is left alive, since a live vertex
+    has k >= 1 live edges and a peeled one none.
+    """
+    sv, se = _stash_ids(g, stash_vertices, stash_edges)
+    return not PeelCore(g, k, sv, se).live_edges
+
+
+def _stash_ids(
+    g: Hypergraph, stash_vertices: Iterable[int], stash_edges: Iterable[int]
+) -> tuple[frozenset[int], frozenset[int]]:
+    # frozensets, as PeelCore tests membership in the stashed vertices
+    sv = frozenset(stash_vertices)
+    se = frozenset(stash_edges)
+    for v in sv:
+        if not g.has_vertex(v):
+            raise NotFoundError(f"unknown vertex id {v} in stash")
+    for e in se:
+        if not g.has_edge(e):
+            raise NotFoundError(f"unknown edge id {e} in stash")
+    return sv, se
 
 
 def k_core_after(
@@ -71,14 +98,7 @@ def k_core_after(
     its alive flags, and the peeled edges are the dead ones outside the
     stash.
     """
-    sv = frozenset(stash_vertices)
-    se = frozenset(stash_edges)
-    for v in sv:
-        if not g.has_vertex(v):
-            raise NotFoundError(f"unknown vertex id {v} in stash")
-    for e in se:
-        if not g.has_edge(e):
-            raise NotFoundError(f"unknown edge id {e} in stash")
+    sv, se = _stash_ids(g, stash_vertices, stash_edges)
     core = PeelCore(g, k, sv, se)
     dead_edges = frozenset(compress(count(), map(not_, core.edge_alive)))
     return PeelTrace(

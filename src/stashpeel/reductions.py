@@ -31,7 +31,7 @@ from .gadgets import (
     embed_graph,
 )
 from .hypergraph import Hypergraph, parse, serialize
-from .peeling import k_core_after
+from .peeling import is_k_peelable
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ def normalize_stash(reduced: Hypergraph, rmap: ReductionMap, stash) -> frozenset
     for w in s:
         if not reduced.has_vertex(w):
             raise ContractViolationError(f"stash vertex {w} is not in the reduced instance")
-    if not k_core_after(reduced, rmap.k, stash_vertices=s).core_empty:
+    if not is_k_peelable(reduced, rmap.k, stash_vertices=s):
         raise ContractViolationError("stash does not make the reduced instance peelable")
     images = set(rmap.vertex_map.values())
     out = set()
@@ -148,7 +148,7 @@ def normalize_stash(reduced: Hypergraph, rmap: ReductionMap, stash) -> frozenset
         out.add(w if w in images else rmap.gadget_of[w][0])
     if len(out) > len(s):
         raise AssertionError(f"normalized stash grew from {len(s)} to {len(out)} vertices")
-    if not k_core_after(reduced, rmap.k, stash_vertices=out).core_empty:
+    if not is_k_peelable(reduced, rmap.k, stash_vertices=out):
         raise AssertionError(f"normalized stash {sorted(out)} leaves a nonempty {rmap.k}-core")
     return frozenset(out)
 
@@ -234,12 +234,12 @@ def push_vertex_stash(g: Hypergraph, rmap: ReductionMap, stash) -> frozenset[int
     for v in s:
         if not g.has_vertex(v):
             raise ContractViolationError(f"stash vertex {v} is not in the original instance")
-    if not k_core_after(g, rmap.k, stash_vertices=s).core_empty:
+    if not is_k_peelable(g, rmap.k, stash_vertices=s):
         raise ContractViolationError("stash does not make the original instance peelable")
     pushed = frozenset(rmap.estar_pick[v] for v in s)
     if len(pushed) != len(s):
         raise AssertionError(f"pushed stash has {len(pushed)} edges for {len(s)} vertices")
-    if not k_core_after(rmap.reduced, rmap.k, stash_edges=pushed).core_empty:
+    if not is_k_peelable(rmap.reduced, rmap.k, stash_edges=pushed):
         raise AssertionError(f"pushed stash {sorted(pushed)} leaves a nonempty {rmap.k}-core")
     return pushed
 
@@ -254,12 +254,12 @@ def lift_edge_stash(reduced: Hypergraph, rmap: ReductionMap, stash) -> frozenset
     for e in s:
         if not reduced.has_edge(e):
             raise ContractViolationError(f"stash edge {e} is not in the reduced instance")
-    if not k_core_after(reduced, rmap.k, stash_edges=s).core_empty:
+    if not is_k_peelable(reduced, rmap.k, stash_edges=s):
         raise ContractViolationError("stash does not make the reduced instance peelable")
     lifted = frozenset(rmap.owner[e] for e in s)
     if len(lifted) > len(s):
         raise AssertionError(f"lifted stash grew from {len(s)} edges to {len(lifted)} vertices")
-    if not k_core_after(rmap.original, rmap.k, stash_vertices=lifted).core_empty:
+    if not is_k_peelable(rmap.original, rmap.k, stash_vertices=lifted):
         raise AssertionError(f"lifted stash {sorted(lifted)} leaves a nonempty {rmap.k}-core")
     return lifted
 

@@ -33,7 +33,7 @@ as many, only packed elements are tried.  The root's packing is taken
 once, and iterative deepening starts at its count.
 
 Greedy runs on the same structure without undo.  Every stash returned is
-re-checked by ``k_core_after`` on the input graph.  Instances are expected
+re-checked by ``is_k_peelable`` on the input graph.  Instances are expected
 to be desk-scale; correctness is the point.
 """
 
@@ -46,7 +46,7 @@ from typing import Callable
 
 from .errors import CapExceededError, InvalidArityError, ParameterError
 from .hypergraph import Hypergraph
-from .peeling import PeelCore, k_core_after
+from .peeling import PeelCore, is_k_peelable
 
 DEFAULT_SIZE_CAP = 6
 
@@ -206,10 +206,10 @@ def _search(
 
 def _certify(g: Hypergraph, k: int, kind: str, stash: frozenset[int]) -> None:
     if kind == "vertex":
-        check = k_core_after(g, k, stash_vertices=stash)
+        peelable = is_k_peelable(g, k, stash_vertices=stash)
     else:
-        check = k_core_after(g, k, stash_edges=stash)
-    if not check.core_empty:
+        peelable = is_k_peelable(g, k, stash_edges=stash)
+    if not peelable:
         raise AssertionError(f"{kind} stash {sorted(stash)} leaves a nonempty {k}-core")
 
 

@@ -82,6 +82,24 @@ def test_stash_k_zero_is_parameter_error(files):
         assert code == 2 and not out and "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("peel", "--k", "x", "f"), "argument --k: invalid int value: 'x'"),
+        (("peel", "f"), "the following arguments are required: --k"),
+        (("stash-exact", "--k", "2", "--mode", "both", "f"), "argument --mode: invalid choice: 'both'"),
+        ((), "the following arguments are required: command"),
+    ],
+)
+def test_bad_command_line_is_input_error(argv, message):
+    # reported on err like any other input error, twice over the same
+    # parser, and never as a SystemExit or usage text
+    for _ in range(2):
+        code, out, err = invoke(*argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 def test_python_dash_m_runs_the_cli(files):
     argv = ("stash-exact", "--k", "2", "--mode", "edge", files["tri"])
     proc = run_python("-m", "stashpeel", *argv)

@@ -18,7 +18,20 @@ from stashpeel import (
     k_core_after,
     run_gadget_grid,
 )
-from stashpeel.gadgets import build_harness
+from stashpeel import gadgets
+from stashpeel.gadgets import (
+    CheckResult,
+    GadgetReport,
+    _estar_checks,
+    _frontier,
+    _mask_edges,
+    _peels,
+    _report_params,
+    _subset_pool,
+    _surviving_block,
+    _unpeelable,
+    build_harness,
+)
 
 from helpers import gadget_without, run_python
 
@@ -466,3 +479,145 @@ def test_broken_gadget_reports_are_pinned(check, broken, expected):
     (every edge doubled: too little peels)."""
     report = check(broken())
     assert [(c.name, c.passed, c.witness) for c in report.checks] == expected
+
+
+# -- frontier sweeps against a full pool scan ----------------------------------
+
+
+def full_scan_stable_block(gadget: Gadget) -> GadgetReport:
+    """``check_stable_block`` as it was before the frontier: every proper
+    removal of the subset pool is peeled, in order."""
+    harness = build_harness(gadget)
+    names = [p.name for p in gadget.ports]
+    m = len(names)
+    checks = [_unpeelable(harness, "unpeelable_with_all_ports")]
+    witness = ""
+    for mask in _subset_pool(m, gadgets.PARTIAL_REMOVAL_EXHAUSTIVE_LIMIT, m):
+        if mask == 2**m - 1:
+            continue
+        if not _surviving_block(harness, removed_edges=_mask_edges(harness, names, mask)):
+            removed = [names[i] for i in range(m) if mask >> i & 1]
+            witness = f"fully_peeled_with_ports_removed={removed}"
+            break
+    checks.append(CheckResult("survives_partial_port_removal", not witness, witness))
+    every_port = _mask_edges(harness, names, 2**m - 1)
+    checks.append(_peels(harness, "peels_with_all_ports_removed", "", removed_edges=every_port))
+    checks += _estar_checks(gadget, harness)
+    return GadgetReport(gadget.kind, _report_params(gadget), tuple(checks))
+
+
+def full_scan_pk_gadget(gadget: Gadget) -> GadgetReport:
+    """``check_pk_gadget`` as it was before the frontier: every removal of
+    the subset pool is peeled, in order."""
+    harness = build_harness(gadget)
+    k = gadget.params["k"]
+    names = [p.name for p in gadget.ports]
+    delta = len(names)
+    witness = ""
+    for mask in _subset_pool(delta, gadgets.PK_SUBSET_EXHAUSTIVE_LIMIT, 0xBD ^ delta):
+        removed_count = bin(mask).count("1")
+        surv = _surviving_block(harness, removed_edges=_mask_edges(harness, names, mask))
+        expect_peel = delta - removed_count < k
+        if (not surv) != expect_peel:
+            removed = [names[i] for i in range(delta) if mask >> i & 1]
+            witness = f"removed={removed} expected_peel={expect_peel} survivors={sorted(surv)}"
+            break
+    checks = [CheckResult("peels_iff_under_k_ports", not witness, witness)]
+    checks += _estar_checks(gadget, harness)
+    return GadgetReport("pk", _report_params(gadget), tuple(checks))
+
+
+def broken_variants(gadget: Gadget):
+    """The gadget without each one of its edges, without each one of its
+    non-port vertices, and with every edge doubled."""
+    ported = {v for p in gadget.ports for attach in p.edges for v in attach}
+    yield from (drop_edge(gadget, e) for e in sorted(gadget.graph.edges))
+    yield from (drop_vertex(gadget, v) for v in sorted(gadget.graph.vertices - ported))
+    yield double_edges(gadget)
+
+
+def test_stable_frontier_matches_full_scan_on_the_grid(monkeypatch):
+    pairs = []
+
+    def both(gadget):
+        pairs.append((check_stable_block(gadget), full_scan_stable_block(gadget)))
+        return pairs[-1][0]
+
+    monkeypatch.setattr(gadgets, "check_stable_block", both)
+    assert all(r.all_passed for r in run_gadget_grid())
+    assert len(pairs) > 100
+    assert all(ours == theirs for ours, theirs in pairs)
+
+
+@pytest.mark.parametrize(
+    "check, full_scan, build",
+    [
+        (check_stable_block, full_scan_stable_block, lambda: build_simple_stable_block(2, 3, 2)),
+        (check_stable_block, full_scan_stable_block, lambda: build_stable_block(5, 3, 2)),
+        (check_stable_block, full_scan_stable_block, lambda: build_tree_stable_block(3, 3)),
+        (check_pk_gadget, full_scan_pk_gadget, lambda: build_pk_gadget(3, 3, 2)),
+        (check_pk_gadget, full_scan_pk_gadget, lambda: build_pk_gadget(2, 2, 3)),
+    ],
+    ids=["simple-stable", "stable", "tree-stable", "pk-k3", "pk-k2"],
+)
+def test_frontier_matches_full_scan_on_broken_gadgets(check, full_scan, build):
+    reports = [(check(g), full_scan(g)) for g in broken_variants(build())]
+    assert all(ours == theirs for ours, theirs in reports)
+    assert sum(not ours.all_passed for ours, _ in reports) > len(reports) // 2
+
+
+def test_frontier_matches_full_scan_on_sampled_pools():
+    # pools of 100 sampled removals, each larger than its frontier
+    cases = (
+        (check_stable_block, full_scan_stable_block, build_stable_block(11, 4, 2)),
+        (check_pk_gadget, full_scan_pk_gadget, build_pk_gadget(8, 2, 3)),
+    )
+    for check, full_scan, g in cases:
+        ours = check(g)
+        assert ours == full_scan(g) and ours.all_passed
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_pk_frontier_matches_full_scan_at_every_small_degree(k):
+    # delta runs below k - 1, where only the empty removal must peel, up
+    # past the exhaustive limit of 5
+    d = 3 if k == 2 else 2
+    for delta in range(9):
+        g = build_pk_gadget(delta, k, d)
+        ours = check_pk_gadget(g)
+        assert ours == full_scan_pk_gadget(g) and ours.all_passed, (delta, ours.failures())
+
+
+def test_frontier_is_counted_before_it_is_built(monkeypatch):
+    drawn = []
+    real = gadgets.combinations
+
+    def counting(items, r):
+        for c in real(items, r):
+            drawn.append(c)
+            yield c
+
+    monkeypatch.setattr(gadgets, "combinations", counting)
+    # delta = k = 200: keep all 200 ports, or all but one
+    masks = _frontier(200, (0, 1), 1000)
+    assert len(drawn) == len(masks) == 201
+    assert sorted(m.bit_count() for m in masks) == [0] + [1] * 200
+    assert set(masks) == {0} | {1 << i for i in range(200)}
+    drawn.clear()
+    # delta = 200, k = 100: C(200, 100) + C(200, 101) masks, none built
+    assert _frontier(200, (100, 101), 100) is None and not drawn
+    assert _frontier(3, (1,), 3) is None and not drawn  # no smaller than the pool
+
+
+def test_grid_peels_the_frontier_not_the_pool(monkeypatch):
+    calls = 0
+    real = gadgets._surviving_block
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gadgets, "_surviving_block", counting)
+    assert all(r.all_passed for r in run_gadget_grid())
+    assert calls <= 1700  # a full scan of every subset pool makes 4,569

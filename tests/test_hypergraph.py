@@ -69,6 +69,17 @@ def test_bad_ids_are_rejected(bad):
     g.validate()
 
 
+def test_add_edge_checks_ids_like_has_vertex():
+    # an int subclass such as bool is an id, any other type is not
+    g = triangle()
+    assert g.add_edge((True, 2)) == 3 and g.edge_vertices(3) == (True, 2)
+    for bad in (1.0, "1", None):
+        assert not g.has_vertex(bad)
+        with pytest.raises(NotFoundError, match=f"^unknown vertex id {bad}$"):
+            g.add_edge((0, bad))
+    assert g.num_edges == 4
+
+
 def test_parse_rejects_a_negative_vertex_id():
     with pytest.raises(ParseError) as exc:
         parse("h 2 2 1\ne -1 0")

@@ -104,10 +104,11 @@ def test_k_core_after_does_not_mutate():
 
 
 def test_k_core_after_unknown_ids():
-    with pytest.raises(NotFoundError):
-        k_core_after(triangle(), 2, stash_vertices=[9])
-    with pytest.raises(NotFoundError):
-        k_core_after(triangle(), 2, stash_edges=[9])
+    for check in (k_core_after, is_k_peelable):
+        with pytest.raises(NotFoundError):
+            check(triangle(), 2, stash_vertices=[9])
+        with pytest.raises(NotFoundError):
+            check(triangle(), 2, stash_edges=[9])
 
 
 def test_trace_replay_and_core_subgraph():
@@ -333,6 +334,7 @@ def test_k_core_after_mixed_stash_matches_enumeration(g, k, data):
     stash_e = data.draw(st.sets(st.sampled_from(sorted(g.edges)), max_size=3)) if g.num_edges else set()
     got = k_core_after(g, k, stash_vertices=stash_v, stash_edges=stash_e)
     assert (got.core_vertices, got.core_edges) == core_by_enumeration(g, k, stash_v, stash_e)
+    assert is_k_peelable(g, k, stash_v, stash_e) == got.core_empty
     # the trace, renumbered like the graph left after the stash, replays on it
     h, vmap, emap = without(g, stash_v, stash_e)
     renumbered = PeelTrace(
@@ -375,6 +377,7 @@ def test_every_entry_point_rejects_k_below_one_alike(k):
         lambda: peel_edges(g.edges, k),
         lambda: k_core(g, k),
         lambda: k_core_after(g, k),
+        lambda: is_k_peelable(g, k),
         lambda: min_vertex_stash_exact(g, k),
         lambda: min_edge_stash_exact(g, k),
         lambda: greedy_stash(g, k, "vertex"),
@@ -388,5 +391,6 @@ def test_every_entry_point_rejects_k_below_one_alike(k):
         with pytest.raises(ParameterError, match=f"^k must be at least 1, got {k}$"):
             call()
     # ... but after the ids of a stash
-    with pytest.raises(NotFoundError, match="^unknown vertex id 99 in stash$"):
-        k_core_after(g, k, [99])
+    for check in (k_core_after, is_k_peelable):
+        with pytest.raises(NotFoundError, match="^unknown vertex id 99 in stash$"):
+            check(g, k, [99])

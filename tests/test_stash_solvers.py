@@ -223,16 +223,14 @@ def test_greedy_matches_repeeling_reference(k, d):
 
 def test_certificate_checks_survive_python_optimize():
     script = textwrap.dedent("""
-        import dataclasses, sys
+        import sys
         from stashpeel import stash_solvers
         from stashpeel import gen_random
 
-        real = stash_solvers.k_core_after
-
         def nonempty_core(*args, **kwargs):
-            return dataclasses.replace(real(*args, **kwargs), core_vertices=frozenset({0}))
+            return False
 
-        stash_solvers.k_core_after = nonempty_core
+        stash_solvers.is_k_peelable = nonempty_core
         g = gen_random(6, 9, 2, 1)
         calls = (
             lambda: stash_solvers.min_vertex_stash_exact(g, 2),
