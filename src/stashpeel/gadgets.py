@@ -17,12 +17,12 @@ lets more of a graph stay in its k-core, so a block that fully peels under
 one removal fully peels under every larger one, and a block that keeps a
 survivor keeps it under every smaller one.  A contract that asks for
 survival up to some removal size, or peeling from some size on, is then
-decided by the removals of exactly that size, the frontier.  Each sweep
-peels the frontier first, and when the frontier is smaller than the pool of
-removals the contract is checked on and none of it fails, no pool removal
-can fail either, so the pool is not peeled.  Otherwise the pool is scanned
-in order, so a failing witness is the pool's first, whatever the frontier
-found.
+decided by the removals of exactly that size, the frontier, and each sweep
+peels the frontier alone: its verdict holds for every removal, and a
+failing witness is the first failing frontier removal, by size and then in
+``itertools.combinations`` order.  A stable block of degree m costs m
+peels; a pk gadget of degree delta costs C(delta, k) + C(delta, k-1),
+polynomial in delta for a fixed k.
 
 The families:
 
@@ -45,19 +45,13 @@ The families:
 
 from __future__ import annotations
 
-import random
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb
 
 from .errors import ParameterError
 from .hypergraph import Hypergraph
 from .peeling import PeelCore
-
-PARTIAL_REMOVAL_EXHAUSTIVE_LIMIT = 10
-PK_SUBSET_EXHAUSTIVE_LIMIT = 5
-_SAMPLED_SUBSETS = 100
 
 
 @dataclass(frozen=True)
@@ -549,46 +543,18 @@ def _surviving_block(
     return frozenset(v for v in harness.block_vertices if alive[v])
 
 
-def _subset_pool(n: int, exhaustive_limit: int, tag: int):
-    """All bitmasks of n items, or a seeded sample including both extremes."""
-    if n <= exhaustive_limit or 2**n <= _SAMPLED_SUBSETS:
-        return list(range(2**n))
-    rng = random.Random(0x5EED ^ tag)
-    masks = {0, 2**n - 1}
-    while len(masks) < _SAMPLED_SUBSETS:
-        masks.add(rng.randrange(2**n))
-    return sorted(masks)
-
-
-def _frontier(n: int, removed_counts, pool_size: int) -> list[int] | None:
+def _frontier(n: int, removed_counts) -> list[int]:
     """The masks of n items with exactly r bits set, for each r in
-    ``removed_counts``, or None when there are at least ``pool_size`` of
-    them.  The count comes from ``math.comb`` before any mask is built, so
-    a large n costs nothing when the frontier would not pay."""
-    if sum(comb(n, r) for r in removed_counts) >= pool_size:
-        return None
+    ``removed_counts`` in turn, each size in ``combinations`` order."""
     return [sum(1 << i for i in c) for r in removed_counts for c in combinations(range(n), r)]
 
 
-def _first_failure(pool: list[int], frontier: list[int] | None, fails) -> int | None:
-    """The first mask of ``pool`` that ``fails``, or None if none does.
-
-    ``frontier`` must be masks whose passing implies every pool mask
-    passes (see the module docstring); when it is given and none of it
-    fails, the pool is not scanned.  None means no frontier, for one no
-    smaller than the pool.
-    """
-    if frontier is not None and not any(map(fails, frontier)):
-        return None
-    return next(filter(fails, pool), None)
+def _mask_ports(names: list[str], mask: int) -> list[str]:
+    return [name for i, name in enumerate(names) if mask >> i & 1]
 
 
 def _mask_edges(harness: Harness, names: list[str], mask: int) -> tuple[int, ...]:
-    removed: list[int] = []
-    for i, name in enumerate(names):
-        if mask >> i & 1:
-            removed.extend(harness.port_edges[name])
-    return tuple(removed)
+    return tuple(e for name in _mask_ports(names, mask) for e in harness.port_edges[name])
 
 
 def _report_params(gadget: Gadget) -> dict[str, int]:
@@ -661,33 +627,27 @@ def check_stable_block(gadget: Gadget) -> GadgetReport:
     """Stable-block contract:
 
     (a) with every neighboring edge present nothing peels, and no proper
-    removal of neighboring edges fully peels the block (exhaustive up to
-    degree 10, seeded sample above); (b) removing all of them fully peels
-    it; (c) stashing any recorded E* edge fully peels it with all
-    neighboring edges still present.
+    removal of neighboring edges fully peels the block; (b) removing all of
+    them fully peels it; (c) stashing any recorded E* edge fully peels it
+    with all neighboring edges still present.
 
     Every proper removal lies inside one that keeps exactly one port, and
     a block that fully peels under a removal fully peels under any larger
-    one, so the m removals that keep one port decide (a): when they all
-    leave a survivor, the subset pool is not peeled.
+    one, so the m removals that keep one port decide (a) over every proper
+    removal, at m peels.
     """
     harness = build_harness(gadget)
     names = [p.name for p in gadget.ports]
     m = len(names)
-    full = 2**m - 1
     checks = [_unpeelable(harness, "unpeelable_with_all_ports")]
-    pool = [mask for mask in _subset_pool(m, PARTIAL_REMOVAL_EXHAUSTIVE_LIMIT, m) if mask != full]
 
     def fully_peels(mask: int) -> bool:
         return not _surviving_block(harness, removed_edges=_mask_edges(harness, names, mask))
 
-    mask = _first_failure(pool, _frontier(m, (m - 1,), len(pool)), fully_peels)
-    witness = ""
-    if mask is not None:
-        removed = [names[i] for i in range(m) if mask >> i & 1]
-        witness = f"fully_peeled_with_ports_removed={removed}"
+    mask = next(filter(fully_peels, _frontier(m, (m - 1,))), None)
+    witness = "" if mask is None else f"fully_peeled_with_ports_removed={_mask_ports(names, mask)}"
     checks.append(CheckResult("survives_partial_port_removal", not witness, witness))
-    every_port = _mask_edges(harness, names, full)
+    every_port = _mask_edges(harness, names, 2**m - 1)
     checks.append(_peels(harness, "peels_with_all_ports_removed", "", removed_edges=every_port))
     checks += _estar_checks(gadget, harness)
     return GadgetReport(gadget.kind, _report_params(gadget), tuple(checks))
@@ -697,20 +657,19 @@ def check_pk_gadget(gadget: Gadget) -> GadgetReport:
     """Peel/stash simulation contract of the per-vertex wrapper.
 
     With no internal stash, the gadget fully peels if and only if fewer
-    than k of its neighboring edges remain (exhaustive over subsets for
-    delta <= 5); stashing any E* edge fully peels it regardless.
+    than k of its neighboring edges remain; stashing any E* edge fully
+    peels it regardless.
 
     A removal that keeps k or more ports lies inside one that keeps exactly
     k, and one that keeps fewer than k contains one that keeps exactly k-1
     (the empty removal when delta < k-1).  Peeling only grows with the
-    removal, so those removals decide the contract: when they all behave,
-    the subset pool is not peeled.
+    removal, so those removals decide the contract over every removal, at
+    C(delta, k) + C(delta, k-1) peels.
     """
     harness = build_harness(gadget)
     k = gadget.params["k"]
     names = [p.name for p in gadget.ports]
     delta = len(names)
-    pool = _subset_pool(delta, PK_SUBSET_EXHAUSTIVE_LIMIT, 0xBD ^ delta)
 
     def surviving(mask: int) -> frozenset[int]:
         return _surviving_block(harness, removed_edges=_mask_edges(harness, names, mask))
@@ -722,10 +681,10 @@ def check_pk_gadget(gadget: Gadget) -> GadgetReport:
         return (not surviving(mask)) != expect_peel(mask)
 
     sizes = (delta - k, delta - k + 1) if delta >= k else (max(0, delta - k + 1),)
-    mask = _first_failure(pool, _frontier(delta, sizes, len(pool)), misbehaves)
+    mask = next(filter(misbehaves, _frontier(delta, sizes)), None)
     witness = ""
     if mask is not None:
-        removed = [names[i] for i in range(delta) if mask >> i & 1]
+        removed = _mask_ports(names, mask)
         witness = f"removed={removed} expected_peel={expect_peel(mask)} survivors={sorted(surviving(mask))}"
     checks = [CheckResult("peels_iff_under_k_ports", not witness, witness)]
     checks += _estar_checks(gadget, harness)

@@ -1,9 +1,12 @@
+import ast
+import re
 import textwrap
 
 import pytest
 
 from stashpeel import (
     Gadget,
+    Hypergraph,
     ParameterError,
     build_b_block,
     build_ck_gadget,
@@ -22,12 +25,11 @@ from stashpeel import gadgets
 from stashpeel.gadgets import (
     CheckResult,
     GadgetReport,
+    Port,
     _estar_checks,
     _frontier,
-    _mask_edges,
     _peels,
     _report_params,
-    _subset_pool,
     _surviving_block,
     _unpeelable,
     build_harness,
@@ -404,7 +406,7 @@ PINNED_REPORTS = [
         lambda: drop_edge(build_simple_stable_block(2, 3, 2), 0),
         [
             ("unpeelable_with_all_ports", False, "peeled=[0, 1, 2, 3, 4, 5, 6, 7, 8]"),
-            ("survives_partial_port_removal", False, "fully_peeled_with_ports_removed=[]"),
+            ("survives_partial_port_removal", False, "fully_peeled_with_ports_removed=['p0']"),
             ("peels_with_all_ports_removed", True, ""),
             # without edge 0, the E* edges 10-12 are renumbered 9-11
             ("estar_9_peels", True, ""),
@@ -431,7 +433,7 @@ PINNED_REPORTS = [
         lambda: drop_vertex(build_tree_stable_block(2, 3), 2),
         [
             ("unpeelable_with_all_ports", False, "peeled=[0, 1, 2, 3]"),
-            ("survives_partial_port_removal", False, "fully_peeled_with_ports_removed=[]"),
+            ("survives_partial_port_removal", False, "fully_peeled_with_ports_removed=['p0']"),
             ("peels_with_all_ports_removed", True, ""),
         ],
         id="tree-stable-drop-vertex",
@@ -481,50 +483,80 @@ def test_broken_gadget_reports_are_pinned(check, broken, expected):
     assert [(c.name, c.passed, c.witness) for c in report.checks] == expected
 
 
-# -- frontier sweeps against a full pool scan ----------------------------------
+# -- frontier sweeps against an exhaustive scan --------------------------------
+
+
+def removal_edges(harness, removed: list[str]) -> tuple[int, ...]:
+    return tuple(e for name in removed for e in harness.port_edges[name])
 
 
 def full_scan_stable_block(gadget: Gadget) -> GadgetReport:
-    """``check_stable_block`` as it was before the frontier: every proper
-    removal of the subset pool is peeled, in order."""
+    """``check_stable_block`` by brute force: every proper removal of
+    neighboring edges, all 2^m - 1 of them, is peeled in mask order."""
     harness = build_harness(gadget)
     names = [p.name for p in gadget.ports]
     m = len(names)
     checks = [_unpeelable(harness, "unpeelable_with_all_ports")]
     witness = ""
-    for mask in _subset_pool(m, gadgets.PARTIAL_REMOVAL_EXHAUSTIVE_LIMIT, m):
-        if mask == 2**m - 1:
-            continue
-        if not _surviving_block(harness, removed_edges=_mask_edges(harness, names, mask)):
-            removed = [names[i] for i in range(m) if mask >> i & 1]
+    for mask in range(2**m - 1):
+        removed = [names[i] for i in range(m) if mask >> i & 1]
+        if not _surviving_block(harness, removed_edges=removal_edges(harness, removed)):
             witness = f"fully_peeled_with_ports_removed={removed}"
             break
     checks.append(CheckResult("survives_partial_port_removal", not witness, witness))
-    every_port = _mask_edges(harness, names, 2**m - 1)
+    every_port = removal_edges(harness, names)
     checks.append(_peels(harness, "peels_with_all_ports_removed", "", removed_edges=every_port))
     checks += _estar_checks(gadget, harness)
     return GadgetReport(gadget.kind, _report_params(gadget), tuple(checks))
 
 
 def full_scan_pk_gadget(gadget: Gadget) -> GadgetReport:
-    """``check_pk_gadget`` as it was before the frontier: every removal of
-    the subset pool is peeled, in order."""
+    """``check_pk_gadget`` by brute force: every removal of neighboring
+    edges, all 2^delta of them, is peeled in mask order."""
     harness = build_harness(gadget)
     k = gadget.params["k"]
     names = [p.name for p in gadget.ports]
     delta = len(names)
     witness = ""
-    for mask in _subset_pool(delta, gadgets.PK_SUBSET_EXHAUSTIVE_LIMIT, 0xBD ^ delta):
-        removed_count = bin(mask).count("1")
-        surv = _surviving_block(harness, removed_edges=_mask_edges(harness, names, mask))
-        expect_peel = delta - removed_count < k
+    for mask in range(2**delta):
+        removed = [names[i] for i in range(delta) if mask >> i & 1]
+        surv = _surviving_block(harness, removed_edges=removal_edges(harness, removed))
+        expect_peel = delta - len(removed) < k
         if (not surv) != expect_peel:
-            removed = [names[i] for i in range(delta) if mask >> i & 1]
             witness = f"removed={removed} expected_peel={expect_peel} survivors={sorted(surv)}"
             break
     checks = [CheckResult("peels_iff_under_k_ports", not witness, witness)]
     checks += _estar_checks(gadget, harness)
     return GadgetReport("pk", _report_params(gadget), tuple(checks))
+
+
+def assert_witness_violates(gadget: Gadget, report: GadgetReport) -> None:
+    """Re-peel the removal a failing sweep names: it must lie on the
+    frontier and really break the contract."""
+    harness = build_harness(gadget)
+    names = [p.name for p in gadget.ports]
+    k, n = gadget.params["k"], len(names)
+    for c in report.checks:
+        if c.passed or c.name not in ("survives_partial_port_removal", "peels_iff_under_k_ports"):
+            continue
+        removed = ast.literal_eval(re.search(r"removed=(\[.*?\])", c.witness).group(1))
+        assert len(set(removed)) == len(removed) and set(removed) <= set(names), c
+        surv = _surviving_block(harness, removed_edges=removal_edges(harness, removed))
+        if c.name == "survives_partial_port_removal":
+            assert len(removed) == n - 1 and not surv, c
+        else:
+            expect_peel = n - len(removed) < k
+            assert n - len(removed) in (k, k - 1) or (n < k - 1 and not removed), c
+            assert (not surv) != expect_peel, c
+            assert c.witness == f"removed={removed} expected_peel={expect_peel} survivors={sorted(surv)}"
+
+
+def assert_matches_full_scan(gadget: Gadget, ours: GadgetReport, theirs: GadgetReport) -> None:
+    """Same checks, in order, with the same verdicts; every failing sweep
+    witness is re-peeled, since the scans may name different removals."""
+    assert (ours.gadget, ours.params) == (theirs.gadget, theirs.params)
+    assert [(c.name, c.passed) for c in ours.checks] == [(c.name, c.passed) for c in theirs.checks]
+    assert_witness_violates(gadget, ours)
 
 
 def broken_variants(gadget: Gadget):
@@ -540,13 +572,14 @@ def test_stable_frontier_matches_full_scan_on_the_grid(monkeypatch):
     pairs = []
 
     def both(gadget):
-        pairs.append((check_stable_block(gadget), full_scan_stable_block(gadget)))
-        return pairs[-1][0]
+        pairs.append((gadget, check_stable_block(gadget), full_scan_stable_block(gadget)))
+        return pairs[-1][1]
 
     monkeypatch.setattr(gadgets, "check_stable_block", both)
     assert all(r.all_passed for r in run_gadget_grid())
     assert len(pairs) > 100
-    assert all(ours == theirs for ours, theirs in pairs)
+    for gadget, ours, theirs in pairs:
+        assert_matches_full_scan(gadget, ours, theirs)
 
 
 @pytest.mark.parametrize(
@@ -561,26 +594,44 @@ def test_stable_frontier_matches_full_scan_on_the_grid(monkeypatch):
     ids=["simple-stable", "stable", "tree-stable", "pk-k3", "pk-k2"],
 )
 def test_frontier_matches_full_scan_on_broken_gadgets(check, full_scan, build):
-    reports = [(check(g), full_scan(g)) for g in broken_variants(build())]
-    assert all(ours == theirs for ours, theirs in reports)
-    assert sum(not ours.all_passed for ours, _ in reports) > len(reports) // 2
+    reports = [(g, check(g), full_scan(g)) for g in broken_variants(build())]
+    for g, ours, theirs in reports:
+        assert_matches_full_scan(g, ours, theirs)
+    assert sum(not ours.all_passed for _, ours, _ in reports) > len(reports) // 2
 
 
-def test_frontier_matches_full_scan_on_sampled_pools():
-    # pools of 100 sampled removals, each larger than its frontier
-    cases = (
-        (check_stable_block, full_scan_stable_block, build_stable_block(11, 4, 2)),
-        (check_pk_gadget, full_scan_pk_gadget, build_pk_gadget(8, 2, 3)),
-    )
-    for check, full_scan, g in cases:
-        ours = check(g)
-        assert ours == full_scan(g) and ours.all_passed
+def test_stable_frontier_matches_full_scan_of_2047_removals():
+    g = build_stable_block(11, 4, 2)
+    ours = check_stable_block(g)
+    assert ours == full_scan_stable_block(g) and ours.all_passed
+
+
+def star_gadget(m: int, k: int) -> Gadget:
+    """One vertex holding all m ports and nothing else."""
+    g = Hypergraph(2)
+    g.add_vertex()
+    ports = tuple(Port(f"p{i}", ((0,),)) for i in range(m))
+    return Gadget(g, ports, frozenset(), {"k": k, "m": m})
+
+
+def test_stable_sweep_decides_every_removal_past_degree_10():
+    # at k=2 the star keeps its vertex while two ports remain, so only the
+    # 11 removals of ten ports (and the full one) peel it
+    g = star_gadget(11, 2)
+    report = check_stable_block(g)
+    removed = [f"p{i}" for i in range(10)]
+    assert [(c.name, c.passed, c.witness) for c in report.checks] == [
+        ("unpeelable_with_all_ports", True, ""),
+        ("survives_partial_port_removal", False, f"fully_peeled_with_ports_removed={removed}"),
+        ("peels_with_all_ports_removed", True, ""),
+    ]
+    assert_matches_full_scan(g, report, full_scan_stable_block(g))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_pk_frontier_matches_full_scan_at_every_small_degree(k):
-    # delta runs below k - 1, where only the empty removal must peel, up
-    # past the exhaustive limit of 5
+    # delta runs below k - 1, where only the empty removal must peel, up to
+    # 8, whose 256 removals the full scan peels
     d = 3 if k == 2 else 2
     for delta in range(9):
         g = build_pk_gadget(delta, k, d)
@@ -599,14 +650,10 @@ def test_frontier_is_counted_before_it_is_built(monkeypatch):
 
     monkeypatch.setattr(gadgets, "combinations", counting)
     # delta = k = 200: keep all 200 ports, or all but one
-    masks = _frontier(200, (0, 1), 1000)
+    masks = _frontier(200, (0, 1))
     assert len(drawn) == len(masks) == 201
     assert sorted(m.bit_count() for m in masks) == [0] + [1] * 200
     assert set(masks) == {0} | {1 << i for i in range(200)}
-    drawn.clear()
-    # delta = 200, k = 100: C(200, 100) + C(200, 101) masks, none built
-    assert _frontier(200, (100, 101), 100) is None and not drawn
-    assert _frontier(3, (1,), 3) is None and not drawn  # no smaller than the pool
 
 
 def test_grid_peels_the_frontier_not_the_pool(monkeypatch):
@@ -620,4 +667,4 @@ def test_grid_peels_the_frontier_not_the_pool(monkeypatch):
 
     monkeypatch.setattr(gadgets, "_surviving_block", counting)
     assert all(r.all_passed for r in run_gadget_grid())
-    assert calls <= 1700  # a full scan of every subset pool makes 4,569
+    assert calls == 1665  # a full scan of every removal makes 4,569

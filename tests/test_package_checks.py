@@ -17,3 +17,15 @@ def test_package_has_no_bare_asserts():
     ]
     assert sorted(SRC.glob("*.py")), f"no modules found under {SRC}"
     assert found == []
+
+
+def test_gadget_checkers_import_no_rng():
+    # every gadget verdict is exhaustive on its removal frontier, so no
+    # checker draws a sample
+    modules = set()
+    for node in ast.walk(ast.parse((SRC / "gadgets.py").read_text())):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.add(node.module)
+    assert "random" not in {name.split(".")[0] for name in modules}
