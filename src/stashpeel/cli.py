@@ -110,7 +110,7 @@ def _cmd_lift(args, out) -> int:
     if rmap.direction == "vc_to_vs":
         if kind != "v":
             raise ParameterError("cover-reduction maps lift vertex stashes only")
-        normalized = reductions.normalize_stash(rmap.reduced, rmap, ids)
+        normalized = reductions.normalize_stash(rmap, ids)
         back = {img: v for v, img in rmap.vertex_map.items()}
         cover = {back[w] for w in normalized}
         g = rmap.original
@@ -120,10 +120,10 @@ def _cmd_lift(args, out) -> int:
         out.write(format_stash("v", cover))
         return EXIT_OK
     if kind == "e":
-        lifted = reductions.lift_edge_stash(rmap.reduced, rmap, ids)
+        lifted = reductions.lift_edge_stash(rmap, ids)
         out.write(format_stash("v", lifted))
     else:
-        pushed = reductions.push_vertex_stash(rmap.original, rmap, ids)
+        pushed = reductions.push_vertex_stash(rmap, ids)
         out.write(format_stash("e", pushed))
     return EXIT_OK
 

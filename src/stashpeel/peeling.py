@@ -96,7 +96,8 @@ def k_core_after(
     edges, and the edges on stashed vertices, are in neither part.  It is
     read off one ``PeelCore``: the peel order from its trail, the core from
     its alive flags, and the peeled edges are the dead ones outside the
-    stash.
+    stash.  The trace does not record the stash, so ``verify_trace`` can
+    replay it only when the stash is empty.
     """
     sv, se = _stash_ids(g, stash_vertices, stash_edges)
     core = PeelCore(g, k, sv, se)
@@ -137,6 +138,10 @@ def verify_trace(g: Hypergraph, trace: PeelTrace) -> bool:
     and had degree < k at its removal moment, that the peeled edges are
     those on peeled vertices, and that the residue has minimum degree >= k.
     The replay runs on a degree list and reads g in place.
+
+    Only stash-free traces can be replayed: a trace does not record its
+    stash, and every vertex and edge of g must be peeled or in the core,
+    so the trace of ``k_core_after`` with a non-empty stash is rejected.
     """
     k, peeled_order = trace.k, trace.peeled_vertices
     core_v, core_e = trace.core_vertices, trace.core_edges

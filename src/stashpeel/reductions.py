@@ -11,8 +11,12 @@ can be checked end to end on small instances:
   stashing v; stashes push forward with equal size and lift back without
   growing.
 
-Reduction maps carry the original and reduced instances plus the id
-correspondences, and round-trip through a text sidecar format (see
+Reduction maps carry the original and reduced instances plus one lookup
+table per correspondence: ``vertex_map``, ``edge_map`` and ``gadget_of``
+for the cover direction; ``vertex_map``, ``edge_map``, ``estar_pick``,
+``owner`` and ``ports`` for the stash direction.  Normalizing, pushing and
+lifting take only the map and a stash, and read both instances from the
+map.  Maps round-trip through a text sidecar format (see
 ``serialize_map``) so the CLI can lift certificates from files alone.
 """
 
@@ -34,30 +38,6 @@ from .hypergraph import Hypergraph, parse, serialize
 from .peeling import is_k_peelable
 
 
-@dataclass(frozen=True)
-class CkInstance:
-    """One edge-replacement gadget inside a cover-reduction output."""
-
-    orig_edge: int
-    u: int
-    v: int
-    internal_vertices: frozenset[int]
-    edges: frozenset[int]
-
-
-@dataclass(frozen=True)
-class PkInstance:
-    """One per-vertex gadget inside a vertex-to-edge-stash output."""
-
-    orig_vertex: int
-    primary: int
-    vertices: frozenset[int]
-    internal_edges: frozenset[int]
-    estar: frozenset[int]
-    # (original incident edge id, attach vertex of its neighboring edge)
-    ports: tuple[tuple[int, int], ...]
-
-
 @dataclass
 class ReductionMap:
     """Correspondence between an original instance and its reduction.
@@ -67,8 +47,12 @@ class ReductionMap:
     an original edge to the reduced edge ids it became.  ``owner`` assigns
     every reduced edge to one original vertex (neighboring edges go to the
     lowest-id endpoint), which is what makes lifted stashes never grow.
-    ``parse_map`` rebuilds a map from its sidecar file, so parsed maps carry
-    the per-gadget ``ck``/``pk`` audit records too.
+    ``gadget_of`` sends each internal vertex of a cover gadget to the images
+    of its edge's endpoints.  ``estar_pick`` sends an original vertex to its
+    wrapper gadget's lowest-id E* edge, and ``ports`` lists, in incidence
+    order, (original incident edge, attach vertex of its neighboring edge).
+    ``parse_map`` rebuilds a map from its sidecar file, so a parsed map
+    equals the one that was written, field for field.
     """
 
     direction: str  # "vc_to_vs" | "vs_to_es"
@@ -81,8 +65,7 @@ class ReductionMap:
     estar_pick: dict[int, int] = field(default_factory=dict)
     owner: dict[int, int] = field(default_factory=dict)
     gadget_of: dict[int, tuple[int, int]] = field(default_factory=dict)
-    ck: dict[int, CkInstance] = field(default_factory=dict)
-    pk: dict[int, PkInstance] = field(default_factory=dict)
+    ports: dict[int, tuple[tuple[int, int], ...]] = field(default_factory=dict)
 
 
 # -- vertex cover -> k-vertex-stash -------------------------------------------
@@ -98,7 +81,7 @@ def reduce_vc_to_vertex_stash(g: Hypergraph, k: int, d: int) -> tuple[Hypergraph
     out = Hypergraph(d)
     image = {v: out.add_vertex() for v in range(g.num_vertices)}
     gadget = build_ck_gadget(k, d) if g.num_edges else None
-    ck: dict[int, CkInstance] = {}
+    attaches = {p.name: p.edges for p in gadget.ports} if gadget else {}
     gadget_of: dict[int, tuple[int, int]] = {}
     edge_map: dict[int, tuple[int, ...]] = {}
     for e in range(g.num_edges):
@@ -106,13 +89,10 @@ def reduce_vc_to_vertex_stash(g: Hypergraph, k: int, d: int) -> tuple[Hypergraph
         dv, de = embed_graph(gadget.graph, out)
         edges = list(range(de, de + gadget.graph.num_edges))
         for port, endpoint in (("u", image[u]), ("v", image[v])):
-            spec = next(p for p in gadget.ports if p.name == port)
-            for attach in spec.edges:
+            for attach in attaches[port]:
                 edges.append(out.add_edge((endpoint, *(dv + a for a in attach))))
-        internal = frozenset(range(dv, dv + gadget.graph.num_vertices))
-        for w in internal:
+        for w in range(dv, dv + gadget.graph.num_vertices):
             gadget_of[w] = (image[u], image[v])
-        ck[e] = CkInstance(e, image[u], image[v], internal, frozenset(edges))
         edge_map[e] = tuple(edges)
     return out, ReductionMap(
         direction="vc_to_vs",
@@ -123,11 +103,10 @@ def reduce_vc_to_vertex_stash(g: Hypergraph, k: int, d: int) -> tuple[Hypergraph
         vertex_map=image,
         edge_map=edge_map,
         gadget_of=gadget_of,
-        ck=ck,
     )
 
 
-def normalize_stash(reduced: Hypergraph, rmap: ReductionMap, stash) -> frozenset[int]:
+def normalize_stash(rmap: ReductionMap, stash) -> frozenset[int]:
     """Rewrite a valid vertex stash of the reduced instance so it uses only
     images of original vertices, never growing it.
 
@@ -136,6 +115,7 @@ def normalize_stash(reduced: Hypergraph, rmap: ReductionMap, stash) -> frozenset
     """
     if rmap.direction != "vc_to_vs":
         raise ParameterError("normalize_stash applies to cover-reduction maps")
+    reduced = rmap.reduced
     s = frozenset(stash)
     for w in s:
         if not reduced.has_vertex(w):
@@ -176,7 +156,7 @@ def reduce_vertex_to_edge_stash(g: Hypergraph, k: int, d: int) -> tuple[Hypergra
     vertex_map: dict[int, int] = {}
     estar_pick: dict[int, int] = {}
     owner: dict[int, int] = {}
-    pk: dict[int, PkInstance] = {}
+    ports: dict[int, tuple[tuple[int, int], ...]] = {}
     attach_of: dict[tuple[int, int], int] = {}
     built: dict[int, Gadget] = {}  # embedding only reads a gadget
     for v in range(g.num_vertices):
@@ -185,26 +165,12 @@ def reduce_vertex_to_edge_stash(g: Hypergraph, k: int, d: int) -> tuple[Hypergra
             built[len(incident)] = build_pk_gadget(len(incident), k, d)
         gadget = built[len(incident)]
         dv, de = embed_graph(gadget.graph, out)
-        internal_edges = range(de, de + gadget.graph.num_edges)
-        primary = dv + gadget.meta["primary"]  # type: ignore[operator]
-        for fe in internal_edges:
+        for fe in range(de, de + gadget.graph.num_edges):
             owner[fe] = v
-        estar = frozenset(de + e for e in gadget.estar)
-        ports = []
-        for i, e in enumerate(incident):
-            attach = dv + gadget.ports[i].edges[0][0]
-            attach_of[(e, v)] = attach
-            ports.append((e, attach))
-        vertex_map[v] = primary
-        estar_pick[v] = min(estar)
-        pk[v] = PkInstance(
-            orig_vertex=v,
-            primary=primary,
-            vertices=frozenset(range(dv, dv + gadget.graph.num_vertices)),
-            internal_edges=frozenset(internal_edges),
-            estar=estar,
-            ports=tuple(ports),
-        )
+        vertex_map[v] = dv + gadget.meta["primary"]  # type: ignore[operator]
+        estar_pick[v] = de + min(gadget.estar)
+        ports[v] = tuple((e, dv + gadget.ports[i].edges[0][0]) for i, e in enumerate(incident))
+        attach_of.update(((e, v), attach) for e, attach in ports[v])
     edge_map: dict[int, tuple[int, ...]] = {}
     for e in range(g.num_edges):
         members = g.edge_vertices(e)
@@ -221,15 +187,17 @@ def reduce_vertex_to_edge_stash(g: Hypergraph, k: int, d: int) -> tuple[Hypergra
         edge_map=edge_map,
         estar_pick=estar_pick,
         owner=owner,
-        pk=pk,
+        ports=ports,
     )
 
 
-def push_vertex_stash(g: Hypergraph, rmap: ReductionMap, stash) -> frozenset[int]:
-    """Translate a valid vertex stash of g into an equal-size edge stash of
-    the reduced instance, picking each gadget's lowest-id E* edge."""
+def push_vertex_stash(rmap: ReductionMap, stash) -> frozenset[int]:
+    """Translate a valid vertex stash of the original instance into an
+    equal-size edge stash of the reduced one, picking each gadget's
+    lowest-id E* edge."""
     if rmap.direction != "vs_to_es":
         raise ParameterError("push_vertex_stash applies to stash-reduction maps")
+    g = rmap.original
     s = frozenset(stash)
     for v in s:
         if not g.has_vertex(v):
@@ -244,12 +212,13 @@ def push_vertex_stash(g: Hypergraph, rmap: ReductionMap, stash) -> frozenset[int
     return pushed
 
 
-def lift_edge_stash(reduced: Hypergraph, rmap: ReductionMap, stash) -> frozenset[int]:
+def lift_edge_stash(rmap: ReductionMap, stash) -> frozenset[int]:
     """Translate a valid edge stash of the reduced instance into a vertex
     stash of the original that is never larger: every stashed edge charges
     the original vertex owning it."""
     if rmap.direction != "vs_to_es":
         raise ParameterError("lift_edge_stash applies to stash-reduction maps")
+    reduced = rmap.reduced
     s = frozenset(stash)
     for e in s:
         if not reduced.has_edge(e):
@@ -280,16 +249,15 @@ def audit_p1(rmap: ReductionMap) -> list[str]:
     g = rmap.original
     problems = []
     for v in range(g.num_vertices):
-        inst = rmap.pk[v]
         expected = g._incidence[v]
-        got = sorted(e for e, _ in inst.ports)
+        got = sorted(e for e, _ in rmap.ports[v])
         if got != expected:
             problems.append(f"vertex {v}: ports {got} != incident edges {expected}")
-    attach = {v: dict(rmap.pk[v].ports) for v in range(g.num_vertices)}
+    attach = {v: dict(rmap.ports[v]) for v in range(g.num_vertices)}
     for e in range(g.num_edges):
         members = g.edge_vertices(e)
         shared = rmap.edge_map[e][0]
-        want = {attach[w][e] for w in members}
+        want = {attach[w].get(e) for w in members}
         have = set(rmap.reduced.edge_vertices(shared))
         if want != have:
             problems.append(f"edge {e}: neighboring edge {shared} joins {have}, expected {want}")
@@ -301,7 +269,7 @@ def audit_pk_properties(rmap: ReductionMap) -> list[GadgetReport]:
     instantiated by a stash reduction."""
     if rmap.direction != "vs_to_es":
         raise ParameterError("audit_pk_properties applies to stash-reduction maps")
-    degrees = sorted({len(inst.ports) for inst in rmap.pk.values()})
+    degrees = sorted(set(map(len, rmap.original._incidence)))
     return [check_pk_gadget(build_pk_gadget(delta, rmap.k, rmap.d)) for delta in degrees]
 
 
@@ -366,8 +334,7 @@ def parse_map(text: str) -> ReductionMap:
     are read and the reduction is built again.  The text must then be what
     ``serialize_map`` writes for the rebuild, apart from blank lines, '#'
     comment lines and whitespace around a line; the first line that
-    differs raises ParseError.  The rebuild, audit records included, is
-    returned.
+    differs raises ParseError.  The rebuild is returned.
     """
     lines = _content_lines(text)
     header_at, header = next(lines)

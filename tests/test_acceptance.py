@@ -212,8 +212,8 @@ def test_criterion_6_edge_stash_reduction():
                 violations.append((k, d, i, vs.size, es.size))
             nonzero += vs.size > 0
             deep += vs.size >= 3
-            pushed = push_vertex_stash(g, rmap, vs.stash)
-            lifted = lift_edge_stash(fg, rmap, pushed)
+            pushed = push_vertex_stash(rmap, vs.stash)
+            lifted = lift_edge_stash(rmap, pushed)
             if len(pushed) != vs.size or len(lifted) > len(pushed):
                 violations.append((k, d, i, "round trip grew"))
     if nonzero < 20:
@@ -242,7 +242,7 @@ def test_criterion_7_wiring_audits():
         problems = audit_p1(rmap)
         if problems:
             violations.append((rmap.k, rmap.d, problems[:2]))
-        triples.update((len(inst.ports), rmap.k, rmap.d) for inst in rmap.pk.values())
+        triples.update((len(ports), rmap.k, rmap.d) for ports in rmap.ports.values())
     # each (delta, k, d) builds one deterministic gadget, so auditing the
     # distinct triples covers every gadget the corpus instantiated
     for delta, k, d in sorted(triples):

@@ -10,6 +10,7 @@ from stashpeel import (
     ParameterError,
     PeelTrace,
     core_subgraph,
+    gen_random,
     greedy_stash,
     is_k_peelable,
     k_core,
@@ -132,6 +133,14 @@ def test_verify_trace_rejects_a_vertex_peeled_twice():
         core_edges=trace.core_edges,
     )
     assert verify_trace(g, twice) is False
+
+
+def test_verify_trace_replays_stash_free_traces_only():
+    # a trace does not record its stash, so the replay counts the stashed
+    # vertex and its edges as neither peeled nor core and rejects the trace
+    g = gen_random(8, 14, 2, 1)
+    assert verify_trace(g, k_core_after(g, 2))
+    assert verify_trace(g, k_core_after(g, 2, stash_vertices=[0])) is False
 
 
 def test_core_subgraph_of_a_stashed_trace_holds_only_the_core():

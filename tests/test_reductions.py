@@ -1,3 +1,4 @@
+import dataclasses
 import textwrap
 
 import pytest
@@ -9,6 +10,7 @@ from stashpeel import (
     UnsupportedCaseError,
     audit_p1,
     audit_pk_properties,
+    build_pk_gadget,
     gen_random,
     greedy_stash,
     is_k_peelable,
@@ -70,40 +72,51 @@ def test_vc_reduction_parameter_errors():
         reduce_vc_to_vertex_stash(triangle(), 1, 2)
 
 
+def _gadget_vertices(rmap, e):
+    """Internal vertices of the cover gadget that replaced original edge e:
+    those on its reduced edges that are not images, each sent by
+    ``gadget_of`` to the images of e's endpoints."""
+    images = set(rmap.vertex_map.values())
+    inside = {w for f in rmap.edge_map[e] for w in rmap.reduced.edge_vertices(f)} - images
+    ends = tuple(rmap.vertex_map[v] for v in rmap.original.edge_vertices(e))
+    assert inside and all(rmap.gadget_of[w] == ends for w in inside)
+    return sorted(inside)
+
+
 def test_normalize_replaces_gadget_vertex_with_endpoint():
     g = mkgraph(2, [(0, 1)])
     reduced, rmap = reduce_vc_to_vertex_stash(g, 2, 2)
-    internal = sorted(rmap.ck[0].internal_vertices)[0]
-    normalized = normalize_stash(reduced, rmap, {internal})
+    internal = _gadget_vertices(rmap, 0)[0]
+    normalized = normalize_stash(rmap, {internal})
     assert normalized == {rmap.gadget_of[internal][0]}
     assert k_core_after(reduced, 2, stash_vertices=normalized).core_empty
 
 
 def test_normalize_keeps_original_only_stashes():
     g = triangle()
-    reduced, rmap = reduce_vc_to_vertex_stash(g, 2, 2)
+    _, rmap = reduce_vc_to_vertex_stash(g, 2, 2)
     originals = {rmap.vertex_map[0], rmap.vertex_map[1]}
-    assert normalize_stash(reduced, rmap, originals) == originals
+    assert normalize_stash(rmap, originals) == originals
     everyone = frozenset(rmap.vertex_map.values())
-    assert normalize_stash(reduced, rmap, everyone) == everyone
+    assert normalize_stash(rmap, everyone) == everyone
 
 
 def test_normalize_never_grows_mixed_stashes():
     g = triangle()
-    reduced, rmap = reduce_vc_to_vertex_stash(g, 3, 2)
-    mixed = {rmap.vertex_map[0]} | {sorted(rmap.ck[1].internal_vertices)[0]}
-    normalized = normalize_stash(reduced, rmap, mixed)
+    _, rmap = reduce_vc_to_vertex_stash(g, 3, 2)
+    mixed = {rmap.vertex_map[0]} | {_gadget_vertices(rmap, 1)[0]}
+    normalized = normalize_stash(rmap, mixed)
     assert len(normalized) <= len(mixed)
     assert normalized <= set(rmap.vertex_map.values())
 
 
 def test_normalize_rejects_invalid_stash():
     g = triangle()
-    reduced, rmap = reduce_vc_to_vertex_stash(g, 2, 2)
+    _, rmap = reduce_vc_to_vertex_stash(g, 2, 2)
     with pytest.raises(ContractViolationError):
-        normalize_stash(reduced, rmap, {rmap.vertex_map[0]})  # one vertex is not enough
+        normalize_stash(rmap, {rmap.vertex_map[0]})  # one vertex is not enough
     with pytest.raises(ContractViolationError):
-        normalize_stash(reduced, rmap, {10**6})
+        normalize_stash(rmap, {10**6})
 
 
 # -- vertex stash -> edge stash --------------------------------------------------
@@ -147,7 +160,7 @@ def test_stash_equality_on_stash_two_instances():
         fg, rmap = reduce_vertex_to_edge_stash(g, k, d)
         es = min_edge_stash_exact(fg, k, size_cap=3)
         assert vs.size == es.size == 2
-        lifted = lift_edge_stash(fg, rmap, push_vertex_stash(g, rmap, vs.stash))
+        lifted = lift_edge_stash(rmap, push_vertex_stash(rmap, vs.stash))
         assert len(lifted) <= 2
         assert k_core_after(g, k, stash_vertices=lifted).core_empty
 
@@ -180,7 +193,7 @@ def test_push_single_vertex_stash():
     g = complete_graph(4)
     _, rmap = reduce_vertex_to_edge_stash(g, 3, 2)
     stash = min_vertex_stash_exact(g, 3).stash
-    pushed = push_vertex_stash(g, rmap, stash)
+    pushed = push_vertex_stash(rmap, stash)
     assert pushed == {rmap.estar_pick[v] for v in stash}
     assert len(pushed) == len(stash)
 
@@ -188,29 +201,29 @@ def test_push_single_vertex_stash():
 def test_push_empty_and_full_stashes():
     g = triangle()
     fg, rmap = reduce_vertex_to_edge_stash(g, 3, 2)
-    assert push_vertex_stash(g, rmap, frozenset()) == frozenset()
-    full = push_vertex_stash(g, rmap, g.vertices)
+    assert push_vertex_stash(rmap, frozenset()) == frozenset()
+    full = push_vertex_stash(rmap, g.vertices)
     assert len(full) == 3
     assert k_core_after(fg, 3, stash_edges=full).core_empty
 
 
 def test_lift_direct_estar_stash():
     g = complete_graph(4)
-    fg, rmap = reduce_vertex_to_edge_stash(g, 3, 2)
-    assert lift_edge_stash(fg, rmap, {rmap.estar_pick[2]}) == {2}
+    _, rmap = reduce_vertex_to_edge_stash(g, 3, 2)
+    assert lift_edge_stash(rmap, {rmap.estar_pick[2]}) == {2}
 
 
 def test_lift_empty_stash_on_peelable_instance():
     g = triangle()  # 3-peelable, so its reduction is too
-    fg, rmap = reduce_vertex_to_edge_stash(g, 3, 2)
-    assert lift_edge_stash(fg, rmap, frozenset()) == frozenset()
+    _, rmap = reduce_vertex_to_edge_stash(g, 3, 2)
+    assert lift_edge_stash(rmap, frozenset()) == frozenset()
 
 
 def test_lift_greedy_stash_of_reduced_k4():
     g = complete_graph(4)
     fg, rmap = reduce_vertex_to_edge_stash(g, 3, 2)
     greedy = greedy_stash(fg, 3, "edge")
-    lifted = lift_edge_stash(fg, rmap, greedy.stash)
+    lifted = lift_edge_stash(rmap, greedy.stash)
     assert len(lifted) <= greedy.size
     assert k_core_after(g, 3, stash_vertices=lifted).core_empty
 
@@ -222,19 +235,19 @@ def test_push_lift_roundtrip_never_grows():
             stash = min_vertex_stash_exact(g, 3, 3).stash
         except Exception:
             continue
-        fg, rmap = reduce_vertex_to_edge_stash(g, 3, 2)
-        back = lift_edge_stash(fg, rmap, push_vertex_stash(g, rmap, stash))
+        _, rmap = reduce_vertex_to_edge_stash(g, 3, 2)
+        back = lift_edge_stash(rmap, push_vertex_stash(rmap, stash))
         assert len(back) <= len(stash)
         assert k_core_after(g, 3, stash_vertices=back).core_empty
 
 
 def test_lift_and_push_reject_invalid_certificates():
     g = complete_graph(4)
-    fg, rmap = reduce_vertex_to_edge_stash(g, 3, 2)
+    _, rmap = reduce_vertex_to_edge_stash(g, 3, 2)
     with pytest.raises(ContractViolationError):
-        push_vertex_stash(g, rmap, frozenset())  # K4 itself is not 3-peelable... needs a stash
+        push_vertex_stash(rmap, frozenset())  # K4 itself is not 3-peelable... needs a stash
     with pytest.raises(ContractViolationError):
-        lift_edge_stash(fg, rmap, {10**6})
+        lift_edge_stash(rmap, {10**6})
 
 
 def test_peelability_equivalence_random():
@@ -248,12 +261,22 @@ def test_peelability_equivalence_random():
         assert is_k_peelable(g, 2) == is_k_peelable(fg, 2)
 
 
+def _estar_edges(rmap, v):
+    """E* edges of v's wrapper gadget, found without trusting ``estar_pick``:
+    the gadget has one port per entry of ``ports[v]``, and its embedded
+    edges are those ``owner`` gives v, in the gadget's own order."""
+    neighboring = {shared for shared, in rmap.edge_map.values()}
+    first = min(e for e, o in rmap.owner.items() if o == v and e not in neighboring)
+    gadget = build_pk_gadget(len(rmap.ports[v]), rmap.k, rmap.d)
+    return {first + e for e in gadget.estar}
+
+
 def test_estar_pick_is_lowest_estar_edge():
     g = triangle()
     _, rmap = reduce_vertex_to_edge_stash(g, 3, 2)
-    for v, inst in rmap.pk.items():
-        assert rmap.estar_pick[v] == min(inst.estar)
-        assert rmap.estar_pick[v] in inst.estar
+    for v in g.vertices:
+        assert rmap.owner[rmap.estar_pick[v]] == v
+        assert rmap.estar_pick[v] == min(_estar_edges(rmap, v))
 
 
 def test_neighboring_edge_ownership_is_lowest_endpoint():
@@ -274,13 +297,45 @@ def test_audits_pass_for_both_cases():
     assert all(r.all_passed for r in audit_pk_properties(rmap))
 
 
+def _rewired(g, e, old, new):
+    """Copy of g with vertex old of edge e replaced by new."""
+    edges = [g.edge_vertices(f) for f in range(g.num_edges)]
+    edges[e] = tuple(new if w == old else w for w in edges[e])
+    return mkgraph(g.num_vertices, edges, g.d)
+
+
+def test_audit_p1_reports_miswired_graph_and_ports():
+    # negative controls: the audit reads the reduced graph and the ports
+    # table, so corrupting either one must be reported
+    g = gen_random(5, 7, 2, 1)
+    _, rmap = reduce_vertex_to_edge_stash(g, 3, 2)
+    e = 0
+    v = g.edge_vertices(e)[0]
+    (shared,) = rmap.edge_map[e]
+    attach, primary = dict(rmap.ports[v])[e], rmap.vertex_map[v]
+    assert primary not in rmap.reduced.edge_vertices(shared)
+    rewired = dataclasses.replace(rmap, reduced=_rewired(rmap.reduced, shared, attach, primary))
+    problems = audit_p1(rewired)
+    assert len(problems) == 1 and problems[0].startswith(f"edge {e}: neighboring edge {shared} joins")
+
+    v = max(g.vertices, key=g.degree)
+    (e1, a1), (e2, a2), *rest = rmap.ports[v]
+    swapped = dataclasses.replace(rmap, ports={**rmap.ports, v: ((e1, a2), (e2, a1), *rest)})
+    assert [p.split(":")[0] for p in audit_p1(swapped)] == [f"edge {e}" for e in sorted((e1, e2))]
+    dropped = dataclasses.replace(rmap, ports={**rmap.ports, v: ((e2, a2), *rest)})
+    problems = audit_p1(dropped)
+    assert [p.split(":")[0] for p in problems] == [f"vertex {v}", f"edge {e1}"]
+    assert problems[0].endswith(f"!= incident edges {g._incidence[v]}")
+
+
 def test_isolated_vertices_get_degenerate_gadgets():
     g = mkgraph(4, [(0, 1)])  # vertices 2 and 3 are isolated
     fg, rmap = reduce_vertex_to_edge_stash(g, 3, 2)
     assert is_k_peelable(fg, 3)
     for v in (2, 3):
-        assert rmap.pk[v].ports == ()
-        assert rmap.estar_pick[v] in rmap.pk[v].estar
+        assert rmap.ports[v] == ()
+        assert rmap.owner[rmap.estar_pick[v]] == v
+        assert rmap.estar_pick[v] in _estar_edges(rmap, v)
 
 
 # -- sidecar round trip -----------------------------------------------------------
@@ -288,21 +343,21 @@ def test_isolated_vertices_get_degenerate_gadgets():
 
 def test_map_roundtrip_vstash():
     g = gen_random(4, 5, 2, 9)
-    fg, rmap = reduce_vertex_to_edge_stash(g, 3, 2)
+    _, rmap = reduce_vertex_to_edge_stash(g, 3, 2)
     loaded = parse_map(serialize_map(rmap))
-    assert loaded == rmap  # every field, the pk audit records included
+    assert loaded == rmap  # every field: both instances and all five lookup tables
     assert audit_p1(loaded) == []
     stash = min_vertex_stash_exact(g, 3).stash
-    assert push_vertex_stash(g, loaded, stash) == push_vertex_stash(g, rmap, stash)
+    assert push_vertex_stash(loaded, stash) == push_vertex_stash(rmap, stash)
 
 
 def test_map_roundtrip_vc():
     g = triangle()
     reduced, rmap = reduce_vc_to_vertex_stash(g, 2, 2)
     loaded = parse_map(serialize_map(rmap))
-    assert loaded == rmap  # every field, the ck audit records included
+    assert loaded == rmap  # every field: both instances and all three lookup tables
     stash = min_vertex_stash_exact(reduced, 2).stash
-    assert normalize_stash(reduced, loaded, stash) == normalize_stash(reduced, rmap, stash)
+    assert normalize_stash(loaded, stash) == normalize_stash(rmap, stash)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -376,14 +431,14 @@ def test_certificate_checks_survive_python_optimize():
         tri = parse("h 2 3 3\\ne 0 1\\ne 1 2\\ne 2 0\\n")
         _, vc = reductions.reduce_vc_to_vertex_stash(tri, 2, 2)
         _, vs = reductions.reduce_vertex_to_edge_stash(tri, 3, 2)
-        pushed = reductions.push_vertex_stash(tri, vs, {0})
+        pushed = reductions.push_vertex_stash(vs, {0})
         collapsed = dataclasses.replace(vs, estar_pick=dict.fromkeys(vs.estar_pick, min(pushed)))
         cover = {vc.vertex_map[0], vc.vertex_map[1]}
         cases = (
-            (True, lambda: reductions.normalize_stash(vc.reduced, vc, cover)),
-            (True, lambda: reductions.push_vertex_stash(tri, vs, {0})),
-            (True, lambda: reductions.lift_edge_stash(vs.reduced, vs, pushed)),
-            (False, lambda: reductions.push_vertex_stash(tri, collapsed, {0, 1})),
+            (True, lambda: reductions.normalize_stash(vc, cover)),
+            (True, lambda: reductions.push_vertex_stash(vs, {0})),
+            (True, lambda: reductions.lift_edge_stash(vs, pushed)),
+            (False, lambda: reductions.push_vertex_stash(collapsed, {0, 1})),
         )
         print(sys.flags.optimize)
         for patched, call in cases:
