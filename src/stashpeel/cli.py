@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 infeasible (cap exceeded or a failed gadget
 check), 2 input error: a missing or unreadable file, bytes that are not
-UTF-8, malformed text or an out-of-range parameter.  All randomness is
+UTF-8, malformed text or an out-of-range parameter, 3 internal error: any
+other exception, reported with its traceback on stderr.  All randomness is
 seed-controlled, so identical invocations produce byte-identical output.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import traceback
 
 from . import gadgets, reductions, stash_solvers
 from .errors import (
@@ -26,6 +28,7 @@ from .peeling import core_subgraph, k_core
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_INPUT_ERROR = 2
+EXIT_INTERNAL_ERROR = 3
 
 
 def _read(path: str) -> str:
@@ -96,10 +99,11 @@ def _cmd_reduce(args, out) -> int:
         reduced, rmap = reductions.reduce_vc_to_vertex_stash(g, args.k, args.d)
     else:
         reduced, rmap = reductions.reduce_vertex_to_edge_stash(g, args.k, args.d)
-    out.write(serialize(reduced))
     map_path = args.map_out or args.file + ".map"
+    # the map goes first, so a path that cannot be written leaves stdout empty
     with open(map_path, "w", encoding="utf-8") as fh:
         fh.write(reductions.serialize_map(rmap))
+    out.write(serialize(reduced))
     out.write(f"# map: {map_path}\n")
     return EXIT_OK
 
@@ -285,6 +289,10 @@ def run(argv: list[str], out=None, err=None) -> int:
     except OSError as exc:
         err.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
+    except Exception:
+        # a bug, not an answer: exit 1 must keep meaning "infeasible"
+        err.write("internal error: " + traceback.format_exc())
+        return EXIT_INTERNAL_ERROR
 
 
 def main() -> None:  # pragma: no cover - thin wrapper

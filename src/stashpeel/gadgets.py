@@ -4,11 +4,14 @@ A gadget is a hypergraph fragment plus a description of where future
 neighboring edges attach (its ports) and which internal edges are
 designated stashable (its E* set).  Builders only create internal
 structure; the neighboring edges themselves are created later, either by
-an embedding (reductions) or by the check harness, which caps every port
-slot with a high-degree anchor vertex so ports count toward internal
-degrees without ever being peelable themselves.  Every check builds one
-``PeelCore`` of the harness graph with the removed edges and anchors as its
-stash and reads which block vertices it leaves alive, so no check copies
+an embedding (reductions) or by the check harness.  The harness is a copy
+of the gadget plus one pool of d vertices pinned by k parallel edges, and
+fills every port edge's free slots from that pool, so ports count toward
+internal degrees while no pool vertex ever peels.  A removal is named by
+its ports and takes away their edges; for the ck gadget, removing the u
+port edges is, as far as the gadget can see, stashing u.  Every check
+builds one ``PeelCore`` of the harness graph with the removed edges as its
+stash and reads which gadget vertices it leaves alive, so no check copies
 the harness or builds a trace.  ``run_gadget_grid`` builds and checks every
 family over a (k, d) grid, each where it exists.
 
@@ -20,9 +23,10 @@ survival up to some removal size, or peeling from some size on, is then
 decided by the removals of exactly that size, the frontier, and each sweep
 peels the frontier alone: its verdict holds for every removal, and a
 failing witness is the first failing frontier removal, by size and then in
-``itertools.combinations`` order.  A stable block of degree m costs m
-peels; a pk gadget of degree delta costs C(delta, k) + C(delta, k-1),
-polynomial in delta for a fixed k.
+``itertools.combinations`` order of the port names.  Removals are drawn
+one at a time, so a sweep stops at its first failure.  A stable block of
+degree m costs m peels; a pk gadget of degree delta costs
+C(delta, k) + C(delta, k-1), polynomial in delta for a fixed k.
 
 The families:
 
@@ -47,7 +51,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, compress
 
 from .errors import ParameterError
 from .hypergraph import Hypergraph
@@ -482,79 +486,43 @@ def build_pk_gadget(delta: int, k: int, d: int) -> Gadget:
 
 @dataclass
 class Harness:
-    """A gadget embedded with all ports capped by pumped anchor vertices.
+    """A gadget with every port edge present, over one pinned pool.
 
-    The gadget comes first, so its vertex and edge ids are the harness's.
+    The gadget comes first, so its ``block`` vertices and all its edges keep
+    their ids.  A pool of d vertices follows, held at degree k by k parallel
+    edges over it, and every port edge is its attach vertices followed by
+    the first pool vertices it needs.  Pool vertices never peel, so a port
+    edge dies exactly when it is removed or a gadget vertex on it dies.
     """
 
     graph: Hypergraph
     k: int
-    block_vertices: frozenset[int]
+    block: int
     port_edges: dict[str, tuple[int, ...]]
-    port_anchor: dict[str, int]
 
 
 def build_harness(gadget: Gadget) -> Harness:
-    k = gadget.params["k"]
-    d = gadget.graph.d
-    h = Hypergraph(d)
-    embed_graph(gadget.graph, h)
-    anchors: list[int] = []
-    port_edges: dict[str, tuple[int, ...]] = {}
-    port_anchor: dict[str, int] = {}
-    for port in gadget.ports:
-        shared = None
-        if port.shared_external:
-            shared = h.add_vertex()
-            anchors.append(shared)
-            port_anchor[port.name] = shared
-        realized = []
-        for attach in port.edges:
-            ext_needed = d - len(attach) - (1 if shared is not None else 0)
-            ext = h.add_vertices(ext_needed)
-            anchors.extend(ext)
-            slots = list(attach)
-            if shared is not None:
-                slots.append(shared)
-            realized.append(h.add_edge((*slots, *ext)))
-        port_edges[port.name] = tuple(realized)
-    if anchors:
-        # k parallel filler edges per anchor pin every anchor (and the
-        # fillers themselves) at degree >= k no matter what is removed
-        pumps = h.add_vertices(d - 1)
-        for a in anchors:
-            for _ in range(k):
-                h.add_edge((a, *pumps))
-    return Harness(
-        graph=h,
-        k=k,
-        block_vertices=frozenset(range(gadget.graph.num_vertices)),
-        port_edges=port_edges,
-        port_anchor=port_anchor,
-    )
+    k, d = gadget.params["k"], gadget.graph.d
+    h = gadget.graph.copy()
+    pool = h.add_vertices(d)
+    for _ in range(k):
+        h.add_edge(pool)
+    port_edges = {
+        port.name: tuple(h.add_edge((*attach, *pool[: d - len(attach)])) for attach in port.edges)
+        for port in gadget.ports
+    }
+    return Harness(h, k, gadget.graph.num_vertices, port_edges)
 
 
-def _surviving_block(
-    harness: Harness,
-    removed_edges: tuple[int, ...] = (),
-    removed_vertices: tuple[int, ...] = (),
-) -> frozenset[int]:
-    alive = PeelCore(harness.graph, harness.k, removed_vertices, removed_edges).vertex_alive
-    return frozenset(v for v in harness.block_vertices if alive[v])
+def _survivors(harness: Harness, removed_edges: tuple[int, ...] = ()) -> list[int]:
+    """The gadget vertices left in the k-core once the given edges are gone,
+    in ascending order."""
+    alive = PeelCore(harness.graph, harness.k, (), removed_edges).vertex_alive
+    return list(compress(range(harness.block), alive))
 
 
-def _frontier(n: int, removed_counts) -> list[int]:
-    """The masks of n items with exactly r bits set, for each r in
-    ``removed_counts`` in turn, each size in ``combinations`` order."""
-    return [sum(1 << i for i in c) for r in removed_counts for c in combinations(range(n), r)]
-
-
-def _mask_ports(names: list[str], mask: int) -> list[str]:
-    return [name for i, name in enumerate(names) if mask >> i & 1]
-
-
-def _mask_edges(harness: Harness, names: list[str], mask: int) -> tuple[int, ...]:
-    return tuple(e for name in _mask_ports(names, mask) for e in harness.port_edges[name])
+def _edges_of(harness: Harness, names) -> tuple[int, ...]:
+    return tuple(e for name in names for e in harness.port_edges[name])
 
 
 def _report_params(gadget: Gadget) -> dict[str, int]:
@@ -566,29 +534,20 @@ def _report_params(gadget: Gadget) -> dict[str, int]:
 
 
 def _unpeelable(harness: Harness, name: str) -> CheckResult:
-    """Nothing in the block peels with every port anchored."""
-    peeled = sorted(harness.block_vertices - _surviving_block(harness))
+    """Nothing in the block peels with every port present."""
+    peeled = sorted(set(range(harness.block)).difference(_survivors(harness)))
     return CheckResult(name, not peeled, f"peeled={peeled}" if peeled else "")
 
 
-def _peels(
-    harness: Harness,
-    name: str,
-    label: str,
-    removed_edges: tuple[int, ...] = (),
-    removed_vertices: tuple[int, ...] = (),
-) -> CheckResult:
-    """The whole block peels once the given edges and vertices are gone."""
-    surv = sorted(_surviving_block(harness, removed_edges, removed_vertices))
+def _peels(harness: Harness, name: str, label: str, removed_edges: tuple[int, ...]) -> CheckResult:
+    """The whole block peels once the given edges are gone."""
+    surv = _survivors(harness, removed_edges)
     return CheckResult(name, not surv, f"{label}survivors={surv}" if surv else "")
 
 
 def _estar_checks(gadget: Gadget, harness: Harness) -> list[CheckResult]:
     """Stashing any one E* edge peels the whole block, all ports present."""
-    return [
-        _peels(harness, f"estar_{e}_peels", f"stash_edge={e} ", removed_edges=(e,))
-        for e in sorted(gadget.estar)
-    ]
+    return [_peels(harness, f"estar_{e}_peels", f"stash_edge={e} ", (e,)) for e in sorted(gadget.estar)]
 
 
 # -- checkers -----------------------------------------------------------------
@@ -597,29 +556,29 @@ def _estar_checks(gadget: Gadget, harness: Harness) -> list[CheckResult]:
 def check_ck_properties(gadget: Gadget) -> GadgetReport:
     """Peel-based audit of the edge-replacement gadget.
 
-    (a) every internal vertex has degree >= k with both ports anchored;
-    (b) removing the u anchor (or the v anchor) empties the gadget's
-    k-core; (c) with both anchors intact nothing peels.
+    (a) every internal vertex has degree >= k with both ports present;
+    (b) removing the u port edges (or the v ones) empties the gadget's
+    k-core -- as far as the gadget can see, that is what stashing u does;
+    (c) with both ports present nothing peels.
     """
     harness = build_harness(gadget)
     degree, k = harness.graph.degree, harness.k
-    low = sorted((v, degree(v)) for v in harness.block_vertices if degree(v) < k)
+    low = [(v, degree(v)) for v in range(harness.block) if degree(v) < k]
     checks = [CheckResult("min_internal_degree", not low, f"low_degree={low}" if low else "")]
     checks.append(_unpeelable(harness, "unpeelable_with_both_ports"))
     for name in ("u", "v"):
-        anchor = (harness.port_anchor[name],)
-        checks.append(_peels(harness, f"peels_when_{name}_removed", "", removed_vertices=anchor))
+        checks.append(_peels(harness, f"peels_when_{name}_removed", "", harness.port_edges[name]))
     return GadgetReport("ck", _report_params(gadget), tuple(checks))
 
 
 def check_b_block(gadget: Gadget) -> GadgetReport:
-    """(a) nothing peels with every neighboring edge anchored; (b) removing
+    """(a) nothing peels with every neighboring edge present; (b) removing
     any single neighboring edge fully peels the block."""
     harness = build_harness(gadget)
     checks = [_unpeelable(harness, "unpeelable_with_all_ports")]
     for port in gadget.ports:
         name, edges = f"peels_without_{port.name}", harness.port_edges[port.name]
-        checks.append(_peels(harness, name, f"removed={port.name} ", removed_edges=edges))
+        checks.append(_peels(harness, name, f"removed={port.name} ", edges))
     return GadgetReport(gadget.kind, _report_params(gadget), tuple(checks))
 
 
@@ -638,17 +597,12 @@ def check_stable_block(gadget: Gadget) -> GadgetReport:
     """
     harness = build_harness(gadget)
     names = [p.name for p in gadget.ports]
-    m = len(names)
     checks = [_unpeelable(harness, "unpeelable_with_all_ports")]
-
-    def fully_peels(mask: int) -> bool:
-        return not _surviving_block(harness, removed_edges=_mask_edges(harness, names, mask))
-
-    mask = next(filter(fully_peels, _frontier(m, (m - 1,))), None)
-    witness = "" if mask is None else f"fully_peeled_with_ports_removed={_mask_ports(names, mask)}"
+    keep_one = combinations(names, len(names) - 1)
+    removed = next((r for r in keep_one if not _survivors(harness, _edges_of(harness, r))), None)
+    witness = "" if removed is None else f"fully_peeled_with_ports_removed={list(removed)}"
     checks.append(CheckResult("survives_partial_port_removal", not witness, witness))
-    every_port = _mask_edges(harness, names, 2**m - 1)
-    checks.append(_peels(harness, "peels_with_all_ports_removed", "", removed_edges=every_port))
+    checks.append(_peels(harness, "peels_with_all_ports_removed", "", _edges_of(harness, names)))
     checks += _estar_checks(gadget, harness)
     return GadgetReport(gadget.kind, _report_params(gadget), tuple(checks))
 
@@ -670,22 +624,14 @@ def check_pk_gadget(gadget: Gadget) -> GadgetReport:
     k = gadget.params["k"]
     names = [p.name for p in gadget.ports]
     delta = len(names)
-
-    def surviving(mask: int) -> frozenset[int]:
-        return _surviving_block(harness, removed_edges=_mask_edges(harness, names, mask))
-
-    def expect_peel(mask: int) -> bool:
-        return delta - mask.bit_count() < k
-
-    def misbehaves(mask: int) -> bool:
-        return (not surviving(mask)) != expect_peel(mask)
-
     sizes = (delta - k, delta - k + 1) if delta >= k else (max(0, delta - k + 1),)
-    mask = next(filter(misbehaves, _frontier(delta, sizes)), None)
     witness = ""
-    if mask is not None:
-        removed = _mask_ports(names, mask)
-        witness = f"removed={removed} expected_peel={expect_peel(mask)} survivors={sorted(surviving(mask))}"
+    for removed in chain.from_iterable(combinations(names, r) for r in sizes):
+        surv = _survivors(harness, _edges_of(harness, removed))
+        expect_peel = delta - len(removed) < k
+        if (not surv) != expect_peel:
+            witness = f"removed={list(removed)} expected_peel={expect_peel} survivors={surv}"
+            break
     checks = [CheckResult("peels_iff_under_k_ports", not witness, witness)]
     checks += _estar_checks(gadget, harness)
     return GadgetReport("pk", _report_params(gadget), tuple(checks))

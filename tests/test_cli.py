@@ -3,7 +3,7 @@ from io import StringIO
 
 import pytest
 
-from stashpeel import ParameterError, gen_random, is_k_peelable, parse
+from stashpeel import ParameterError, cli, gen_random, is_k_peelable, parse
 from stashpeel.cli import run
 
 from helpers import mkgraph, run_python
@@ -107,6 +107,37 @@ def test_python_dash_m_runs_the_cli(files):
     assert proc.stdout == invoke(*argv)[1]
     proc = run_python("-m", "stashpeel", "stash-greedy", "--k", "0", "--mode", "vertex", files["tri"])
     assert proc.returncode == 2 and not proc.stdout and "error" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "exc, last_line",
+    [(AssertionError("boom"), "AssertionError: boom"), (MemoryError(), "MemoryError")],
+    ids=["assert", "memory"],
+)
+def test_internal_error_is_exit_3_with_a_traceback(files, monkeypatch, exc, last_line):
+    def broken(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "k_core", broken)
+    code, out, err = invoke("peel", "--k", "2", files["tri"])
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: Traceback (most recent call last):\n")
+    assert err.endswith(f"\n{last_line}\n")
+
+
+def test_python_dash_m_reports_an_internal_error_as_exit_3(files, tmp_path, monkeypatch):
+    # sitecustomize runs at interpreter start, before the CLI parses anything
+    (tmp_path / "sitecustomize.py").write_text(
+        "from stashpeel import cli\n"
+        "def broken(*args):\n"
+        "    raise AssertionError('boom')\n"
+        "cli.k_core = broken\n"
+    )
+    monkeypatch.setenv("PYTHONPATH", str(tmp_path))
+    proc = run_python("-m", "stashpeel", "peel", "--k", "2", files["tri"])
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("internal error: Traceback (most recent call last):\n")
+    assert proc.stderr.endswith("AssertionError: boom\n")
 
 
 def test_cover_triangle(files):
@@ -336,6 +367,13 @@ def test_reduce_vc_and_normalize_via_lift(files, tmp_path):
     estash.write_text("S e 0\n")
     code, _, err = invoke("lift", "--map", mp, "--stash", str(estash))
     assert code == 2 and "error" in err
+
+
+def test_reduce_with_an_unwritable_map_prints_nothing(files):
+    mp = str(files["dir"] / "missing" / "x.map")
+    code, out, err = invoke("reduce", "--from", "vc", "--k", "2", "--d", "2", "--map-out", mp, files["tri"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "missing" in err
 
 
 def test_reduce_default_map_sidecar(files):

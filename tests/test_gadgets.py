@@ -1,4 +1,5 @@
 import ast
+import itertools
 import re
 import textwrap
 
@@ -27,15 +28,15 @@ from stashpeel.gadgets import (
     GadgetReport,
     Port,
     _estar_checks,
-    _frontier,
     _peels,
     _report_params,
-    _surviving_block,
+    _survivors,
     _unpeelable,
     build_harness,
 )
+from stashpeel.reductions import reduce_vc_to_vertex_stash
 
-from helpers import gadget_without, run_python
+from helpers import gadget_without, mkgraph, run_python
 
 
 def drop_edge(gadget: Gadget, eid: int) -> Gadget:
@@ -74,16 +75,27 @@ def test_ck_k3_d2_degrees_and_peel():
     g = build_ck_gadget(3, 2)
     harness = build_harness(g)
     first, middle, last = g.meta["internals"]
-    u = harness.port_anchor["u"]
-    v = harness.port_anchor["v"]
+    pool = harness.block  # the first pool vertex fills the one free slot of every u and v edge
     neighbors = lambda x: {
         w for e in harness.graph.incident_edges(x) for w in harness.graph.edge_vertices(e)
     } - {x}
-    assert neighbors(first) == {u, v, middle}
-    assert neighbors(last) == {u, v, middle}
-    assert neighbors(middle) == {u, v, first, last}
+    assert neighbors(first) == {pool, middle}
+    assert neighbors(last) == {pool, middle}
+    assert neighbors(middle) == {pool, first, last}
+    assert [harness.graph.degree(x) for x in (first, middle, last)] == [3, 4, 3]
     report = check_ck_properties(g)
     assert report.all_passed  # includes: removing u empties the 3-core
+
+
+@pytest.mark.parametrize("k", gadgets.GRID_K)
+def test_ck_embedding_peels_when_an_endpoint_is_stashed(k):
+    # the one-edge graph's cover reduction is a single ck gadget between
+    # the images of its two endpoints
+    for d in gadgets.GRID_D:
+        reduced, rmap = reduce_vc_to_vertex_stash(mkgraph(2, [(0, 1)]), k, d)
+        assert set(rmap.gadget_of) <= k_core_after(reduced, k).core_vertices, (k, d)
+        for u in (0, 1):
+            assert k_core_after(reduced, k, stash_vertices=[rmap.vertex_map[u]]).core_empty, (k, d, u)
 
 
 def test_ck_k2_d3_has_one_dummy_on_every_edge():
@@ -129,7 +141,7 @@ def test_2block_k3_shape():
     g = build_b_block(2, 3, 2)
     assert g.graph.num_vertices == 4  # two hubs over a 2-clique
     harness = build_harness(g)
-    assert all(harness.graph.degree(v) >= 3 for v in harness.block_vertices)
+    assert all(harness.graph.degree(v) >= 3 for v in range(harness.block))
     assert check_b_block(g).all_passed
 
 
@@ -143,7 +155,7 @@ def test_3block_k3_is_single_vertex():
 def test_3block_k5_layer2_degree():
     g = build_b_block(3, 5, 2)
     harness = build_harness(g)
-    degrees = sorted(harness.graph.degree(v) for v in harness.block_vertices)
+    degrees = sorted(harness.graph.degree(v) for v in range(harness.block))
     assert max(degrees) == 2 * 5 - 5  # deepest layer sits at degree 5
     assert check_b_block(g).all_passed
 
@@ -242,7 +254,7 @@ def test_stable_root_estar_peels_whole_tree():
     g = build_stable_block(5, 3, 2)
     harness = build_harness(g)
     core = k_core_after(harness.graph, 3, stash_edges=[min(g.estar)])
-    assert not (core.core_vertices & harness.block_vertices)
+    assert not (core.core_vertices & set(range(harness.block)))
 
 
 def test_stable_negative_control():
@@ -500,7 +512,7 @@ def full_scan_stable_block(gadget: Gadget) -> GadgetReport:
     witness = ""
     for mask in range(2**m - 1):
         removed = [names[i] for i in range(m) if mask >> i & 1]
-        if not _surviving_block(harness, removed_edges=removal_edges(harness, removed)):
+        if not _survivors(harness, removal_edges(harness, removed)):
             witness = f"fully_peeled_with_ports_removed={removed}"
             break
     checks.append(CheckResult("survives_partial_port_removal", not witness, witness))
@@ -520,7 +532,7 @@ def full_scan_pk_gadget(gadget: Gadget) -> GadgetReport:
     witness = ""
     for mask in range(2**delta):
         removed = [names[i] for i in range(delta) if mask >> i & 1]
-        surv = _surviving_block(harness, removed_edges=removal_edges(harness, removed))
+        surv = _survivors(harness, removal_edges(harness, removed))
         expect_peel = delta - len(removed) < k
         if (not surv) != expect_peel:
             witness = f"removed={removed} expected_peel={expect_peel} survivors={sorted(surv)}"
@@ -541,7 +553,7 @@ def assert_witness_violates(gadget: Gadget, report: GadgetReport) -> None:
             continue
         removed = ast.literal_eval(re.search(r"removed=(\[.*?\])", c.witness).group(1))
         assert len(set(removed)) == len(removed) and set(removed) <= set(names), c
-        surv = _surviving_block(harness, removed_edges=removal_edges(harness, removed))
+        surv = _survivors(harness, removal_edges(harness, removed))
         if c.name == "survives_partial_port_removal":
             assert len(removed) == n - 1 and not surv, c
         else:
@@ -640,6 +652,8 @@ def test_pk_frontier_matches_full_scan_at_every_small_degree(k):
 
 
 def test_frontier_is_counted_before_it_is_built(monkeypatch):
+    # delta = k = 200: the frontier keeps all 200 ports, or all but one.
+    # Removals are drawn one at a time, so a sweep that fails stops drawing.
     drawn = []
     real = gadgets.combinations
 
@@ -648,23 +662,109 @@ def test_frontier_is_counted_before_it_is_built(monkeypatch):
             drawn.append(c)
             yield c
 
+    star = star_gadget(200, 200)
+    doubled = Gadget(star.graph, tuple(Port(p.name, p.edges * 2) for p in star.ports), frozenset(), star.params)
     monkeypatch.setattr(gadgets, "combinations", counting)
-    # delta = k = 200: keep all 200 ports, or all but one
-    masks = _frontier(200, (0, 1))
-    assert len(drawn) == len(masks) == 201
-    assert sorted(m.bit_count() for m in masks) == [0] + [1] * 200
-    assert set(masks) == {0} | {1 << i for i in range(200)}
+    assert check_pk_gadget(star).all_passed
+    assert drawn == [()] + [(f"p{i}",) for i in range(200)]
+    drawn.clear()
+    # with every port doubled the star keeps its vertex without p0
+    report = check_pk_gadget(doubled)
+    assert report.checks[0].witness == "removed=['p0'] expected_peel=True survivors=[0]"
+    assert drawn == [(), ("p0",)]
 
 
 def test_grid_peels_the_frontier_not_the_pool(monkeypatch):
     calls = 0
-    real = gadgets._surviving_block
+    real = gadgets._survivors
 
     def counting(*args, **kwargs):
         nonlocal calls
         calls += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(gadgets, "_surviving_block", counting)
+    monkeypatch.setattr(gadgets, "_survivors", counting)
     assert all(r.all_passed for r in run_gadget_grid())
     assert calls == 1665  # a full scan of every removal makes 4,569
+
+
+# -- the pool harness against per-slot anchors ----------------------------------
+
+
+def anchored_harness(gadget: Gadget):
+    """Reference harness with an anchor vertex in every free port slot (one
+    shared anchor per side for ports marked ``shared_external``), each held
+    at degree k by k parallel edges over d-1 pump vertices.  Returns the
+    graph, each port's edges and each shared port's anchor."""
+    k, d = gadget.params["k"], gadget.graph.d
+    h = gadget.graph.copy()
+    anchors, port_edges, port_anchor = [], {}, {}
+    for port in gadget.ports:
+        shared = [h.add_vertex()] if port.shared_external else []
+        if shared:
+            port_anchor[port.name] = shared[0]
+        anchors += shared
+        realized = []
+        for attach in port.edges:
+            ext = h.add_vertices(d - len(attach) - len(shared))
+            anchors += ext
+            realized.append(h.add_edge((*attach, *shared, *ext)))
+        port_edges[port.name] = tuple(realized)
+    if anchors:
+        pumps = h.add_vertices(d - 1)
+        for a in anchors:
+            for _ in range(k):
+                h.add_edge((a, *pumps))
+    return h, port_edges, port_anchor
+
+
+def anchored_survivors(gadget: Gadget, reference, removed: tuple[str, ...], stash: tuple[int, ...] = ()):
+    """Block survivors in the reference harness: a shared port is removed
+    by removing its anchor vertex, any other port by removing its edges."""
+    h, port_edges, port_anchor = reference
+    vertices = [port_anchor[name] for name in removed if name in port_anchor]
+    edges = [e for name in removed if name not in port_anchor for e in port_edges[name]]
+    core = k_core_after(h, gadget.params["k"], stash_vertices=vertices, stash_edges=[*edges, *stash])
+    return sorted(v for v in core.core_vertices if v < gadget.graph.num_vertices)
+
+
+def assert_pool_matches_anchors(gadget: Gadget) -> None:
+    harness, reference = build_harness(gadget), anchored_harness(gadget)
+    names = [p.name for p in gadget.ports]
+    assert len(names) <= 8
+    for r in range(len(names) + 1):
+        for removed in itertools.combinations(names, r):
+            ours = _survivors(harness, removal_edges(harness, removed))
+            assert ours == anchored_survivors(gadget, reference, removed), (gadget.params, removed)
+    for e in sorted(gadget.estar):
+        assert _survivors(harness, (e,)) == anchored_survivors(gadget, reference, (), (e,)), (gadget.params, e)
+
+
+def test_pool_harness_matches_per_slot_anchors_on_the_grid(monkeypatch):
+    seen = []
+    real = gadgets.build_harness
+    monkeypatch.setattr(gadgets, "build_harness", lambda g: seen.append(g) or real(g))
+    run_gadget_grid()
+    assert {g.kind for g in seen} == {"ck", "b2", "b3", "simple-stable", "stable", "tree-stable"}
+    for g in seen:
+        assert_pool_matches_anchors(g)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_ck_gadget(3, 2),
+        lambda: build_ck_gadget(4, 3),
+        lambda: build_b_block(2, 3, 2),
+        lambda: build_b_block(3, 4, 3),
+        lambda: build_simple_stable_block(2, 3, 2),
+        lambda: build_stable_block(5, 3, 2),
+        lambda: build_tree_stable_block(3, 3),
+        lambda: build_pk_gadget(3, 3, 2),
+        lambda: build_pk_gadget(2, 2, 3),
+    ],
+    ids=["ck-k3-d2", "ck-k4-d3", "b2", "b3", "simple-stable", "stable", "tree-stable", "pk-k3", "pk-k2"],
+)
+def test_pool_harness_matches_per_slot_anchors_on_broken_gadgets(build):
+    for g in broken_variants(build()):
+        assert_pool_matches_anchors(g)
