@@ -210,15 +210,8 @@ def _add_simple_stable(g: Hypergraph, k: int, with_parent_hook: bool = False) ->
 
 def _add_stable(g: Hypergraph, k: int, m: int) -> dict:
     """Stable block of any degree: breadth-first (k-1)-ary tree of simple
-    stable blocks of degree k-1, trimmed to exactly m exposed ports."""
-    if m <= k - 1:
-        s = _add_simple_stable(g, k)
-        return {
-            "port_attach": [s["central"]] * m,
-            "estar_edges": s["estar_edges"],
-            "depth": 0,
-            "n_nodes": 1,
-        }
+    stable blocks of degree k-1, trimmed to exactly m exposed ports.  For
+    m <= k-1, m = 0 included, the tree is its root alone."""
     root = _add_simple_stable(g, k)
     centrals = [root["central"]]
     depths = [0]
@@ -230,8 +223,8 @@ def _add_stable(g: Hypergraph, k: int, m: int) -> dict:
         centrals.append(child["central"])
         depths.append(depths[parent] + 1)
         slots.extend([len(centrals) - 1] * (k - 1))
-    # excess < k-2, so the newest child keeps at least 2 exposed ports and
-    # no node is ever left port-free
+    # once the tree has grown, excess < k-2, so the newest child keeps at
+    # least 2 exposed ports and no node is ever left port-free
     owners = list(slots)[:m]
     return {
         "port_attach": [centrals[i] for i in owners],
@@ -371,8 +364,8 @@ STABLE_SIZE_CONSTANT = 2
 
 
 def build_stable_block(m: int, k: int, d: int) -> Gadget:
-    """Stable block of degree m; delegates to the simple construction when
-    m <= k-1.  E* is the root block's E*.  Vertex count is asserted against
+    """Stable block of degree m; for m <= k-1 it is the simple construction
+    alone.  E* is the root block's E*.  Vertex count is asserted against
     the recorded bound STABLE_SIZE_CONSTANT * m * k^2 (+ dummies)."""
     if k < 3 or d < 2:
         raise ParameterError(f"stable blocks need k >= 3 and d >= 2, got k={k}, d={d}")

@@ -158,14 +158,12 @@ def gen_random(n_vertices: int, n_edges: int, d: int, seed: int) -> Hypergraph:
     one ``sample(range(n_vertices), d)`` call per edge in order, so a seed
     pins the instance exactly.
     """
-    if d < 2:
-        raise ParameterError(f"edge arity must be at least 2, got {d}")
+    g = Hypergraph(d)
     if n_vertices < d:
         raise ParameterError(f"need at least d={d} vertices, got {n_vertices}")
     if n_edges < 0:
         raise ParameterError(f"edge count must be non-negative, got {n_edges}")
     rng = random.Random(seed)
-    g = Hypergraph(d)
     g.add_vertices(n_vertices)
     for _ in range(n_edges):
         g.add_edge(rng.sample(range(n_vertices), d))

@@ -27,10 +27,16 @@ with budget >= 2 packs them greedily on a copy of its core: it stashes its
 prefix witness's elements >= `first` (the smallest id the node may still
 stash), takes the copy's prefix witness as the next, and repeats until the
 copy empties.  Every stash below the node hits each packed witness in an
-element of its own, so a node with more packed witnesses than budget, or
-one with no element >= `first`, holds no stash and is cut; with exactly
-as many, only packed elements are tried.  The root's packing is taken
-once, and iterative deepening starts at its count.
+element of its own, so a node with more packed witnesses than budget
+holds no stash and is cut; with exactly as many, only packed elements are
+tried.  The root's packing is taken once, and iterative deepening starts
+at its count.
+
+Two invariants spare the search two tests.  Every witness a node scans or
+packs has an element >= `first`: one at or below the x its parent stashed
+would be a witness of the parent below x <= y, lower than its lowest, the
+prefix witness.  At budget >= 2 no single stash empties the core: every
+smaller budget, from the packing bound up, failed exhaustively.
 
 Greedy runs on the same structure without undo.  Every stash returned is
 re-checked by ``is_k_peelable`` on the input graph.  Instances are expected
@@ -115,8 +121,7 @@ def _packing(
 ) -> tuple[int, set[int]]:
     """Greedily pack witnesses of `core` that are pairwise disjoint on the
     ids >= `first`.  Returns their number, or `limit` + 1 once there are
-    more than `limit` or one has no id >= `first`, and the packed
-    witnesses' ids >= `first`.
+    more than `limit`, and the packed witnesses' ids >= `first`.
 
     `flags` marks the first witness, whose ids are all <= y, with y >=
     `first`.  On a copy of `core`, stashes the witness's ids >= `first`,
@@ -124,7 +129,9 @@ def _packing(
     copy empties.  Each witness lies in what the ones before it left alive,
     so a stash of ids >= `first` hits each in an id of its own: no such
     stash is smaller than the count, and one of exactly that size holds
-    only packed ids.  `core` itself is not touched.
+    only packed ids.  `core` itself is not touched.  Each later witness
+    reaches `first` too: the copy lost only ids >= `first`, so one below
+    would be a witness of `core` below y.
     """
     w = core.copy()
     alive, stash = _kind_ops(w, kind)
@@ -140,8 +147,6 @@ def _packing(
         if packed >= limit:
             return limit + 1, hit
         y, flags = _prefix_witness(w, kind)
-        if y < first:
-            return limit + 1, hit
 
 
 def _search(
@@ -172,6 +177,10 @@ def _search(
     skips the rest.  `packing` is the node's packing when the caller has
     it; the root's is the same at every budget.  A failed search leaves
     `core` as it found it; a successful one leaves the stash applied.
+
+    Invariants: y >= `first`, as a witness at or below the stashed
+    `first` - 1 would be one of the parent's below its y; and at budget 2
+    or more no stash empties `core`, as every smaller budget failed.
     """
     alive, stash = _kind_ops(core, kind)
     mark = len(core.trail)
@@ -186,8 +195,6 @@ def _search(
             todo = [c for c in todo if alive[c]]
             core.undo(mark)
         return None
-    if y < first:
-        return None
     packed, hit = packing or _packing(core, kind, budget, first, y, flags)
     if packed > budget:
         return None
@@ -195,8 +202,6 @@ def _search(
         if packed == budget and x not in hit:
             continue
         stash(x)
-        if not core.live_edges:
-            return [x]
         rest = _search(core, kind, budget - 1, x + 1, None if flags[x] else (y, flags))
         if rest is not None:
             return [x] + rest
@@ -214,11 +219,9 @@ def _certify(g: Hypergraph, k: int, kind: str, stash: frozenset[int]) -> None:
 
 
 def _min_stash_exact(g: Hypergraph, k: int, size_cap: int, kind: str) -> StashResult:
-    if k < 1:
-        raise ParameterError(f"k must be at least 1, got {k}")
+    core = PeelCore(g, k)
     if size_cap < 0:
         raise ParameterError(f"size cap must be non-negative, got {size_cap}")
-    core = PeelCore(g, k)
     if not core.live_edges:
         return StashResult(kind, frozenset(), True)
     witness = _prefix_witness(core, kind)

@@ -37,6 +37,10 @@ def test_gen_random_contract():
     assert gen_random(4, 3, 3, 0).num_edges == 3
     with pytest.raises(ParameterError):
         gen_random(2, 1, 3, 0)
+    with pytest.raises(ParameterError, match="^edge count must be non-negative, got -1$"):
+        gen_random(3, -1, 2, 0)
+    with pytest.raises(ParameterError, match="^edge arity must be at least 2, got 1$"):
+        gen_random(3, 1, 1, 0)
 
 
 def test_peel_forest_prints_empty_core(files):

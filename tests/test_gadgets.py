@@ -207,11 +207,24 @@ def test_simple_stable_parameter_errors():
         build_simple_stable_block(0, 3, 2)
     with pytest.raises(ParameterError):
         build_simple_stable_block(3, 3, 2)  # m must stay below k
+    with pytest.raises(ParameterError, match="^simple stable blocks need k >= 3 and d >= 2, got k=2, d=2$"):
+        build_simple_stable_block(1, 2, 2)
+    with pytest.raises(ParameterError, match="^stable blocks need k >= 3 and d >= 2, got k=2, d=2$"):
+        build_stable_block(1, 2, 2)
+    with pytest.raises(ParameterError, match="^stable block degree must be positive, got m=0$"):
+        build_stable_block(0, 3, 2)
 
 
 def test_stable_delegates_to_simple_when_small():
     g = build_stable_block(3, 4, 2)
     assert g.params["depth"] == 0 and g.params["nodes"] == 1
+    # below degree k the tree is its root alone: the simple block itself
+    for k in range(3, 7):
+        for d in (2, 3):
+            for m in range(1, k):
+                g, s = build_stable_block(m, k, d), build_simple_stable_block(m, k, d)
+                assert (g.graph._edges, g.ports, g.estar) == (s.graph._edges, s.ports, s.estar)
+                assert g.graph.num_vertices == s.graph.num_vertices
 
 
 def test_stable_k4_m11_is_depth_two():
@@ -307,6 +320,13 @@ def test_pk_gadget_families_pass_checks():
 def test_pk_gadget_rejects_polynomial_case():
     with pytest.raises(ParameterError):
         build_pk_gadget(3, 2, 2)
+    with pytest.raises(ParameterError, match="^delta must be non-negative, got -1$"):
+        build_pk_gadget(-1, 3, 2)
+
+
+def test_embed_graph_rejects_another_arity():
+    with pytest.raises(ParameterError, match="^edge needs 2 vertices, got 3$"):
+        gadgets.embed_graph(Hypergraph(3), Hypergraph(2))
 
 
 def test_pk_gadget_negative_control():

@@ -105,6 +105,7 @@ def test_equality_ignores_stored_vertex_order():
     a = mkgraph(2, [(0, 1)])
     b = mkgraph(2, [(1, 0)])
     assert a == b
+    assert a != "h 2 2 1\ne 0 1\n"  # not a Hypergraph: NotImplemented, then identity
 
 
 def test_parse_triangle():
@@ -127,6 +128,13 @@ def test_parse_malformed_header():
     with pytest.raises(ParseError) as exc:
         parse("x 2 3 3\n")
     assert exc.value.line == 1
+    for text, message in (
+        ("h x 2 0\n", "non-integer field in header 'h x 2 0'"),
+        ("h 1 3 0\n", "header out of range: d=1, n=3, m=0"),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == f"line 1: {message}"
 
 
 def test_parse_wrong_arity_line():
@@ -186,6 +194,8 @@ def test_stash_file_roundtrip():
         parse_stash("T v 1\n")
     with pytest.raises(ParseError):
         parse_stash("")
+    with pytest.raises(ParseError, match=r"^line 1: non-integer id in 'S v 1 x'$"):
+        parse_stash("S v 1 x\n")
     with pytest.raises(ParameterError):
         format_stash("x", [1])
 

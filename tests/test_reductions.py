@@ -5,6 +5,7 @@ import pytest
 
 from stashpeel import (
     ContractViolationError,
+    InvalidArityError,
     ParameterError,
     ParseError,
     UnsupportedCaseError,
@@ -66,10 +67,15 @@ def test_original_vertices_keep_only_gadget_edges():
 
 
 def test_vc_reduction_parameter_errors():
-    with pytest.raises(ParameterError):
+    with pytest.raises(InvalidArityError, match=r"^vertex cover instances are standard graphs \(d=2\)$"):
         reduce_vc_to_vertex_stash(mkgraph(3, [(0, 1, 2)], d=3), 2, 3)
     with pytest.raises(ParameterError):
         reduce_vc_to_vertex_stash(triangle(), 1, 2)
+    # a map whose header asks for that reduction names the header's line
+    text = serialize_map(reduce_vc_to_vertex_stash(triangle(), 2, 2)[1])
+    with pytest.raises(ParseError) as exc:
+        parse_map(text.replace("M vc 2 2\n", "M vc 1 2\n", 1))
+    assert str(exc.value) == "line 1: reduction needs k >= 2 and d >= 2, got k=1, d=2"
 
 
 def _gadget_vertices(rmap, e):
@@ -185,8 +191,10 @@ def test_reduction_rejects_polynomial_case_and_arity_mismatch():
     with pytest.raises(UnsupportedCaseError) as exc:
         reduce_vertex_to_edge_stash(triangle(), 2, 2)
     assert "two_edge_stash_standard" in str(exc.value)
-    with pytest.raises(ParameterError):
+    with pytest.raises(InvalidArityError, match="^instance arity 2 does not match requested d=3$"):
         reduce_vertex_to_edge_stash(triangle(), 3, 3)  # instance is 2-uniform
+    with pytest.raises(ParameterError, match="^reduction needs k >= 3, or k = 2 with d >= 3; got k=1, d=2$"):
+        reduce_vertex_to_edge_stash(triangle(), 1, 2)
 
 
 def test_push_single_vertex_stash():
@@ -248,6 +256,25 @@ def test_lift_and_push_reject_invalid_certificates():
         push_vertex_stash(rmap, frozenset())  # K4 itself is not 3-peelable... needs a stash
     with pytest.raises(ContractViolationError):
         lift_edge_stash(rmap, {10**6})
+    with pytest.raises(ContractViolationError, match="^stash does not make the reduced instance peelable$"):
+        lift_edge_stash(rmap, ())
+
+
+@pytest.mark.parametrize("func, direction", [
+    (normalize_stash, "vs_to_es"),
+    (push_vertex_stash, "vc_to_vs"),
+    (lift_edge_stash, "vc_to_vs"),
+    (audit_p1, "vc_to_vs"),
+    (audit_pk_properties, "vc_to_vs"),
+])
+def test_map_functions_reject_the_other_directions_map(func, direction):
+    if direction == "vc_to_vs":
+        rmap, wants = reduce_vc_to_vertex_stash(triangle(), 2, 2)[1], "stash"
+    else:
+        rmap, wants = reduce_vertex_to_edge_stash(triangle(), 3, 2)[1], "cover"
+    args = (rmap,) if func in (audit_p1, audit_pk_properties) else (rmap, ())
+    with pytest.raises(ParameterError, match=f"^{func.__name__} applies to {wants}-reduction maps$"):
+        func(*args)
 
 
 def test_peelability_equivalence_random():

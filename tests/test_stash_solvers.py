@@ -160,6 +160,13 @@ def test_cover_cap_and_arity_errors():
         min_vertex_cover_exact(mkgraph(3, [(0, 1, 2)], d=3))
 
 
+@pytest.mark.parametrize("solver", (min_vertex_stash_exact, min_edge_stash_exact, min_vertex_cover_exact))
+def test_negative_size_cap_is_a_parameter_error(solver):
+    args = (triangle(),) if solver is min_vertex_cover_exact else (triangle(), 2)
+    with pytest.raises(ParameterError, match="^size cap must be non-negative, got -1$"):
+        solver(*args, size_cap=-1)
+
+
 @settings(max_examples=40, deadline=None)
 @given(hypergraphs(d=2, max_vertices=6, max_edges=8))
 def test_cover_equals_one_stash(g):
@@ -323,6 +330,57 @@ def test_exact_matches_enumeration_on_deep_stashes(kind, n, m, d, k, seeds):
             with pytest.raises(CapExceededError):
                 solver(g, k, size_cap=len(want) - 1)
     assert deep >= seeds // 5
+
+
+def test_search_invariants_hold_at_every_node(monkeypatch):
+    # The search tests neither invariant, so they are checked here: every
+    # node gets a nonempty core (no stash at budget >= 2 empties one, as
+    # every smaller budget already failed), and every witness a node scans
+    # or packs reaches the node's `first`.  Untested, a broken second
+    # invariant would surface as an UnboundLocalError in _prefix_witness.
+    firsts = []
+    checked = Counter()
+    search, pack, prefix_witness = (
+        stash_solvers._search, stash_solvers._packing, stash_solvers._prefix_witness
+    )
+
+    def checked_search(core, kind, budget, first, witness=None, packing=None):
+        assert core.live_edges, (budget, first)
+        assert witness is None or witness[0] >= first, (witness[0], first)
+        checked["nodes"] += 1
+        firsts.append(first)
+        try:
+            return search(core, kind, budget, first, witness, packing)
+        finally:
+            firsts.pop()
+
+    def checked_packing(core, kind, limit, first, y, flags):
+        assert y >= first, (y, first)
+        firsts.append(first)
+        try:
+            return pack(core, kind, limit, first, y, flags)
+        finally:
+            firsts.pop()
+
+    def checked_prefix_witness(core, kind):
+        y, flags = prefix_witness(core, kind)
+        if firsts:  # the root's witness is taken before any node, at first = 0
+            assert y >= firsts[-1], (y, firsts[-1])
+            checked["witnesses"] += 1
+        return y, flags
+
+    monkeypatch.setattr(stash_solvers, "_search", checked_search)
+    monkeypatch.setattr(stash_solvers, "_packing", checked_packing)
+    monkeypatch.setattr(stash_solvers, "_prefix_witness", checked_prefix_witness)
+    for kind, n, m, d, k, seeds in DEEP_STASH_CASES:
+        solver = min_vertex_stash_exact if kind == "vertex" else min_edge_stash_exact
+        for seed in range(seeds):
+            solver(gen_random(n, m, d, seed), k, size_cap=m)
+    edge_case, _ = reduce_vertex_to_edge_stash(gen_random(10, 20, 2, 349375932), 3, 2)
+    assert min_edge_stash_exact(edge_case, 3).stash == {28, 89}
+    vertex_case, _ = reduce_vc_to_vertex_stash(gen_random(9, 14, 2, 60308648), 2, 2)
+    assert min_vertex_stash_exact(vertex_case, 2).stash == {0, 1, 2, 5, 8}
+    assert checked["nodes"] and checked["witnesses"], checked
 
 
 @settings(max_examples=40, deadline=None)
