@@ -15,13 +15,7 @@ import sys
 import traceback
 
 from . import gadgets, reductions, stash_solvers
-from .errors import (
-    CapExceededError,
-    ContractViolationError,
-    ParameterError,
-    ParseError,
-    StashpeelError,
-)
+from .errors import CapExceededError, ParameterError, ParseError, StashpeelError
 from .hypergraph import Hypergraph, format_stash, gen_random, parse, parse_stash, serialize
 from .peeling import core_subgraph, k_core
 
@@ -37,7 +31,9 @@ def _read(path: str) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        # numbered as str.splitlines numbers lines, which parse uses; the
+        # bytes before the bad one decode, and "x" stands in for it
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
         raise ParseError(f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})", line) from None
 
 
@@ -67,14 +63,14 @@ def _cmd_stash_exact(args, out) -> int:
         else stash_solvers.min_edge_stash_exact
     )
     result = solver(g, args.k, args.cap)
-    _print_stash_result(out, "v" if args.mode == "vertex" else "e", result.stash, True)
+    _print_stash_result(out, "v" if args.mode == "vertex" else "e", result.stash, result.optimal)
     return EXIT_OK
 
 
 def _cmd_stash_greedy(args, out) -> int:
     g = _load(args.file)
     result = stash_solvers.greedy_stash(g, args.k, args.mode, args.tie_break, args.seed)
-    _print_stash_result(out, "v" if args.mode == "vertex" else "e", result.stash, False)
+    _print_stash_result(out, "v" if args.mode == "vertex" else "e", result.stash, result.optimal)
     return EXIT_OK
 
 
@@ -118,9 +114,11 @@ def _cmd_lift(args, out) -> int:
         back = {img: v for v, img in rmap.vertex_map.items()}
         cover = {back[w] for w in normalized}
         g = rmap.original
+        # normalize_stash certified that the images empty the reduced core,
+        # which an uncovered edge's gadget would survive: only a fault trips this
         missed = next((e for e in range(g.num_edges) if cover.isdisjoint(g.edge_vertices(e))), None)
         if missed is not None:
-            raise ContractViolationError(f"lifted cover {sorted(cover)} misses original edge {missed}")
+            raise AssertionError(f"lifted cover {sorted(cover)} misses original edge {missed}")
         out.write(format_stash("v", cover))
         return EXIT_OK
     if kind == "e":
@@ -141,6 +139,8 @@ def _report_rows(report: gadgets.GadgetReport) -> list[str]:
 
 
 def _cmd_verify_gadgets(args, out) -> int:
+    if args.grid and (args.k, args.d) != (None, None):
+        raise ParameterError("verify-gadgets takes --grid or --k and --d, not both")
     if args.grid:
         reports = gadgets.run_gadget_grid()
     elif args.k is not None and args.d is not None:

@@ -50,7 +50,7 @@ The families:
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain, combinations, compress
 
 from .errors import ParameterError
@@ -343,21 +343,16 @@ def build_b_block(b: int, k: int, d: int) -> Gadget:
 
 
 def build_simple_stable_block(m: int, k: int, d: int) -> Gadget:
+    """Stable block of degree m <= k-1: ``build_stable_block``'s root
+    simple block alone, reported under its own kind and params."""
     if k < 3 or d < 2:
         raise ParameterError(f"simple stable blocks need k >= 3 and d >= 2, got k={k}, d={d}")
     if not 1 <= m <= k - 1:
         raise ParameterError(f"simple stable block degree must be in 1..{k - 1}, got m={m}")
-    g2 = Hypergraph(2)
-    s = _add_simple_stable(g2, k)
-    g, dummies = _lift_to_d(g2, d)
-    ports = tuple(Port(f"p{i}", ((s["central"],),)) for i in range(m))
-    return Gadget(
-        graph=g,
-        ports=ports,
-        estar=frozenset(s["estar_edges"]),
-        params={"m": m, "k": k, "d": d},
-        meta={"kind": "simple-stable", "central": s["central"], "dummies": dummies},
-    )
+    block = build_stable_block(m, k, d)
+    central, dummies = block.meta["port_attach"][0], block.meta["dummies"]
+    meta = {"kind": "simple-stable", "central": central, "dummies": dummies}
+    return replace(block, params={"m": m, "k": k, "d": d}, meta=meta)
 
 
 STABLE_SIZE_CONSTANT = 2

@@ -69,6 +69,21 @@ def is_k_peelable(
     return not PeelCore(g, k, sv, se).live_edges
 
 
+def certify_stash(
+    label: str,
+    g: Hypergraph,
+    k: int,
+    stash_vertices: Collection[int] = (),
+    stash_edges: Collection[int] = (),
+) -> None:
+    """Raise AssertionError, naming the stash `label`, unless removing it
+    empties g's k-core: every stash leaving the library passes this check,
+    which ``python -O`` keeps."""
+    if not is_k_peelable(g, k, stash_vertices, stash_edges):
+        stash = sorted(chain(stash_vertices, stash_edges))
+        raise AssertionError(f"{label} stash {stash} leaves a nonempty {k}-core")
+
+
 def _stash_ids(
     g: Hypergraph, stash_vertices: Iterable[int], stash_edges: Iterable[int]
 ) -> tuple[frozenset[int], frozenset[int]]:

@@ -16,8 +16,10 @@ table per correspondence: ``vertex_map``, ``edge_map`` and ``gadget_of``
 for the cover direction; ``vertex_map``, ``edge_map``, ``estar_pick``,
 ``owner`` and ``ports`` for the stash direction.  Normalizing, pushing and
 lifting take only the map and a stash, and read both instances from the
-map.  Maps round-trip through a text sidecar format (see
-``serialize_map``) so the CLI can lift certificates from files alone.
+map.  Each gates the caller's stash through ``_valid_stash`` and re-checks
+the stash it returns with ``peeling.certify_stash``.  Maps round-trip
+through a text sidecar format (see ``serialize_map``) so the CLI can lift
+certificates from files alone.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from . import peeling
 from .errors import (ContractViolationError, InvalidArityError, ParameterError, ParseError,
                      UnsupportedCaseError)
 from .gadgets import (
@@ -36,7 +39,6 @@ from .gadgets import (
     embed_graph,
 )
 from .hypergraph import Hypergraph, parse, serialize
-from .peeling import is_k_peelable
 
 
 @dataclass
@@ -67,6 +69,20 @@ class ReductionMap:
     owner: dict[int, int] = field(default_factory=dict)
     gadget_of: dict[int, tuple[int, int]] = field(default_factory=dict)
     ports: dict[int, tuple[tuple[int, int], ...]] = field(default_factory=dict)
+
+
+def _valid_stash(g: Hypergraph, k: int, kind: str, stash, where: str) -> frozenset[int]:
+    """The caller's `kind` stash of g, the `where` instance, as a frozenset;
+    ContractViolationError unless every id is in g and removing them all
+    empties g's k-core."""
+    s = frozenset(stash)
+    has = g.has_vertex if kind == "vertex" else g.has_edge
+    for x in s:
+        if not has(x):
+            raise ContractViolationError(f"stash {kind} {x} is not in the {where} instance")
+    if not peeling.is_k_peelable(g, k, *((s, ()) if kind == "vertex" else ((), s))):
+        raise ContractViolationError(f"stash does not make the {where} instance peelable")
+    return s
 
 
 # -- vertex cover -> k-vertex-stash -------------------------------------------
@@ -116,20 +132,11 @@ def normalize_stash(rmap: ReductionMap, stash) -> frozenset[int]:
     """
     if rmap.direction != "vc_to_vs":
         raise ParameterError("normalize_stash applies to cover-reduction maps")
-    reduced = rmap.reduced
-    s = frozenset(stash)
-    for w in s:
-        if not reduced.has_vertex(w):
-            raise ContractViolationError(f"stash vertex {w} is not in the reduced instance")
-    if not is_k_peelable(reduced, rmap.k, stash_vertices=s):
-        raise ContractViolationError("stash does not make the reduced instance peelable")
+    s = _valid_stash(rmap.reduced, rmap.k, "vertex", stash, "reduced")
     images = set(rmap.vertex_map.values())
-    out = set()
-    for w in s:
-        out.add(w if w in images else rmap.gadget_of[w][0])
-    if not is_k_peelable(reduced, rmap.k, stash_vertices=out):
-        raise AssertionError(f"normalized stash {sorted(out)} leaves a nonempty {rmap.k}-core")
-    return frozenset(out)
+    out = frozenset(w if w in images else rmap.gadget_of[w][0] for w in s)
+    peeling.certify_stash("normalized", rmap.reduced, rmap.k, stash_vertices=out)
+    return out
 
 
 # -- k-vertex-stash -> k-edge-stash -------------------------------------------
@@ -196,18 +203,11 @@ def push_vertex_stash(rmap: ReductionMap, stash) -> frozenset[int]:
     lowest-id E* edge."""
     if rmap.direction != "vs_to_es":
         raise ParameterError("push_vertex_stash applies to stash-reduction maps")
-    g = rmap.original
-    s = frozenset(stash)
-    for v in s:
-        if not g.has_vertex(v):
-            raise ContractViolationError(f"stash vertex {v} is not in the original instance")
-    if not is_k_peelable(g, rmap.k, stash_vertices=s):
-        raise ContractViolationError("stash does not make the original instance peelable")
+    s = _valid_stash(rmap.original, rmap.k, "vertex", stash, "original")
     pushed = frozenset(rmap.estar_pick[v] for v in s)
     if len(pushed) != len(s):
         raise AssertionError(f"pushed stash has {len(pushed)} edges for {len(s)} vertices")
-    if not is_k_peelable(rmap.reduced, rmap.k, stash_edges=pushed):
-        raise AssertionError(f"pushed stash {sorted(pushed)} leaves a nonempty {rmap.k}-core")
+    peeling.certify_stash("pushed", rmap.reduced, rmap.k, stash_edges=pushed)
     return pushed
 
 
@@ -217,16 +217,9 @@ def lift_edge_stash(rmap: ReductionMap, stash) -> frozenset[int]:
     the original vertex owning it."""
     if rmap.direction != "vs_to_es":
         raise ParameterError("lift_edge_stash applies to stash-reduction maps")
-    reduced = rmap.reduced
-    s = frozenset(stash)
-    for e in s:
-        if not reduced.has_edge(e):
-            raise ContractViolationError(f"stash edge {e} is not in the reduced instance")
-    if not is_k_peelable(reduced, rmap.k, stash_edges=s):
-        raise ContractViolationError("stash does not make the reduced instance peelable")
+    s = _valid_stash(rmap.reduced, rmap.k, "edge", stash, "reduced")
     lifted = frozenset(rmap.owner[e] for e in s)
-    if not is_k_peelable(rmap.original, rmap.k, stash_vertices=lifted):
-        raise AssertionError(f"lifted stash {sorted(lifted)} leaves a nonempty {rmap.k}-core")
+    peeling.certify_stash("lifted", rmap.original, rmap.k, stash_vertices=lifted)
     return lifted
 
 

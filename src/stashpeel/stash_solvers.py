@@ -39,8 +39,9 @@ prefix witness.  At budget >= 2 no single stash empties the core: every
 smaller budget, from the packing bound up, failed exhaustively.
 
 Greedy runs on the same structure without undo.  Every stash returned is
-re-checked by ``is_k_peelable`` on the input graph.  Instances are expected
-to be desk-scale; correctness is the point.
+re-checked on the input graph by ``peeling.certify_stash``, the check that
+every stash leaving the library passes.  Instances are expected to be
+desk-scale; correctness is the point.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from typing import Callable
 
 from .errors import CapExceededError, InvalidArityError, ParameterError
 from .hypergraph import Hypergraph
-from .peeling import PeelCore, is_k_peelable
+from .peeling import PeelCore, certify_stash
 
 DEFAULT_SIZE_CAP = 6
 
@@ -209,15 +210,6 @@ def _search(
     return None
 
 
-def _certify(g: Hypergraph, k: int, kind: str, stash: frozenset[int]) -> None:
-    if kind == "vertex":
-        peelable = is_k_peelable(g, k, stash_vertices=stash)
-    else:
-        peelable = is_k_peelable(g, k, stash_edges=stash)
-    if not peelable:
-        raise AssertionError(f"{kind} stash {sorted(stash)} leaves a nonempty {k}-core")
-
-
 def _min_stash_exact(g: Hypergraph, k: int, size_cap: int, kind: str) -> StashResult:
     core = PeelCore(g, k)
     if size_cap < 0:
@@ -230,7 +222,7 @@ def _min_stash_exact(g: Hypergraph, k: int, size_cap: int, kind: str) -> StashRe
         found = _search(core, kind, budget, 0, witness, packing)
         if found is not None:
             stash = frozenset(found)
-            _certify(g, k, kind, stash)
+            certify_stash(kind, g, k, *((stash, ()) if kind == "vertex" else ((), stash)))
             return StashResult(kind, stash, True)
     raise CapExceededError(f"no {kind} stash of size <= {size_cap} exists", size_cap)
 
@@ -326,7 +318,7 @@ def greedy_stash(
     # The core lives only in _greedy_picks, so it is freed before the
     # certificate check peels g.
     stash = _greedy_picks(PeelCore(g, k), mode, tie_break, random.Random(seed))
-    _certify(g, k, mode, stash)
+    certify_stash(mode, g, k, *((stash, ()) if mode == "vertex" else ((), stash)))
     return StashResult(mode, stash, False)
 
 

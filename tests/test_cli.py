@@ -3,7 +3,8 @@ from io import StringIO
 
 import pytest
 
-from stashpeel import ParameterError, cli, gen_random, is_k_peelable, parse
+from stashpeel import (ParameterError, ParseError, cli, gen_random, is_k_peelable, parse, reductions,
+                       stash_solvers)
 from stashpeel.cli import run
 
 from helpers import mkgraph, run_python
@@ -78,6 +79,17 @@ def test_stash_greedy_summary(files):
     code, out, _ = invoke("stash-greedy", "--k", "2", "--mode", "vertex", files["tri"])
     assert code == 0
     assert out.splitlines()[1] == "size=1 optimal=false"
+
+
+def test_stash_summary_reads_optimal_from_the_result(files, monkeypatch):
+    flipped = stash_solvers.StashResult("vertex", frozenset({0}), False)
+    monkeypatch.setattr(stash_solvers, "min_vertex_stash_exact", lambda *args: flipped)
+    code, out, _ = invoke("stash-exact", "--k", "2", "--mode", "vertex", files["tri"])
+    assert (code, out) == (0, "S v 0\nsize=1 optimal=false\n")
+    flipped = stash_solvers.StashResult("edge", frozenset({0}), True)
+    monkeypatch.setattr(stash_solvers, "greedy_stash", lambda *args: flipped)
+    code, out, _ = invoke("stash-greedy", "--k", "2", "--mode", "edge", files["tri"])
+    assert (code, out) == (0, "S e 0\nsize=1 optimal=true\n")
 
 
 def test_stash_k_zero_is_parameter_error(files):
@@ -199,6 +211,12 @@ def test_undecodable_bytes_are_input_error(tmp_path):
     bad.write_bytes(b"h 2 2 1\ne 0 \xff\n")
     code, _, err = invoke("peel", "--k", "2", str(bad))
     assert code == 2 and err.startswith("error: line 2:")
+    # lines are numbered as parse numbers them, which breaks at a lone CR too
+    with pytest.raises(ParseError, match="^line 2: "):
+        parse("h 2 2 1\re 0 x\r")
+    bad.write_bytes(b"h 2 2 1\re 0 1\r# \xff\r")
+    code, _, err = invoke("peel", "--k", "2", str(bad))
+    assert code == 2 and err.startswith("error: line 3:")
 
 
 def test_non_integer_map_field_is_input_error(files, tmp_path):
@@ -373,6 +391,24 @@ def test_reduce_vc_and_normalize_via_lift(files, tmp_path):
     assert code == 2 and "error" in err
 
 
+def test_lift_with_a_cover_that_misses_an_edge_is_an_internal_error(files, tmp_path, monkeypatch):
+    # normalize_stash certifies its images, so only a fault reaches the
+    # cover check; here one image is dropped after the certificate
+    normalize = reductions.normalize_stash
+
+    def drop_lowest_image(*args):
+        return frozenset(sorted(normalize(*args))[1:])
+
+    monkeypatch.setattr(reductions, "normalize_stash", drop_lowest_image)
+    mp = str(tmp_path / "tri.map")
+    assert invoke("reduce", "--from", "vc", "--k", "2", "--d", "2", "--map-out", mp, files["tri"])[0] == 0
+    stash = tmp_path / "stash.txt"
+    stash.write_text("S v 0 1\n")
+    code, out, err = invoke("lift", "--map", mp, "--stash", str(stash))
+    assert (code, out) == (3, "")
+    assert err.endswith("\nAssertionError: lifted cover [1] misses original edge 2\n")
+
+
 def test_reduce_with_an_unwritable_map_prints_nothing(files):
     mp = str(files["dir"] / "missing" / "x.map")
     code, out, err = invoke("reduce", "--from", "vc", "--k", "2", "--d", "2", "--map-out", mp, files["tri"])
@@ -401,6 +437,13 @@ def test_verify_gadgets_tsv():
 def test_verify_gadgets_requires_scope():
     code, _, err = invoke("verify-gadgets")
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("scope", [("--k", "3"), ("--d", "2"), ("--k", "3", "--d", "2")])
+def test_verify_gadgets_grid_takes_no_k_or_d(scope):
+    code, out, err = invoke("verify-gadgets", "--grid", *scope)
+    assert (code, out) == (2, "")
+    assert err == "error: verify-gadgets takes --grid or --k and --d, not both\n"
 
 
 @pytest.mark.parametrize("k", ["1", "-3"])

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import itertools
 import re
 import textwrap
@@ -21,6 +22,7 @@ from stashpeel import (
     check_stable_block,
     k_core_after,
     run_gadget_grid,
+    serialize,
 )
 from stashpeel import gadgets
 from stashpeel.gadgets import (
@@ -225,6 +227,19 @@ def test_stable_delegates_to_simple_when_small():
                 g, s = build_stable_block(m, k, d), build_simple_stable_block(m, k, d)
                 assert (g.graph._edges, g.ports, g.estar) == (s.graph._edges, s.ports, s.estar)
                 assert g.graph.num_vertices == s.graph.num_vertices
+
+
+def test_simple_stable_blocks_are_pinned():
+    # the graph, ports, E*, params and meta of every simple stable block in
+    # the grid's range, hashed as they were when it had a builder of its own
+    digest = hashlib.sha256()
+    for k in range(3, 7):
+        for d in range(2, 5):
+            for m in range(1, k):
+                g = build_simple_stable_block(m, k, d)
+                digest.update(serialize(g.graph).encode())
+                digest.update(repr((g.ports, sorted(g.estar), g.params, g.meta)).encode())
+    assert digest.hexdigest() == "d5acfe25c3c1e068b8d100c13ac2b65c32b593cfdd61af4924ea8ce50835cfc1"
 
 
 def test_stable_k4_m11_is_depth_two():

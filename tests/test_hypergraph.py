@@ -190,6 +190,8 @@ def test_stash_file_roundtrip():
     assert parse_stash(format_stash("v", {3, 1})) == ("v", [1, 3])
     assert parse_stash("S e 0 2\n") == ("e", [0, 2])
     assert parse_stash("S v\n") == ("v", [])
+    # the first content line is the stash, so a solver's stdout is a stash file
+    assert parse_stash("# from stash-exact\nS e 3 7\nsize=2 optimal=true\n") == ("e", [3, 7])
     with pytest.raises(ParseError):
         parse_stash("T v 1\n")
     with pytest.raises(ParseError):

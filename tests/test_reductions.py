@@ -445,9 +445,9 @@ def test_parse_map_checks_references(direction, kind, edit, defect):
 def test_certificate_checks_survive_python_optimize():
     script = textwrap.dedent("""
         import dataclasses, itertools, sys
-        from stashpeel import parse, reductions
+        from stashpeel import parse, peeling, reductions
 
-        real = reductions.is_k_peelable
+        real = peeling.is_k_peelable
         calls = itertools.count()
 
         def certificate_core_nonempty(*args, **kwargs):
@@ -469,7 +469,7 @@ def test_certificate_checks_survive_python_optimize():
         )
         print(sys.flags.optimize)
         for patched, call in cases:
-            reductions.is_k_peelable = certificate_core_nonempty if patched else real
+            peeling.is_k_peelable = certificate_core_nonempty if patched else real
             try:
                 call()
                 print("returned")

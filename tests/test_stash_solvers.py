@@ -231,13 +231,13 @@ def test_greedy_matches_repeeling_reference(k, d):
 def test_certificate_checks_survive_python_optimize():
     script = textwrap.dedent("""
         import sys
-        from stashpeel import stash_solvers
+        from stashpeel import peeling, stash_solvers
         from stashpeel import gen_random
 
         def nonempty_core(*args, **kwargs):
             return False
 
-        stash_solvers.is_k_peelable = nonempty_core
+        peeling.is_k_peelable = nonempty_core
         g = gen_random(6, 9, 2, 1)
         calls = (
             lambda: stash_solvers.min_vertex_stash_exact(g, 2),
