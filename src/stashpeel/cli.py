@@ -156,17 +156,26 @@ def _cmd_verify_gadgets(args, out) -> int:
     return EXIT_OK if all(r.all_passed for r in reports) else EXIT_INFEASIBLE
 
 
+# each gadget type's builder and the flags it takes, in the builder's order
+_GADGET_TYPES = {
+    "ck": (gadgets.build_ck_gadget, ("k", "d")),
+    "b2": (functools.partial(gadgets.build_b_block, 2), ("k", "d")),
+    "b3": (functools.partial(gadgets.build_b_block, 3), ("k", "d")),
+    "simple-stable": (gadgets.build_simple_stable_block, ("m", "k", "d")),
+    "stable": (gadgets.build_stable_block, ("m", "k", "d")),
+    "tree-stable": (gadgets.build_tree_stable_block, ("p", "d")),
+}
+_GADGET_DEFAULTS = {"k": 3, "d": 2, "m": 1, "p": 1}
+
+
 def _cmd_gadget(args, out) -> int:
-    if args.type == "ck":
-        g = gadgets.build_ck_gadget(args.k, args.d)
-    elif args.type in ("b2", "b3"):
-        g = gadgets.build_b_block(int(args.type[1]), args.k, args.d)
-    elif args.type == "simple-stable":
-        g = gadgets.build_simple_stable_block(args.m, args.k, args.d)
-    elif args.type == "stable":
-        g = gadgets.build_stable_block(args.m, args.k, args.d)
-    else:
-        g = gadgets.build_tree_stable_block(args.p, args.d)
+    build, takes = _GADGET_TYPES[args.type]
+    # the parser's defaults are None, so a flag given is told from one left out
+    given = {f: getattr(args, f) for f in _GADGET_DEFAULTS}
+    extra = [f"--{f}" for f, v in given.items() if v is not None and f not in takes]
+    if extra:
+        raise ParameterError(f"gadget --type {args.type} does not take {' '.join(extra)}")
+    g = build(*(_GADGET_DEFAULTS[f] if given[f] is None else given[f] for f in takes))
     out.write(serialize(g.graph))
     for port in g.ports:
         attach = ";".join(" ".join(str(v) for v in e) for e in port.edges)
@@ -246,15 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_gadgets)
 
     p = sub.add_parser("gadget", help="emit one gadget in the standard text format")
-    p.add_argument(
-        "--type",
-        choices=("ck", "b2", "b3", "simple-stable", "stable", "tree-stable"),
-        required=True,
-    )
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--p", type=int, default=1)
+    p.add_argument("--type", choices=tuple(_GADGET_TYPES), required=True)
+    for flag, default in _GADGET_DEFAULTS.items():
+        p.add_argument(f"--{flag}", type=int, default=None, help=f"default {default}")
     p.set_defaults(func=_cmd_gadget)
 
     p = sub.add_parser("gen-random", help="seeded random d-uniform instance")

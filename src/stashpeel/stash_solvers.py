@@ -8,35 +8,44 @@ anything outside the core never changes it).  The search runs on one
 place, recording every kill on a trail, and backtracking pops the trail, so
 a search node costs its cascade rather than a re-peel of the whole core.
 
+It branches only on the root core's undominated elements, the candidates.
+If stashing x at the root kills y > x, then core(G-S-x) lies inside
+core(G-S-y) for every stash S, so swapping y for x never gives a larger
+stash and gives a lexicographically smaller one: the first minimum stash
+never holds y.  One walk up the root's live elements stashes each one not
+yet dominated, marks the higher ids its cascade kills, and undoes; it
+stashes every candidate once, so it is also the search at budget 1.
+
 Subtrees that provably hold no stash are skipped, so the search still
 returns the lexicographically first minimum stash.  Every stash must hit
 every nonempty k-core of a subset of the live elements (a "witness").  At
-each node the prefix witness, the k-core of the live elements <= y for the
-smallest such y, caps the scan: a stash whose first element is above y
-misses it.  At budget 1 the one element must lie in the prefix witness,
-and each failed candidate leaves a core that is another witness, so the
-candidates still to try shrink to those alive in it.  A child whose
-stashed element lies outside its parent's witness inherits that witness
-rather than finding its own, and new witnesses are found on a throwaway
-copy of the core, so the search core's trail holds only the branch's
-stashes.
+each node the prefix witness, the core left once every candidate above y
+is stashed for the smallest candidate y that leaves one, caps the scan: a
+stash whose first element is above y misses it.  At budget 1 the one
+element must lie in the prefix witness, and each failed candidate leaves a
+core that is another witness, so the elements still to try shrink to those
+alive in it.  A child whose stashed element lies outside its parent's
+witness inherits that witness rather than finding its own, and new
+witnesses are found on a throwaway copy of the core, so the search core's
+trail holds only the branch's stashes.
 
 A minimum stash is a minimum hitting set of the witnesses, so witnesses
 that share no element a stash may still use bound it from below.  A node
 with budget >= 2 packs them greedily on a copy of its core: it stashes its
-prefix witness's elements >= `first` (the smallest id the node may still
+prefix witness's candidates >= `first` (the smallest id the node may still
 stash), takes the copy's prefix witness as the next, and repeats until the
 copy empties.  Every stash below the node hits each packed witness in an
 element of its own, so a node with more packed witnesses than budget
 holds no stash and is cut; with exactly as many, only packed elements are
 tried.  The root's packing is taken once, and iterative deepening starts
-at its count.
+at its count, or at 2 when the walk found no stash of one element.
 
 Two invariants spare the search two tests.  Every witness a node scans or
-packs has an element >= `first`: one at or below the x its parent stashed
-would be a witness of the parent below x <= y, lower than its lowest, the
-prefix witness.  At budget >= 2 no single stash empties the core: every
-smaller budget, from the packing bound up, failed exhaustively.
+packs has a candidate >= `first`: one at or below the x its parent
+stashed would be a witness of the parent below x <= y, lower than its
+lowest, the prefix witness.  At budget >= 2 no single stash empties the
+core: every smaller budget, from the packing bound up, failed
+exhaustively.
 
 Greedy runs on the same structure without undo.  Every stash returned is
 re-checked on the input graph by ``peeling.certify_stash``, the check that
@@ -47,8 +56,9 @@ desk-scale; correctness is the point.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import combinations, compress, count
 from typing import Callable
 
 from .errors import CapExceededError, InvalidArityError, ParameterError
@@ -95,74 +105,107 @@ def _kind_ops(core: PeelCore, kind: str) -> tuple[list[bool], Callable[[int], No
     return core.edge_alive, core.stash_edge
 
 
-def _prefix_witness(core: PeelCore, kind: str) -> tuple[int, list[bool]]:
-    """Smallest y such that the live elements <= y still hold a nonempty
-    k-core, the witness, and the witness's alive flags.
+def _candidates(core: PeelCore, kind: str) -> tuple[list[int], bool]:
+    """The candidates: the live elements of `kind` that no lower one kills
+    when stashed, ascending; and whether the last one's stash alone empties
+    `core`.
 
-    On a copy of `core`, stashes live elements from the highest id
-    down until the copy empties; y is the one whose stash emptied it.  Only
-    that last cascade is undone, which leaves the copy holding the witness,
-    so its flags are True exactly on the witness's elements (none above y).
-    `core` itself is not touched and must be nonempty.
+    Walks the live ids upward, stashes each one not yet dominated, marks
+    the higher ids its cascade kills, read off the trail, and undoes it.  A
+    dominated id needs no stash of its own: its dominator kills everything
+    it kills.  So the walk is also the budget-1 search: an id whose stash
+    empties `core` kills every id above it and is the last candidate.
+    `core` is left as it was found.
+    """
+    alive, stash = _kind_ops(core, kind)
+    undominated = alive.copy()
+    # the trail records a vertex v as v and an edge e as ~e == e ^ -1
+    flip = 0 if kind == "vertex" else -1
+    mark = len(core.trail)
+    alone = False
+    for x, live in enumerate(undominated):
+        if live:
+            stash(x)
+            alone = not core.live_edges
+            for z in core.trail[mark:]:
+                z ^= flip
+                if z > x:
+                    undominated[z] = False
+            core.undo(mark)
+    return list(compress(count(), undominated)), alone
+
+
+def _prefix_witness(core: PeelCore, kind: str, cands: list[int]) -> tuple[int, list[bool]]:
+    """Smallest candidate y such that stashing every candidate above it
+    leaves a nonempty k-core, the witness, and the witness's alive flags.
+
+    On a copy of `core`, stashes live candidates from the highest down
+    until the copy empties, as it must once all are stashed; y is the one
+    whose stash emptied it.  Only that last cascade is undone, which leaves
+    the copy holding the witness, so its flags are True exactly on the
+    witness's elements, and on no candidate above y.  `core` itself is not
+    touched and must be nonempty.
     """
     w = core.copy()
     alive, stash = _kind_ops(w, kind)
-    y = len(alive)
+    todo = (c for c in reversed(cands) if alive[c])
     while w.live_edges:
-        y -= 1
-        if alive[y]:
-            before = len(w.trail)
-            stash(y)
+        y = next(todo)
+        before = len(w.trail)
+        stash(y)
     w.undo(before)
     return y, alive
 
 
 def _packing(
-    core: PeelCore, kind: str, limit: int, first: int, y: int, flags: list[bool]
+    core: PeelCore, kind: str, cands: list[int], limit: int, first: int, y: int, flags: list[bool]
 ) -> tuple[int, set[int]]:
     """Greedily pack witnesses of `core` that are pairwise disjoint on the
-    ids >= `first`.  Returns their number, or `limit` + 1 once there are
-    more than `limit`, and the packed witnesses' ids >= `first`.
+    candidates >= `first`.  Returns their number, or `limit` + 1 once there
+    are more than `limit`, and the packed witnesses' candidates >= `first`.
 
-    `flags` marks the first witness, whose ids are all <= y, with y >=
-    `first`.  On a copy of `core`, stashes the witness's ids >= `first`,
-    takes the copy's prefix witness as the next one, and repeats until the
-    copy empties.  Each witness lies in what the ones before it left alive,
-    so a stash of ids >= `first` hits each in an id of its own: no such
-    stash is smaller than the count, and one of exactly that size holds
-    only packed ids.  `core` itself is not touched.  Each later witness
-    reaches `first` too: the copy lost only ids >= `first`, so one below
-    would be a witness of `core` below y.
+    `flags` marks the first witness, whose candidates are all <= y, with y
+    >= `first`.  On a copy of `core`, stashes the witness's candidates >=
+    `first`, takes the copy's prefix witness as the next one, and repeats
+    until the copy empties.  Each witness lies in what the ones before it
+    left alive, so a stash of candidates >= `first` hits each in an id of
+    its own: no such stash is smaller than the count, and one of exactly
+    that size holds only packed ids.  `core` itself is not touched.  Each
+    later witness reaches `first` too: the copy lost only candidates >=
+    `first`, so one below would be a witness of `core` below y.
     """
     w = core.copy()
     alive, stash = _kind_ops(w, kind)
+    lo = bisect_left(cands, first)
     packed, hit = 0, set()
     while True:
-        for x in compress(range(first, y + 1), flags[first : y + 1]):
-            hit.add(x)
-            if alive[x]:
-                stash(x)
+        for x in cands[lo : bisect_right(cands, y)]:
+            if flags[x]:
+                hit.add(x)
+                if alive[x]:
+                    stash(x)
         packed += 1
         if not w.live_edges:
             return packed, hit
         if packed >= limit:
             return limit + 1, hit
-        y, flags = _prefix_witness(w, kind)
+        y, flags = _prefix_witness(w, kind, cands)
 
 
 def _search(
     core: PeelCore,
     kind: str,
+    cands: list[int],
     budget: int,
     first: int,
     witness: tuple[int, list[bool]] | None = None,
     packing: tuple[int, set[int]] | None = None,
 ) -> list[int] | None:
-    """Lexicographically first `budget` more ids, each at least `first`,
-    whose stashing empties `core`, or None.
+    """Lexicographically first `budget` more candidates, each at least
+    `first`, whose stashing empties `core`, or None.
 
-    Candidates are the live elements of the node's core, capped at the
-    node's prefix witness y: a stash must hit the witness, whose elements
+    The scan takes the live candidates of the node's core, capped at the
+    node's prefix witness y: a stash must hit the witness, whose candidates
     are all <= y, so a first element above y leads nowhere.  At budget 1
     the one element must lie in the witness and in the core left by every
     failed candidate.  A child whose stashed element is outside the
@@ -171,13 +214,13 @@ def _search(
     prefix core at y, while the child's prefix cores below y lie inside the
     parent's empty ones.
 
-    A node with budget >= 2 also packs witnesses disjoint on the ids >=
-    `first` (`_packing`), which every stash from here on must hit in ids
-    of their own: with more than `budget` of them the node holds no stash,
-    and with exactly `budget` every stash id is a packed one, so the scan
-    skips the rest.  `packing` is the node's packing when the caller has
-    it; the root's is the same at every budget.  A failed search leaves
-    `core` as it found it; a successful one leaves the stash applied.
+    A node with budget >= 2 also packs witnesses disjoint on the
+    candidates >= `first` (`_packing`), which every stash from here on must
+    hit in ids of their own: with more than `budget` of them the node holds
+    no stash, and with exactly `budget` every stash id is a packed one, so
+    the scan skips the rest.  `packing` is the node's packing when the
+    caller has it; the root's is the same at every budget.  A failed search
+    leaves `core` as it found it; a successful one leaves the stash applied.
 
     Invariants: y >= `first`, as a witness at or below the stashed
     `first` - 1 would be one of the parent's below its y; and at budget 2
@@ -185,9 +228,10 @@ def _search(
     """
     alive, stash = _kind_ops(core, kind)
     mark = len(core.trail)
-    y, flags = witness or _prefix_witness(core, kind)
+    y, flags = witness or _prefix_witness(core, kind, cands)
+    scan = cands[bisect_left(cands, first) : bisect_right(cands, y)]
     if budget == 1:
-        todo = list(compress(range(first, y + 1), flags[first : y + 1]))
+        todo = [x for x in scan if flags[x]]
         while todo:
             x = todo.pop(0)
             stash(x)
@@ -196,14 +240,14 @@ def _search(
             todo = [c for c in todo if alive[c]]
             core.undo(mark)
         return None
-    packed, hit = packing or _packing(core, kind, budget, first, y, flags)
+    packed, hit = packing or _packing(core, kind, cands, budget, first, y, flags)
     if packed > budget:
         return None
-    for x in compress(range(first, y + 1), alive[first : y + 1]):
-        if packed == budget and x not in hit:
+    for x in scan:
+        if not alive[x] or (packed == budget and x not in hit):
             continue
         stash(x)
-        rest = _search(core, kind, budget - 1, x + 1, None if flags[x] else (y, flags))
+        rest = _search(core, kind, cands, budget - 1, x + 1, None if flags[x] else (y, flags))
         if rest is not None:
             return [x] + rest
         core.undo(mark)
@@ -216,15 +260,21 @@ def _min_stash_exact(g: Hypergraph, k: int, size_cap: int, kind: str) -> StashRe
         raise ParameterError(f"size cap must be non-negative, got {size_cap}")
     if not core.live_edges:
         return StashResult(kind, frozenset(), True)
-    witness = _prefix_witness(core, kind)
-    packing = _packing(core, kind, size_cap, 0, *witness)
-    for budget in range(packing[0], size_cap + 1):
-        found = _search(core, kind, budget, 0, witness, packing)
-        if found is not None:
-            stash = frozenset(found)
-            certify_stash(kind, g, k, *((stash, ()) if kind == "vertex" else ((), stash)))
-            return StashResult(kind, stash, True)
-    raise CapExceededError(f"no {kind} stash of size <= {size_cap} exists", size_cap)
+    cands, alone = _candidates(core, kind)
+    found = cands[-1:] if alone else None
+    if not alone:
+        witness = _prefix_witness(core, kind, cands)
+        packing = _packing(core, kind, cands, size_cap, 0, *witness)
+        # the walk for the candidates ruled out every stash of one element
+        for budget in range(max(packing[0], 2), size_cap + 1):
+            found = _search(core, kind, cands, budget, 0, witness, packing)
+            if found is not None:
+                break
+    if found is None or len(found) > size_cap:
+        raise CapExceededError(f"no {kind} stash of size <= {size_cap} exists", size_cap)
+    stash = frozenset(found)
+    certify_stash(kind, g, k, *((stash, ()) if kind == "vertex" else ((), stash)))
+    return StashResult(kind, stash, True)
 
 
 def min_vertex_stash_exact(g: Hypergraph, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> StashResult:

@@ -466,6 +466,30 @@ def test_gadget_emission_reparses():
         assert "# port" in out and "# estar" in out
 
 
+@pytest.mark.parametrize("argv, extra", [
+    (("--type", "tree-stable", "--k", "5", "--d", "3", "--p", "2"), "--k"),
+    (("--type", "ck", "--k", "3", "--d", "2", "--m", "7", "--p", "9"), "--m --p"),
+    (("--type", "b2", "--p", "1"), "--p"),
+])
+def test_gadget_rejects_flags_its_type_does_not_take(argv, extra):
+    code, out, err = invoke("gadget", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: gadget --type {argv[1]} does not take {extra}\n"
+
+
+@pytest.mark.parametrize("argv, defaults", [
+    (("--type", "ck"), ("--k", "3", "--d", "2")),
+    (("--type", "b3"), ("--k", "3", "--d", "2")),
+    (("--type", "simple-stable"), ("--m", "1", "--k", "3", "--d", "2")),
+    (("--type", "stable", "--k", "4"), ("--m", "1", "--d", "2")),
+    (("--type", "tree-stable", "--d", "3"), ("--p", "1")),
+])
+def test_gadget_defaults_fill_the_flags_its_type_takes(argv, defaults):
+    code, out, err = invoke("gadget", *argv)
+    assert (code, err) == (0, "") and "# estar" in out
+    assert invoke("gadget", *argv, *defaults) == (code, out, err)
+
+
 def test_identical_invocations_are_byte_identical(files):
     a = invoke("stash-greedy", "--k", "2", "--mode", "edge", "--tie-break",
                "seeded_random", "--seed", "4", files["tri"])

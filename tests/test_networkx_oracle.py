@@ -3,7 +3,14 @@ subset-enumeration oracles cannot reach."""
 
 import pytest
 
-from stashpeel import gen_random, k_core, two_edge_stash_standard
+from stashpeel import (
+    CapExceededError,
+    gen_random,
+    k_core,
+    min_vertex_stash_exact,
+    reduce_vc_to_vertex_stash,
+    two_edge_stash_standard,
+)
 
 from helpers import without
 
@@ -47,3 +54,21 @@ def test_k_core_and_cyclomatic_number_match_networkx(n, m):
             }
             nonempty += not ours.core_empty
     assert nonempty >= 4  # the shapes have cores to compare
+
+
+@pytest.mark.parametrize("n", (20, 22, 24))
+def test_cover_reduction_matches_networkx_cover(n):
+    # acceptance criterion 5 (vertex cover to vertex stash) at covers of 9
+    # to 13, beyond the package's own cover enumeration: a minimum cover is
+    # the complement of a maximum independent set, a maximum clique of the
+    # complement graph
+    for seed in (0, 1, 2):
+        g = gen_random(n, 2 * n - 4, 2, seed)
+        graph = nx.Graph(list(g.edges.values()))
+        graph.add_nodes_from(g.vertices)
+        clique, _ = nx.max_weight_clique(nx.complement(graph), weight=None)
+        cover = n - len(clique)
+        reduced, _ = reduce_vc_to_vertex_stash(g, 3, 2)
+        assert min_vertex_stash_exact(reduced, 3, size_cap=cover).size == cover, seed
+        with pytest.raises(CapExceededError):
+            min_vertex_stash_exact(reduced, 3, size_cap=cover - 1)

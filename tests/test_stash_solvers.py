@@ -1,3 +1,4 @@
+import hashlib
 import textwrap
 from collections import Counter
 
@@ -20,6 +21,7 @@ from stashpeel import (
     stash_solvers,
     two_edge_stash_standard,
 )
+from stashpeel.peeling import PeelCore
 from stashpeel.stash_solvers import TIE_BREAKS
 
 from helpers import complete_graph, hypergraphs, mkgraph, path, run_python, triangle, two_triangles, without
@@ -260,17 +262,21 @@ def test_certificate_checks_survive_python_optimize():
 
 
 def test_exact_search_prunes_to_prefix_witnesses(monkeypatch):
-    # Each search node scans only up to its prefix witness, and a budget-1
-    # node only the elements every failed candidate left in the core.  A
-    # child whose stashed element lies outside the witness inherits it, and
-    # a node with budget >= 2 is cut when it packs more disjoint witnesses
-    # than its budget.  Witnesses are found and packed on copies of the
-    # core, whose stash calls are counted too: 97 on the edge instance and
-    # 857 on the vertex one.  Without the packing bound the counts are 99
-    # and 3,380; recomputing the witness at every node as well makes 183
-    # and 5,147; scanning every live element makes about 10,000 and 53,000;
-    # the cap without the budget-1 refinement makes about 7,500 on the edge
-    # instance.
+    # The search branches only on candidates, the live elements no lower
+    # one dominates (kills when stashed at the root): 4 of 392 live edges on
+    # the edge instance and 9 of 37 live vertices on the vertex one.  The
+    # walk that finds them stashes each candidate once, so it is also the
+    # budget-1 search at the root.  Each node scans only up to its prefix
+    # witness, and a budget-1 node only the elements every failed candidate
+    # left in the core.  A child whose stashed element lies outside the
+    # witness inherits it, and a node with budget >= 2 is cut when it packs
+    # more disjoint witnesses than its budget.  The walk and the witnesses,
+    # found and packed on copies of the core, make stash calls that are
+    # counted too: 15 on the edge instance and 127 on the vertex one.
+    # Without the packing bound the counts are 13 and 159; recomputing the
+    # witness at every node as well makes 15 and 203; scanning every live
+    # candidate makes 15 and 224; the same search over every live element,
+    # without the walk, makes 97 and 857.
     calls = Counter()
 
     class CountingCore(stash_solvers.PeelCore):
@@ -290,7 +296,74 @@ def test_exact_search_prunes_to_prefix_witnesses(monkeypatch):
     assert min_edge_stash_exact(edge_case, 3).stash == {28, 89}
     vertex_case, _ = reduce_vc_to_vertex_stash(gen_random(9, 14, 2, 60308648), 2, 2)
     assert min_vertex_stash_exact(vertex_case, 2).stash == {0, 1, 2, 5, 8}
-    assert calls["edge"] < 150 and calls["vertex"] < 900
+    assert calls["edge"] <= 15 and calls["vertex"] <= 127, calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    hypergraphs(max_vertices=7, max_edges=9),
+    st.lists(st.integers(0, 2**16), max_size=3),
+    st.sampled_from(("vertex", "edge")),
+    st.sampled_from((1, 2, 3)),
+)
+def test_candidates_hold_the_first_minimum_stash(g, repeats, kind, k):
+    # Stashing x kills y > x at the root, so swapping y for x in a stash
+    # gives one no larger and lexicographically smaller: the first minimum
+    # stash holds no dominated element, and when one element alone is a
+    # stash, the first is the last candidate.  The walk stashes and undoes
+    # on the search's own core, which it must leave as it found it.
+    g = g.copy()
+    if g.num_edges:
+        edges = sorted(g.edges)
+        for i in repeats:  # parallel copies of existing edges
+            g.add_edge(g.edge_vertices(edges[i % len(edges)]))
+    core = PeelCore(g, k)
+    before = (core.degree.copy(), core.vertex_alive.copy(), core.edge_alive.copy(),
+              core.live_edges, core.trail.copy())
+    cands, alone = stash_solvers._candidates(core, kind)
+    assert (core.degree, core.vertex_alive, core.edge_alive, core.live_edges, core.trail) == before
+    alive = core.vertex_alive if kind == "vertex" else core.edge_alive
+    assert cands == sorted(cands) and all(alive[x] for x in cands)
+    first = min_stash_by_enumeration(g, k, kind)
+    assert first <= set(cands)
+    assert alone == (len(first) == 1) and (not alone or first == {cands[-1]})
+
+
+def test_exact_solves_a_stash_4_edge_reduction():
+    # 1,070 edges, 14 of its 1,047 live edges candidates: the search over
+    # every live edge took about 12 minutes to find this stash of 4, the
+    # search over the candidates takes a fraction of a second
+    g = gen_random(16, 50, 2, 3)
+    reduced, _ = reduce_vertex_to_edge_stash(g, 3, 2)
+    assert reduced.num_edges == 1070
+    stash = min_edge_stash_exact(reduced, 3)
+    assert stash.size == 4 == min_vertex_stash_exact(g, 3).size
+    assert_valid(reduced, 3, stash)
+    with pytest.raises(CapExceededError):
+        min_edge_stash_exact(reduced, 3, size_cap=3)
+
+
+def _pinned_corpus_digest():
+    """SHA-256 over both exact solvers' answers, and cap errors, at cap 5 on
+    1,800 seeded solves, 300 of them cap errors."""
+    digest = hashlib.sha256()
+    for n, m, d in ((8, 14, 2), (10, 20, 2), (7, 9, 3)):
+        for seed in range(150):
+            g = gen_random(n, m, d, seed)
+            for k in (2, 3):
+                for solver in (min_vertex_stash_exact, min_edge_stash_exact):
+                    try:
+                        line = " ".join(map(str, sorted(solver(g, k, 5).stash)))
+                    except CapExceededError as exc:
+                        line = f"cap {exc}"
+                    digest.update(f"{n} {m} {d} {seed} {k} {solver.__name__}: {line}\n".encode())
+    return digest.hexdigest()
+
+
+def test_exact_answers_match_the_pinned_corpus():
+    # pinned from the search over every live element, before the dominance
+    # pre-pass: any pruning must leave every answer and cap error as it was
+    assert _pinned_corpus_digest() == "de01d9ac28ff9f757c1d1e6d73754ab03520832c1c7c3abd9058e79ff0fad876"
 
 
 @settings(max_examples=25, deadline=None)
@@ -337,33 +410,34 @@ def test_search_invariants_hold_at_every_node(monkeypatch):
     # node gets a nonempty core (no stash at budget >= 2 empties one, as
     # every smaller budget already failed), and every witness a node scans
     # or packs reaches the node's `first`.  Untested, a broken second
-    # invariant would surface as an UnboundLocalError in _prefix_witness.
+    # invariant would not raise: the node would scan nothing and the search
+    # would miss stashes.
     firsts = []
     checked = Counter()
     search, pack, prefix_witness = (
         stash_solvers._search, stash_solvers._packing, stash_solvers._prefix_witness
     )
 
-    def checked_search(core, kind, budget, first, witness=None, packing=None):
+    def checked_search(core, kind, cands, budget, first, witness=None, packing=None):
         assert core.live_edges, (budget, first)
         assert witness is None or witness[0] >= first, (witness[0], first)
         checked["nodes"] += 1
         firsts.append(first)
         try:
-            return search(core, kind, budget, first, witness, packing)
+            return search(core, kind, cands, budget, first, witness, packing)
         finally:
             firsts.pop()
 
-    def checked_packing(core, kind, limit, first, y, flags):
+    def checked_packing(core, kind, cands, limit, first, y, flags):
         assert y >= first, (y, first)
         firsts.append(first)
         try:
-            return pack(core, kind, limit, first, y, flags)
+            return pack(core, kind, cands, limit, first, y, flags)
         finally:
             firsts.pop()
 
-    def checked_prefix_witness(core, kind):
-        y, flags = prefix_witness(core, kind)
+    def checked_prefix_witness(core, kind, cands):
+        y, flags = prefix_witness(core, kind, cands)
         if firsts:  # the root's witness is taken before any node, at first = 0
             assert y >= firsts[-1], (y, firsts[-1])
             checked["witnesses"] += 1
