@@ -636,11 +636,12 @@ GRID_P = range(1, 6)
 def run_gadget_grid(ks=GRID_K, ds=GRID_D) -> list[GadgetReport]:
     """Build and check every gadget family at each k in ``ks`` and d in ``ds``.
 
-    Each family runs only where it exists: ck at k >= 2, the b-blocks and
-    stable blocks at k >= 3, the tree stable block at k = 2 with d >= 3.
-    Reports come family by family, each in (k, d) order; the defaults are
-    the CI grid.
+    Each family runs only where it exists: all at d >= 2, ck at k >= 2, the
+    b-blocks and stable blocks at k >= 3, the tree stable block at k = 2
+    with d >= 3.  Reports come family by family, each in (k, d) order; the
+    defaults are the CI grid.
     """
+    ds = [d for d in ds if d >= 2]
     block_ks = [k for k in ks if k >= 3]
     reports = [check_ck_properties(build_ck_gadget(k, d)) for k in ks if k >= 2 for d in ds]
     for b in (2, 3):

@@ -193,8 +193,15 @@ def peel_edges(edges: dict[int, tuple[int, ...]], k: int) -> dict[int, tuple[int
     m = len(edges)
     if not all(e in edges for e in range(m)):
         raise ParameterError(f"edge ids must be 0..{m - 1}")
+    try:
+        top = max(map(max, edges.values()), default=-1)
+    except (TypeError, ValueError):  # ids that do not compare, such as 0 and "a"; an empty edge
+        raise ParameterError("an edge must be a nonempty sequence of integer vertex ids") from None
+    # add_edge checks every id; only the largest sizes the graph
+    if not isinstance(top, int):
+        raise ParameterError(f"vertex ids must be integers, got {top!r}")
     g = Hypergraph(len(edges[0]) if m else 2)
-    g.add_vertices(1 + max((max(vs) for vs in edges.values()), default=-1))
+    g.add_vertices(1 + top)
     try:
         for e in range(m):
             g.add_edge(edges[e])

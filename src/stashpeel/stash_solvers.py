@@ -24,10 +24,10 @@ is stashed for the smallest candidate y that leaves one, caps the scan: a
 stash whose first element is above y misses it.  At budget 1 the one
 element must lie in the prefix witness, and each failed candidate leaves a
 core that is another witness, so the elements still to try shrink to those
-alive in it.  A child whose stashed element lies outside its parent's
-witness inherits that witness rather than finding its own, and new
-witnesses are found on a throwaway copy of the core, so the search core's
-trail holds only the branch's stashes.
+alive in it.  A parent hands each child its witness: its own when the
+stashed element lies outside it, else one found right after the stash.
+New witnesses are found on a throwaway copy of the core, so the search
+core's trail holds only the branch's stashes.
 
 A minimum stash is a minimum hitting set of the witnesses, so witnesses
 that share no element a stash may still use bound it from below.  A node
@@ -36,9 +36,9 @@ prefix witness's candidates >= `first` (the smallest id the node may still
 stash), takes the copy's prefix witness as the next, and repeats until the
 copy empties.  Every stash below the node hits each packed witness in an
 element of its own, so a node with more packed witnesses than budget
-holds no stash and is cut; with exactly as many, only packed elements are
-tried.  The root's packing is taken once, and iterative deepening starts
-at its count, or at 2 when the walk found no stash of one element.
+holds no stash and is cut.  The root's packing is taken once and sets the
+first budget: iterative deepening starts at its count, or at 2 when the
+walk found no stash of one element, so the root is never cut.
 
 Two invariants spare the search two tests.  Every witness a node scans or
 packs has a candidate >= `first`: one at or below the x its parent
@@ -159,68 +159,56 @@ def _prefix_witness(core: PeelCore, kind: str, cands: list[int]) -> tuple[int, l
 
 def _packing(
     core: PeelCore, kind: str, cands: list[int], limit: int, first: int, y: int, flags: list[bool]
-) -> tuple[int, set[int]]:
+) -> int:
     """Greedily pack witnesses of `core` that are pairwise disjoint on the
-    candidates >= `first`.  Returns their number, or `limit` + 1 once there
-    are more than `limit`, and the packed witnesses' candidates >= `first`.
+    candidates >= `first`, and return their number, or `limit` + 1 once
+    there are more than `limit`.
 
     `flags` marks the first witness, whose candidates are all <= y, with y
     >= `first`.  On a copy of `core`, stashes the witness's candidates >=
     `first`, takes the copy's prefix witness as the next one, and repeats
     until the copy empties.  Each witness lies in what the ones before it
     left alive, so a stash of candidates >= `first` hits each in an id of
-    its own: no such stash is smaller than the count, and one of exactly
-    that size holds only packed ids.  `core` itself is not touched.  Each
-    later witness reaches `first` too: the copy lost only candidates >=
-    `first`, so one below would be a witness of `core` below y.
+    its own and is no smaller than the count.  `core` itself is not
+    touched.  Each later witness reaches `first` too: the copy lost only
+    candidates >= `first`, so one below would be a witness of `core` below
+    y.
     """
     w = core.copy()
     alive, stash = _kind_ops(w, kind)
     lo = bisect_left(cands, first)
-    packed, hit = 0, set()
+    packed = 0
     while True:
         for x in cands[lo : bisect_right(cands, y)]:
-            if flags[x]:
-                hit.add(x)
-                if alive[x]:
-                    stash(x)
+            if flags[x] and alive[x]:
+                stash(x)
         packed += 1
         if not w.live_edges:
-            return packed, hit
+            return packed
         if packed >= limit:
-            return limit + 1, hit
+            return limit + 1
         y, flags = _prefix_witness(w, kind, cands)
 
 
 def _search(
-    core: PeelCore,
-    kind: str,
-    cands: list[int],
-    budget: int,
-    first: int,
-    witness: tuple[int, list[bool]] | None = None,
-    packing: tuple[int, set[int]] | None = None,
+    core: PeelCore, kind: str, cands: list[int], budget: int, first: int, y: int, flags: list[bool]
 ) -> list[int] | None:
     """Lexicographically first `budget` more candidates, each at least
     `first`, whose stashing empties `core`, or None.
 
-    The scan takes the live candidates of the node's core, capped at the
-    node's prefix witness y: a stash must hit the witness, whose candidates
-    are all <= y, so a first element above y leads nowhere.  At budget 1
-    the one element must lie in the witness and in the core left by every
-    failed candidate.  A child whose stashed element is outside the
-    witness inherits it as `witness`: the witness has minimum degree >= k
-    without that element, so it survives the cascade and is the child's
-    prefix core at y, while the child's prefix cores below y lie inside the
-    parent's empty ones.
+    `y` and `flags` are the node's prefix witness.  The scan takes the live
+    candidates of the node's core, capped at y: a stash must hit the
+    witness, whose candidates are all <= y, so a first element above y
+    leads nowhere.  At budget 1 the one element must lie in the witness
+    and in the core left by every failed candidate.  A child whose stashed
+    element is outside the witness is handed the same one: the witness has
+    minimum degree >= k without that element, so it survives the cascade
+    and is the child's prefix core at y, while the child's prefix cores
+    below y lie inside the parent's empty ones.
 
-    A node with budget >= 2 also packs witnesses disjoint on the
-    candidates >= `first` (`_packing`), which every stash from here on must
-    hit in ids of their own: with more than `budget` of them the node holds
-    no stash, and with exactly `budget` every stash id is a packed one, so
-    the scan skips the rest.  `packing` is the node's packing when the
-    caller has it; the root's is the same at every budget.  A failed search
-    leaves `core` as it found it; a successful one leaves the stash applied.
+    Below the root, a node with more disjoint witnesses (`_packing`) than
+    `budget` holds no stash and is cut.  A failed search leaves `core` as
+    it found it; a successful one leaves the stash applied.
 
     Invariants: y >= `first`, as a witness at or below the stashed
     `first` - 1 would be one of the parent's below its y; and at budget 2
@@ -228,7 +216,6 @@ def _search(
     """
     alive, stash = _kind_ops(core, kind)
     mark = len(core.trail)
-    y, flags = witness or _prefix_witness(core, kind, cands)
     scan = cands[bisect_left(cands, first) : bisect_right(cands, y)]
     if budget == 1:
         todo = [x for x in scan if flags[x]]
@@ -240,14 +227,15 @@ def _search(
             todo = [c for c in todo if alive[c]]
             core.undo(mark)
         return None
-    packed, hit = packing or _packing(core, kind, cands, budget, first, y, flags)
-    if packed > budget:
+    # the root's packing set the first budget, so only nodes below it are cut
+    if first > 0 and _packing(core, kind, cands, budget, first, y, flags) > budget:
         return None
     for x in scan:
-        if not alive[x] or (packed == budget and x not in hit):
+        if not alive[x]:
             continue
         stash(x)
-        rest = _search(core, kind, cands, budget - 1, x + 1, None if flags[x] else (y, flags))
+        witness = _prefix_witness(core, kind, cands) if flags[x] else (y, flags)
+        rest = _search(core, kind, cands, budget - 1, x + 1, *witness)
         if rest is not None:
             return [x] + rest
         core.undo(mark)
@@ -263,11 +251,11 @@ def _min_stash_exact(g: Hypergraph, k: int, size_cap: int, kind: str) -> StashRe
     cands, alone = _candidates(core, kind)
     found = cands[-1:] if alone else None
     if not alone:
-        witness = _prefix_witness(core, kind, cands)
-        packing = _packing(core, kind, cands, size_cap, 0, *witness)
+        y, flags = _prefix_witness(core, kind, cands)
+        packing = _packing(core, kind, cands, size_cap, 0, y, flags)
         # the walk for the candidates ruled out every stash of one element
-        for budget in range(max(packing[0], 2), size_cap + 1):
-            found = _search(core, kind, cands, budget, 0, witness, packing)
+        for budget in range(max(packing, 2), size_cap + 1):
+            found = _search(core, kind, cands, budget, 0, y, flags)
             if found is not None:
                 break
     if found is None or len(found) > size_cap:

@@ -446,11 +446,11 @@ def test_verify_gadgets_grid_takes_no_k_or_d(scope):
     assert err == "error: verify-gadgets takes --grid or --k and --d, not both\n"
 
 
-@pytest.mark.parametrize("k", ["1", "-3"])
-def test_verify_gadgets_with_no_family_is_parameter_error(k):
-    code, out, err = invoke("verify-gadgets", "--k", k, "--d", "2")
+@pytest.mark.parametrize("k, d", [("1", "2"), ("-3", "2"), ("3", "1"), ("2", "0")])
+def test_verify_gadgets_with_no_family_is_parameter_error(k, d):
+    code, out, err = invoke("verify-gadgets", "--k", k, "--d", d)
     assert code == 2 and out == ""
-    assert f"no gadget family exists at k={k}, d=2" in err
+    assert f"no gadget family exists at k={k}, d={d}" in err
 
 
 def test_gadget_emission_reparses():

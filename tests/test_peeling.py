@@ -372,7 +372,8 @@ def test_k_core_peels_lowest_id_first(g, k, data):
 
 
 def test_peel_edges_rejects_maps_that_are_not_canonical():
-    for edges in ({1: (0, 1)}, {0: (0, 1), 2: (1, 2)}, {0: (-1, 0)}, {0: (0, 0)}, {0: (0, 1), 1: (0, 1, 2)}):
+    for edges in ({1: (0, 1)}, {0: (0, 1), 2: (1, 2)}, {0: (-1, 0)}, {0: (0, 0)}, {0: (0, 1), 1: (0, 1, 2)},
+                  {0: ("a", "b")}, {0: (0.0, 1.0)}, {0: ()}, {0: (0, 1), 1: ()}):
         with pytest.raises(ParameterError):
             peel_edges(edges, 2)
     assert peel_edges({}, 2) == {}

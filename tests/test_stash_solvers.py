@@ -327,6 +327,9 @@ def test_candidates_hold_the_first_minimum_stash(g, repeats, kind, k):
     first = min_stash_by_enumeration(g, k, kind)
     assert first <= set(cands)
     assert alone == (len(first) == 1) and (not alone or first == {cands[-1]})
+    if core.live_edges:  # the packing is a lower bound on the stash size
+        witness = stash_solvers._prefix_witness(core, kind, cands)
+        assert stash_solvers._packing(core, kind, cands, len(cands), 0, *witness) <= len(first)
 
 
 def test_exact_solves_a_stash_4_edge_reduction():
@@ -411,20 +414,24 @@ def test_search_invariants_hold_at_every_node(monkeypatch):
     # every smaller budget already failed), and every witness a node scans
     # or packs reaches the node's `first`.  Untested, a broken second
     # invariant would not raise: the node would scan nothing and the search
-    # would miss stashes.
+    # would miss stashes.  The root skips the packing cut, since its own
+    # packing set the first budget; that cut could never fire there.
     firsts = []
     checked = Counter()
     search, pack, prefix_witness = (
         stash_solvers._search, stash_solvers._packing, stash_solvers._prefix_witness
     )
 
-    def checked_search(core, kind, cands, budget, first, witness=None, packing=None):
+    def checked_search(core, kind, cands, budget, first, y, flags):
         assert core.live_edges, (budget, first)
-        assert witness is None or witness[0] >= first, (witness[0], first)
+        assert y >= first, (y, first)
+        if first == 0:
+            assert pack(core, kind, cands, budget, 0, y, flags) <= budget, budget
+            checked["roots"] += 1
         checked["nodes"] += 1
         firsts.append(first)
         try:
-            return search(core, kind, cands, budget, first, witness, packing)
+            return search(core, kind, cands, budget, first, y, flags)
         finally:
             firsts.pop()
 
@@ -454,7 +461,7 @@ def test_search_invariants_hold_at_every_node(monkeypatch):
     assert min_edge_stash_exact(edge_case, 3).stash == {28, 89}
     vertex_case, _ = reduce_vc_to_vertex_stash(gen_random(9, 14, 2, 60308648), 2, 2)
     assert min_vertex_stash_exact(vertex_case, 2).stash == {0, 1, 2, 5, 8}
-    assert checked["nodes"] and checked["witnesses"], checked
+    assert checked["nodes"] and checked["witnesses"] and checked["roots"], checked
 
 
 @settings(max_examples=40, deadline=None)
