@@ -4,16 +4,19 @@ A gadget is a hypergraph fragment plus a description of where future
 neighboring edges attach (its ports) and which internal edges are
 designated stashable (its E* set).  Builders only create internal
 structure; the neighboring edges themselves are created later, either by
-an embedding (reductions) or by the check harness.  The harness is a copy
-of the gadget plus one pool of d vertices pinned by k parallel edges, and
-fills every port edge's free slots from that pool, so ports count toward
-internal degrees while no pool vertex ever peels.  A removal is named by
-its ports and takes away their edges; for the ck gadget, removing the u
-port edges is, as far as the gadget can see, stashing u.  Every check
-builds one ``PeelCore`` of the harness graph with the removed edges as its
-stash and reads which gadget vertices it leaves alive, so no check copies
-the harness or builds a trace.  ``run_gadget_grid`` builds and checks every
-family over a (k, d) grid, each where it exists.
+an embedding (reductions) or by the check harness.  Builders hand out
+vertices in the order the construction uses them: a block returns its hub
+tuple, a chain takes each block's hubs one wiring at a time, and the
+stable tree queues the central vertex of each free port.  The harness is a
+copy of the gadget plus one pool of d vertices pinned by k parallel edges,
+and fills every port edge's free slots from that pool, so ports count
+toward internal degrees while no pool vertex ever peels.  A removal is
+named by its ports and takes away their edges; for the ck gadget, removing
+the u port edges is, as far as the gadget can see, stashing u.  Every
+check builds one ``PeelCore`` of the harness graph with the removed edges
+as its stash and reads which gadget vertices it leaves alive, so no check
+copies the harness or builds a trace.  ``run_gadget_grid`` builds and
+checks every family over a (k, d) grid, each where it exists.
 
 The port-removal sweeps lean on monotonicity: removing more edges never
 lets more of a graph stay in its k-core, so a block that fully peels under
@@ -122,40 +125,40 @@ def embed_graph(g: Hypergraph, target: Hypergraph) -> tuple[int, int]:
 # -- internal 2-uniform assembly ---------------------------------------------
 
 
-def _add_2block(g: Hypergraph, k: int) -> dict:
+def _add_2block(g: Hypergraph, k: int) -> tuple[int, ...]:
     # two hubs over a (k-1)-clique; every vertex has degree k once each
     # hub's neighboring edge is attached
-    hubs = (g.add_vertex(), g.add_vertex())
-    clique = [g.add_vertex() for _ in range(k - 1)]
+    hubs = tuple(g.add_vertices(2))
+    clique = g.add_vertices(k - 1)
     for h in hubs:
         for c in clique:
             g.add_edge((h, c))
     for a, b in combinations(clique, 2):
         g.add_edge((a, b))
-    return {"hubs": hubs}
+    return hubs
 
 
-def _add_3block(g: Hypergraph, k: int) -> dict:
+def _add_3block(g: Hypergraph, k: int) -> tuple[int, ...]:
     if k == 3:
         # a single vertex of degree 3 once its neighboring edges attach
         x = g.add_vertex()
-        return {"hubs": (x, x, x)}
-    hubs = tuple(g.add_vertex() for _ in range(3))
+        return (x, x, x)
+    hubs = tuple(g.add_vertices(3))
     if k == 4:
         # three hubs over a middle path a-b-c; hub degree 4 with its port,
         # middle degrees 4/5/4; losing any one port cascades through the
         # path and peels everything
-        mid = [g.add_vertex() for _ in range(3)]
+        mid = g.add_vertices(3)
         for h in hubs:
             for m in mid:
                 g.add_edge((h, m))
         g.add_edge((mid[0], mid[1]))
         g.add_edge((mid[1], mid[2]))
-        return {"hubs": hubs}
+        return hubs
     # k >= 5: hubs, a middle layer of k-1 vertices, and a (k-3)-clique;
     # layer degrees are k, k and 2k-5 >= k
-    layer1 = [g.add_vertex() for _ in range(k - 1)]
-    layer2 = [g.add_vertex() for _ in range(k - 3)]
+    layer1 = g.add_vertices(k - 1)
+    layer2 = g.add_vertices(k - 3)
     for h in hubs:
         for x in layer1:
             g.add_edge((h, x))
@@ -164,7 +167,7 @@ def _add_3block(g: Hypergraph, k: int) -> dict:
             g.add_edge((x, z))
     for a, b in combinations(layer2, 2):
         g.add_edge((a, b))
-    return {"hubs": hubs}
+    return hubs
 
 
 def _add_simple_stable(g: Hypergraph, k: int, with_parent_hook: bool = False) -> dict:
@@ -174,63 +177,46 @@ def _add_simple_stable(g: Hypergraph, k: int, with_parent_hook: bool = False) ->
     edges simply attach at the central vertex, giving it degree k-1+m.
     Chain ends are 2-blocks and interior positions 3-blocks; when the block
     is a tree child (``with_parent_hook``) the first 2-block is replaced by
-    a 3-block whose spare hub receives the parent's edge.  Every edge
-    touching a b-block (central-to-block and chain) is stashable: removing
-    one peels the adjacent block, the chain cascades, and the central
-    vertex is left with degree at most k-1.
+    a 3-block whose spare hub receives the parent's edge.  Each block's
+    first hub takes its edge to the central vertex, and its other hubs go,
+    in order, to its left chain edge, its right chain edge and the parent's
+    edge, as far as it has them.  Every edge touching a b-block
+    (central-to-block and chain) is stashable: removing one peels the
+    adjacent block, the chain cascades, and the central vertex is left with
+    degree at most k-1.
     """
     central = g.add_vertex()
-    n_blocks = k - 1
-    blocks = []
-    for pos in range(n_blocks):
-        hooked = with_parent_hook and pos == 0
-        is_end = pos in (0, n_blocks - 1)
-        if is_end and not hooked:
-            blocks.append((_add_2block(g, k), 2))
-        else:
-            blocks.append((_add_3block(g, k), 3))
-    estar = []
-    parent_hub = None
-    for pos, (blk, kind) in enumerate(blocks):
-        estar.append(g.add_edge((central, blk["hubs"][0])))
-        if with_parent_hook and pos == 0:
-            parent_hub = blk["hubs"][2]
-    for pos in range(n_blocks - 1):
-        left_blk, left_kind = blocks[pos]
-        right_blk, right_kind = blocks[pos + 1]
-        # slot 0 is always the central edge; a 2-block's only other hub is
-        # slot 1, a 3-block uses slot 1 for its left chain and slot 2 for
-        # its right (a hooked first block has no left chain, so slot 1 is
-        # its right and slot 2 its parent hook)
-        right_hub = left_blk["hubs"][1] if pos == 0 or left_kind == 2 else left_blk["hubs"][2]
-        left_hub = right_blk["hubs"][1]
-        estar.append(g.add_edge((right_hub, left_hub)))
+    first = _add_3block(g, k) if with_parent_hook else _add_2block(g, k)
+    interior = [_add_3block(g, k) for _ in range(k - 3)]
+    blocks = [iter(hubs) for hubs in (first, *interior, _add_2block(g, k))]
+    estar = [g.add_edge((central, next(hubs))) for hubs in blocks]
+    estar += [g.add_edge((next(left), next(right))) for left, right in zip(blocks, blocks[1:])]
+    parent_hub = next(blocks[0]) if with_parent_hook else None
     return {"central": central, "estar_edges": estar, "parent_hub": parent_hub}
 
 
 def _add_stable(g: Hypergraph, k: int, m: int) -> dict:
     """Stable block of any degree: breadth-first (k-1)-ary tree of simple
     stable blocks of degree k-1, trimmed to exactly m exposed ports.  For
-    m <= k-1, m = 0 included, the tree is its root alone."""
+    m <= k-1, m = 0 included, the tree is its root alone.  The queue holds
+    one entry per free port, each its node's central vertex, so the first
+    m entries are where the ports attach."""
     root = _add_simple_stable(g, k)
-    centrals = [root["central"]]
-    depths = [0]
-    slots: deque[int] = deque([0] * (k - 1))
-    while len(slots) < m:
-        parent = slots.popleft()
+    depth = {root["central"]: 0}
+    queue: deque[int] = deque([root["central"]] * (k - 1))
+    while len(queue) < m:
+        parent = queue.popleft()
         child = _add_simple_stable(g, k, with_parent_hook=True)
-        g.add_edge((centrals[parent], child["parent_hub"]))
-        centrals.append(child["central"])
-        depths.append(depths[parent] + 1)
-        slots.extend([len(centrals) - 1] * (k - 1))
+        g.add_edge((parent, child["parent_hub"]))
+        depth[child["central"]] = depth[parent] + 1
+        queue.extend([child["central"]] * (k - 1))
     # once the tree has grown, excess < k-2, so the newest child keeps at
     # least 2 exposed ports and no node is ever left port-free
-    owners = list(slots)[:m]
     return {
-        "port_attach": [centrals[i] for i in owners],
+        "port_attach": list(queue)[:m],
         "estar_edges": root["estar_edges"],
-        "depth": max(depths),
-        "n_nodes": len(centrals),
+        "depth": max(depth.values()),
+        "n_nodes": len(depth),
     }
 
 
@@ -246,28 +232,25 @@ def _add_tree_stable(g: Hypergraph, d: int, p: int) -> dict:
     while fan**depth < max(p, 1):
         depth += 1
     root = g.add_vertex()
-    root_edge = None
+    root_edge = g.num_edges  # the first edge added below
     level = [root]
     for _ in range(depth):
-        nxt = []
+        groups = []
         for node in level:
-            kids = [g.add_vertex() for _ in range(fan)]
-            e = g.add_edge((node, *kids))
-            if root_edge is None:
-                root_edge = e
-            nxt.append(kids)
-        level = [v for kids in nxt for v in kids]
-        groups = nxt
+            kids = g.add_vertices(fan)
+            g.add_edge((node, *kids))
+            groups.append(kids)
+        level = [v for kids in groups for v in kids]
     ws = []
     for group in groups:
-        group_ws = [g.add_vertex() for _ in range(fan)]
+        group_ws = g.add_vertices(fan)
         for v in group:
             g.add_edge((v, *group_ws))
         ws.extend(group_ws)
     return {
         "root": root,
         "root_edge": root_edge,
-        "port_attach": [(root, ws[i]) for i in range(p)],
+        "port_attach": [(root, w) for w in ws[:p]],
         "ws": ws,
     }
 
@@ -330,15 +313,15 @@ def build_b_block(b: int, k: int, d: int) -> Gadget:
     if k < 3 or d < 2:
         raise ParameterError(f"b-blocks need k >= 3 and d >= 2, got k={k}, d={d}")
     g2 = Hypergraph(2)
-    blk = _add_2block(g2, k) if b == 2 else _add_3block(g2, k)
+    hubs = (_add_2block(g2, k) if b == 2 else _add_3block(g2, k))[:b]
     g, dummies = _lift_to_d(g2, d)
-    ports = tuple(Port(f"p{i}", ((hub,),)) for i, hub in enumerate(blk["hubs"][:b]))
+    ports = tuple(Port(f"p{i}", ((hub,),)) for i, hub in enumerate(hubs))
     return Gadget(
         graph=g,
         ports=ports,
         estar=frozenset(),
         params={"b": b, "k": k, "d": d},
-        meta={"kind": f"b{b}", "hubs": blk["hubs"][:b], "dummies": dummies},
+        meta={"kind": f"b{b}", "hubs": hubs, "dummies": dummies},
     )
 
 
@@ -430,11 +413,11 @@ def build_pk_gadget(delta: int, k: int, d: int) -> Gadget:
         primary = g2.add_vertex()
         st = _add_stable(g2, k, delta)
         relay_hubs = []
-        for i in range(delta):
-            blk = _add_3block(g2, k)
-            g2.add_edge((primary, blk["hubs"][0]))
-            g2.add_edge((st["port_attach"][i], blk["hubs"][1]))
-            relay_hubs.append(blk["hubs"][2])
+        for attach in st["port_attach"]:
+            hubs = _add_3block(g2, k)
+            g2.add_edge((primary, hubs[0]))
+            g2.add_edge((attach, hubs[1]))
+            relay_hubs.append(hubs[2])
         g, dummies = _lift_to_d(g2, d)
         ports = tuple(Port(f"e{i}", ((h,),)) for i, h in enumerate(relay_hubs))
         return Gadget(
@@ -449,11 +432,10 @@ def build_pk_gadget(delta: int, k: int, d: int) -> Gadget:
         primary = g.add_vertex()
         t = _add_tree_stable(g, d, delta)
         relays = []
-        for i in range(delta):
+        for root, w in t["port_attach"]:
             relay = g.add_vertex()
             xs = g.add_vertices(d - 2)
             g.add_edge((primary, relay, *xs))
-            root, w = t["port_attach"][i]
             # the same d-2 fillers complete both the primary-side edge and
             # the stable block's neighboring edge, so each has degree 2
             g.add_edge((root, w, *xs))

@@ -175,6 +175,9 @@ def gen_random(n_vertices: int, n_edges: int, d: int, seed: int) -> Hypergraph:
 # Line 1:  h <d> <num_vertices> <num_edges>
 # Then exactly num_edges lines:  e v1 v2 ... vd   (d distinct vertex indices)
 # Vertices are implicitly 0..num_vertices-1; lines starting '#' are comments.
+# Numbers are ASCII decimal, an optional leading '-' aside: a line that is
+# not a comment and holds a non-ASCII character, '_' or '+' is refused,
+# though int() would read some such spellings as numbers.
 # Stash files hold one line:  S v <vertex ids...>  or  S e <edge indices...>
 # where edge indices are 0-based positions in the instance file's edge order.
 
@@ -191,6 +194,8 @@ def parse(text: str) -> Hypergraph:
         fields = raw.split()
         if not fields or fields[0][0] == "#":
             continue
+        if not raw.isascii() or "_" in raw or "+" in raw:
+            raise ParseError(f"non-ASCII, '_' or '+' character in {raw!r}", lineno)
         if g is None:
             if fields[0] != "h" or len(fields) != 4:
                 raise ParseError(f"expected header 'h <d> <n> <m>', got {raw!r}", lineno)
@@ -245,6 +250,8 @@ def parse_stash(text: str) -> tuple[str, list[int]]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        if not raw.isascii() or "_" in raw or "+" in raw:
+            raise ParseError(f"non-ASCII, '_' or '+' character in {raw!r}", lineno)
         fields = line.split()
         if fields[0] != "S" or len(fields) < 2 or fields[1] not in ("v", "e"):
             raise ParseError(f"expected 'S v|e <ids...>', got {raw!r}", lineno)

@@ -98,15 +98,14 @@ def reduce_vc_to_vertex_stash(g: Hypergraph, k: int, d: int) -> tuple[Hypergraph
     out = Hypergraph(d)
     image = {v: out.add_vertex() for v in range(g.num_vertices)}
     gadget = build_ck_gadget(k, d) if g.num_edges else None
-    attaches = {p.name: p.edges for p in gadget.ports} if gadget else {}
     gadget_of: dict[int, tuple[int, int]] = {}
     edge_map: dict[int, tuple[int, ...]] = {}
     for e in range(g.num_edges):
         u, v = g.edge_vertices(e)
         dv, de = embed_graph(gadget.graph, out)
         edges = list(range(de, de + gadget.graph.num_edges))
-        for port, endpoint in (("u", image[u]), ("v", image[v])):
-            for attach in attaches[port]:
+        for port, endpoint in zip(gadget.ports, (image[u], image[v])):
+            for attach in port.edges:
                 edges.append(out.add_edge((endpoint, *(dv + a for a in attach))))
         for w in range(dv, dv + gadget.graph.num_vertices):
             gadget_of[w] = (image[u], image[v])
@@ -175,7 +174,7 @@ def reduce_vertex_to_edge_stash(g: Hypergraph, k: int, d: int) -> tuple[Hypergra
             owner[fe] = v
         vertex_map[v] = dv + gadget.meta["primary"]  # type: ignore[operator]
         estar_pick[v] = de + min(gadget.estar)
-        ports[v] = tuple((e, dv + gadget.ports[i].edges[0][0]) for i, e in enumerate(incident))
+        ports[v] = tuple((e, dv + port.edges[0][0]) for e, port in zip(incident, gadget.ports))
         attach_of.update(((e, v), attach) for e, attach in ports[v])
     edge_map: dict[int, tuple[int, ...]] = {}
     for e in range(g.num_edges):

@@ -242,6 +242,42 @@ def test_simple_stable_blocks_are_pinned():
     assert digest.hexdigest() == "d5acfe25c3c1e068b8d100c13ac2b65c32b593cfdd61af4924ea8ce50835cfc1"
 
 
+def every_builder_output():
+    ds = range(2, 6)
+    for k in range(2, 9):
+        for d in ds:
+            yield build_ck_gadget(k, d)
+    for k in range(3, 9):
+        for d in ds:
+            yield build_b_block(2, k, d)
+            yield build_b_block(3, k, d)
+            for m in range(1, k):
+                yield build_simple_stable_block(m, k, d)
+            for m in range(1, 30):
+                yield build_stable_block(m, k, d)
+    for k in range(2, 9):
+        for d in ds:
+            if k >= 3 or d >= 3:
+                for delta in range(12):
+                    yield build_pk_gadget(delta, k, d)
+    for d in range(3, 7):
+        for p in range(1, 30):
+            yield build_tree_stable_block(p, d)
+
+
+def test_every_builder_is_pinned():
+    # the graph, ports, E*, params and meta of 1,320 outputs across every
+    # family, hashed before the builders lost their slot bookkeeping
+    digest = hashlib.sha256()
+    count = 0
+    for g in every_builder_output():
+        digest.update(serialize(g.graph).encode())
+        digest.update(repr((g.ports, sorted(g.estar), g.params, g.meta)).encode())
+        count += 1
+    assert count == 1320
+    assert digest.hexdigest() == "2127310954fd4802660133a03d5a34bdac6629daddcc06929cb61f245b11e292"
+
+
 def test_stable_k4_m11_is_depth_two():
     g = build_stable_block(11, 4, 2)
     assert g.params["depth"] == 2

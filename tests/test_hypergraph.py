@@ -198,6 +198,11 @@ def test_stash_file_roundtrip():
         parse_stash("")
     with pytest.raises(ParseError, match=r"^line 1: non-integer id in 'S v 1 x'$"):
         parse_stash("S v 1 x\n")
+    for text in ("S v 1_0", "S v +1", "S e \u0661", "S v 1\xa02"):
+        with pytest.raises(ParseError, match=r"^line 1: non-ASCII, '_' or '\+' character in "):
+            parse_stash(text)
+    # a comment may hold anything
+    assert parse_stash("# caf\u00e9 _+\nS v -1\n") == ("v", [-1])
     with pytest.raises(ParameterError):
         format_stash("x", [1])
 
@@ -261,6 +266,12 @@ def test_parse_fills_the_same_layout_as_add_edge():
         ("h 2 3 1\ne 0 x\n", 2, "non-integer vertex index in 'e 0 x'"),
         ("h 2 3 1\ne 0 1\ne 1 2\n", 3, "more than the declared 1 edges"),
         ("h 2 3 1\nf 0 1\n", 2, "expected edge line 'e v1 ... vd', got 'f 0 1'"),
+        # split() and int() read ids out of each of these; the format spells none of them
+        ("h 2 20 1\ne 1_0 2\n", 2, "non-ASCII, '_' or '+' character in 'e 1_0 2'"),
+        ("h 2 3 1\ne \u0661 2\n", 2, "non-ASCII, '_' or '+' character in 'e \u0661 2'"),
+        ("h 2 3 1\ne +1 2\n", 2, "non-ASCII, '_' or '+' character in 'e +1 2'"),
+        ("h 2 3 1\n# ok\ne 1\xa02\n", 3, "non-ASCII, '_' or '+' character in 'e 1\\xa02'"),
+        ("h 2 1_0 0\n", 1, "non-ASCII, '_' or '+' character in 'h 2 1_0 0'"),
     ],
 )
 def test_parse_edge_errors_name_their_line(text, line, message):

@@ -29,3 +29,24 @@ def test_gadget_checkers_import_no_rng():
         elif isinstance(node, ast.ImportFrom) and node.module:
             modules.add(node.module)
     assert "random" not in {name.split(".")[0] for name in modules}
+
+
+def test_package_has_no_dead_imports():
+    # a deletion can leave an import behind; every imported name must be
+    # read somewhere in its module
+    dead = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        dead += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert dead == []
