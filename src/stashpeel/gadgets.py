@@ -18,18 +18,27 @@ as its stash and reads which gadget vertices it leaves alive, so no check
 copies the harness or builds a trace.  ``run_gadget_grid`` builds and
 checks every family over a (k, d) grid, each where it exists.
 
-The port-removal sweeps lean on monotonicity: removing more edges never
-lets more of a graph stay in its k-core, so a block that fully peels under
-one removal fully peels under every larger one, and a block that keeps a
-survivor keeps it under every smaller one.  A contract that asks for
-survival up to some removal size, or peeling from some size on, is then
-decided by the removals of exactly that size, the frontier, and each sweep
-peels the frontier alone: its verdict holds for every removal, and a
-failing witness is the first failing frontier removal, by size and then in
+Every checker decides one threshold contract, and only its t differs:
+with every port present nothing in the block peels, the block fully
+peels iff at least t of its ports are removed, and stashing any one E*
+edge, every port present, fully peels it.  t is 1 for ck and the
+b-blocks, the port count for stable blocks, and max(0, delta-k+1) for a
+pk gadget of degree delta; at t = 0 the block must peel with nothing
+removed, so the first clause is not asked.
+
+The sweep leans on monotonicity: removing more edges never lets more of a
+graph stay in its k-core, so a block that fully peels under one removal
+fully peels under every larger one, and a block that keeps a survivor
+keeps it under every smaller one.  The threshold clause is then decided
+by the removals of t-1 and of t ports, the frontier, and the sweep peels
+the frontier alone: its verdict holds for every removal, and a failing
+witness is the first failing frontier removal, by size and then in
 ``itertools.combinations`` order of the port names.  Removals are drawn
-one at a time, so a sweep stops at its first failure.  A stable block of
-degree m costs m peels; a pk gadget of degree delta costs
-C(delta, k) + C(delta, k-1), polynomial in delta for a fixed k.
+one at a time, so the sweep stops at its first failure, and the empty
+removal is the intact harness, peeled once for both clauses.  Counting
+that peel, a stable block of degree m >= 2 costs m + 2 peels besides its
+E* rows, and a pk gadget of degree delta >= k at most
+1 + C(delta, k) + C(delta, k-1), polynomial in delta for a fixed k.
 
 The families:
 
@@ -46,8 +55,8 @@ The families:
                       hyper-tree whose root edge is the single E* edge.
 * ``pk``           -- the per-vertex wrapper used by the vertex-to-edge
                       stash reduction (primary node + relays + stable
-                      block); checked against its peel/stash simulation
-                      contract.
+                      block); fully peels once fewer than k of its
+                      delta ports remain.
 """
 
 from __future__ import annotations
@@ -491,10 +500,6 @@ def _survivors(harness: Harness, removed_edges: tuple[int, ...] = ()) -> list[in
     return list(compress(range(harness.block), alive))
 
 
-def _edges_of(harness: Harness, names) -> tuple[int, ...]:
-    return tuple(e for name in names for e in harness.port_edges[name])
-
-
 def _report_params(gadget: Gadget) -> dict[str, int]:
     """Gadget params plus a record of whether parallel edges were produced
     (the data model permits them; the builders happen not to need any)."""
@@ -503,108 +508,73 @@ def _report_params(gadget: Gadget) -> dict[str, int]:
     return {**gadget.params, "parallel_edges": parallel}
 
 
-def _unpeelable(harness: Harness, name: str) -> CheckResult:
-    """Nothing in the block peels with every port present."""
-    peeled = sorted(set(range(harness.block)).difference(_survivors(harness)))
-    return CheckResult(name, not peeled, f"peeled={peeled}" if peeled else "")
+def _threshold_report(gadget: Gadget, t: int) -> GadgetReport:
+    """Decide the module's threshold contract at t, one row per clause and
+    one per E* edge.
 
-
-def _peels(harness: Harness, name: str, label: str, removed_edges: tuple[int, ...]) -> CheckResult:
-    """The whole block peels once the given edges are gone."""
-    surv = _survivors(harness, removed_edges)
-    return CheckResult(name, not surv, f"{label}survivors={surv}" if surv else "")
-
-
-def _estar_checks(gadget: Gadget, harness: Harness) -> list[CheckResult]:
-    """Stashing any one E* edge peels the whole block, all ports present."""
-    return [_peels(harness, f"estar_{e}_peels", f"stash_edge={e} ", (e,)) for e in sorted(gadget.estar)]
+    The intact harness is peeled once: it decides the first row, asked
+    only when t >= 1, and it is the frontier's empty removal, which is
+    never drawn.  The frontier is the removals of t-1 and then t ports, in
+    ``combinations`` order, drawn one at a time until one breaks the
+    contract; that one is the witness.
+    """
+    harness = build_harness(gadget)
+    names = [p.name for p in gadget.ports]
+    intact = _survivors(harness)
+    checks = []
+    if t:
+        peeled = sorted(set(range(harness.block)).difference(intact))
+        checks.append(CheckResult("unpeelable_with_all_ports", not peeled, f"peeled={peeled}" if peeled else ""))
+    witness = ""
+    sizes = range(max(0, t - 1), t + 1)
+    for removed in chain.from_iterable(combinations(names, r) if r else [()] for r in sizes):
+        edges = tuple(e for name in removed for e in harness.port_edges[name])
+        surv = _survivors(harness, edges) if removed else intact
+        expect_peel = len(removed) == t
+        if (not surv) != expect_peel:
+            witness = f"removed={list(removed)} expected_peel={expect_peel} survivors={surv}"
+            break
+    name = f"peels_iff_at_least_{t}_of_{len(names)}_ports_removed"
+    checks.append(CheckResult(name, not witness, witness))
+    for e in sorted(gadget.estar):
+        surv = _survivors(harness, (e,))
+        checks.append(CheckResult(f"estar_{e}_peels", not surv, f"stash_edge={e} survivors={surv}" if surv else ""))
+    return GadgetReport(gadget.kind, _report_params(gadget), tuple(checks))
 
 
 # -- checkers -----------------------------------------------------------------
 
 
 def check_ck_properties(gadget: Gadget) -> GadgetReport:
-    """Peel-based audit of the edge-replacement gadget.
-
-    (a) every internal vertex has degree >= k with both ports present;
-    (b) removing the u port edges (or the v ones) empties the gadget's
-    k-core -- as far as the gadget can see, that is what stashing u does;
-    (c) with both ports present nothing peels.
-    """
-    harness = build_harness(gadget)
-    degree, k = harness.graph.degree, harness.k
-    low = [(v, degree(v)) for v in range(harness.block) if degree(v) < k]
-    checks = [CheckResult("min_internal_degree", not low, f"low_degree={low}" if low else "")]
-    checks.append(_unpeelable(harness, "unpeelable_with_both_ports"))
-    for name in ("u", "v"):
-        checks.append(_peels(harness, f"peels_when_{name}_removed", "", harness.port_edges[name]))
-    return GadgetReport("ck", _report_params(gadget), tuple(checks))
+    """The edge-replacement gadget's contract at t = 1: nothing peels with
+    both ports present, and removing the u port edges (or the v ones)
+    empties the gadget's k-core -- as far as the gadget can see, that is
+    what stashing u does."""
+    return _threshold_report(gadget, 1)
 
 
 def check_b_block(gadget: Gadget) -> GadgetReport:
-    """(a) nothing peels with every neighboring edge present; (b) removing
-    any single neighboring edge fully peels the block."""
-    harness = build_harness(gadget)
-    checks = [_unpeelable(harness, "unpeelable_with_all_ports")]
-    for port in gadget.ports:
-        name, edges = f"peels_without_{port.name}", harness.port_edges[port.name]
-        checks.append(_peels(harness, name, f"removed={port.name} ", edges))
-    return GadgetReport(gadget.kind, _report_params(gadget), tuple(checks))
+    """The b-block contract at t = 1: nothing peels with every neighboring
+    edge present, and removing any one of them fully peels the block."""
+    return _threshold_report(gadget, 1)
 
 
 def check_stable_block(gadget: Gadget) -> GadgetReport:
-    """Stable-block contract:
-
-    (a) with every neighboring edge present nothing peels, and no proper
-    removal of neighboring edges fully peels the block; (b) removing all of
-    them fully peels it; (c) stashing any recorded E* edge fully peels it
-    with all neighboring edges still present.
-
-    Every proper removal lies inside one that keeps exactly one port, and
-    a block that fully peels under a removal fully peels under any larger
-    one, so the m removals that keep one port decide (a) over every proper
-    removal, at m peels.
-    """
-    harness = build_harness(gadget)
-    names = [p.name for p in gadget.ports]
-    checks = [_unpeelable(harness, "unpeelable_with_all_ports")]
-    keep_one = combinations(names, len(names) - 1)
-    removed = next((r for r in keep_one if not _survivors(harness, _edges_of(harness, r))), None)
-    witness = "" if removed is None else f"fully_peeled_with_ports_removed={list(removed)}"
-    checks.append(CheckResult("survives_partial_port_removal", not witness, witness))
-    checks.append(_peels(harness, "peels_with_all_ports_removed", "", _edges_of(harness, names)))
-    checks += _estar_checks(gadget, harness)
-    return GadgetReport(gadget.kind, _report_params(gadget), tuple(checks))
+    """The stable-block contract at t = m, the port count: nothing peels
+    with every neighboring edge present, the block fully peels only once
+    all m are removed, and stashing any recorded E* edge fully peels it
+    with every neighboring edge still present.  A block with no ports must
+    peel with nothing removed."""
+    return _threshold_report(gadget, len(gadget.ports))
 
 
 def check_pk_gadget(gadget: Gadget) -> GadgetReport:
-    """Peel/stash simulation contract of the per-vertex wrapper.
-
-    With no internal stash, the gadget fully peels if and only if fewer
-    than k of its neighboring edges remain; stashing any E* edge fully
-    peels it regardless.
-
-    A removal that keeps k or more ports lies inside one that keeps exactly
-    k, and one that keeps fewer than k contains one that keeps exactly k-1
-    (the empty removal when delta < k-1).  Peeling only grows with the
-    removal, so those removals decide the contract over every removal, at
-    C(delta, k) + C(delta, k-1) peels.
-    """
-    harness = build_harness(gadget)
-    k = gadget.params["k"]
-    names = [p.name for p in gadget.ports]
-    delta = len(names)
-    sizes = (delta - k, delta - k + 1) if delta >= k else (max(0, delta - k + 1),)
-    witness = ""
-    for removed in chain.from_iterable(combinations(names, r) for r in sizes):
-        surv = _survivors(harness, _edges_of(harness, removed))
-        expect_peel = delta - len(removed) < k
-        if (not surv) != expect_peel:
-            witness = f"removed={list(removed)} expected_peel={expect_peel} survivors={surv}"
-            break
-    checks = [CheckResult("peels_iff_under_k_ports", not witness, witness)]
-    checks += _estar_checks(gadget, harness)
-    return GadgetReport("pk", _report_params(gadget), tuple(checks))
+    """The per-vertex wrapper's peel/stash simulation contract at
+    t = max(0, delta-k+1): with no internal stash the gadget fully peels
+    iff fewer than k of its delta neighboring edges remain, nothing peels
+    while all remain (when delta >= k), and stashing any E* edge fully
+    peels it regardless."""
+    return _threshold_report(gadget, max(0, len(gadget.ports) - gadget.params["k"] + 1))
 
 
 # -- parameter grid -----------------------------------------------------------

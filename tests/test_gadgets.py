@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import re
 import textwrap
+from dataclasses import replace
 
 import pytest
 
@@ -29,11 +30,8 @@ from stashpeel.gadgets import (
     CheckResult,
     GadgetReport,
     Port,
-    _estar_checks,
-    _peels,
     _report_params,
     _survivors,
-    _unpeelable,
     build_harness,
 )
 from stashpeel.reductions import reduce_vc_to_vertex_stash
@@ -419,15 +417,18 @@ def survivors(n: int) -> str:
     return f"survivors={list(range(n))}"
 
 
+def port_free_stable_block() -> Gadget:
+    """A degree-1 stable block with its one port taken away."""
+    return replace(build_stable_block(1, 3, 2), ports=())
+
+
 PINNED_REPORTS = [
     pytest.param(
         check_ck_properties,
         lambda: drop_edge(build_ck_gadget(3, 2), 0),
         [
-            ("min_internal_degree", False, "low_degree=[(0, 2)]"),
-            ("unpeelable_with_both_ports", False, "peeled=[0]"),
-            ("peels_when_u_removed", True, ""),
-            ("peels_when_v_removed", True, ""),
+            ("unpeelable_with_all_ports", False, "peeled=[0]"),
+            ("peels_iff_at_least_1_of_2_ports_removed", True, ""),
         ],
         id="ck-drop-edge",
     ),
@@ -435,10 +436,8 @@ PINNED_REPORTS = [
         check_ck_properties,
         lambda: double_edges(build_ck_gadget(3, 2)),
         [
-            ("min_internal_degree", True, ""),
-            ("unpeelable_with_both_ports", True, ""),
-            ("peels_when_u_removed", False, "survivors=[0, 1, 2]"),
-            ("peels_when_v_removed", False, "survivors=[0, 1, 2]"),
+            ("unpeelable_with_all_ports", True, ""),
+            ("peels_iff_at_least_1_of_2_ports_removed", False, "removed=['u'] expected_peel=True survivors=[0, 1, 2]"),
         ],
         id="ck-double",
     ),
@@ -447,8 +446,7 @@ PINNED_REPORTS = [
         lambda: drop_edge(build_b_block(2, 3, 2), 0),
         [
             ("unpeelable_with_all_ports", False, "peeled=[0, 1, 2, 3]"),
-            ("peels_without_p0", True, ""),
-            ("peels_without_p1", True, ""),
+            ("peels_iff_at_least_1_of_2_ports_removed", False, "removed=[] expected_peel=False survivors=[]"),
         ],
         id="b2-drop-edge",
     ),
@@ -457,8 +455,7 @@ PINNED_REPORTS = [
         lambda: double_edges(build_b_block(2, 3, 2)),
         [
             ("unpeelable_with_all_ports", True, ""),
-            ("peels_without_p0", False, "removed=p0 survivors=[0, 1, 2, 3]"),
-            ("peels_without_p1", False, "removed=p1 survivors=[0, 1, 2, 3]"),
+            ("peels_iff_at_least_1_of_2_ports_removed", False, "removed=['p0'] expected_peel=True " + survivors(4)),
         ],
         id="b2-double",
     ),
@@ -467,9 +464,7 @@ PINNED_REPORTS = [
         lambda: drop_vertex(build_b_block(3, 4, 2), 5),
         [
             ("unpeelable_with_all_ports", False, "peeled=[0, 1, 2, 3, 4]"),
-            ("peels_without_p0", True, ""),
-            ("peels_without_p1", True, ""),
-            ("peels_without_p2", True, ""),
+            ("peels_iff_at_least_1_of_3_ports_removed", False, "removed=[] expected_peel=False survivors=[]"),
         ],
         id="b3-drop-vertex",
     ),
@@ -478,9 +473,7 @@ PINNED_REPORTS = [
         lambda: double_edges(build_b_block(3, 4, 2)),
         [
             ("unpeelable_with_all_ports", True, ""),
-            ("peels_without_p0", False, "removed=p0 " + survivors(6)),
-            ("peels_without_p1", False, "removed=p1 " + survivors(6)),
-            ("peels_without_p2", False, "removed=p2 " + survivors(6)),
+            ("peels_iff_at_least_1_of_3_ports_removed", False, "removed=['p0'] expected_peel=True " + survivors(6)),
         ],
         id="b3-double",
     ),
@@ -489,8 +482,7 @@ PINNED_REPORTS = [
         lambda: drop_edge(build_simple_stable_block(2, 3, 2), 0),
         [
             ("unpeelable_with_all_ports", False, "peeled=[0, 1, 2, 3, 4, 5, 6, 7, 8]"),
-            ("survives_partial_port_removal", False, "fully_peeled_with_ports_removed=['p0']"),
-            ("peels_with_all_ports_removed", True, ""),
+            ("peels_iff_at_least_2_of_2_ports_removed", False, "removed=['p0'] expected_peel=False survivors=[]"),
             # without edge 0, the E* edges 10-12 are renumbered 9-11
             ("estar_9_peels", True, ""),
             ("estar_10_peels", True, ""),
@@ -503,8 +495,7 @@ PINNED_REPORTS = [
         lambda: double_edges(build_simple_stable_block(2, 3, 2)),
         [
             ("unpeelable_with_all_ports", True, ""),
-            ("survives_partial_port_removal", True, ""),
-            ("peels_with_all_ports_removed", False, survivors(9)),
+            ("peels_iff_at_least_2_of_2_ports_removed", False, "removed=['p0', 'p1'] expected_peel=True " + survivors(9)),
             ("estar_10_peels", False, "stash_edge=10 " + survivors(9)),
             ("estar_11_peels", False, "stash_edge=11 " + survivors(9)),
             ("estar_12_peels", False, "stash_edge=12 " + survivors(9)),
@@ -513,11 +504,33 @@ PINNED_REPORTS = [
     ),
     pytest.param(
         check_stable_block,
+        port_free_stable_block,
+        [
+            # with no ports the block must peel with nothing removed
+            ("peels_iff_at_least_0_of_0_ports_removed", True, ""),
+            ("estar_10_peels", True, ""),
+            ("estar_11_peels", True, ""),
+            ("estar_12_peels", True, ""),
+        ],
+        id="stable-port-free",
+    ),
+    pytest.param(
+        check_stable_block,
+        lambda: double_edges(port_free_stable_block()),
+        [
+            ("peels_iff_at_least_0_of_0_ports_removed", False, "removed=[] expected_peel=True " + survivors(9)),
+            ("estar_10_peels", False, "stash_edge=10 " + survivors(9)),
+            ("estar_11_peels", False, "stash_edge=11 " + survivors(9)),
+            ("estar_12_peels", False, "stash_edge=12 " + survivors(9)),
+        ],
+        id="stable-port-free-double",
+    ),
+    pytest.param(
+        check_stable_block,
         lambda: drop_vertex(build_tree_stable_block(2, 3), 2),
         [
             ("unpeelable_with_all_ports", False, "peeled=[0, 1, 2, 3]"),
-            ("survives_partial_port_removal", False, "fully_peeled_with_ports_removed=['p0']"),
-            ("peels_with_all_ports_removed", True, ""),
+            ("peels_iff_at_least_2_of_2_ports_removed", False, "removed=['p0'] expected_peel=False survivors=[]"),
         ],
         id="tree-stable-drop-vertex",
     ),
@@ -526,9 +539,8 @@ PINNED_REPORTS = [
         lambda: double_edges(build_tree_stable_block(2, 3)),
         [
             ("unpeelable_with_all_ports", True, ""),
-            ("survives_partial_port_removal", True, ""),
-            ("peels_with_all_ports_removed", False, "survivors=[0, 1, 2, 3, 4]"),
-            ("estar_0_peels", False, "stash_edge=0 survivors=[0, 1, 2, 3, 4]"),
+            ("peels_iff_at_least_2_of_2_ports_removed", False, "removed=['p0', 'p1'] expected_peel=True " + survivors(5)),
+            ("estar_0_peels", False, "stash_edge=0 " + survivors(5)),
         ],
         id="tree-stable-double",
     ),
@@ -536,7 +548,8 @@ PINNED_REPORTS = [
         check_pk_gadget,
         lambda: drop_edge(build_pk_gadget(3, 3, 2), 0),
         [
-            ("peels_iff_under_k_ports", False, "removed=[] expected_peel=False survivors=[]"),
+            ("unpeelable_with_all_ports", False, "peeled=" + str(list(range(19)))),
+            ("peels_iff_at_least_1_of_3_ports_removed", False, "removed=[] expected_peel=False survivors=[]"),
             ("estar_9_peels", True, ""),
             ("estar_10_peels", True, ""),
             ("estar_11_peels", True, ""),
@@ -547,7 +560,8 @@ PINNED_REPORTS = [
         check_pk_gadget,
         lambda: double_edges(build_pk_gadget(3, 3, 2)),
         [
-            ("peels_iff_under_k_ports", False, "removed=['e0'] expected_peel=True " + survivors(19)),
+            ("unpeelable_with_all_ports", True, ""),
+            ("peels_iff_at_least_1_of_3_ports_removed", False, "removed=['e0'] expected_peel=True " + survivors(19)),
             ("estar_10_peels", False, "stash_edge=10 " + survivors(19)),
             ("estar_11_peels", False, "stash_edge=11 " + survivors(19)),
             ("estar_12_peels", False, "stash_edge=12 " + survivors(19)),
@@ -566,77 +580,107 @@ def test_broken_gadget_reports_are_pinned(check, broken, expected):
     assert [(c.name, c.passed, c.witness) for c in report.checks] == expected
 
 
-# -- frontier sweeps against an exhaustive scan --------------------------------
+THRESHOLD_ROW = re.compile(r"peels_iff_at_least_(\d+)_of_(\d+)_ports_removed")
 
 
-def removal_edges(harness, removed: list[str]) -> tuple[int, ...]:
+def family_threshold(gadget: str, params: dict[str, int]) -> tuple[int, int]:
+    """(t, port count) of a grid report, from its family and params: any
+    one of the ck gadget's 2 or a b-block's b ports, or every port of a
+    stable block."""
+    if gadget in ("ck", "b2", "b3"):
+        return 1, params.get("b", 2)
+    degree = params["p"] if gadget == "tree-stable" else params["m"]
+    return degree, degree
+
+
+def test_grid_reports_state_one_threshold_contract():
+    reports = run_gadget_grid()
+    assert len(reports) == 175
+    for r in reports:
+        names = [c.name for c in r.checks]
+        has_unpeelable = names[:1] == ["unpeelable_with_all_ports"]
+        assert names.count("unpeelable_with_all_ports") == has_unpeelable, r
+        row = THRESHOLD_ROW.fullmatch(names[has_unpeelable])
+        assert row, r
+        t, n = map(int, row.groups())
+        assert (t, n) == family_threshold(r.gadget, r.params), r
+        assert has_unpeelable == (t >= 1), r
+        estar = [re.fullmatch(r"estar_(\d+)_peels", name) for name in names[has_unpeelable + 1 :]]
+        assert all(estar), r
+        ids = [int(m.group(1)) for m in estar]
+        assert ids == sorted(set(ids)), r
+
+
+# -- the frontier sweep against an exhaustive scan ------------------------------
+
+
+def threshold(check, gadget: Gadget) -> int:
+    """The t each checker asks of a gadget: any one port of a ck gadget or a
+    b-block, every port of a stable block, and all but k-1 of a pk
+    gadget's delta ports (none when delta < k)."""
+    n = len(gadget.ports)
+    return {
+        check_ck_properties: 1,
+        check_b_block: 1,
+        check_stable_block: n,
+        check_pk_gadget: max(0, n - gadget.params["k"] + 1),
+    }[check]
+
+
+def removal_edges(harness, removed) -> tuple[int, ...]:
     return tuple(e for name in removed for e in harness.port_edges[name])
 
 
-def full_scan_stable_block(gadget: Gadget) -> GadgetReport:
-    """``check_stable_block`` by brute force: every proper removal of
-    neighboring edges, all 2^m - 1 of them, is peeled in mask order."""
+def full_scan(gadget: Gadget, t: int) -> GadgetReport:
+    """The threshold report by brute force, with no frontier: every removal
+    of neighboring edges, all 2^n of them, is peeled in mask order, and the
+    first that breaks the contract is the witness."""
     harness = build_harness(gadget)
     names = [p.name for p in gadget.ports]
-    m = len(names)
-    checks = [_unpeelable(harness, "unpeelable_with_all_ports")]
+    n = len(names)
+    checks = []
+    if t:
+        peeled = sorted(set(range(harness.block)) - set(_survivors(harness)))
+        checks.append(CheckResult("unpeelable_with_all_ports", not peeled, f"peeled={peeled}" if peeled else ""))
     witness = ""
-    for mask in range(2**m - 1):
-        removed = [names[i] for i in range(m) if mask >> i & 1]
-        if not _survivors(harness, removal_edges(harness, removed)):
-            witness = f"fully_peeled_with_ports_removed={removed}"
+    for mask in range(2**n):
+        removed = [names[i] for i in range(n) if mask >> i & 1]
+        surv = _survivors(harness, removal_edges(harness, removed))
+        expect_peel = len(removed) >= t
+        if (not surv) != expect_peel:
+            witness = f"removed={removed} expected_peel={expect_peel} survivors={surv}"
             break
-    checks.append(CheckResult("survives_partial_port_removal", not witness, witness))
-    every_port = removal_edges(harness, names)
-    checks.append(_peels(harness, "peels_with_all_ports_removed", "", removed_edges=every_port))
-    checks += _estar_checks(gadget, harness)
+    checks.append(CheckResult(f"peels_iff_at_least_{t}_of_{n}_ports_removed", not witness, witness))
+    for e in sorted(gadget.estar):
+        surv = _survivors(harness, (e,))
+        checks.append(CheckResult(f"estar_{e}_peels", not surv, f"stash_edge={e} survivors={surv}" if surv else ""))
     return GadgetReport(gadget.kind, _report_params(gadget), tuple(checks))
 
 
-def full_scan_pk_gadget(gadget: Gadget) -> GadgetReport:
-    """``check_pk_gadget`` by brute force: every removal of neighboring
-    edges, all 2^delta of them, is peeled in mask order."""
-    harness = build_harness(gadget)
-    k = gadget.params["k"]
-    names = [p.name for p in gadget.ports]
-    delta = len(names)
-    witness = ""
-    for mask in range(2**delta):
-        removed = [names[i] for i in range(delta) if mask >> i & 1]
-        surv = _survivors(harness, removal_edges(harness, removed))
-        expect_peel = delta - len(removed) < k
-        if (not surv) != expect_peel:
-            witness = f"removed={removed} expected_peel={expect_peel} survivors={sorted(surv)}"
-            break
-    checks = [CheckResult("peels_iff_under_k_ports", not witness, witness)]
-    checks += _estar_checks(gadget, harness)
-    return GadgetReport("pk", _report_params(gadget), tuple(checks))
-
-
 def assert_witness_violates(gadget: Gadget, report: GadgetReport) -> None:
-    """Re-peel the removal a failing sweep names: it must lie on the
-    frontier and really break the contract."""
+    """Re-peel the removal a failing threshold row names: it must lie on
+    the frontier, t-1 or t ports, and really break the contract."""
     harness = build_harness(gadget)
     names = [p.name for p in gadget.ports]
-    k, n = gadget.params["k"], len(names)
     for c in report.checks:
-        if c.passed or c.name not in ("survives_partial_port_removal", "peels_iff_under_k_ports"):
+        row = THRESHOLD_ROW.fullmatch(c.name)
+        if c.passed or not row:
             continue
+        t, n = map(int, row.groups())
+        assert n == len(names), c
         removed = ast.literal_eval(re.search(r"removed=(\[.*?\])", c.witness).group(1))
         assert len(set(removed)) == len(removed) and set(removed) <= set(names), c
+        assert len(removed) in (t - 1, t), c
         surv = _survivors(harness, removal_edges(harness, removed))
-        if c.name == "survives_partial_port_removal":
-            assert len(removed) == n - 1 and not surv, c
-        else:
-            expect_peel = n - len(removed) < k
-            assert n - len(removed) in (k, k - 1) or (n < k - 1 and not removed), c
-            assert (not surv) != expect_peel, c
-            assert c.witness == f"removed={removed} expected_peel={expect_peel} survivors={sorted(surv)}"
+        expect_peel = len(removed) == t
+        assert (not surv) != expect_peel, c
+        assert c.witness == f"removed={removed} expected_peel={expect_peel} survivors={surv}"
 
 
 def assert_matches_full_scan(gadget: Gadget, ours: GadgetReport, theirs: GadgetReport) -> None:
-    """Same checks, in order, with the same verdicts; every failing sweep
-    witness is re-peeled, since the scans may name different removals."""
+    """Same checks, in order, with the same verdicts; every failing
+    threshold witness is re-peeled, since the scans may name different
+    removals."""
     assert (ours.gadget, ours.params) == (theirs.gadget, theirs.params)
     assert [(c.name, c.passed) for c in ours.checks] == [(c.name, c.passed) for c in theirs.checks]
     assert_witness_violates(gadget, ours)
@@ -655,7 +699,7 @@ def test_stable_frontier_matches_full_scan_on_the_grid(monkeypatch):
     pairs = []
 
     def both(gadget):
-        pairs.append((gadget, check_stable_block(gadget), full_scan_stable_block(gadget)))
+        pairs.append((gadget, check_stable_block(gadget), full_scan(gadget, len(gadget.ports))))
         return pairs[-1][1]
 
     monkeypatch.setattr(gadgets, "check_stable_block", both)
@@ -666,27 +710,32 @@ def test_stable_frontier_matches_full_scan_on_the_grid(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "check, full_scan, build",
+    "check, build",
     [
-        (check_stable_block, full_scan_stable_block, lambda: build_simple_stable_block(2, 3, 2)),
-        (check_stable_block, full_scan_stable_block, lambda: build_stable_block(5, 3, 2)),
-        (check_stable_block, full_scan_stable_block, lambda: build_tree_stable_block(3, 3)),
-        (check_pk_gadget, full_scan_pk_gadget, lambda: build_pk_gadget(3, 3, 2)),
-        (check_pk_gadget, full_scan_pk_gadget, lambda: build_pk_gadget(2, 2, 3)),
+        (check_ck_properties, lambda: build_ck_gadget(3, 2)),
+        (check_ck_properties, lambda: build_ck_gadget(4, 3)),
+        (check_b_block, lambda: build_b_block(2, 3, 2)),
+        (check_b_block, lambda: build_b_block(3, 4, 3)),
+        (check_stable_block, lambda: build_simple_stable_block(2, 3, 2)),
+        (check_stable_block, lambda: build_stable_block(5, 3, 2)),
+        (check_stable_block, lambda: build_tree_stable_block(3, 3)),
+        (check_pk_gadget, lambda: build_pk_gadget(3, 3, 2)),
+        (check_pk_gadget, lambda: build_pk_gadget(2, 2, 3)),
     ],
-    ids=["simple-stable", "stable", "tree-stable", "pk-k3", "pk-k2"],
+    ids=["ck-k3-d2", "ck-k4-d3", "b2", "b3", "simple-stable", "stable", "tree-stable", "pk-k3", "pk-k2"],
 )
-def test_frontier_matches_full_scan_on_broken_gadgets(check, full_scan, build):
-    reports = [(g, check(g), full_scan(g)) for g in broken_variants(build())]
+def test_frontier_matches_full_scan_on_broken_gadgets(check, build):
+    reports = [(g, check(g), full_scan(g, threshold(check, g))) for g in broken_variants(build())]
     for g, ours, theirs in reports:
         assert_matches_full_scan(g, ours, theirs)
     assert sum(not ours.all_passed for _, ours, _ in reports) > len(reports) // 2
 
 
 def test_stable_frontier_matches_full_scan_of_2047_removals():
+    # the 2,047 proper removals and the full one
     g = build_stable_block(11, 4, 2)
     ours = check_stable_block(g)
-    assert ours == full_scan_stable_block(g) and ours.all_passed
+    assert ours == full_scan(g, 11) and ours.all_passed
 
 
 def star_gadget(m: int, k: int) -> Gadget:
@@ -705,26 +754,29 @@ def test_stable_sweep_decides_every_removal_past_degree_10():
     removed = [f"p{i}" for i in range(10)]
     assert [(c.name, c.passed, c.witness) for c in report.checks] == [
         ("unpeelable_with_all_ports", True, ""),
-        ("survives_partial_port_removal", False, f"fully_peeled_with_ports_removed={removed}"),
-        ("peels_with_all_ports_removed", True, ""),
+        ("peels_iff_at_least_11_of_11_ports_removed", False, f"removed={removed} expected_peel=False survivors=[]"),
     ]
-    assert_matches_full_scan(g, report, full_scan_stable_block(g))
+    assert_matches_full_scan(g, report, full_scan(g, 11))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_pk_frontier_matches_full_scan_at_every_small_degree(k):
     # delta runs below k - 1, where only the empty removal must peel, up to
-    # 8, whose 256 removals the full scan peels
+    # 8, whose 256 removals the full scan peels; from delta = k on, nothing
+    # may peel while every port is present
     d = 3 if k == 2 else 2
     for delta in range(9):
         g = build_pk_gadget(delta, k, d)
         ours = check_pk_gadget(g)
-        assert ours == full_scan_pk_gadget(g) and ours.all_passed, (delta, ours.failures())
+        assert ours == full_scan(g, threshold(check_pk_gadget, g)) and ours.all_passed, (delta, ours.failures())
+        unpeelable = [c for c in ours.checks if c.name == "unpeelable_with_all_ports"]
+        assert unpeelable == ([CheckResult("unpeelable_with_all_ports", True)] if delta >= k else []), delta
 
 
 def test_frontier_is_counted_before_it_is_built(monkeypatch):
     # delta = k = 200: the frontier keeps all 200 ports, or all but one.
-    # Removals are drawn one at a time, so a sweep that fails stops drawing.
+    # Removals are drawn one at a time, so a sweep that fails stops drawing,
+    # and the empty removal is the intact harness, never drawn.
     drawn = []
     real = gadgets.combinations
 
@@ -737,12 +789,12 @@ def test_frontier_is_counted_before_it_is_built(monkeypatch):
     doubled = Gadget(star.graph, tuple(Port(p.name, p.edges * 2) for p in star.ports), frozenset(), star.params)
     monkeypatch.setattr(gadgets, "combinations", counting)
     assert check_pk_gadget(star).all_passed
-    assert drawn == [()] + [(f"p{i}",) for i in range(200)]
+    assert drawn == [(f"p{i}",) for i in range(200)]
     drawn.clear()
     # with every port doubled the star keeps its vertex without p0
     report = check_pk_gadget(doubled)
-    assert report.checks[0].witness == "removed=['p0'] expected_peel=True survivors=[0]"
-    assert drawn == [(), ("p0",)]
+    assert report.checks[1].witness == "removed=['p0'] expected_peel=True survivors=[0]"
+    assert drawn == [("p0",)]
 
 
 def test_grid_peels_the_frontier_not_the_pool(monkeypatch):
@@ -756,7 +808,7 @@ def test_grid_peels_the_frontier_not_the_pool(monkeypatch):
 
     monkeypatch.setattr(gadgets, "_survivors", counting)
     assert all(r.all_passed for r in run_gadget_grid())
-    assert calls == 1665  # a full scan of every removal makes 4,569
+    assert calls == 1639  # peeling every removal, as full_scan does, makes 4,683
 
 
 # -- the pool harness against per-slot anchors ----------------------------------

@@ -145,7 +145,7 @@ GOLDEN = {
     "gadget-ck-k4-d3": "c0286af21792a82466c2b0e06f8c8cb9ff626abc6325ccb1f3586a894e1c77c8",
     "gadget-stable-m3": "9d05d63b20fda1f371914f5bfb6b9ddd30208bcf7fe9d6334f7c81ce511904c6",
     "gadget-tree-stable-p2-d3": "4f0c8603c485c883fd4851b900f95b42e405912fe3a3a9a27eb893ed835afbbe",
-    "verify-gadgets-grid": "7fc29e286bbd8edf54ccf5db59766d2fee81350bd893381972138bf4884849fe",
+    "verify-gadgets-grid": "2a73b0b8b80a1e225ed544a149052eccac232bc1b6842a1c8e71b7f7d86e39f6",
 }
 
 
