@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all stashpeel modules."""
+"""Exception hierarchy shared by all stashpeel modules, and the integer
+check that every entry point runs on its integer parameters."""
 
 
 class StashpeelError(Exception):
@@ -48,3 +49,12 @@ class CapExceededError(StashpeelError):
 
 class ContractViolationError(StashpeelError):
     """A caller-supplied certificate (stash) failed validation."""
+
+
+def check_ints(**values: object) -> None:
+    """Raise ParameterError, naming the parameter, unless every value's
+    type is int itself, so that 2.5, 2.0, True or "2" never passes a range
+    check as an integer would."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise ParameterError(f"{name} must be an integer, got {value!r}")

@@ -65,7 +65,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from itertools import chain, combinations, compress
 
-from .errors import ParameterError
+from .errors import ParameterError, check_ints
 from .hypergraph import Hypergraph
 from .peeling import PeelCore
 
@@ -291,6 +291,7 @@ def build_ck_gadget(k: int, d: int) -> Gadget:
     ends.  For d >= 3, d-2 dummy vertices join every edge, port edges
     included, which keeps their degree at 2k or more.
     """
+    check_ints(k=k, d=d)
     if k < 2 or d < 2:
         raise ParameterError(f"ck gadget needs k >= 2 and d >= 2, got k={k}, d={d}")
     g = Hypergraph(d)
@@ -317,6 +318,7 @@ def build_ck_gadget(k: int, d: int) -> Gadget:
 def build_b_block(b: int, k: int, d: int) -> Gadget:
     """b-block: k-unpeelable with b neighboring edges, fully peeled by the
     removal of any one of them.  Only b=2 and b=3 are needed or built."""
+    check_ints(b=b, k=k, d=d)
     if b not in (2, 3):
         raise ParameterError(f"only 2- and 3-blocks are supported, got b={b}")
     if k < 3 or d < 2:
@@ -337,6 +339,7 @@ def build_b_block(b: int, k: int, d: int) -> Gadget:
 def build_simple_stable_block(m: int, k: int, d: int) -> Gadget:
     """Stable block of degree m <= k-1: ``build_stable_block``'s root
     simple block alone, reported under its own kind and params."""
+    check_ints(m=m, k=k, d=d)
     if k < 3 or d < 2:
         raise ParameterError(f"simple stable blocks need k >= 3 and d >= 2, got k={k}, d={d}")
     if not 1 <= m <= k - 1:
@@ -354,6 +357,7 @@ def build_stable_block(m: int, k: int, d: int) -> Gadget:
     """Stable block of degree m; for m <= k-1 it is the simple construction
     alone.  E* is the root block's E*.  Vertex count is asserted against
     the recorded bound STABLE_SIZE_CONSTANT * m * k^2 (+ dummies)."""
+    check_ints(m=m, k=k, d=d)
     if k < 3 or d < 2:
         raise ParameterError(f"stable blocks need k >= 3 and d >= 2, got k={k}, d={d}")
     if m < 1:
@@ -387,6 +391,7 @@ TREE_STABLE_SIZE_CONSTANT = 3
 def build_tree_stable_block(p: int, d: int) -> Gadget:
     """The k=2 stable block over a (d-1)-ary hyper-tree; requires d >= 3,
     mirroring that 2-edge stashing on standard graphs is polynomial."""
+    check_ints(p=p, d=d)
     if d < 3:
         raise ParameterError(f"tree stable blocks need d >= 3, got d={d}")
     if p < 1:
@@ -415,6 +420,7 @@ def build_pk_gadget(delta: int, k: int, d: int) -> Gadget:
     a primary node plus a port-free stable block, which peels immediately,
     matching an isolated vertex.
     """
+    check_ints(delta=delta, k=k, d=d)
     if delta < 0:
         raise ParameterError(f"delta must be non-negative, got {delta}")
     if k >= 3 and d >= 2:

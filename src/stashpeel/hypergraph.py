@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Sequence
 
-from .errors import NotFoundError, ParameterError, ParseError
+from .errors import NotFoundError, ParameterError, ParseError, check_ints
 
 
 class Hypergraph:
@@ -31,6 +31,7 @@ class Hypergraph:
     __slots__ = ("_d", "_edges", "_incidence")
 
     def __init__(self, d: int):
+        check_ints(d=d)
         if d < 2:
             raise ParameterError(f"edge arity must be at least 2, got {d}")
         self._d = d
@@ -159,6 +160,7 @@ def gen_random(n_vertices: int, n_edges: int, d: int, seed: int) -> Hypergraph:
     pins the instance exactly.
     """
     g = Hypergraph(d)
+    check_ints(n_vertices=n_vertices, n_edges=n_edges)
     if n_vertices < d:
         raise ParameterError(f"need at least d={d} vertices, got {n_vertices}")
     if n_edges < 0:

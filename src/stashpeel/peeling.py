@@ -24,7 +24,7 @@ from itertools import chain, compress, count
 from operator import not_
 from typing import Collection, Iterable
 
-from .errors import NotFoundError, ParameterError
+from .errors import NotFoundError, ParameterError, check_ints
 from .hypergraph import Hypergraph
 
 
@@ -43,9 +43,22 @@ class PeelTrace:
     core_vertices: frozenset[int]
     core_edges: frozenset[int]
 
+    def __post_init__(self):
+        check_ints(k=self.k)
+
     @property
     def core_empty(self) -> bool:
         return not self.core_vertices
+
+
+def check_k(k: int) -> None:
+    """Raise ParameterError unless k is an int of at least 1.  Every
+    ``PeelCore`` runs it, and so does each entry point that checks other
+    arguments before it builds one, so a bad k is the error reported."""
+    # check_ints's test, inline on the path every valid k takes
+    if type(k) is not int or k < 1:
+        check_ints(k=k)
+        raise ParameterError(f"k must be at least 1, got {k}")
 
 
 def k_core(g: Hypergraph, k: int) -> PeelTrace:
@@ -188,8 +201,7 @@ def peel_edges(edges: dict[int, tuple[int, ...]], k: int) -> dict[int, tuple[int
     ``Hypergraph.edges``; the map is checked like ``Hypergraph.add_edge``
     input.
     """
-    if k < 1:
-        raise ParameterError(f"k must be at least 1, got {k}")
+    check_k(k)
     m = len(edges)
     if not all(e in edges for e in range(m)):
         raise ParameterError(f"edge ids must be 0..{m - 1}")
@@ -244,8 +256,7 @@ class PeelCore:
         stash_vertices: Collection[int] = (),
         stash_edges: Collection[int] = (),
     ):
-        if k < 1:
-            raise ParameterError(f"k must be at least 1, got {k}")
+        check_k(k)
         self.k = k
         edges, incidence = self.edge_vertices, self.vertex_edges = g._edges, g._incidence
         deg = self.degree = list(map(len, incidence))

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from . import peeling
 from .errors import (ContractViolationError, InvalidArityError, ParameterError, ParseError,
-                     UnsupportedCaseError)
+                     UnsupportedCaseError, check_ints)
 from .gadgets import (
     Gadget,
     GadgetReport,
@@ -70,6 +70,9 @@ class ReductionMap:
     gadget_of: dict[int, tuple[int, int]] = field(default_factory=dict)
     ports: dict[int, tuple[tuple[int, int], ...]] = field(default_factory=dict)
 
+    def __post_init__(self):
+        check_ints(k=self.k, d=self.d)
+
 
 def _valid_stash(g: Hypergraph, k: int, kind: str, stash, where: str) -> frozenset[int]:
     """The caller's `kind` stash of g, the `where` instance, as a frozenset;
@@ -91,6 +94,7 @@ def _valid_stash(g: Hypergraph, k: int, kind: str, stash, where: str) -> frozens
 def reduce_vc_to_vertex_stash(g: Hypergraph, k: int, d: int) -> tuple[Hypergraph, ReductionMap]:
     """Build the d-uniform instance whose minimum k-vertex-stash equals the
     minimum vertex cover of the standard graph g."""
+    check_ints(k=k, d=d)
     if g.d != 2:
         raise InvalidArityError("vertex cover instances are standard graphs (d=2)")
     if k < 2 or d < 2:
@@ -149,6 +153,7 @@ def reduce_vertex_to_edge_stash(g: Hypergraph, k: int, d: int) -> tuple[Hypergra
     k = 2, d = 2 is rejected because ``two_edge_stash_standard`` solves it
     outright.
     """
+    check_ints(k=k, d=d)
     if k == 2 and d == 2:
         raise UnsupportedCaseError(
             "k=2, d=2 edge stashing is polynomial; use two_edge_stash_standard"

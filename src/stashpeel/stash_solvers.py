@@ -47,10 +47,14 @@ lowest, the prefix witness.  At budget >= 2 no single stash empties the
 core: every smaller budget, from the packing bound up, failed
 exhaustively.
 
-Greedy runs on the same structure without undo.  Every stash returned is
-re-checked on the input graph by ``peeling.certify_stash``, the check that
-every stash leaving the library passes.  Instances are expected to be
-desk-scale; correctness is the point.
+Greedy runs on the same structure without undo.  Its max-degree picks
+come from a lazy max-heap of (score, id) entries, each re-scored only when
+it reaches the top; the pick is exact because core degrees only fall, so a
+stored score bounds the current one and a top entry whose score is current
+is the lowest-id maximum.  Every stash returned is re-checked on the input
+graph by ``peeling.certify_stash``, the check that every stash leaving the
+library passes.  Instances are expected to be desk-scale; correctness is
+the point.
 """
 
 from __future__ import annotations
@@ -58,12 +62,13 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from heapq import heapify, heappop, heapreplace
 from itertools import combinations, compress, count
 from typing import Callable
 
-from .errors import CapExceededError, InvalidArityError, ParameterError
+from .errors import CapExceededError, InvalidArityError, ParameterError, check_ints
 from .hypergraph import Hypergraph
-from .peeling import PeelCore, certify_stash
+from .peeling import PeelCore, certify_stash, check_k
 
 DEFAULT_SIZE_CAP = 6
 
@@ -244,6 +249,7 @@ def _search(
 
 def _min_stash_exact(g: Hypergraph, k: int, size_cap: int, kind: str) -> StashResult:
     core = PeelCore(g, k)
+    check_ints(size_cap=size_cap)
     if size_cap < 0:
         raise ParameterError(f"size cap must be non-negative, got {size_cap}")
     if not core.live_edges:
@@ -317,6 +323,7 @@ def min_vertex_cover_exact(g: Hypergraph, size_cap: int = DEFAULT_SIZE_CAP) -> f
     """
     if g.d != 2:
         raise InvalidArityError(f"vertex cover is defined here for d=2, got d={g.d}")
+    check_ints(size_cap=size_cap)
     if size_cap < 0:
         raise ParameterError(f"size cap must be non-negative, got {size_cap}")
     edges = g._edges
@@ -346,9 +353,13 @@ def greedy_stash(
     lowest id on ties; ``min_id`` takes the lowest id; ``seeded_random``
     picks uniformly with a deterministic seed.  Always valid, never
     certified optimal.
+
+    ``max_degree`` keeps one heap entry per live element and re-scores an
+    entry only when it reaches the top, so its picks cost
+    O((|E| + score drops) * log |E|) in all, not a scan of every element
+    per pick, O(picks * |E| * d).
     """
-    if k < 1:
-        raise ParameterError(f"k must be at least 1, got {k}")
+    check_k(k)
     if mode not in ("vertex", "edge"):
         raise ParameterError(f"mode must be 'vertex' or 'edge', got {mode!r}")
     if tie_break not in TIE_BREAKS:
@@ -361,21 +372,32 @@ def greedy_stash(
 
 
 def _greedy_picks(core: PeelCore, mode: str, tie_break: str, rng: random.Random) -> frozenset[int]:
-    # Scores are indexed by id.  Dead elements score 0 and live ones at least
-    # k >= 1, so the first maximum is the live pick with the lowest id.
     deg = core.degree
     alive, remove = _kind_ops(core, mode)
     if mode == "vertex":
-        scores = lambda: deg
+        score = deg.__getitem__
     else:
-        scores = lambda: [
-            sum(map(deg.__getitem__, vs)) if a else 0 for vs, a in zip(core.edge_vertices, alive)
-        ]
+        edge_vertices = core.edge_vertices
+        score = lambda e: sum(map(deg.__getitem__, edge_vertices[e]))
+    # One (-score, id) entry per live element.  Scores only fall, so a
+    # stored score bounds the current one from above, and an entry whose
+    # stored score is current outranks every other live element: it is the
+    # lowest-id maximum.
+    heap = [(-score(x), x) for x in compress(count(), alive)] if tie_break == "max_degree" else []
+    heapify(heap)
     stash: set[int] = set()
     while core.live_edges:
         if tie_break == "max_degree":
-            s = scores()
-            pick = s.index(max(s))
+            while True:
+                stored, pick = heap[0]
+                if not alive[pick]:
+                    heappop(heap)
+                    continue
+                now = -score(pick)
+                if stored == now:
+                    heappop(heap)
+                    break
+                heapreplace(heap, (now, pick))
         elif tie_break == "min_id":
             pick = alive.index(True)
         else:

@@ -1,9 +1,49 @@
-"""Source-level checks on the package itself."""
+"""Checks on the package as a whole: its source, and the rules that every
+public entry point keeps."""
 
 import ast
+import inspect
 from pathlib import Path
 
+import pytest
+
+import stashpeel
+from stashpeel import ParameterError
+
+from helpers import triangle
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "stashpeel"
+
+# Parameters that only a value of type int itself may fill: no bool, float
+# or string.
+INTEGER_PARAMS = frozenset({"k", "d", "m", "p", "b", "delta", "size_cap", "n_vertices", "n_edges"})
+NOT_INTEGERS = (2.5, 2.0, True, "2")
+EMPTY = frozenset()
+# Every public callable with a parameter in INTEGER_PARAMS, with arguments
+# it accepts.
+INTEGER_ENTRY_POINTS = {
+    "Hypergraph": dict(d=2),
+    "PeelTrace": dict(k=2, peeled_vertices=(), peeled_edges=EMPTY, core_vertices=EMPTY, core_edges=EMPTY),
+    "ReductionMap": dict(
+        direction="vc_to_vs", k=2, d=2, original=triangle(), reduced=triangle(), vertex_map={}, edge_map={}
+    ),
+    "build_b_block": dict(b=2, k=3, d=2),
+    "build_ck_gadget": dict(k=2, d=2),
+    "build_pk_gadget": dict(delta=2, k=3, d=2),
+    "build_simple_stable_block": dict(m=1, k=3, d=2),
+    "build_stable_block": dict(m=1, k=3, d=2),
+    "build_tree_stable_block": dict(p=1, d=3),
+    "gen_random": dict(n_vertices=8, n_edges=14, d=2, seed=1),
+    "greedy_stash": dict(g=triangle(), k=2, mode="edge"),
+    "is_k_peelable": dict(g=triangle(), k=2),
+    "k_core": dict(g=triangle(), k=2),
+    "k_core_after": dict(g=triangle(), k=2),
+    "min_edge_stash_exact": dict(g=triangle(), k=2, size_cap=2),
+    "min_vertex_cover_exact": dict(g=triangle(), size_cap=2),
+    "min_vertex_stash_exact": dict(g=triangle(), k=2, size_cap=2),
+    "reduce_vc_to_vertex_stash": dict(g=triangle(), k=2, d=2),
+    "reduce_vertex_to_edge_stash": dict(g=triangle(), k=3, d=2),
+}
 
 
 def test_package_has_no_bare_asserts():
@@ -50,3 +90,29 @@ def test_package_has_no_dead_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         dead += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert dead == []
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)
+@pytest.mark.parametrize(
+    "name, param",
+    [(name, param) for name, args in INTEGER_ENTRY_POINTS.items() for param in args if param in INTEGER_PARAMS],
+)
+def test_integer_parameters_refuse_non_integers(name, param, bad):
+    call = getattr(stashpeel, name)
+    args = INTEGER_ENTRY_POINTS[name]
+    call(**args)
+    with pytest.raises(ParameterError, match=f"^{param} must be an integer"):
+        call(**{**args, param: bad})
+
+
+def test_every_integer_entry_point_is_in_the_table():
+    # a new public callable with an integer parameter must join the table,
+    # so that the test above holds it to the same check
+    found = set()
+    for name in stashpeel.__all__:
+        obj = getattr(stashpeel, name)
+        if isinstance(obj, type) and issubclass(obj, BaseException):
+            continue  # exceptions carry a message, not parameters
+        if INTEGER_PARAMS.intersection(inspect.signature(obj).parameters):
+            found.add(name)
+    assert sorted(found) == sorted(INTEGER_ENTRY_POINTS)

@@ -230,6 +230,48 @@ def test_greedy_matches_repeeling_reference(k, d):
     assert stashed  # the instances have cores to break
 
 
+# (reduction, k, d, vertices, edges) of the originals: reduced instances
+# are built of identical gadgets, so most core degrees tie, and ties keep
+# changing as the cascades of the picks reach them.
+GREEDY_REDUCTIONS = (
+    (reduce_vertex_to_edge_stash, 3, 2, 7, 16),
+    (reduce_vertex_to_edge_stash, 2, 3, 6, 8),
+    (reduce_vc_to_vertex_stash, 3, 2, 7, 12),
+    (reduce_vc_to_vertex_stash, 2, 3, 7, 12),
+)
+
+
+@pytest.mark.parametrize("reduce, k, d, n, m", GREEDY_REDUCTIONS)
+def test_greedy_max_degree_matches_repeeling_reference_on_reductions(reduce, k, d, n, m):
+    stashed = 0
+    for seed in range(3):
+        original = gen_random(n, m, d if reduce is reduce_vertex_to_edge_stash else 2, seed)
+        g = reduce(original, k, d)[0]
+        for mode in ("vertex", "edge"):
+            got = greedy_stash(g, k, mode).stash
+            assert got == greedy_stash_by_repeeling(g, k, mode, "max_degree", 0)
+            stashed += len(got)
+    assert stashed
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((2, 3, 4)).flatmap(lambda d: hypergraphs(d=d, max_vertices=9, max_edges=14)),
+    st.lists(st.integers(0, 2**16), max_size=6),
+    st.integers(1, 4),
+    st.integers(0, 3),
+)
+def test_greedy_matches_repeeling_reference_with_parallel_edges(g, repeats, k, seed):
+    g = g.copy()
+    if g.num_edges:
+        for i in repeats:  # parallel copies tie with the edges they copy
+            g.add_edge(g.edge_vertices(i % g.num_edges))
+    for mode in ("vertex", "edge"):
+        for tie_break in TIE_BREAKS:
+            got = greedy_stash(g, k, mode, tie_break, seed).stash
+            assert got == greedy_stash_by_repeeling(g, k, mode, tie_break, seed)
+
+
 def test_certificate_checks_survive_python_optimize():
     script = textwrap.dedent("""
         import sys
