@@ -90,11 +90,7 @@ def _cmd_cover(args, out) -> int:
 
 
 def _cmd_reduce(args, out) -> int:
-    g = _load(args.file)
-    if args.source == "vc":
-        reduced, rmap = reductions.reduce_vc_to_vertex_stash(g, args.k, args.d)
-    else:
-        reduced, rmap = reductions.reduce_vertex_to_edge_stash(g, args.k, args.d)
+    reduced, rmap = reductions.REDUCTIONS[args.source](_load(args.file), args.k, args.d)
     map_path = args.map_out or args.file + ".map"
     # the map goes first, so a path that cannot be written leaves stdout empty
     with open(map_path, "w", encoding="utf-8") as fh:
@@ -107,19 +103,10 @@ def _cmd_reduce(args, out) -> int:
 def _cmd_lift(args, out) -> int:
     rmap = reductions.parse_map(_read(args.map))
     kind, ids = parse_stash(_read(args.stash))
-    if rmap.direction == "vc_to_vs":
+    if rmap.direction == "vc":
         if kind != "v":
             raise ParameterError("cover-reduction maps lift vertex stashes only")
-        normalized = reductions.normalize_stash(rmap, ids)
-        back = {img: v for v, img in rmap.vertex_map.items()}
-        cover = {back[w] for w in normalized}
-        g = rmap.original
-        # normalize_stash certified that the images empty the reduced core,
-        # which an uncovered edge's gadget would survive: only a fault trips this
-        missed = next((e for e in range(g.num_edges) if cover.isdisjoint(g.edge_vertices(e))), None)
-        if missed is not None:
-            raise AssertionError(f"lifted cover {sorted(cover)} misses original edge {missed}")
-        out.write(format_stash("v", cover))
+        out.write(format_stash("v", reductions.normalize_stash(rmap, ids)))
         return EXIT_OK
     if kind == "e":
         lifted = reductions.lift_edge_stash(rmap, ids)
@@ -236,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cover)
 
     p = sub.add_parser("reduce", help="translate an instance between problems")
-    p.add_argument("--from", dest="source", choices=("vc", "vstash"), required=True)
+    p.add_argument("--from", dest="source", choices=tuple(reductions.REDUCTIONS), required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--map-out", default=None, help="sidecar map path (default FILE.map)")

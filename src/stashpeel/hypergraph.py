@@ -160,7 +160,7 @@ def gen_random(n_vertices: int, n_edges: int, d: int, seed: int) -> Hypergraph:
     pins the instance exactly.
     """
     g = Hypergraph(d)
-    check_ints(n_vertices=n_vertices, n_edges=n_edges)
+    check_ints(n_vertices=n_vertices, n_edges=n_edges, seed=seed)
     if n_vertices < d:
         raise ParameterError(f"need at least d={d} vertices, got {n_vertices}")
     if n_edges < 0:

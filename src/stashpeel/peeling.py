@@ -54,7 +54,8 @@ class PeelTrace:
 def check_k(k: int) -> None:
     """Raise ParameterError unless k is an int of at least 1.  Every
     ``PeelCore`` runs it, and so does each entry point that checks other
-    arguments before it builds one, so a bad k is the error reported."""
+    arguments before it builds one, so a bad k is the error reported; only
+    ``k_core_after`` and ``is_k_peelable`` check a stash's ids first."""
     # check_ints's test, inline on the path every valid k takes
     if type(k) is not int or k < 1:
         check_ints(k=k)

@@ -3,13 +3,15 @@
 Two directions are implemented, each with certificate lifting so results
 can be checked end to end on small instances:
 
-* vertex cover -> k-vertex-stash: every edge (u, v) of a standard graph is
-  replaced by a fresh edge-replacement gadget wired to u and v; a stash of
-  the output can be normalized onto original vertices without growing.
-* k-vertex-stash -> k-edge-stash: every vertex v is replaced by a
-  per-vertex wrapper gadget whose designated stashable edge simulates
-  stashing v; stashes push forward with equal size and lift back without
-  growing.
+* vertex cover -> k-vertex-stash (``"vc"``): the original vertices keep
+  their ids, and every edge (u, v) of a standard graph gains a fresh
+  edge-replacement gadget wired to u and v; a stash of the output
+  normalizes, without growing, onto original vertex ids, which are checked
+  to cover every original edge.
+* k-vertex-stash -> k-edge-stash (``"vstash"``): every vertex v is
+  replaced by a per-vertex wrapper gadget whose designated stashable edge
+  simulates stashing v; stashes push forward with equal size and lift back
+  without growing.
 
 Reduction maps carry the original and reduced instances plus one lookup
 table per correspondence: ``vertex_map``, ``edge_map`` and ``gadget_of``
@@ -17,9 +19,10 @@ for the cover direction; ``vertex_map``, ``edge_map``, ``estar_pick``,
 ``owner`` and ``ports`` for the stash direction.  Normalizing, pushing and
 lifting take only the map and a stash, and read both instances from the
 map.  Each gates the caller's stash through ``_valid_stash`` and re-checks
-the stash it returns with ``peeling.certify_stash``.  Maps round-trip
-through a text sidecar format (see ``serialize_map``) so the CLI can lift
-certificates from files alone.
+the stash it returns with ``peeling.certify_stash``.  ``REDUCTIONS`` maps
+each direction's name, the word a sidecar header and ``reduce --from``
+use, to its builder.  Maps round-trip through a text sidecar format (see
+``serialize_map``) so the CLI can lift certificates from files alone.
 """
 
 from __future__ import annotations
@@ -45,20 +48,23 @@ from .hypergraph import Hypergraph, parse, serialize
 class ReductionMap:
     """Correspondence between an original instance and its reduction.
 
-    ``vertex_map`` sends an original vertex to its image (cover direction)
-    or to its gadget's primary node (stash direction).  ``edge_map`` sends
-    an original edge to the reduced edge ids it became.  ``owner`` assigns
+    ``vertex_map`` sends an original vertex to itself (cover direction:
+    the reduced instance's first vertices are the original ones, so
+    ``normalize_stash`` returns original vertex ids, checked to cover
+    ``original``) or to its gadget's primary node (stash direction).
+    ``edge_map`` sends an original edge to the reduced edge ids it
+    became.  ``owner`` assigns
     every reduced edge to one original vertex (neighboring edges go to the
     lowest-id endpoint), which is what makes lifted stashes never grow.
-    ``gadget_of`` sends each internal vertex of a cover gadget to the images
-    of its edge's endpoints.  ``estar_pick`` sends an original vertex to its
+    ``gadget_of`` sends each internal vertex of a cover gadget to its
+    edge's endpoints.  ``estar_pick`` sends an original vertex to its
     wrapper gadget's lowest-id E* edge, and ``ports`` lists, in incidence
     order, (original incident edge, attach vertex of its neighboring edge).
     ``parse_map`` rebuilds a map from its sidecar file, so a parsed map
     equals the one that was written, field for field.
     """
 
-    direction: str  # "vc_to_vs" | "vs_to_es"
+    direction: str  # a REDUCTIONS key: "vc" (stashes normalize to a checked original cover) | "vstash"
     k: int
     d: int
     original: Hypergraph
@@ -100,7 +106,7 @@ def reduce_vc_to_vertex_stash(g: Hypergraph, k: int, d: int) -> tuple[Hypergraph
     if k < 2 or d < 2:
         raise ParameterError(f"reduction needs k >= 2 and d >= 2, got k={k}, d={d}")
     out = Hypergraph(d)
-    image = {v: out.add_vertex() for v in range(g.num_vertices)}
+    out.add_vertices(g.num_vertices)
     gadget = build_ck_gadget(k, d) if g.num_edges else None
     gadget_of: dict[int, tuple[int, int]] = {}
     edge_map: dict[int, tuple[int, ...]] = {}
@@ -108,37 +114,43 @@ def reduce_vc_to_vertex_stash(g: Hypergraph, k: int, d: int) -> tuple[Hypergraph
         u, v = g.edge_vertices(e)
         dv, de = embed_graph(gadget.graph, out)
         edges = list(range(de, de + gadget.graph.num_edges))
-        for port, endpoint in zip(gadget.ports, (image[u], image[v])):
+        for port, endpoint in zip(gadget.ports, (u, v)):
             for attach in port.edges:
                 edges.append(out.add_edge((endpoint, *(dv + a for a in attach))))
         for w in range(dv, dv + gadget.graph.num_vertices):
-            gadget_of[w] = (image[u], image[v])
+            gadget_of[w] = (u, v)
         edge_map[e] = tuple(edges)
     return out, ReductionMap(
-        direction="vc_to_vs",
+        direction="vc",
         k=k,
         d=d,
         original=g.copy(),
         reduced=out,
-        vertex_map=image,
+        vertex_map={v: v for v in range(g.num_vertices)},
         edge_map=edge_map,
         gadget_of=gadget_of,
     )
 
 
 def normalize_stash(rmap: ReductionMap, stash) -> frozenset[int]:
-    """Rewrite a valid vertex stash of the reduced instance so it uses only
-    images of original vertices, never growing it.
+    """Rewrite a valid vertex stash of the reduced instance as a vertex
+    cover of the original, never growing it, and return its original ids.
 
-    Each gadget-internal vertex is replaced by the image of that gadget's
-    first endpoint (the deterministic choice of the two that both work).
+    Each gadget-internal vertex is replaced by that gadget's first endpoint
+    (the deterministic choice of the two that both work).  The result is
+    certified to empty the reduced k-core, and then checked to cover every
+    edge of ``rmap.original``: an uncovered edge's gadget would survive
+    that certificate, so a miss is a fault and raises AssertionError.
     """
-    if rmap.direction != "vc_to_vs":
+    if rmap.direction != "vc":
         raise ParameterError("normalize_stash applies to cover-reduction maps")
     s = _valid_stash(rmap.reduced, rmap.k, "vertex", stash, "reduced")
-    images = set(rmap.vertex_map.values())
-    out = frozenset(w if w in images else rmap.gadget_of[w][0] for w in s)
+    g = rmap.original
+    out = frozenset(w if w < g.num_vertices else rmap.gadget_of[w][0] for w in s)
     peeling.certify_stash("normalized", rmap.reduced, rmap.k, stash_vertices=out)
+    missed = next((e for e in range(g.num_edges) if out.isdisjoint(g.edge_vertices(e))), None)
+    if missed is not None:
+        raise AssertionError(f"lifted cover {sorted(out)} misses original edge {missed}")
     return out
 
 
@@ -167,7 +179,6 @@ def reduce_vertex_to_edge_stash(g: Hypergraph, k: int, d: int) -> tuple[Hypergra
     estar_pick: dict[int, int] = {}
     owner: dict[int, int] = {}
     ports: dict[int, tuple[tuple[int, int], ...]] = {}
-    attach_of: dict[tuple[int, int], int] = {}
     built: dict[int, Gadget] = {}  # embedding only reads a gadget
     for v in range(g.num_vertices):
         incident = g._incidence[v]
@@ -180,15 +191,17 @@ def reduce_vertex_to_edge_stash(g: Hypergraph, k: int, d: int) -> tuple[Hypergra
         vertex_map[v] = dv + gadget.meta["primary"]  # type: ignore[operator]
         estar_pick[v] = de + min(gadget.estar)
         ports[v] = tuple((e, dv + port.edges[0][0]) for e, port in zip(incident, gadget.ports))
-        attach_of.update(((e, v), attach) for e, attach in ports[v])
+    # ports follow incidence order, which is ascending edge order, so the
+    # edges below take each vertex's ports one after the other
+    unread = [iter(ports[v]) for v in range(g.num_vertices)]
     edge_map: dict[int, tuple[int, ...]] = {}
     for e in range(g.num_edges):
         members = g.edge_vertices(e)
-        shared = out.add_edge(tuple(attach_of[(e, w)] for w in members))
+        shared = out.add_edge(tuple(next(unread[w])[1] for w in members))
         edge_map[e] = (shared,)
         owner[shared] = min(members)
     return out, ReductionMap(
-        direction="vs_to_es",
+        direction="vstash",
         k=k,
         d=d,
         original=g.copy(),
@@ -205,7 +218,7 @@ def push_vertex_stash(rmap: ReductionMap, stash) -> frozenset[int]:
     """Translate a valid vertex stash of the original instance into an
     equal-size edge stash of the reduced one, picking each gadget's
     lowest-id E* edge."""
-    if rmap.direction != "vs_to_es":
+    if rmap.direction != "vstash":
         raise ParameterError("push_vertex_stash applies to stash-reduction maps")
     s = _valid_stash(rmap.original, rmap.k, "vertex", stash, "original")
     pushed = frozenset(rmap.estar_pick[v] for v in s)
@@ -219,12 +232,17 @@ def lift_edge_stash(rmap: ReductionMap, stash) -> frozenset[int]:
     """Translate a valid edge stash of the reduced instance into a vertex
     stash of the original that is never larger: every stashed edge charges
     the original vertex owning it."""
-    if rmap.direction != "vs_to_es":
+    if rmap.direction != "vstash":
         raise ParameterError("lift_edge_stash applies to stash-reduction maps")
     s = _valid_stash(rmap.reduced, rmap.k, "edge", stash, "reduced")
     lifted = frozenset(rmap.owner[e] for e in s)
     peeling.certify_stash("lifted", rmap.original, rmap.k, stash_vertices=lifted)
     return lifted
+
+
+# each direction's name, as a map's header and ``reduce --from`` spell it,
+# and its builder
+REDUCTIONS = {"vc": reduce_vc_to_vertex_stash, "vstash": reduce_vertex_to_edge_stash}
 
 
 # -- audits -------------------------------------------------------------------
@@ -238,7 +256,7 @@ def audit_p1(rmap: ReductionMap) -> list[str]:
     vertices of its original edge's endpoint gadgets.  Returns violation
     descriptions; empty means the audit passed.
     """
-    if rmap.direction != "vs_to_es":
+    if rmap.direction != "vstash":
         raise ParameterError("audit_p1 applies to stash-reduction maps")
     g = rmap.original
     problems = []
@@ -261,7 +279,7 @@ def audit_p1(rmap: ReductionMap) -> list[str]:
 def audit_pk_properties(rmap: ReductionMap) -> list[GadgetReport]:
     """Re-run the standalone wrapper-gadget checks for every distinct degree
     instantiated by a stash reduction."""
-    if rmap.direction != "vs_to_es":
+    if rmap.direction != "vstash":
         raise ParameterError("audit_pk_properties applies to stash-reduction maps")
     degrees = sorted(set(map(len, rmap.original._incidence)))
     return [check_pk_gadget(build_pk_gadget(delta, rmap.k, rmap.d)) for delta in degrees]
@@ -272,9 +290,8 @@ def audit_pk_properties(rmap: ReductionMap) -> list[GadgetReport]:
 
 def serialize_map(rmap: ReductionMap) -> str:
     """Sidecar text form of a reduction map, embedding both instances."""
-    tag = "vc" if rmap.direction == "vc_to_vs" else "vstash"
-    lines = [f"M {tag} {rmap.k} {rmap.d}"]
-    if tag == "vstash" and rmap.k == 2:
+    lines = [f"M {rmap.direction} {rmap.k} {rmap.d}"]
+    if rmap.direction == "vstash" and rmap.k == 2:
         lines.append(
             "# note: each gadget's d-2 per-port filler vertices are shared between"
         )
@@ -285,7 +302,7 @@ def serialize_map(rmap: ReductionMap) -> str:
         lines.append(f"G {label}")
         lines.extend(serialize(g).rstrip("\n").split("\n"))
         lines.append("G end")
-    if tag == "vc":
+    if rmap.direction == "vc":
         for v in sorted(rmap.vertex_map):
             lines.append(f"M v {v} {rmap.vertex_map[v]}")
         for w in sorted(rmap.gadget_of):
@@ -333,7 +350,7 @@ def parse_map(text: str) -> ReductionMap:
     lines = _content_lines(text)
     header_at, header = next(lines)
     fields = header.split()
-    if len(fields) != 4 or fields[0] != "M" or fields[1] not in ("vc", "vstash"):
+    if len(fields) != 4 or fields[0] != "M" or fields[1] not in REDUCTIONS:
         raise ParseError(f"expected 'M vc|vstash <k> <d>', got {header!r}", header_at)
     try:
         k, d = int(fields[2]), int(fields[3])
@@ -365,9 +382,8 @@ def parse_map(text: str) -> ReductionMap:
     if len(text) < 2 * d * need:
         why = f"{len(text)} characters cannot hold a {tag} map with k={k}, d={d} of this original"
         raise ParseError(why, header_at)
-    build = reduce_vc_to_vertex_stash if tag == "vc" else reduce_vertex_to_edge_stash
     try:
-        rmap = build(original, k, d)[1]
+        rmap = REDUCTIONS[tag](original, k, d)[1]
     except ParameterError as exc:
         raise ParseError(str(exc), header_at) from None
     expected = serialize_map(rmap)

@@ -312,6 +312,7 @@ def two_edge_stash_standard(g: Hypergraph) -> CyclomaticCertificate:
     h = g.num_edges - g.num_vertices + components
     if h != len(removed):
         raise AssertionError(f"cyclomatic number {h} does not match {len(removed)} cycle-closing edges")
+    certify_stash("2-edge", g, 2, stash_edges=removed)
     return CyclomaticCertificate(h=h, components=components, removed_edges=frozenset(removed))
 
 
@@ -362,6 +363,7 @@ def greedy_stash(
     check_k(k)
     if mode not in ("vertex", "edge"):
         raise ParameterError(f"mode must be 'vertex' or 'edge', got {mode!r}")
+    check_ints(seed=seed)
     if tie_break not in TIE_BREAKS:
         raise ParameterError(f"tie_break must be one of {TIE_BREAKS}, got {tie_break!r}")
     # The core lives only in _greedy_picks, so it is freed before the

@@ -3,8 +3,8 @@ from io import StringIO
 
 import pytest
 
-from stashpeel import (ParameterError, ParseError, cli, gen_random, is_k_peelable, parse, reductions,
-                       stash_solvers)
+from stashpeel import (ParameterError, ParseError, cli, gen_random, is_k_peelable, parse, peeling,
+                       reductions, stash_solvers)
 from stashpeel.cli import run
 
 from helpers import mkgraph, run_python
@@ -392,21 +392,29 @@ def test_reduce_vc_and_normalize_via_lift(files, tmp_path):
 
 
 def test_lift_with_a_cover_that_misses_an_edge_is_an_internal_error(files, tmp_path, monkeypatch):
-    # normalize_stash certifies its images, so only a fault reaches the
-    # cover check; here one image is dropped after the certificate
-    normalize = reductions.normalize_stash
-
-    def drop_lowest_image(*args):
-        return frozenset(sorted(normalize(*args))[1:])
-
-    monkeypatch.setattr(reductions, "normalize_stash", drop_lowest_image)
+    # normalize_stash certifies its cover before it checks that the cover
+    # meets every original edge, so only a fault reaches that check; here
+    # the certificate passes every stash
     mp = str(tmp_path / "tri.map")
     assert invoke("reduce", "--from", "vc", "--k", "2", "--d", "2", "--map-out", mp, files["tri"])[0] == 0
+    monkeypatch.setattr(peeling, "is_k_peelable", lambda *args, **kwargs: True)
     stash = tmp_path / "stash.txt"
-    stash.write_text("S v 0 1\n")
+    stash.write_text("S v 0\n")
     code, out, err = invoke("lift", "--map", mp, "--stash", str(stash))
     assert (code, out) == (3, "")
-    assert err.endswith("\nAssertionError: lifted cover [1] misses original edge 2\n")
+    assert err.endswith("\nAssertionError: lifted cover [0] misses original edge 1\n")
+
+
+def test_each_reduction_has_one_name():
+    # --from's choices, the builder table, a map's direction and its
+    # sidecar header all spell a reduction the same way
+    reduce_cmd = next(a for a in cli.build_parser()._actions if a.dest == "command").choices["reduce"]
+    source = next(a for a in reduce_cmd._actions if a.dest == "source")
+    assert source.choices == tuple(reductions.REDUCTIONS) == ("vc", "vstash")
+    for name, build in reductions.REDUCTIONS.items():
+        rmap = build(parse(TRIANGLE), 3, 2)[1]
+        assert rmap.direction == name
+        assert reductions.serialize_map(rmap).split("\n", 1)[0] == f"M {name} 3 2"
 
 
 def test_reduce_with_an_unwritable_map_prints_nothing(files):

@@ -16,7 +16,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "stashpeel"
 
 # Parameters that only a value of type int itself may fill: no bool, float
 # or string.
-INTEGER_PARAMS = frozenset({"k", "d", "m", "p", "b", "delta", "size_cap", "n_vertices", "n_edges"})
+INTEGER_PARAMS = frozenset({"k", "d", "m", "p", "b", "delta", "size_cap", "n_vertices", "n_edges", "seed"})
 NOT_INTEGERS = (2.5, 2.0, True, "2")
 EMPTY = frozenset()
 # Every public callable with a parameter in INTEGER_PARAMS, with arguments
@@ -25,7 +25,7 @@ INTEGER_ENTRY_POINTS = {
     "Hypergraph": dict(d=2),
     "PeelTrace": dict(k=2, peeled_vertices=(), peeled_edges=EMPTY, core_vertices=EMPTY, core_edges=EMPTY),
     "ReductionMap": dict(
-        direction="vc_to_vs", k=2, d=2, original=triangle(), reduced=triangle(), vertex_map={}, edge_map={}
+        direction="vc", k=2, d=2, original=triangle(), reduced=triangle(), vertex_map={}, edge_map={}
     ),
     "build_b_block": dict(b=2, k=3, d=2),
     "build_ck_gadget": dict(k=2, d=2),
@@ -34,7 +34,7 @@ INTEGER_ENTRY_POINTS = {
     "build_stable_block": dict(m=1, k=3, d=2),
     "build_tree_stable_block": dict(p=1, d=3),
     "gen_random": dict(n_vertices=8, n_edges=14, d=2, seed=1),
-    "greedy_stash": dict(g=triangle(), k=2, mode="edge"),
+    "greedy_stash": dict(g=triangle(), k=2, mode="edge", seed=0),
     "is_k_peelable": dict(g=triangle(), k=2),
     "k_core": dict(g=triangle(), k=2),
     "k_core_after": dict(g=triangle(), k=2),
@@ -69,6 +69,27 @@ def test_gadget_checkers_import_no_rng():
         elif isinstance(node, ast.ImportFrom) and node.module:
             modules.add(node.module)
     assert "random" not in {name.split(".")[0] for name in modules}
+
+
+def test_cli_reads_no_reduction_map_table():
+    # naming, building and lifting a reduction belong to `reductions`: the
+    # CLI reads no table of a map, on any name it binds from that module
+    tables = {"vertex_map", "edge_map", "gadget_of", "estar_pick", "owner", "ports"}
+    tree = ast.parse((SRC / "cli.py").read_text())
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(n, ast.Name) and n.id == "reductions" for n in ast.walk(node.value)
+        ):
+            bound.update(n.id for target in node.targets for n in ast.walk(target) if isinstance(n, ast.Name))
+    reads = [
+        f"cli.py:{node.lineno} {node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in tables
+        and isinstance(node.value, ast.Name) and node.value.id in bound
+    ]
+    assert "rmap" in bound
+    assert reads == []
 
 
 def test_package_has_no_dead_imports():

@@ -62,6 +62,8 @@ def test_original_vertices_keep_only_gadget_edges():
     g = mkgraph(3, [(0, 1), (1, 2)])
     for k, d in PAIRS:
         reduced, rmap = reduce_vc_to_vertex_stash(g, k, d)
+        # the original vertices keep their ids in the reduced instance
+        assert rmap.vertex_map == {v: v for v in g.vertices}
         for v in g.vertices:
             assert reduced.degree(rmap.vertex_map[v]) == k * g.degree(v)
 
@@ -261,14 +263,14 @@ def test_lift_and_push_reject_invalid_certificates():
 
 
 @pytest.mark.parametrize("func, direction", [
-    (normalize_stash, "vs_to_es"),
-    (push_vertex_stash, "vc_to_vs"),
-    (lift_edge_stash, "vc_to_vs"),
-    (audit_p1, "vc_to_vs"),
-    (audit_pk_properties, "vc_to_vs"),
+    (normalize_stash, "vstash"),
+    (push_vertex_stash, "vc"),
+    (lift_edge_stash, "vc"),
+    (audit_p1, "vc"),
+    (audit_pk_properties, "vc"),
 ])
 def test_map_functions_reject_the_other_directions_map(func, direction):
-    if direction == "vc_to_vs":
+    if direction == "vc":
         rmap, wants = reduce_vc_to_vertex_stash(triangle(), 2, 2)[1], "stash"
     else:
         rmap, wants = reduce_vertex_to_edge_stash(triangle(), 3, 2)[1], "cover"
@@ -455,6 +457,9 @@ def test_certificate_checks_survive_python_optimize():
             peelable = real(*args, **kwargs)
             return False if next(calls) % 2 else peelable
 
+        def every_stash_peelable(*args, **kwargs):
+            return True
+
         tri = parse("h 2 3 3\\ne 0 1\\ne 1 2\\ne 2 0\\n")
         _, vc = reductions.reduce_vc_to_vertex_stash(tri, 2, 2)
         _, vs = reductions.reduce_vertex_to_edge_stash(tri, 3, 2)
@@ -462,14 +467,16 @@ def test_certificate_checks_survive_python_optimize():
         collapsed = dataclasses.replace(vs, estar_pick=dict.fromkeys(vs.estar_pick, min(pushed)))
         cover = {vc.vertex_map[0], vc.vertex_map[1]}
         cases = (
-            (True, lambda: reductions.normalize_stash(vc, cover)),
-            (True, lambda: reductions.push_vertex_stash(vs, {0})),
-            (True, lambda: reductions.lift_edge_stash(vs, pushed)),
-            (False, lambda: reductions.push_vertex_stash(collapsed, {0, 1})),
+            (certificate_core_nonempty, lambda: reductions.normalize_stash(vc, cover)),
+            (certificate_core_nonempty, lambda: reductions.push_vertex_stash(vs, {0})),
+            (certificate_core_nonempty, lambda: reductions.lift_edge_stash(vs, pushed)),
+            (real, lambda: reductions.push_vertex_stash(collapsed, {0, 1})),
+            # a certificate that passes a cover missing edge 1 = (1, 2)
+            (every_stash_peelable, lambda: reductions.normalize_stash(vc, {0})),
         )
         print(sys.flags.optimize)
-        for patched, call in cases:
-            peeling.is_k_peelable = certificate_core_nonempty if patched else real
+        for is_k_peelable, call in cases:
+            peeling.is_k_peelable = is_k_peelable
             try:
                 call()
                 print("returned")
@@ -478,7 +485,7 @@ def test_certificate_checks_survive_python_optimize():
     """)
     proc = run_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1"] + ["raised"] * 4
+    assert proc.stdout.split() == ["1"] + ["raised"] * 5
 
 
 def test_broken_map_is_input_error_under_python_optimize(tmp_path):

@@ -289,6 +289,7 @@ def test_certificate_checks_survive_python_optimize():
             lambda: stash_solvers.greedy_stash(g, 2, "vertex"),
             lambda: stash_solvers.greedy_stash(g, 2, "edge", "seeded_random", 3),
             lambda: stash_solvers.StashResult("both", frozenset({1}), True),
+            lambda: stash_solvers.two_edge_stash_standard(g),
         )
         print(sys.flags.optimize)
         for call in calls:
@@ -300,7 +301,7 @@ def test_certificate_checks_survive_python_optimize():
     """)
     proc = run_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1"] + ["raised"] * 5
+    assert proc.stdout.split() == ["1"] + ["raised"] * 6
 
 
 def test_exact_search_prunes_to_prefix_witnesses(monkeypatch):
