@@ -13,16 +13,17 @@ can be checked end to end on small instances:
   simulates stashing v; stashes push forward with equal size and lift back
   without growing.
 
-Reduction maps carry the original and reduced instances plus one lookup
-table per correspondence: ``vertex_map``, ``edge_map`` and ``gadget_of``
-for the cover direction; ``vertex_map``, ``edge_map``, ``estar_pick``,
+Reduction maps carry the original and reduced instances plus the lookup
+tables that normalizing, pushing, lifting and auditing read: ``edge_map``
+and ``gadget_of`` for the cover direction; ``edge_map``, ``estar_pick``,
 ``owner`` and ``ports`` for the stash direction.  Normalizing, pushing and
 lifting take only the map and a stash, and read both instances from the
 map.  Each gates the caller's stash through ``_valid_stash`` and re-checks
 the stash it returns with ``peeling.certify_stash``.  ``REDUCTIONS`` maps
 each direction's name, the word a sidecar header and ``reduce --from``
 use, to its builder.  Maps round-trip through a text sidecar format (see
-``serialize_map``) so the CLI can lift certificates from files alone.
+``serialize_map``) so the CLI can lift certificates from files alone: the
+file holds a header and both instances, and the tables are rebuilt.
 """
 
 from __future__ import annotations
@@ -48,18 +49,16 @@ from .hypergraph import Hypergraph, parse, serialize
 class ReductionMap:
     """Correspondence between an original instance and its reduction.
 
-    ``vertex_map`` sends an original vertex to itself (cover direction:
-    the reduced instance's first vertices are the original ones, so
-    ``normalize_stash`` returns original vertex ids, checked to cover
-    ``original``) or to its gadget's primary node (stash direction).
-    ``edge_map`` sends an original edge to the reduced edge ids it
-    became.  ``owner`` assigns
+    In the cover direction the reduced instance's first vertices are the
+    original ones, so ``normalize_stash`` returns original vertex ids,
+    checked to cover ``original``, and ``gadget_of`` sends each internal
+    vertex of a cover gadget to its edge's endpoints.  ``edge_map`` sends
+    an original edge to the reduced edge ids it became.  ``owner`` assigns
     every reduced edge to one original vertex (neighboring edges go to the
     lowest-id endpoint), which is what makes lifted stashes never grow.
-    ``gadget_of`` sends each internal vertex of a cover gadget to its
-    edge's endpoints.  ``estar_pick`` sends an original vertex to its
-    wrapper gadget's lowest-id E* edge, and ``ports`` lists, in incidence
-    order, (original incident edge, attach vertex of its neighboring edge).
+    ``estar_pick`` sends an original vertex to its wrapper gadget's
+    lowest-id E* edge, and ``ports`` lists, in incidence order, (original
+    incident edge, attach vertex of its neighboring edge).
     ``parse_map`` rebuilds a map from its sidecar file, so a parsed map
     equals the one that was written, field for field.
     """
@@ -69,7 +68,6 @@ class ReductionMap:
     d: int
     original: Hypergraph
     reduced: Hypergraph
-    vertex_map: dict[int, int]
     edge_map: dict[int, tuple[int, ...]]
     estar_pick: dict[int, int] = field(default_factory=dict)
     owner: dict[int, int] = field(default_factory=dict)
@@ -126,7 +124,6 @@ def reduce_vc_to_vertex_stash(g: Hypergraph, k: int, d: int) -> tuple[Hypergraph
         d=d,
         original=g.copy(),
         reduced=out,
-        vertex_map={v: v for v in range(g.num_vertices)},
         edge_map=edge_map,
         gadget_of=gadget_of,
     )
@@ -175,7 +172,6 @@ def reduce_vertex_to_edge_stash(g: Hypergraph, k: int, d: int) -> tuple[Hypergra
     if g.d != d:
         raise InvalidArityError(f"instance arity {g.d} does not match requested d={d}")
     out = Hypergraph(d)
-    vertex_map: dict[int, int] = {}
     estar_pick: dict[int, int] = {}
     owner: dict[int, int] = {}
     ports: dict[int, tuple[tuple[int, int], ...]] = {}
@@ -188,7 +184,6 @@ def reduce_vertex_to_edge_stash(g: Hypergraph, k: int, d: int) -> tuple[Hypergra
         dv, de = embed_graph(gadget.graph, out)
         for fe in range(de, de + gadget.graph.num_edges):
             owner[fe] = v
-        vertex_map[v] = dv + gadget.meta["primary"]  # type: ignore[operator]
         estar_pick[v] = de + min(gadget.estar)
         ports[v] = tuple((e, dv + port.edges[0][0]) for e, port in zip(incident, gadget.ports))
     # ports follow incidence order, which is ascending edge order, so the
@@ -206,7 +201,6 @@ def reduce_vertex_to_edge_stash(g: Hypergraph, k: int, d: int) -> tuple[Hypergra
         d=d,
         original=g.copy(),
         reduced=out,
-        vertex_map=vertex_map,
         edge_map=edge_map,
         estar_pick=estar_pick,
         owner=owner,
@@ -289,33 +283,13 @@ def audit_pk_properties(rmap: ReductionMap) -> list[GadgetReport]:
 
 
 def serialize_map(rmap: ReductionMap) -> str:
-    """Sidecar text form of a reduction map, embedding both instances."""
+    """Sidecar text form of a reduction map: its header, then both
+    instances; ``parse_map`` rebuilds every lookup table from these."""
     lines = [f"M {rmap.direction} {rmap.k} {rmap.d}"]
-    if rmap.direction == "vstash" and rmap.k == 2:
-        lines.append(
-            "# note: each gadget's d-2 per-port filler vertices are shared between"
-        )
-        lines.append(
-            "# its primary-side edge and the stable block's neighboring edge"
-        )
     for label, g in (("orig", rmap.original), ("reduced", rmap.reduced)):
         lines.append(f"G {label}")
         lines.extend(serialize(g).rstrip("\n").split("\n"))
         lines.append("G end")
-    if rmap.direction == "vc":
-        for v in sorted(rmap.vertex_map):
-            lines.append(f"M v {v} {rmap.vertex_map[v]}")
-        for w in sorted(rmap.gadget_of):
-            u, x = rmap.gadget_of[w]
-            lines.append(f"M g {w} {u} {x}")
-    else:
-        for v in sorted(rmap.vertex_map):
-            lines.append(f"M v {v} {rmap.vertex_map[v]} {rmap.estar_pick[v]}")
-        for e in sorted(rmap.owner):
-            lines.append(f"M e {e} {rmap.owner[e]}")
-    for e in sorted(rmap.edge_map):
-        ids = " ".join(str(x) for x in rmap.edge_map[e])
-        lines.append(f"M n {e} {ids}")
     return "\n".join(lines) + "\n"
 
 
@@ -374,7 +348,8 @@ def parse_map(text: str) -> ReductionMap:
     tag = fields[1]
     # refuse a header asking for more reduced edges than the text can hold
     # before building any: each is an 'e' line of d ids, and there are at
-    # least these many (checked for k = 2..20 and d = 2..5)
+    # least these many (checked for k = 2..20 and d = 2..5; a test samples
+    # that range).  This is why a map keeps its derivable 'G reduced'.
     if tag == "vc":
         need = original.num_edges * k * (k - 1) // 2
     else:

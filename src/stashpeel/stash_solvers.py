@@ -248,10 +248,11 @@ def _search(
 
 
 def _min_stash_exact(g: Hypergraph, k: int, size_cap: int, kind: str) -> StashResult:
-    core = PeelCore(g, k)
+    check_k(k)
     check_ints(size_cap=size_cap)
     if size_cap < 0:
         raise ParameterError(f"size cap must be non-negative, got {size_cap}")
+    core = PeelCore(g, k)
     if not core.live_edges:
         return StashResult(kind, frozenset(), True)
     cands, alone = _candidates(core, kind)

@@ -228,9 +228,10 @@ def test_non_integer_map_field_is_input_error(files, tmp_path):
     good = mp.read_text()
     for old, new, message in (
         ("M vc 2 2", "M vc 2 x", "line 1: non-integer field in 'M vc 2 x'"),
-        ("M v 0 ", "M v zero ", "line 23: expected 'M v 0 0', got 'M v zero 0'"),
+        ("e 0 1\n", "e 0 x\n", "line 4: non-integer vertex index in 'e 0 x'"),
+        ("e 0 3\n", "e zero 3\n", "line 10: expected 'e 0 3', got 'e zero 3'"),
     ):
-        broken = good.replace(old, new)
+        broken = good.replace(old, new, 1)
         assert broken != good
         mp.write_text(broken)
         code, _, err = invoke("lift", "--map", str(mp), "--stash", str(stash))
@@ -250,36 +251,39 @@ def _triangle_vc_map(files, tmp_path):
 def test_map_without_gadget_lines_is_input_error(files, tmp_path):
     mp, stash = _triangle_vc_map(files, tmp_path)
     good = mp.read_text()
-    broken = "".join(line for line in good.splitlines(True) if not line.startswith("M g "))
+    # vertices 5 and 6 are the gadget of edge (1, 2): drop its four edges
+    broken = "".join(line for line in good.splitlines(True) if line not in ("e 1 5\n", "e 1 6\n",
+                                                                              "e 2 5\n", "e 2 6\n"))
+    assert len(broken.splitlines()) == len(good.splitlines()) - 4
     mp.write_text(broken)
     code, out, err = invoke("lift", "--map", str(mp), "--stash", str(stash))
     assert code == 2 and not out
-    line = broken.splitlines().index("M n 0 0 1 2 3") + 1
-    assert err == f"error: line {line}: expected 'M g 3 0 1', got 'M n 0 0 1 2 3'\n"
+    line = broken.splitlines().index("e 2 7") + 1
+    assert err == f"error: line {line}: expected 'e 1 5', got 'e 2 7'\n"
 
 
 def test_map_with_unknown_vertex_is_input_error(files, tmp_path):
     mp, stash = _triangle_vc_map(files, tmp_path)
     good = mp.read_text()
-    broken = good.replace("M v 0 0\n", "M v 0 999\n")
+    broken = good.replace("e 0 3\n", "e 0 999\n")
     assert broken != good
     mp.write_text(broken)
     code, out, err = invoke("lift", "--map", str(mp), "--stash", str(stash))
     assert code == 2 and not out
-    line = broken.splitlines().index("M v 0 999") + 1
-    assert err == f"error: line {line}: expected 'M v 0 0', got 'M v 0 999'\n"
+    line = broken.splitlines().index("e 0 999") + 1
+    assert err == f"error: line {line}: expected 'e 0 3', got 'e 0 999'\n"
 
 
 def test_map_with_wrong_gadget_ends_is_input_error(files, tmp_path):
     mp, stash = _triangle_vc_map(files, tmp_path)
     good = mp.read_text()
-    broken = good.replace("M g 5 1 2\n", "M g 5 0 1\n")  # 5 joins images 1 and 2
+    broken = good.replace("e 2 5\n", "e 0 5\n")  # 5 joins vertices 1 and 2
     assert broken != good
     mp.write_text(broken)
     code, out, err = invoke("lift", "--map", str(mp), "--stash", str(stash))
     assert code == 2 and not out
-    line = broken.splitlines().index("M g 5 0 1") + 1
-    assert err == f"error: line {line}: expected 'M g 5 1 2', got 'M g 5 0 1'\n"
+    line = broken.splitlines().index("e 0 5") + 1
+    assert err == f"error: line {line}: expected 'e 2 5', got 'e 0 5'\n"
 
 
 def test_map_with_swapped_images_is_input_error(tmp_path):
@@ -292,15 +296,20 @@ def test_map_with_swapped_images_is_input_error(tmp_path):
     stash.write_text("S v 1\n")
     assert invoke("lift", "--map", str(mp), "--stash", str(stash))[1] == "S v 1\n"
     good = mp.read_text()
-    broken = good.replace("M v 0 0\nM v 1 1\n", "M v 0 1\nM v 1 0\n")
+    head, reduced = good.split("G reduced\n")
+    swapped = {"0": "1", "1": "0"}
+    broken = head + "G reduced\n" + "".join(
+        " ".join(["e", *(swapped.get(x, x) for x in line.split()[1:])]) + "\n" if line.startswith("e ") else line
+        for line in reduced.splitlines(True)
+    )
     assert broken != good
     mp.write_text(broken)
-    # every id still exists and every 'M g' line still names its gadget's
-    # images, but image 1 would lift to vertex 0, which misses edge 1-2
+    # the reduced instance swaps vertices 0 and 1, so every id still exists,
+    # but the stash {1} would leave the gadget of edge 1-2 standing
     code, out, err = invoke("lift", "--map", str(mp), "--stash", str(stash))
     assert code == 2 and not out
-    line = broken.splitlines().index("M v 0 1") + 1
-    assert err == f"error: line {line}: expected 'M v 0 0', got 'M v 0 1'\n"
+    line = broken.splitlines().index("e 1 3") + 1
+    assert err == f"error: line {line}: expected 'e 0 3', got 'e 1 3'\n"
 
 
 def test_map_with_wrong_edge_owner_is_input_error(tmp_path):
@@ -313,14 +322,25 @@ def test_map_with_wrong_edge_owner_is_input_error(tmp_path):
     stash.write_text("S v 0\n")
     assert invoke("lift", "--map", str(mp), "--stash", str(stash))[1] == "S e 10\n"
     good = mp.read_text()
-    broken = good.replace("M e 10 0\n", "M e 10 4\n")  # edge 10 is vertex 0's E* edge
-    assert broken != good
+    # edge 10 is vertex 0's E* edge; a trailing line claims it for vertex 4
+    broken = good + "M e 10 4\n"
     mp.write_text(broken)
     stash.write_text("S e 10\n")
     code, out, err = invoke("lift", "--map", str(mp), "--stash", str(stash))
     assert code == 2 and not out
-    line = broken.splitlines().index("M e 10 4") + 1
-    assert err == f"error: line {line}: expected 'M e 10 0', got 'M e 10 4'\n"
+    line = len(broken.splitlines())
+    assert err == f"error: line {line}: expected '', got 'M e 10 4'\n"
+
+
+def test_old_format_map_is_input_error(files, tmp_path):
+    # maps once also listed every lookup table as 'M v', 'M g', 'M e' and
+    # 'M n' lines after the reduced instance; the first of them is refused
+    mp, stash = _triangle_vc_map(files, tmp_path)
+    good = mp.read_text()
+    mp.write_text(good + "M v 0 0\nM v 1 1\nM v 2 2\nM g 3 0 1\n")
+    code, out, err = invoke("lift", "--map", str(mp), "--stash", str(stash))
+    line = len(good.splitlines()) + 1
+    assert (code, out, err) == (2, "", f"error: line {line}: expected '', got 'M v 0 0'\n")
 
 
 @pytest.mark.parametrize("text, message", [

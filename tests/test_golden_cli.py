@@ -124,8 +124,8 @@ GOLDEN = {
     "2edge-g2": "93bc343f6d0dce29f66be8e47f272b87ca87da923e6d01ac792b263b90617755",
     "cover-g2": "37a8b8ea300a700cb32296f1a166fcb811e2c10237d8628c1ea3dc5f5a8521ee",
     "cover-vc": "c343d41d84ab488498e4d4fbd6a08191600b869264ea74f22d66bfec759b3f4c",
-    "reduce-vc": "0a9477020db9e3345edd8ae3870ba16f35ab6ae1b79cfa69c78ceeba51ed8c2e",
-    "reduce-vstash": "849dad64e65de82a7844fdb6c03bef8c464f174fde672d21f4ab70190be3c18a",
+    "reduce-vc": "a4c2528ce70fa2a79c2ce12b10b7f9650849d3d9bc9a62405b64896cb8185f69",
+    "reduce-vstash": "a22a00b3e42390c256ebf568924401d9e13df278003aa4fa16671215ea5703c7",
     "exact-vc-red": "c343d41d84ab488498e4d4fbd6a08191600b869264ea74f22d66bfec759b3f4c",
     "lift-vc": "07a7320d4216c90ea9c96bc780a67969cff52fef0a38d6f9f1b30522706d5caa",
     "greedy-vc-red": "c8e75d24f4f3c7041acdf7c046c02ad613affc03aa6e98c6a6e427df901d40de",

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import textwrap
 
 import pytest
@@ -27,6 +28,7 @@ from stashpeel import (
     reduce_vertex_to_edge_stash,
     serialize_map,
 )
+from stashpeel.reductions import REDUCTIONS
 
 from helpers import complete_graph, mkgraph, run_python, triangle
 
@@ -63,9 +65,8 @@ def test_original_vertices_keep_only_gadget_edges():
     for k, d in PAIRS:
         reduced, rmap = reduce_vc_to_vertex_stash(g, k, d)
         # the original vertices keep their ids in the reduced instance
-        assert rmap.vertex_map == {v: v for v in g.vertices}
         for v in g.vertices:
-            assert reduced.degree(rmap.vertex_map[v]) == k * g.degree(v)
+            assert reduced.degree(v) == k * g.degree(v)
 
 
 def test_vc_reduction_parameter_errors():
@@ -82,11 +83,10 @@ def test_vc_reduction_parameter_errors():
 
 def _gadget_vertices(rmap, e):
     """Internal vertices of the cover gadget that replaced original edge e:
-    those on its reduced edges that are not images, each sent by
-    ``gadget_of`` to the images of e's endpoints."""
-    images = set(rmap.vertex_map.values())
-    inside = {w for f in rmap.edge_map[e] for w in rmap.reduced.edge_vertices(f)} - images
-    ends = tuple(rmap.vertex_map[v] for v in rmap.original.edge_vertices(e))
+    those on its reduced edges that are not original vertices, each sent by
+    ``gadget_of`` to e's endpoints."""
+    inside = {w for f in rmap.edge_map[e] for w in rmap.reduced.edge_vertices(f)} - set(rmap.original.vertices)
+    ends = rmap.original.edge_vertices(e)
     assert inside and all(rmap.gadget_of[w] == ends for w in inside)
     return sorted(inside)
 
@@ -103,26 +103,26 @@ def test_normalize_replaces_gadget_vertex_with_endpoint():
 def test_normalize_keeps_original_only_stashes():
     g = triangle()
     _, rmap = reduce_vc_to_vertex_stash(g, 2, 2)
-    originals = {rmap.vertex_map[0], rmap.vertex_map[1]}
+    originals = {0, 1}
     assert normalize_stash(rmap, originals) == originals
-    everyone = frozenset(rmap.vertex_map.values())
+    everyone = frozenset(g.vertices)
     assert normalize_stash(rmap, everyone) == everyone
 
 
 def test_normalize_never_grows_mixed_stashes():
     g = triangle()
     _, rmap = reduce_vc_to_vertex_stash(g, 3, 2)
-    mixed = {rmap.vertex_map[0]} | {_gadget_vertices(rmap, 1)[0]}
+    mixed = {0, _gadget_vertices(rmap, 1)[0]}
     normalized = normalize_stash(rmap, mixed)
     assert len(normalized) <= len(mixed)
-    assert normalized <= set(rmap.vertex_map.values())
+    assert normalized <= set(g.vertices)
 
 
 def test_normalize_rejects_invalid_stash():
     g = triangle()
     _, rmap = reduce_vc_to_vertex_stash(g, 2, 2)
     with pytest.raises(ContractViolationError):
-        normalize_stash(rmap, {rmap.vertex_map[0]})  # one vertex is not enough
+        normalize_stash(rmap, {0})  # one vertex is not enough
     with pytest.raises(ContractViolationError):
         normalize_stash(rmap, {10**6})
 
@@ -341,7 +341,10 @@ def test_audit_p1_reports_miswired_graph_and_ports():
     e = 0
     v = g.edge_vertices(e)[0]
     (shared,) = rmap.edge_map[e]
-    attach, primary = dict(rmap.ports[v])[e], rmap.vertex_map[v]
+    # v's gadget is embedded whole, so its first vertex, the primary node,
+    # is the lowest one on the gadget's own edges
+    inner = {f for f, o in rmap.owner.items() if o == v} - {f for f, in rmap.edge_map.values()}
+    attach, primary = dict(rmap.ports[v])[e], min(w for f in inner for w in rmap.reduced.edge_vertices(f))
     assert primary not in rmap.reduced.edge_vertices(shared)
     rewired = dataclasses.replace(rmap, reduced=_rewired(rmap.reduced, shared, attach, primary))
     problems = audit_p1(rewired)
@@ -399,49 +402,51 @@ def test_parse_map_reports_a_bad_original_section_at_its_own_line(text, message)
     assert str(exc.value) == f"line 3: {message}"
 
 
-def _edit_lines(text, kind, edit):
-    """Apply `edit` to each 'M <kind>' line's ids; None drops the line."""
-    out = []
-    for line in text.splitlines():
-        fields = line.split()
-        if fields[:2] == ["M", kind]:
-            ids = edit([int(x) for x in fields[2:]])
-            if ids is None:
-                continue
-            line = " ".join(["M", kind, *map(str, ids)])
-        out.append(line)
-    return "\n".join(out) + "\n"
-
-
-# each case breaks one map line; `defect` names what the edit breaks
-@pytest.mark.parametrize("direction, kind, edit, defect", [
-    ("vstash", "v", lambda ids: None if ids[0] == 1 else ids, "original vertex 1 has no 'M v' line"),
-    ("vc", "v", lambda ids: [ids[0] + 50, ids[1]], "is not an original vertex"),
-    ("vc", "g", lambda ids: None if ids[0] == 7 else ids, "reduced vertex 7 has no 'M g' line"),
-    ("vc", "g", lambda ids: [ids[0], ids[1], ids[0]], "is not an image"),
-    ("vc", "n", lambda ids: ids + [10_000], "10000 is not a reduced edge"),
-    ("vstash", "e", lambda ids: None if ids[0] == 3 else ids, "reduced edge 3 has no 'M e' line"),
-    ("vstash", "e", lambda ids: [ids[0], 4], "4 is not an original vertex"),
-    ("vstash", "v", lambda ids: [ids[0], ids[1], -1], "-1 is not a reduced edge"),
-    ("vstash", "n", lambda ids: [ids[0] + 50, *ids[1:]], "is not an original edge"),
+# each case breaks one map; `edit` takes the map's lines and the index of
+# the first 'e' line of its reduced instance, and returns the broken lines
+@pytest.mark.parametrize("direction", ["vc", "vstash"])
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda lines, i: [*lines[:i], lines[i].rsplit(" ", 1)[0] + " 10000", *lines[i + 1:]],
+                 id="vertex-id-out-of-range"),
+    pytest.param(lambda lines, i: [*lines[:i], lines[i + 1], lines[i], *lines[i + 2:]], id="edges-swapped"),
+    pytest.param(lambda lines, i: [*lines[:i + 2], *lines[i + 3:]], id="edge-dropped"),
+    pytest.param(lambda lines, i: [*lines[:i - 1], lines[i - 1] + "0", *lines[i:]], id="edge-count-changed"),
+    pytest.param(lambda lines, i: [*lines, "e 0 1"], id="trailing-line"),
+    pytest.param(lambda lines, i: [*lines, "M v 0 0"], id="old-format-table-line"),
 ])
-def test_parse_map_checks_references(direction, kind, edit, defect):
+def test_parse_map_checks_references(direction, edit):
     if direction == "vc":
         rmap = reduce_vc_to_vertex_stash(triangle(), 2, 2)[1]
     else:
         rmap = reduce_vertex_to_edge_stash(gen_random(4, 5, 2, 9), 3, 2)[1]
-    text = serialize_map(rmap)
-    broken = _edit_lines(text, kind, edit)
-    assert broken != text
+    lines = serialize_map(rmap).splitlines()
+    broken = edit(lines, lines.index("G reduced") + 2)
     # the edit leaves every line before it intact, so the first line that
-    # differs from the intact map is the one to report
-    pairs = enumerate(zip(text.splitlines(), broken.splitlines()), start=1)
+    # differs from the intact map is the one to report; '' is the end
+    pairs = enumerate(itertools.zip_longest(lines, broken, fillvalue=""), start=1)
     line, want, got = next((i, a, b) for i, (a, b) in pairs if a != b)
-    assert got.startswith(f"M {kind} ")
+    assert line > lines.index("G reduced")
     with pytest.raises(ParseError) as exc:
-        parse_map(broken)
+        parse_map("\n".join(broken) + "\n")
     assert str(exc.value) == f"line {line}: expected {want!r}, got {got!r}"
     assert exc.value.line == line
+
+
+@pytest.mark.parametrize("direction", ["vc", "vstash"])
+def test_parse_map_accepts_every_map_in_the_size_guards_range(direction):
+    # parse_map refuses a text shorter than a lower bound on its reduced
+    # edges; that bound is claimed for k = 2..20 and d = 2..5, so no valid
+    # map of a small original there may be refused (k is sampled)
+    for k, d in itertools.product((2, 3, 4, 6, 9, 13, 20), range(2, 6)):
+        if direction == "vc":
+            originals = (mkgraph(1, []), mkgraph(2, [(0, 1)]), triangle())
+        elif (k, d) == (2, 2):
+            continue  # the one case the stash reduction does not cover
+        else:
+            originals = (mkgraph(1, [], d), mkgraph(d, [tuple(range(d))], d)) + ((triangle(),) if d == 2 else ())
+        for g in originals:
+            rmap = REDUCTIONS[direction](g, k, d)[1]
+            assert parse_map(serialize_map(rmap)) == rmap, (k, d, g.num_vertices, g.num_edges)
 
 
 def test_certificate_checks_survive_python_optimize():
@@ -465,7 +470,7 @@ def test_certificate_checks_survive_python_optimize():
         _, vs = reductions.reduce_vertex_to_edge_stash(tri, 3, 2)
         pushed = reductions.push_vertex_stash(vs, {0})
         collapsed = dataclasses.replace(vs, estar_pick=dict.fromkeys(vs.estar_pick, min(pushed)))
-        cover = {vc.vertex_map[0], vc.vertex_map[1]}
+        cover = {0, 1}
         cases = (
             (certificate_core_nonempty, lambda: reductions.normalize_stash(vc, cover)),
             (certificate_core_nonempty, lambda: reductions.push_vertex_stash(vs, {0})),
@@ -490,13 +495,30 @@ def test_certificate_checks_survive_python_optimize():
 
 def test_broken_map_is_input_error_under_python_optimize(tmp_path):
     text = serialize_map(reduce_vc_to_vertex_stash(triangle(), 2, 2)[1])
-    broken = text.replace("M g 5 1 2\n", "M g 5 0 1\n")
+    broken = text.replace("e 2 5\n", "e 0 5\n")
     assert broken != text
     mp = tmp_path / "tri.map"
     mp.write_text(broken)
     stash = tmp_path / "stash.txt"
     stash.write_text("S v 0 5\n")
     proc = run_python("-O", "-m", "stashpeel", "lift", "--map", str(mp), "--stash", str(stash))
-    line = broken.splitlines().index("M g 5 0 1") + 1
+    line = broken.splitlines().index("e 0 5") + 1
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == f"error: line {line}: expected 'M g 5 1 2', got 'M g 5 0 1'\n"
+    assert proc.stderr == f"error: line {line}: expected 'e 2 5', got 'e 0 5'\n"
+
+
+def test_old_format_map_is_input_error_under_python_optimize(tmp_path):
+    # maps once also listed every lookup table after the reduced instance
+    rmap = reduce_vc_to_vertex_stash(triangle(), 2, 2)[1]
+    text = serialize_map(rmap)
+    tables = [f"M v {v} {v}" for v in range(rmap.original.num_vertices)]
+    tables += [f"M g {w} {u} {x}" for w, (u, x) in sorted(rmap.gadget_of.items())]
+    tables += [f"M n {e} " + " ".join(map(str, ids)) for e, ids in sorted(rmap.edge_map.items())]
+    mp = tmp_path / "tri.map"
+    mp.write_text(text + "\n".join(tables) + "\n")
+    stash = tmp_path / "stash.txt"
+    stash.write_text("S v 0 5\n")
+    proc = run_python("-O", "-m", "stashpeel", "lift", "--map", str(mp), "--stash", str(stash))
+    line = len(text.splitlines()) + 1
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: line {line}: expected '', got 'M v 0 0'\n"

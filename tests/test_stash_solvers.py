@@ -169,6 +169,19 @@ def test_negative_size_cap_is_a_parameter_error(solver):
         solver(*args, size_cap=-1)
 
 
+@pytest.mark.parametrize("solver", (min_vertex_stash_exact, min_edge_stash_exact))
+def test_bad_size_cap_is_refused_before_any_peeling(solver, monkeypatch):
+    built = []
+    monkeypatch.setattr(stash_solvers, "PeelCore", lambda *args: built.append(args))
+    for cap in (-1, 2.0):
+        with pytest.raises(ParameterError):
+            solver(triangle(), 2, size_cap=cap)
+    # a bad k is still the error reported when the cap is bad too
+    with pytest.raises(ParameterError, match="^k must be at least 1, got 0$"):
+        solver(triangle(), 0, size_cap=-1)
+    assert built == []
+
+
 @settings(max_examples=40, deadline=None)
 @given(hypergraphs(d=2, max_vertices=6, max_edges=8))
 def test_cover_equals_one_stash(g):
