@@ -3,8 +3,12 @@
 A gadget is a hypergraph fragment plus a description of where future
 neighboring edges attach (its ports) and which internal edges are
 designated stashable (its E* set).  Builders only create internal
-structure; the neighboring edges themselves are created later, either by
-an embedding (reductions) or by the check harness.  Builders hand out
+structure; the neighboring edges themselves are created later, by a
+reduction or by the check harness.  A reduction copies a template into
+its output with ``embed_graph``, once per gadget: a pk gadget as built,
+whose ports are joined afterwards, or the ck gadget with its port edges
+already on two vertices that the copy maps onto the original edge's
+endpoints, its external ends.  Builders hand out
 vertices in the order the construction uses them: a block returns its hub
 tuple, a chain takes each block's hubs one wiring at a time, and the
 stable tree queues the central vertex of each free port.  The harness is a
@@ -65,7 +69,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from itertools import chain, combinations, compress
 
-from .errors import ParameterError, check_ints
+from .errors import NotFoundError, ParameterError, check_ints
 from .hypergraph import Hypergraph
 from .peeling import PeelCore
 
@@ -119,15 +123,35 @@ class GadgetReport:
         return [c for c in self.checks if not c.passed]
 
 
-def embed_graph(g: Hypergraph, target: Hypergraph) -> tuple[int, int]:
-    """Append a copy of g to target, every id shifted past target's own;
-    returns the (vertex, edge) offsets, so g's vertex v is target's v + the
-    first and g's edge e is target's e + the second."""
-    if g.d != target.d:
-        raise ParameterError(f"edge needs {target.d} vertices, got {g.d}")
-    dv, de = target.num_vertices, target.num_edges
-    target._edges.extend([tuple(v + dv for v in vs) for vs in g._edges])
-    target._incidence.extend([[e + de for e in es] for es in g._incidence])
+def embed_graph(g: Hypergraph, target: Hypergraph, external=()) -> tuple[int, int]:
+    """Append a copy of g to target and return its (vertex, edge) offsets.
+
+    g's first ``len(external)`` vertices are the target vertices listed in
+    ``external``, in order; every other vertex v of g becomes target's
+    v + the first offset, and every edge e of g target's e + the second.
+    The copied edges' ids are past all of target's, so each external end
+    takes them at the tail of its incidence list, still ascending.  Edges
+    are copied without ``add_edge``'s per-edge checks: g's edges already
+    passed them, so only the arity and the ends are checked here.
+    """
+    if g._d != target._d:
+        raise ParameterError(f"edge needs {target._d} vertices, got {g._d}")
+    ends = tuple(external)
+    n, de = len(target._incidence), len(target._edges)
+    if len(ends) > len(g._incidence):
+        raise ParameterError(f"{len(ends)} external ends for a graph of {len(g._incidence)} vertices")
+    if len(set(ends)) != len(ends):
+        raise ParameterError(f"external ends repeat a vertex: {ends}")
+    for v in ends:
+        # has_vertex, inlined: a reduction embeds once per original edge
+        if not (isinstance(v, int) and 0 <= v < n):
+            raise NotFoundError(f"unknown vertex id {v}")
+    dv = n - len(ends)
+    ids = [*ends, *range(n, dv + len(g._incidence))]
+    target._edges.extend(zip(*[map(ids.__getitem__, chain.from_iterable(g._edges))] * g._d))
+    for v, es in zip(ends, g._incidence):
+        target._incidence[v].extend([e + de for e in es])
+    target._incidence.extend([[e + de for e in es] for es in g._incidence[len(ends):]])
     return dv, de
 
 

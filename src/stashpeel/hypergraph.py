@@ -45,6 +45,9 @@ class Hypergraph:
         return len(self._incidence) - 1
 
     def add_vertices(self, count: int) -> list[int]:
+        check_ints(count=count)
+        if count < 0:
+            raise ParameterError(f"vertex count must be non-negative, got {count}")
         n = len(self._incidence)
         self._incidence.extend([] for _ in range(count))
         return list(range(n, len(self._incidence)))

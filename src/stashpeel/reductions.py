@@ -13,6 +13,14 @@ can be checked end to end on small instances:
   simulates stashing v; stashes push forward with equal size and lift back
   without growing.
 
+Each build makes its templates once, through ``Hypergraph.add_edge`` and
+its checks, and copies one per gadget by offset with
+``gadgets.embed_graph``: the cover direction's template is the
+edge-replacement gadget with its port edges, on two external ends that
+each copy maps to its edge's endpoints, and the stash direction has one
+wrapper template per vertex degree.  The lookup tables are filled from
+the id ranges the copies take.
+
 Reduction maps carry the original and reduced instances plus the lookup
 tables that normalizing, pushing, lifting and auditing read: ``edge_map``
 and ``gadget_of`` for the cover direction; ``edge_map``, ``estar_pick``,
@@ -105,19 +113,25 @@ def reduce_vc_to_vertex_stash(g: Hypergraph, k: int, d: int) -> tuple[Hypergraph
         raise ParameterError(f"reduction needs k >= 2 and d >= 2, got k={k}, d={d}")
     out = Hypergraph(d)
     out.add_vertices(g.num_vertices)
-    gadget = build_ck_gadget(k, d) if g.num_edges else None
     gadget_of: dict[int, tuple[int, int]] = {}
     edge_map: dict[int, tuple[int, ...]] = {}
-    for e in range(g.num_edges):
-        u, v = g.edge_vertices(e)
-        dv, de = embed_graph(gadget.graph, out)
-        edges = list(range(de, de + gadget.graph.num_edges))
-        for port, endpoint in zip(gadget.ports, (u, v)):
+    # only an original with edges needs the template, and parse_map's size
+    # guard lets an edgeless one ask for any k
+    if g.num_edges:
+        # an edge's endpoints as vertices 0 and 1, then its gadget, then
+        # the u and v port edges, each checked by add_edge
+        gadget = build_ck_gadget(k, d)
+        template = Hypergraph(d)
+        template.add_vertices(2)
+        dv = embed_graph(gadget.graph, template)[0]
+        for endpoint, port in enumerate(gadget.ports):
             for attach in port.edges:
-                edges.append(out.add_edge((endpoint, *(dv + a for a in attach))))
-        for w in range(dv, dv + gadget.graph.num_vertices):
-            gadget_of[w] = (u, v)
-        edge_map[e] = tuple(edges)
+                template.add_edge((endpoint, *(dv + a for a in attach)))
+        size, count = template.num_vertices, template.num_edges
+    for e, ends in enumerate(g._edges):
+        dv, de = embed_graph(template, out, external=ends)
+        gadget_of.update(dict.fromkeys(range(dv + 2, dv + size), ends))
+        edge_map[e] = tuple(range(de, de + count))
     return out, ReductionMap(
         direction="vc",
         k=k,
@@ -182,8 +196,7 @@ def reduce_vertex_to_edge_stash(g: Hypergraph, k: int, d: int) -> tuple[Hypergra
             built[len(incident)] = build_pk_gadget(len(incident), k, d)
         gadget = built[len(incident)]
         dv, de = embed_graph(gadget.graph, out)
-        for fe in range(de, de + gadget.graph.num_edges):
-            owner[fe] = v
+        owner.update(dict.fromkeys(range(de, out.num_edges), v))
         estar_pick[v] = de + min(gadget.estar)
         ports[v] = tuple((e, dv + port.edges[0][0]) for e, port in zip(incident, gadget.ports))
     # ports follow incidence order, which is ascending edge order, so the

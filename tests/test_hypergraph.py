@@ -53,6 +53,21 @@ def test_ids_never_reused():
     assert (g.vertices, set(g.edges)) == (set(range(6)), set(range(4)))
 
 
+def test_add_vertices_refuses_a_negative_count():
+    g = triangle()
+    with pytest.raises(ParameterError, match="^vertex count must be non-negative, got -2$"):
+        g.add_vertices(-2)
+    assert g.num_vertices == 3
+
+
+@pytest.mark.parametrize("bad", [2.0, True, "2"], ids=repr)
+def test_add_vertices_refuses_a_non_integer_count(bad):
+    g = triangle()
+    with pytest.raises(ParameterError, match="^count must be an integer"):
+        g.add_vertices(bad)
+    assert g.num_vertices == 3
+
+
 @pytest.mark.parametrize("bad", [-1, 3, 10**9])
 def test_bad_ids_are_rejected(bad):
     g = triangle()

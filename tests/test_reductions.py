@@ -6,6 +6,7 @@ import pytest
 
 from stashpeel import (
     ContractViolationError,
+    Hypergraph,
     InvalidArityError,
     ParameterError,
     ParseError,
@@ -288,6 +289,48 @@ def test_peelability_equivalence_random():
         g = gen_random(4, 4, 3, seed)
         fg, _ = reduce_vertex_to_edge_stash(g, 2, 3)
         assert is_k_peelable(g, 2) == is_k_peelable(fg, 2)
+
+
+# -- embedding by offset ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3])
+def test_reduced_edges_are_what_add_edge_would_build(k, d):
+    # the embedding copies template edges without add_edge's per-edge
+    # checks; re-adding every reduced edge through add_edge must accept
+    # each one and reproduce the edge list and incidence index exactly
+    reduced = [reduce_vc_to_vertex_stash(gen_random(9, 14, 2, seed), k, d)[0] for seed in range(3)]
+    if (k, d) != (2, 2):
+        reduced += [reduce_vertex_to_edge_stash(gen_random(9, 12, d, seed), k, d)[0] for seed in range(3)]
+    for fg in reduced:
+        again = Hypergraph(d)
+        again.add_vertices(fg.num_vertices)
+        for vs in fg._edges:
+            again.add_edge(vs)
+        assert (again._edges, again._incidence) == (fg._edges, fg._incidence)
+        fg.validate()
+
+
+@pytest.mark.parametrize("k, d", PAIRS)
+def test_vc_build_adds_no_edge_per_original_edge(k, d, monkeypatch):
+    # add_edge runs only on the one template a build embeds, so its calls
+    # do not grow with the original
+    originals = (mkgraph(2, [(0, 1)]), gen_random(30, 50, 2, 1))
+    calls = []
+    add_edge = Hypergraph.add_edge
+
+    def counted(self, vertices):
+        calls.append(vertices)
+        return add_edge(self, vertices)
+
+    monkeypatch.setattr(Hypergraph, "add_edge", counted)
+    counts = []
+    for g in originals:
+        calls.clear()
+        reduce_vc_to_vertex_stash(g, k, d)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def _estar_edges(rmap, v):
