@@ -22,13 +22,14 @@ as its stash and reads which gadget vertices it leaves alive, so no check
 copies the harness or builds a trace.  ``run_gadget_grid`` builds and
 checks every family over a (k, d) grid, each where it exists.
 
-Every checker decides one threshold contract, and only its t differs:
-with every port present nothing in the block peels, the block fully
-peels iff at least t of its ports are removed, and stashing any one E*
-edge, every port present, fully peels it.  t is 1 for ck and the
-b-blocks, the port count for stable blocks, and max(0, delta-k+1) for a
-pk gadget of degree delta; at t = 0 the block must peel with nothing
-removed, so the first clause is not asked.
+One checker, ``check_gadget``, decides every family's threshold
+contract, with t read off the gadget's kind: with every port present
+nothing in the block peels, the block fully peels iff at least t of its
+ports are removed, and stashing any one E* edge, every port present,
+fully peels it.  t is 1 for ck and the b-blocks, the port count for the
+three stable kinds, and max(0, delta-k+1) for a pk gadget of degree
+delta; at t = 0 the block must peel with nothing removed, so the first
+clause is not asked.
 
 The sweep leans on monotonicity: removing more edges never lets more of a
 graph stay in its k-core, so a block that fully peels under one removal
@@ -144,7 +145,7 @@ def embed_graph(g: Hypergraph, target: Hypergraph, external=()) -> tuple[int, in
         raise ParameterError(f"external ends repeat a vertex: {ends}")
     for v in ends:
         # has_vertex, inlined: a reduction embeds once per original edge
-        if not (isinstance(v, int) and 0 <= v < n):
+        if not (type(v) is int and 0 <= v < n):
             raise NotFoundError(f"unknown vertex id {v}")
     dv = n - len(ends)
     ids = [*ends, *range(n, dv + len(g._incidence))]
@@ -538,9 +539,10 @@ def _report_params(gadget: Gadget) -> dict[str, int]:
     return {**gadget.params, "parallel_edges": parallel}
 
 
-def _threshold_report(gadget: Gadget, t: int) -> GadgetReport:
-    """Decide the module's threshold contract at t, one row per clause and
-    one per E* edge.
+def check_gadget(gadget: Gadget) -> GadgetReport:
+    """Decide the module's threshold contract at the t of the gadget's
+    kind, one row per clause and one per E* edge; a kind with no contract
+    is a ParameterError.
 
     The intact harness is peeled once: it decides the first row, asked
     only when t >= 1, and it is the frontier's empty removal, which is
@@ -548,6 +550,15 @@ def _threshold_report(gadget: Gadget, t: int) -> GadgetReport:
     ``combinations`` order, drawn one at a time until one breaks the
     contract; that one is the witness.
     """
+    kind, n = gadget.kind, len(gadget.ports)
+    if kind in ("ck", "b2", "b3"):
+        t = 1
+    elif kind in ("simple-stable", "stable", "tree-stable"):
+        t = n
+    elif kind == "pk":
+        t = max(0, n - gadget.params["k"] + 1)
+    else:
+        raise ParameterError(f"no threshold contract for gadget kind {kind!r}")
     harness = build_harness(gadget)
     names = [p.name for p in gadget.ports]
     intact = _survivors(harness)
@@ -564,47 +575,12 @@ def _threshold_report(gadget: Gadget, t: int) -> GadgetReport:
         if (not surv) != expect_peel:
             witness = f"removed={list(removed)} expected_peel={expect_peel} survivors={surv}"
             break
-    name = f"peels_iff_at_least_{t}_of_{len(names)}_ports_removed"
+    name = f"peels_iff_at_least_{t}_of_{n}_ports_removed"
     checks.append(CheckResult(name, not witness, witness))
     for e in sorted(gadget.estar):
         surv = _survivors(harness, (e,))
         checks.append(CheckResult(f"estar_{e}_peels", not surv, f"stash_edge={e} survivors={surv}" if surv else ""))
-    return GadgetReport(gadget.kind, _report_params(gadget), tuple(checks))
-
-
-# -- checkers -----------------------------------------------------------------
-
-
-def check_ck_properties(gadget: Gadget) -> GadgetReport:
-    """The edge-replacement gadget's contract at t = 1: nothing peels with
-    both ports present, and removing the u port edges (or the v ones)
-    empties the gadget's k-core -- as far as the gadget can see, that is
-    what stashing u does."""
-    return _threshold_report(gadget, 1)
-
-
-def check_b_block(gadget: Gadget) -> GadgetReport:
-    """The b-block contract at t = 1: nothing peels with every neighboring
-    edge present, and removing any one of them fully peels the block."""
-    return _threshold_report(gadget, 1)
-
-
-def check_stable_block(gadget: Gadget) -> GadgetReport:
-    """The stable-block contract at t = m, the port count: nothing peels
-    with every neighboring edge present, the block fully peels only once
-    all m are removed, and stashing any recorded E* edge fully peels it
-    with every neighboring edge still present.  A block with no ports must
-    peel with nothing removed."""
-    return _threshold_report(gadget, len(gadget.ports))
-
-
-def check_pk_gadget(gadget: Gadget) -> GadgetReport:
-    """The per-vertex wrapper's peel/stash simulation contract at
-    t = max(0, delta-k+1): with no internal stash the gadget fully peels
-    iff fewer than k of its delta neighboring edges remain, nothing peels
-    while all remain (when delta >= k), and stashing any E* edge fully
-    peels it regardless."""
-    return _threshold_report(gadget, max(0, len(gadget.ports) - gadget.params["k"] + 1))
+    return GadgetReport(kind, _report_params(gadget), tuple(checks))
 
 
 # -- parameter grid -----------------------------------------------------------
@@ -623,17 +599,20 @@ def run_gadget_grid(ks=GRID_K, ds=GRID_D) -> list[GadgetReport]:
     with d >= 3.  Reports come family by family, each in (k, d) order; the
     defaults are the CI grid.
     """
+    ks, ds = list(ks), list(ds)
+    for k in ks:
+        check_ints(k=k)
+    for d in ds:
+        check_ints(d=d)
     ds = [d for d in ds if d >= 2]
     block_ks = [k for k in ks if k >= 3]
-    reports = [check_ck_properties(build_ck_gadget(k, d)) for k in ks if k >= 2 for d in ds]
+    reports = [check_gadget(build_ck_gadget(k, d)) for k in ks if k >= 2 for d in ds]
     for b in (2, 3):
-        reports += [check_b_block(build_b_block(b, k, d)) for k in block_ks for d in ds]
+        reports += [check_gadget(build_b_block(b, k, d)) for k in block_ks for d in ds]
     for k in block_ks:
         for d in ds:
-            reports += [check_stable_block(build_simple_stable_block(m, k, d)) for m in range(1, k)]
-            reports += [check_stable_block(build_stable_block(m, k, d)) for m in GRID_M]
+            reports += [check_gadget(build_simple_stable_block(m, k, d)) for m in range(1, k)]
+            reports += [check_gadget(build_stable_block(m, k, d)) for m in GRID_M]
     if 2 in ks:
-        reports += [
-            check_stable_block(build_tree_stable_block(p, d)) for d in ds if d >= 3 for p in GRID_P
-        ]
+        reports += [check_gadget(build_tree_stable_block(p, d)) for d in ds if d >= 3 for p in GRID_P]
     return reports

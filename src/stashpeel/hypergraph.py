@@ -62,7 +62,7 @@ class Hypergraph:
         n = len(self._incidence)
         for v in vs:
             # has_vertex, inlined: the builders add edges by the thousand
-            if not (isinstance(v, int) and 0 <= v < n):
+            if not (type(v) is int and 0 <= v < n):
                 raise NotFoundError(f"unknown vertex id {v}")
         eid = len(self._edges)
         self._edges.append(vs)
@@ -97,10 +97,10 @@ class Hypergraph:
     # before it is used as one.
 
     def has_vertex(self, v: int) -> bool:
-        return isinstance(v, int) and 0 <= v < len(self._incidence)
+        return type(v) is int and 0 <= v < len(self._incidence)
 
     def has_edge(self, e: int) -> bool:
-        return isinstance(e, int) and 0 <= e < len(self._edges)
+        return type(e) is int and 0 <= e < len(self._edges)
 
     def edge_vertices(self, e: int) -> tuple[int, ...]:
         if not self.has_edge(e):
@@ -269,7 +269,10 @@ def parse_stash(text: str) -> tuple[str, list[int]]:
 
 
 def format_stash(kind: str, ids: Iterable[int]) -> str:
+    """Render a stash as ``parse_stash`` reads it; every id must be an int."""
     if kind not in ("v", "e"):
         raise ParameterError(f"stash kind must be 'v' or 'e', got {kind!r}")
-    parts = " ".join(str(i) for i in sorted(ids))
-    return f"S {kind} {parts}".rstrip() + "\n"
+    ids = sorted(ids)
+    for i in ids:
+        check_ints(id=i)
+    return f"S {kind} {' '.join(map(str, ids))}".rstrip() + "\n"

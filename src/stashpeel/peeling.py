@@ -44,7 +44,7 @@ class PeelTrace:
     core_edges: frozenset[int]
 
     def __post_init__(self):
-        check_ints(k=self.k)
+        check_k(self.k)
 
     @property
     def core_empty(self) -> bool:

@@ -47,7 +47,7 @@ from .gadgets import (
     GadgetReport,
     build_ck_gadget,
     build_pk_gadget,
-    check_pk_gadget,
+    check_gadget,
     embed_graph,
 )
 from .hypergraph import Hypergraph, parse, serialize
@@ -289,7 +289,7 @@ def audit_pk_properties(rmap: ReductionMap) -> list[GadgetReport]:
     if rmap.direction != "vstash":
         raise ParameterError("audit_pk_properties applies to stash-reduction maps")
     degrees = sorted(set(map(len, rmap.original._incidence)))
-    return [check_pk_gadget(build_pk_gadget(delta, rmap.k, rmap.d)) for delta in degrees]
+    return [check_gadget(build_pk_gadget(delta, rmap.k, rmap.d)) for delta in degrees]
 
 
 # -- sidecar text format -------------------------------------------------------

@@ -16,10 +16,7 @@ from stashpeel import (
     build_simple_stable_block,
     build_stable_block,
     build_tree_stable_block,
-    check_b_block,
-    check_ck_properties,
-    check_pk_gadget,
-    check_stable_block,
+    check_gadget,
     gen_random,
     greedy_stash,
     k_core,
@@ -121,21 +118,21 @@ def test_criterion_4_gadget_grid_and_negative_controls():
         if not r.all_passed
     ]
     controls = [
-        (check_ck_properties, build_ck_gadget(3, 2)),
-        (check_ck_properties, build_ck_gadget(4, 3)),
-        (check_b_block, build_b_block(2, 3, 2)),
-        (check_b_block, build_b_block(3, 4, 2)),
-        (check_b_block, build_b_block(3, 5, 3)),
-        (check_stable_block, build_simple_stable_block(2, 3, 2)),
-        (check_stable_block, build_stable_block(5, 4, 2)),
-        (check_stable_block, build_tree_stable_block(2, 3)),
+        build_ck_gadget(3, 2),
+        build_ck_gadget(4, 3),
+        build_b_block(2, 3, 2),
+        build_b_block(3, 4, 2),
+        build_b_block(3, 5, 3),
+        build_simple_stable_block(2, 3, 2),
+        build_stable_block(5, 4, 2),
+        build_tree_stable_block(2, 3),
     ]
     detected = 0
-    for check, gadget in controls:
+    for gadget in controls:
         # the first edge always carries a degree-exactly-k vertex, so its
         # loss is observable (some later edges are harmlessly redundant)
         eid = sorted(gadget.graph.edges)[0]
-        report = check(gadget_without(gadget, edges=[eid]))
+        report = check_gadget(gadget_without(gadget, edges=[eid]))
         if not report.all_passed and all(c.witness for c in report.failures()):
             detected += 1
         else:
@@ -246,7 +243,7 @@ def test_criterion_7_wiring_audits():
     # each (delta, k, d) builds one deterministic gadget, so auditing the
     # distinct triples covers every gadget the corpus instantiated
     for delta, k, d in sorted(triples):
-        report = check_pk_gadget(build_pk_gadget(delta, k, d))
+        report = check_gadget(build_pk_gadget(delta, k, d))
         if not report.all_passed:
             violations.append((delta, k, d, report.failures()))
     _report(7, "P1-P3 audits", violations, time.time() - t0, 300.0,

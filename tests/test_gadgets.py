@@ -18,10 +18,7 @@ from stashpeel import (
     build_simple_stable_block,
     build_stable_block,
     build_tree_stable_block,
-    check_b_block,
-    check_ck_properties,
-    check_pk_gadget,
-    check_stable_block,
+    check_gadget,
     k_core_after,
     run_gadget_grid,
     serialize,
@@ -69,7 +66,7 @@ def test_ck_k2_d2_shape():
     assert g.graph.num_edges == 0  # both internal vertices touch only u and v
     assert [p.name for p in g.ports] == ["u", "v"]
     assert all(len(p.edges) == 2 for p in g.ports)  # two edges per side
-    assert check_ck_properties(g).all_passed
+    assert check_gadget(g).all_passed
 
 
 def test_ck_k3_d2_degrees_and_peel():
@@ -84,7 +81,7 @@ def test_ck_k3_d2_degrees_and_peel():
     assert neighbors(last) == {pool, middle}
     assert neighbors(middle) == {pool, first, last}
     assert [harness.graph.degree(x) for x in (first, middle, last)] == [3, 4, 3]
-    report = check_ck_properties(g)
+    report = check_gadget(g)
     assert report.all_passed  # includes: removing u empties the 3-core
 
 
@@ -104,14 +101,14 @@ def test_ck_k2_d3_has_one_dummy_on_every_edge():
     (dummy,) = g.meta["dummies"]
     for port in g.ports:
         assert all(dummy in attach for attach in port.edges)
-    assert check_ck_properties(g).all_passed
+    assert check_gadget(g).all_passed
 
 
 def test_ck_k3_d3_dummy_in_all_internal_edges():
     g = build_ck_gadget(3, 3)
     (dummy,) = g.meta["dummies"]
     assert all(dummy in vs for vs in g.graph.edges.values())
-    assert check_ck_properties(g).all_passed
+    assert check_gadget(g).all_passed
 
 
 def test_ck_port_sides_have_k_slots():
@@ -130,7 +127,7 @@ def test_ck_parameter_errors():
 def test_ck_negative_control_detects_missing_edge():
     g = build_ck_gadget(3, 2)
     mutated = drop_edge(g, sorted(g.graph.edges)[0])
-    report = check_ck_properties(mutated)
+    report = check_gadget(mutated)
     assert not report.all_passed
     assert all(c.witness for c in report.failures())
 
@@ -143,14 +140,14 @@ def test_2block_k3_shape():
     assert g.graph.num_vertices == 4  # two hubs over a 2-clique
     harness = build_harness(g)
     assert all(harness.graph.degree(v) >= 3 for v in range(harness.block))
-    assert check_b_block(g).all_passed
+    assert check_gadget(g).all_passed
 
 
 def test_3block_k3_is_single_vertex():
     g = build_b_block(3, 3, 2)
     assert g.graph.num_vertices == 1 and g.graph.num_edges == 0
     assert len(g.ports) == 3
-    assert check_b_block(g).all_passed
+    assert check_gadget(g).all_passed
 
 
 def test_3block_k5_layer2_degree():
@@ -158,7 +155,7 @@ def test_3block_k5_layer2_degree():
     harness = build_harness(g)
     degrees = sorted(harness.graph.degree(v) for v in range(harness.block))
     assert max(degrees) == 2 * 5 - 5  # deepest layer sits at degree 5
-    assert check_b_block(g).all_passed
+    assert check_gadget(g).all_passed
 
 
 def test_b_block_parameter_errors():
@@ -170,7 +167,7 @@ def test_b_block_parameter_errors():
 
 def test_2block_negative_control():
     g = build_b_block(2, 4, 2)
-    report = check_b_block(drop_edge(g, sorted(g.graph.edges)[0]))
+    report = check_gadget(drop_edge(g, sorted(g.graph.edges)[0]))
     bad = {c.name for c in report.failures()}
     assert "unpeelable_with_all_ports" in bad
 
@@ -184,20 +181,20 @@ def test_simple_stable_k3_m2_shape():
     harness = build_harness(g)
     central = g.meta["central"]
     assert harness.graph.degree(central) == 3 - 1 + 2
-    assert check_stable_block(g).all_passed
+    assert check_gadget(g).all_passed
 
 
 def test_simple_stable_k4_m3_block_pattern():
     # ends are 2-blocks (5 vertices each), the middle a 3-block (6): 17 total
     g = build_simple_stable_block(3, 4, 2)
     assert g.graph.num_vertices == 17
-    assert check_stable_block(g).all_passed
+    assert check_gadget(g).all_passed
 
 
 def test_simple_stable_estar_edges_all_peel():
     g = build_simple_stable_block(2, 4, 2)
     assert g.estar  # every central-to-block and chain edge
-    report = check_stable_block(g)
+    report = check_gadget(g)
     assert report.all_passed
     estar_checks = [c for c in report.checks if c.name.startswith("estar_")]
     assert len(estar_checks) == len(g.estar)
@@ -281,7 +278,7 @@ def test_stable_k4_m11_is_depth_two():
     g = build_stable_block(11, 4, 2)
     assert g.params["depth"] == 2
     assert len(g.ports) == 11
-    assert check_stable_block(g).all_passed
+    assert check_gadget(g).all_passed
 
 
 def test_stable_size_bound_recorded():
@@ -322,7 +319,7 @@ def test_stable_root_estar_peels_whole_tree():
 
 def test_stable_negative_control():
     g = build_stable_block(5, 4, 2)
-    report = check_stable_block(drop_edge(g, sorted(g.estar)[0]))
+    report = check_gadget(drop_edge(g, sorted(g.estar)[0]))
     assert not report.all_passed
     assert all(c.witness for c in report.failures())
 
@@ -333,13 +330,13 @@ def test_tree_stable_root_degree_is_ports_plus_one():
     root = g.meta["root"]
     assert harness.graph.degree(root) == 2 + 1
     assert len(g.meta["ws"]) >= 2
-    assert check_stable_block(g).all_passed
+    assert check_gadget(g).all_passed
 
 
 def test_tree_stable_root_edge_is_estar():
     g = build_tree_stable_block(3, 3)
     assert g.estar == {g.meta["root_edge"]}
-    report = check_stable_block(g)
+    report = check_gadget(g)
     assert report.all_passed  # includes stash-root-edge and all-ports-removed peels
 
 
@@ -353,7 +350,7 @@ def test_tree_stable_rejects_standard_graphs():
 def test_tree_stable_negative_control():
     g = build_tree_stable_block(2, 3)
     non_root = [e for e in sorted(g.graph.edges) if e != g.meta["root_edge"]]
-    report = check_stable_block(drop_edge(g, non_root[-1]))
+    report = check_gadget(drop_edge(g, non_root[-1]))
     assert not report.all_passed
 
 
@@ -363,7 +360,7 @@ def test_tree_stable_negative_control():
 def test_pk_gadget_families_pass_checks():
     for k, d in ((3, 2), (4, 2), (3, 3), (2, 3), (2, 4)):
         for delta in (0, 1, 3, 5):
-            report = check_pk_gadget(build_pk_gadget(delta, k, d))
+            report = check_gadget(build_pk_gadget(delta, k, d))
             assert report.all_passed, (k, d, delta, report.failures())
 
 
@@ -406,7 +403,7 @@ def test_embed_graph_external_ends_gain_the_new_edges_in_order():
 
 def test_pk_gadget_negative_control():
     g = build_pk_gadget(3, 3, 2)
-    report = check_pk_gadget(drop_edge(g, sorted(g.graph.edges)[0]))
+    report = check_gadget(drop_edge(g, sorted(g.graph.edges)[0]))
     assert not report.all_passed
 
 
@@ -415,15 +412,15 @@ def test_pk_gadget_negative_control():
 
 def test_dummy_lifting_preserves_checker_outcomes():
     cases = [
-        (build_ck_gadget, check_ck_properties, [(3,), (4,)]),
-        (lambda k, d=2: build_b_block(2, k, d), check_b_block, [(3,), (5,)]),
-        (lambda m, d=2: build_stable_block(m, 4, d), check_stable_block, [(2,), (5,)]),
+        (build_ck_gadget, [(3,), (4,)]),
+        (lambda k, d=2: build_b_block(2, k, d), [(3,), (5,)]),
+        (lambda m, d=2: build_stable_block(m, 4, d), [(2,), (5,)]),
     ]
-    for build, check, arg_sets in cases:
+    for build, arg_sets in cases:
         for args in arg_sets:
             for d in (2, 3):
-                low = check(build(*args, d))
-                high = check(build(*args, d + 1))
+                low = check_gadget(build(*args, d))
+                high = check_gadget(build(*args, d + 1))
                 assert [c.name for c in low.checks] == [c.name for c in high.checks]
                 assert [c.passed for c in low.checks] == [c.passed for c in high.checks]
                 assert low.all_passed
@@ -450,7 +447,6 @@ def port_free_stable_block() -> Gadget:
 
 PINNED_REPORTS = [
     pytest.param(
-        check_ck_properties,
         lambda: drop_edge(build_ck_gadget(3, 2), 0),
         [
             ("unpeelable_with_all_ports", False, "peeled=[0]"),
@@ -459,7 +455,6 @@ PINNED_REPORTS = [
         id="ck-drop-edge",
     ),
     pytest.param(
-        check_ck_properties,
         lambda: double_edges(build_ck_gadget(3, 2)),
         [
             ("unpeelable_with_all_ports", True, ""),
@@ -468,7 +463,6 @@ PINNED_REPORTS = [
         id="ck-double",
     ),
     pytest.param(
-        check_b_block,
         lambda: drop_edge(build_b_block(2, 3, 2), 0),
         [
             ("unpeelable_with_all_ports", False, "peeled=[0, 1, 2, 3]"),
@@ -477,7 +471,6 @@ PINNED_REPORTS = [
         id="b2-drop-edge",
     ),
     pytest.param(
-        check_b_block,
         lambda: double_edges(build_b_block(2, 3, 2)),
         [
             ("unpeelable_with_all_ports", True, ""),
@@ -486,7 +479,6 @@ PINNED_REPORTS = [
         id="b2-double",
     ),
     pytest.param(
-        check_b_block,
         lambda: drop_vertex(build_b_block(3, 4, 2), 5),
         [
             ("unpeelable_with_all_ports", False, "peeled=[0, 1, 2, 3, 4]"),
@@ -495,7 +487,6 @@ PINNED_REPORTS = [
         id="b3-drop-vertex",
     ),
     pytest.param(
-        check_b_block,
         lambda: double_edges(build_b_block(3, 4, 2)),
         [
             ("unpeelable_with_all_ports", True, ""),
@@ -504,7 +495,6 @@ PINNED_REPORTS = [
         id="b3-double",
     ),
     pytest.param(
-        check_stable_block,
         lambda: drop_edge(build_simple_stable_block(2, 3, 2), 0),
         [
             ("unpeelable_with_all_ports", False, "peeled=[0, 1, 2, 3, 4, 5, 6, 7, 8]"),
@@ -517,7 +507,6 @@ PINNED_REPORTS = [
         id="stable-drop-edge",
     ),
     pytest.param(
-        check_stable_block,
         lambda: double_edges(build_simple_stable_block(2, 3, 2)),
         [
             ("unpeelable_with_all_ports", True, ""),
@@ -529,7 +518,6 @@ PINNED_REPORTS = [
         id="stable-double",
     ),
     pytest.param(
-        check_stable_block,
         port_free_stable_block,
         [
             # with no ports the block must peel with nothing removed
@@ -541,7 +529,6 @@ PINNED_REPORTS = [
         id="stable-port-free",
     ),
     pytest.param(
-        check_stable_block,
         lambda: double_edges(port_free_stable_block()),
         [
             ("peels_iff_at_least_0_of_0_ports_removed", False, "removed=[] expected_peel=True " + survivors(9)),
@@ -552,7 +539,6 @@ PINNED_REPORTS = [
         id="stable-port-free-double",
     ),
     pytest.param(
-        check_stable_block,
         lambda: drop_vertex(build_tree_stable_block(2, 3), 2),
         [
             ("unpeelable_with_all_ports", False, "peeled=[0, 1, 2, 3]"),
@@ -561,7 +547,6 @@ PINNED_REPORTS = [
         id="tree-stable-drop-vertex",
     ),
     pytest.param(
-        check_stable_block,
         lambda: double_edges(build_tree_stable_block(2, 3)),
         [
             ("unpeelable_with_all_ports", True, ""),
@@ -571,7 +556,6 @@ PINNED_REPORTS = [
         id="tree-stable-double",
     ),
     pytest.param(
-        check_pk_gadget,
         lambda: drop_edge(build_pk_gadget(3, 3, 2), 0),
         [
             ("unpeelable_with_all_ports", False, "peeled=" + str(list(range(19)))),
@@ -583,7 +567,6 @@ PINNED_REPORTS = [
         id="pk-drop-edge",
     ),
     pytest.param(
-        check_pk_gadget,
         lambda: double_edges(build_pk_gadget(3, 3, 2)),
         [
             ("unpeelable_with_all_ports", True, ""),
@@ -597,12 +580,12 @@ PINNED_REPORTS = [
 ]
 
 
-@pytest.mark.parametrize("check, broken, expected", PINNED_REPORTS)
-def test_broken_gadget_reports_are_pinned(check, broken, expected):
+@pytest.mark.parametrize("broken, expected", PINNED_REPORTS)
+def test_broken_gadget_reports_are_pinned(broken, expected):
     """Every check's name, verdict and witness text, in order, on gadgets
     broken one way (an edge or vertex gone: too much peels) or the other
     (every edge doubled: too little peels)."""
-    report = check(broken())
+    report = check_gadget(broken())
     assert [(c.name, c.passed, c.witness) for c in report.checks] == expected
 
 
@@ -610,18 +593,25 @@ THRESHOLD_ROW = re.compile(r"peels_iff_at_least_(\d+)_of_(\d+)_ports_removed")
 
 
 def family_threshold(gadget: str, params: dict[str, int]) -> tuple[int, int]:
-    """(t, port count) of a grid report, from its family and params: any
-    one of the ck gadget's 2 or a b-block's b ports, or every port of a
-    stable block."""
+    """(t, port count) of a report, from its family and params: any one of
+    the ck gadget's 2 or a b-block's b ports, every port of a stable block,
+    and all but k-1 of a pk gadget's delta ports (none when delta < k)."""
     if gadget in ("ck", "b2", "b3"):
         return 1, params.get("b", 2)
+    if gadget == "pk":
+        return max(0, params["delta"] - params["k"] + 1), params["delta"]
     degree = params["p"] if gadget == "tree-stable" else params["m"]
     return degree, degree
 
 
 def test_grid_reports_state_one_threshold_contract():
+    # every grid report, and pk at delta 0-8 for k = 2..5, names the t and
+    # port count the oracle gives its family
     reports = run_gadget_grid()
     assert len(reports) == 175
+    pk = [build_pk_gadget(delta, k, 3 if k == 2 else 2) for k in range(2, 6) for delta in range(9)]
+    reports += [check_gadget(g) for g in pk]
+    assert {r.gadget for r in reports} == {"ck", "b2", "b3", "simple-stable", "stable", "tree-stable", "pk"}
     for r in reports:
         names = [c.name for c in r.checks]
         has_unpeelable = names[:1] == ["unpeelable_with_all_ports"]
@@ -637,30 +627,40 @@ def test_grid_reports_state_one_threshold_contract():
         assert ids == sorted(set(ids)), r
 
 
+@pytest.mark.parametrize("meta, kind", [({}, "gadget"), ({"kind": "b4"}, "b4"), ({"kind": "PK"}, "PK")])
+def test_check_gadget_refuses_a_kind_with_no_contract(meta, kind):
+    g = Gadget(Hypergraph(2), (), frozenset(), {"k": 2}, meta)
+    with pytest.raises(ParameterError, match=f"^no threshold contract for gadget kind '{kind}'$"):
+        check_gadget(g)
+
+
+@pytest.mark.parametrize(
+    "ks, ds, name, bad",
+    [([True], gadgets.GRID_D, "k", True), ([3, 2.0], [2], "k", 2.0), (gadgets.GRID_K, [True], "d", True),
+     ([1], [False], "d", False), ([3], [3.0], "d", 3.0)],
+)
+def test_run_gadget_grid_refuses_non_integer_ks_and_ds(ks, ds, name, bad):
+    with pytest.raises(ParameterError, match=f"^{name} must be an integer, got {bad}$"):
+        run_gadget_grid(ks, ds)
+
+
+def test_run_gadget_grid_reads_its_ks_and_ds_once():
+    assert run_gadget_grid(iter([2, 3]), iter([3])) == run_gadget_grid([2, 3], [3])
+
+
 # -- the frontier sweep against an exhaustive scan ------------------------------
-
-
-def threshold(check, gadget: Gadget) -> int:
-    """The t each checker asks of a gadget: any one port of a ck gadget or a
-    b-block, every port of a stable block, and all but k-1 of a pk
-    gadget's delta ports (none when delta < k)."""
-    n = len(gadget.ports)
-    return {
-        check_ck_properties: 1,
-        check_b_block: 1,
-        check_stable_block: n,
-        check_pk_gadget: max(0, n - gadget.params["k"] + 1),
-    }[check]
 
 
 def removal_edges(harness, removed) -> tuple[int, ...]:
     return tuple(e for name in removed for e in harness.port_edges[name])
 
 
-def full_scan(gadget: Gadget, t: int) -> GadgetReport:
-    """The threshold report by brute force, with no frontier: every removal
-    of neighboring edges, all 2^n of them, is peeled in mask order, and the
-    first that breaks the contract is the witness."""
+def full_scan(gadget: Gadget) -> GadgetReport:
+    """The threshold report by brute force, with no frontier and t from
+    ``family_threshold``: every removal of neighboring edges, all 2^n of
+    them, is peeled in mask order, and the first that breaks the contract
+    is the witness."""
+    t, _ = family_threshold(gadget.kind, gadget.params)
     harness = build_harness(gadget)
     names = [p.name for p in gadget.ports]
     n = len(names)
@@ -723,35 +723,41 @@ def broken_variants(gadget: Gadget):
 
 def test_stable_frontier_matches_full_scan_on_the_grid(monkeypatch):
     pairs = []
+    real = gadgets.check_gadget
 
     def both(gadget):
-        pairs.append((gadget, check_stable_block(gadget), full_scan(gadget, len(gadget.ports))))
-        return pairs[-1][1]
+        report = real(gadget)
+        if gadget.kind in ("simple-stable", "stable", "tree-stable"):
+            pairs.append((gadget, report, full_scan(gadget)))
+        return report
 
-    monkeypatch.setattr(gadgets, "check_stable_block", both)
+    monkeypatch.setattr(gadgets, "check_gadget", both)
     assert all(r.all_passed for r in run_gadget_grid())
     assert len(pairs) > 100
     for gadget, ours, theirs in pairs:
         assert_matches_full_scan(gadget, ours, theirs)
 
 
-@pytest.mark.parametrize(
-    "check, build",
+ONE_PER_FAMILY = pytest.mark.parametrize(
+    "build",
     [
-        (check_ck_properties, lambda: build_ck_gadget(3, 2)),
-        (check_ck_properties, lambda: build_ck_gadget(4, 3)),
-        (check_b_block, lambda: build_b_block(2, 3, 2)),
-        (check_b_block, lambda: build_b_block(3, 4, 3)),
-        (check_stable_block, lambda: build_simple_stable_block(2, 3, 2)),
-        (check_stable_block, lambda: build_stable_block(5, 3, 2)),
-        (check_stable_block, lambda: build_tree_stable_block(3, 3)),
-        (check_pk_gadget, lambda: build_pk_gadget(3, 3, 2)),
-        (check_pk_gadget, lambda: build_pk_gadget(2, 2, 3)),
+        lambda: build_ck_gadget(3, 2),
+        lambda: build_ck_gadget(4, 3),
+        lambda: build_b_block(2, 3, 2),
+        lambda: build_b_block(3, 4, 3),
+        lambda: build_simple_stable_block(2, 3, 2),
+        lambda: build_stable_block(5, 3, 2),
+        lambda: build_tree_stable_block(3, 3),
+        lambda: build_pk_gadget(3, 3, 2),
+        lambda: build_pk_gadget(2, 2, 3),
     ],
     ids=["ck-k3-d2", "ck-k4-d3", "b2", "b3", "simple-stable", "stable", "tree-stable", "pk-k3", "pk-k2"],
 )
-def test_frontier_matches_full_scan_on_broken_gadgets(check, build):
-    reports = [(g, check(g), full_scan(g, threshold(check, g))) for g in broken_variants(build())]
+
+
+@ONE_PER_FAMILY
+def test_frontier_matches_full_scan_on_broken_gadgets(build):
+    reports = [(g, check_gadget(g), full_scan(g)) for g in broken_variants(build())]
     for g, ours, theirs in reports:
         assert_matches_full_scan(g, ours, theirs)
     assert sum(not ours.all_passed for _, ours, _ in reports) > len(reports) // 2
@@ -760,29 +766,30 @@ def test_frontier_matches_full_scan_on_broken_gadgets(check, build):
 def test_stable_frontier_matches_full_scan_of_2047_removals():
     # the 2,047 proper removals and the full one
     g = build_stable_block(11, 4, 2)
-    ours = check_stable_block(g)
-    assert ours == full_scan(g, 11) and ours.all_passed
+    ours = check_gadget(g)
+    assert ours == full_scan(g) and ours.all_passed
 
 
-def star_gadget(m: int, k: int) -> Gadget:
-    """One vertex holding all m ports and nothing else."""
+def star_gadget(m: int, k: int, kind: str) -> Gadget:
+    """One vertex holding all m ports and nothing else, checked as a
+    ``stable`` block of degree m or a ``pk`` gadget of degree delta = m."""
     g = Hypergraph(2)
     g.add_vertex()
     ports = tuple(Port(f"p{i}", ((0,),)) for i in range(m))
-    return Gadget(g, ports, frozenset(), {"k": k, "m": m})
+    return Gadget(g, ports, frozenset(), {"k": k, "delta" if kind == "pk" else "m": m}, {"kind": kind})
 
 
 def test_stable_sweep_decides_every_removal_past_degree_10():
     # at k=2 the star keeps its vertex while two ports remain, so only the
     # 11 removals of ten ports (and the full one) peel it
-    g = star_gadget(11, 2)
-    report = check_stable_block(g)
+    g = star_gadget(11, 2, "stable")
+    report = check_gadget(g)
     removed = [f"p{i}" for i in range(10)]
     assert [(c.name, c.passed, c.witness) for c in report.checks] == [
         ("unpeelable_with_all_ports", True, ""),
         ("peels_iff_at_least_11_of_11_ports_removed", False, f"removed={removed} expected_peel=False survivors=[]"),
     ]
-    assert_matches_full_scan(g, report, full_scan(g, 11))
+    assert_matches_full_scan(g, report, full_scan(g))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -793,8 +800,8 @@ def test_pk_frontier_matches_full_scan_at_every_small_degree(k):
     d = 3 if k == 2 else 2
     for delta in range(9):
         g = build_pk_gadget(delta, k, d)
-        ours = check_pk_gadget(g)
-        assert ours == full_scan(g, threshold(check_pk_gadget, g)) and ours.all_passed, (delta, ours.failures())
+        ours = check_gadget(g)
+        assert ours == full_scan(g) and ours.all_passed, (delta, ours.failures())
         unpeelable = [c for c in ours.checks if c.name == "unpeelable_with_all_ports"]
         assert unpeelable == ([CheckResult("unpeelable_with_all_ports", True)] if delta >= k else []), delta
 
@@ -811,14 +818,14 @@ def test_frontier_is_counted_before_it_is_built(monkeypatch):
             drawn.append(c)
             yield c
 
-    star = star_gadget(200, 200)
-    doubled = Gadget(star.graph, tuple(Port(p.name, p.edges * 2) for p in star.ports), frozenset(), star.params)
+    star = star_gadget(200, 200, "pk")
+    doubled = replace(star, ports=tuple(Port(p.name, p.edges * 2) for p in star.ports))
     monkeypatch.setattr(gadgets, "combinations", counting)
-    assert check_pk_gadget(star).all_passed
+    assert check_gadget(star).all_passed
     assert drawn == [(f"p{i}",) for i in range(200)]
     drawn.clear()
     # with every port doubled the star keeps its vertex without p0
-    report = check_pk_gadget(doubled)
+    report = check_gadget(doubled)
     assert report.checks[1].witness == "removed=['p0'] expected_peel=True survivors=[0]"
     assert drawn == [("p0",)]
 
@@ -899,21 +906,7 @@ def test_pool_harness_matches_per_slot_anchors_on_the_grid(monkeypatch):
         assert_pool_matches_anchors(g)
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: build_ck_gadget(3, 2),
-        lambda: build_ck_gadget(4, 3),
-        lambda: build_b_block(2, 3, 2),
-        lambda: build_b_block(3, 4, 3),
-        lambda: build_simple_stable_block(2, 3, 2),
-        lambda: build_stable_block(5, 3, 2),
-        lambda: build_tree_stable_block(3, 3),
-        lambda: build_pk_gadget(3, 3, 2),
-        lambda: build_pk_gadget(2, 2, 3),
-    ],
-    ids=["ck-k3-d2", "ck-k4-d3", "b2", "b3", "simple-stable", "stable", "tree-stable", "pk-k3", "pk-k2"],
-)
+@ONE_PER_FAMILY
 def test_pool_harness_matches_per_slot_anchors_on_broken_gadgets(build):
     for g in broken_variants(build()):
         assert_pool_matches_anchors(g)

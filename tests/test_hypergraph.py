@@ -10,11 +10,14 @@ from stashpeel import (
     ParameterError,
     ParseError,
     format_stash,
+    is_k_peelable,
     k_core_after,
     parse,
     parse_stash,
     serialize,
 )
+
+from stashpeel.gadgets import embed_graph
 
 from helpers import hypergraphs, layout, mkgraph, triangle
 from oracles import serialize_by_rendering
@@ -85,14 +88,32 @@ def test_bad_ids_are_rejected(bad):
 
 
 def test_add_edge_checks_ids_like_has_vertex():
-    # an int subclass such as bool is an id, any other type is not
+    # only an int itself is an id: no bool, float, string or None
     g = triangle()
-    assert g.add_edge((True, 2)) == 3 and g.edge_vertices(3) == (True, 2)
-    for bad in (1.0, "1", None):
+    for bad in (True, False, 1.0, "1", None):
         assert not g.has_vertex(bad)
         with pytest.raises(NotFoundError, match=f"^unknown vertex id {bad}$"):
-            g.add_edge((0, bad))
-    assert g.num_edges == 4
+            g.add_edge((2, bad))
+    assert layout(g) == layout(triangle())
+
+
+@pytest.mark.parametrize("bad", [True, False])
+def test_bools_are_not_ids(bad):
+    g = triangle()
+    assert not g.has_vertex(bad) and not g.has_edge(bad)
+    calls = [
+        lambda: g.add_edge((2, bad)),
+        lambda: embed_graph(mkgraph(2, [(0, 1)]), g, external=(2, bad)),
+        lambda: is_k_peelable(g, 1, stash_vertices=[bad]),
+        lambda: is_k_peelable(g, 1, stash_edges=[bad]),
+    ]
+    for call in calls:
+        with pytest.raises(NotFoundError, match=f"^unknown (vertex|edge) id {bad}( in stash)?$"):
+            call()
+    assert layout(g) == layout(triangle())
+    # a stash file holds int ids only, as parse_stash reads them
+    with pytest.raises(ParameterError, match=f"^id must be an integer, got {bad}$"):
+        format_stash("v", [0, bad])
 
 
 def test_parse_rejects_a_negative_vertex_id():

@@ -135,6 +135,14 @@ def test_verify_trace_rejects_a_vertex_peeled_twice():
     assert verify_trace(g, twice) is False
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_peel_trace_refuses_k_below_one(k):
+    # a k=0 trace with everything in its core would otherwise replay as valid
+    g = triangle()
+    with pytest.raises(ParameterError, match=f"^k must be at least 1, got {k}$"):
+        PeelTrace(k, (), frozenset(), g.vertices, frozenset(g.edges))
+
+
 def test_verify_trace_replays_stash_free_traces_only():
     # a trace does not record its stash, so the replay counts the stashed
     # vertex and its edges as neither peeled nor core and rejects the trace

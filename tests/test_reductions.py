@@ -263,6 +263,16 @@ def test_lift_and_push_reject_invalid_certificates():
         lift_edge_stash(rmap, ())
 
 
+@pytest.mark.parametrize("bad", [True, False])
+def test_push_and_lift_refuse_a_bool_stash_id(bad):
+    # True is not vertex 1, even though {1} alone is a stash of K4 at k=3
+    _, rmap = reduce_vertex_to_edge_stash(complete_graph(4), 3, 2)
+    with pytest.raises(ContractViolationError, match=f"^stash vertex {bad} is not in the original instance$"):
+        push_vertex_stash(rmap, [bad])
+    with pytest.raises(ContractViolationError, match=f"^stash edge {bad} is not in the reduced instance$"):
+        lift_edge_stash(rmap, [bad])
+
+
 @pytest.mark.parametrize("func, direction", [
     (normalize_stash, "vstash"),
     (push_vertex_stash, "vc"),
