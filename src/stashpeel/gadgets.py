@@ -545,8 +545,8 @@ def check_gadget(gadget: Gadget) -> GadgetReport:
     is a ParameterError.
 
     The intact harness is peeled once: it decides the first row, asked
-    only when t >= 1, and it is the frontier's empty removal, which is
-    never drawn.  The frontier is the removals of t-1 and then t ports, in
+    only when t >= 1, and it is the frontier's empty removal, which is not
+    peeled again.  The frontier is the removals of t-1 and then t ports, in
     ``combinations`` order, drawn one at a time until one breaks the
     contract; that one is the witness.
     """
@@ -568,7 +568,7 @@ def check_gadget(gadget: Gadget) -> GadgetReport:
         checks.append(CheckResult("unpeelable_with_all_ports", not peeled, f"peeled={peeled}" if peeled else ""))
     witness = ""
     sizes = range(max(0, t - 1), t + 1)
-    for removed in chain.from_iterable(combinations(names, r) if r else [()] for r in sizes):
+    for removed in chain.from_iterable(combinations(names, r) for r in sizes):
         edges = tuple(e for name in removed for e in harness.port_edges[name])
         surv = _survivors(harness, edges) if removed else intact
         expect_peel = len(removed) == t

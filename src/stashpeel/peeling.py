@@ -227,8 +227,8 @@ class PeelCore:
     """A k-core under delete/restore: stash an element, peel the cascade, undo.
 
     Built from a hypergraph and an optional stash, the package's one k-core
-    engine.  The stashed vertices and edges, and the edges on stashed
-    vertices, die first, with no cascade; then every live vertex of degree
+    engine.  The stashed vertices are marked dead; then the stashed edges
+    and the edges on stashed vertices die, and every live vertex of degree
     < k is peeled.  It reads the graph's edge list and incidence lists in
     place and never writes them, so its ids are the graph's.
 
@@ -236,10 +236,10 @@ class PeelCore:
     is taken from the dead vertices not yet peeled: it goes onto ``trail``
     as v, and each live edge on it dies and goes on as ~e.  At construction
     the dead vertices wait in a heap and leave it lowest id first, which is
-    ``k_core``'s peel order; after construction the trail holds that peel
-    of g minus the stash, and not the stash itself, so ``undo(0)`` would
-    give back g minus the stash, unpeeled.  ``degree[v]`` counts the live
-    edges on v whether v is alive or not, so it is 0 for every peeled v.
+    ``k_core``'s peel order; after construction the trail holds the stash's
+    edges and then that peel, but not the stashed vertices, so an undo mark
+    is taken after construction.  ``degree[v]`` counts the live edges on v
+    whether v is alive or not, so it is 0 for every peeled v.
     ``stash_vertex`` and ``stash_edge`` kill a live element and peel its
     cascade the same way, from a stack rather than a heap; ``undo(mark)``
     revives all killed since ``len(trail)`` was ``mark``.  A stash with its
@@ -261,19 +261,16 @@ class PeelCore:
         self.k = k
         edges, incidence = self.edge_vertices, self.vertex_edges = g._edges, g._incidence
         deg = self.degree = list(map(len, incidence))
-        edge_alive = self.edge_alive = [True] * len(edges)
-        for e in chain(stash_edges, *map(incidence.__getitem__, stash_vertices)):
-            if edge_alive[e]:
-                edge_alive[e] = False
-                for w in edges[e]:
-                    deg[w] -= 1
-        self.live_edges = edge_alive.count(True)
-        # stashed vertices are left with degree 0, so they start dead too
-        self.vertex_alive = list(map(k.__le__, deg))
+        self.edge_alive = [True] * len(edges)
+        self.live_edges = len(edges)
+        alive = self.vertex_alive = list(map(k.__le__, deg))
+        for v in stash_vertices:
+            alive[v] = False
         self.trail: list[int] = []
-        # the other vertices of degree < k, ascending, which is already a heap
+        # the other vertices of degree < k, ascending, which is already a
+        # heap; the stash's edges push the vertices they drop below k
         low = [v for v in compress(count(), map(k.__gt__, deg)) if v not in stash_vertices]
-        self._peel(low, ())
+        self._peel(low, chain(stash_edges, *map(incidence.__getitem__, stash_vertices)))
 
     def copy(self) -> PeelCore:
         """A core in this one's state with an empty trail, to stash on and

@@ -22,16 +22,17 @@ wrapper template per vertex degree.  The lookup tables are filled from
 the id ranges the copies take.
 
 Reduction maps carry the original and reduced instances plus the lookup
-tables that normalizing, pushing, lifting and auditing read: ``edge_map``
-and ``gadget_of`` for the cover direction; ``edge_map``, ``estar_pick``,
-``owner`` and ``ports`` for the stash direction.  Normalizing, pushing and
-lifting take only the map and a stash, and read both instances from the
-map.  Each gates the caller's stash through ``_valid_stash`` and re-checks
-the stash it returns with ``peeling.certify_stash``.  ``REDUCTIONS`` maps
+tables that normalizing, pushing, lifting and auditing read: ``owner``,
+which charges each reduced vertex (cover direction) or reduced edge
+(stash direction) to one original vertex, and ``estar_pick`` and
+``ports`` for the stash direction.  Normalizing, pushing and lifting
+take only the map and a stash, and read both instances from the map.
+Each gates the caller's stash through ``_valid_stash`` and re-checks the
+stash it returns with ``peeling.certify_stash``.  ``REDUCTIONS`` maps
 each direction's name, the word a sidecar header and ``reduce --from``
 use, to its builder.  Maps round-trip through a text sidecar format (see
-``serialize_map``) so the CLI can lift certificates from files alone: the
-file holds a header and both instances, and the tables are rebuilt.
+``serialize_map``) so the CLI can lift certificates from files alone:
+the file holds a header and both instances, and the tables are rebuilt.
 """
 
 from __future__ import annotations
@@ -57,16 +58,16 @@ from .hypergraph import Hypergraph, parse, serialize
 class ReductionMap:
     """Correspondence between an original instance and its reduction.
 
-    In the cover direction the reduced instance's first vertices are the
-    original ones, so ``normalize_stash`` returns original vertex ids,
-    checked to cover ``original``, and ``gadget_of`` sends each internal
-    vertex of a cover gadget to its edge's endpoints.  ``edge_map`` sends
-    an original edge to the reduced edge ids it became.  ``owner`` assigns
-    every reduced edge to one original vertex (neighboring edges go to the
-    lowest-id endpoint), which is what makes lifted stashes never grow.
-    ``estar_pick`` sends an original vertex to its wrapper gadget's
-    lowest-id E* edge, and ``ports`` lists, in incidence order, (original
-    incident edge, attach vertex of its neighboring edge).
+    ``owner`` charges every id a stash of ``reduced`` can hold to one
+    original vertex, which is what makes normalized and lifted stashes never
+    grow.  In the cover direction it is keyed by reduced vertex: the
+    original vertices come first and own themselves, and a cover gadget's
+    internal vertices are owned by its edge's first endpoint.  In the stash
+    direction it is keyed by reduced edge: a wrapper gadget's edges are
+    owned by its vertex, and each neighboring edge by its original edge's
+    lowest-id endpoint.  ``estar_pick`` sends an original vertex to its
+    wrapper gadget's lowest-id E* edge, and ``ports`` lists, in incidence
+    order, (original incident edge, attach vertex of its neighboring edge).
     ``parse_map`` rebuilds a map from its sidecar file, so a parsed map
     equals the one that was written, field for field.
     """
@@ -76,13 +77,13 @@ class ReductionMap:
     d: int
     original: Hypergraph
     reduced: Hypergraph
-    edge_map: dict[int, tuple[int, ...]]
+    owner: dict[int, int]
     estar_pick: dict[int, int] = field(default_factory=dict)
-    owner: dict[int, int] = field(default_factory=dict)
-    gadget_of: dict[int, tuple[int, int]] = field(default_factory=dict)
     ports: dict[int, tuple[tuple[int, int], ...]] = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.direction not in REDUCTIONS:
+            raise ParameterError(f"direction must be one of {', '.join(REDUCTIONS)}, got {self.direction!r}")
         check_ints(k=self.k, d=self.d)
 
 
@@ -113,8 +114,7 @@ def reduce_vc_to_vertex_stash(g: Hypergraph, k: int, d: int) -> tuple[Hypergraph
         raise ParameterError(f"reduction needs k >= 2 and d >= 2, got k={k}, d={d}")
     out = Hypergraph(d)
     out.add_vertices(g.num_vertices)
-    gadget_of: dict[int, tuple[int, int]] = {}
-    edge_map: dict[int, tuple[int, ...]] = {}
+    owner = {v: v for v in range(g.num_vertices)}
     # only an original with edges needs the template, and parse_map's size
     # guard lets an edgeless one ask for any k
     if g.num_edges:
@@ -127,19 +127,17 @@ def reduce_vc_to_vertex_stash(g: Hypergraph, k: int, d: int) -> tuple[Hypergraph
         for endpoint, port in enumerate(gadget.ports):
             for attach in port.edges:
                 template.add_edge((endpoint, *(dv + a for a in attach)))
-        size, count = template.num_vertices, template.num_edges
-    for e, ends in enumerate(g._edges):
-        dv, de = embed_graph(template, out, external=ends)
-        gadget_of.update(dict.fromkeys(range(dv + 2, dv + size), ends))
-        edge_map[e] = tuple(range(de, de + count))
+        size = template.num_vertices
+    for ends in g._edges:
+        dv = embed_graph(template, out, external=ends)[0]
+        owner.update(dict.fromkeys(range(dv + 2, dv + size), ends[0]))
     return out, ReductionMap(
         direction="vc",
         k=k,
         d=d,
         original=g.copy(),
         reduced=out,
-        edge_map=edge_map,
-        gadget_of=gadget_of,
+        owner=owner,
     )
 
 
@@ -147,8 +145,9 @@ def normalize_stash(rmap: ReductionMap, stash) -> frozenset[int]:
     """Rewrite a valid vertex stash of the reduced instance as a vertex
     cover of the original, never growing it, and return its original ids.
 
-    Each gadget-internal vertex is replaced by that gadget's first endpoint
-    (the deterministic choice of the two that both work).  The result is
+    Each vertex is replaced by its ``owner``: an original vertex is kept,
+    and a gadget-internal one becomes that gadget's first endpoint (the
+    deterministic choice of the two that both work).  The result is
     certified to empty the reduced k-core, and then checked to cover every
     edge of ``rmap.original``: an uncovered edge's gadget would survive
     that certificate, so a miss is a fault and raises AssertionError.
@@ -157,7 +156,7 @@ def normalize_stash(rmap: ReductionMap, stash) -> frozenset[int]:
         raise ParameterError("normalize_stash applies to cover-reduction maps")
     s = _valid_stash(rmap.reduced, rmap.k, "vertex", stash, "reduced")
     g = rmap.original
-    out = frozenset(w if w < g.num_vertices else rmap.gadget_of[w][0] for w in s)
+    out = frozenset(map(rmap.owner.__getitem__, s))
     peeling.certify_stash("normalized", rmap.reduced, rmap.k, stash_vertices=out)
     missed = next((e for e in range(g.num_edges) if out.isdisjoint(g.edge_vertices(e))), None)
     if missed is not None:
@@ -202,21 +201,16 @@ def reduce_vertex_to_edge_stash(g: Hypergraph, k: int, d: int) -> tuple[Hypergra
     # ports follow incidence order, which is ascending edge order, so the
     # edges below take each vertex's ports one after the other
     unread = [iter(ports[v]) for v in range(g.num_vertices)]
-    edge_map: dict[int, tuple[int, ...]] = {}
-    for e in range(g.num_edges):
-        members = g.edge_vertices(e)
-        shared = out.add_edge(tuple(next(unread[w])[1] for w in members))
-        edge_map[e] = (shared,)
-        owner[shared] = min(members)
+    for members in g._edges:
+        owner[out.add_edge(tuple(next(unread[w])[1] for w in members))] = min(members)
     return out, ReductionMap(
         direction="vstash",
         k=k,
         d=d,
         original=g.copy(),
         reduced=out,
-        edge_map=edge_map,
-        estar_pick=estar_pick,
         owner=owner,
+        estar_pick=estar_pick,
         ports=ports,
     )
 
@@ -242,7 +236,7 @@ def lift_edge_stash(rmap: ReductionMap, stash) -> frozenset[int]:
     if rmap.direction != "vstash":
         raise ParameterError("lift_edge_stash applies to stash-reduction maps")
     s = _valid_stash(rmap.reduced, rmap.k, "edge", stash, "reduced")
-    lifted = frozenset(rmap.owner[e] for e in s)
+    lifted = frozenset(map(rmap.owner.__getitem__, s))
     peeling.certify_stash("lifted", rmap.original, rmap.k, stash_vertices=lifted)
     return lifted
 
@@ -260,7 +254,9 @@ def audit_p1(rmap: ReductionMap) -> list[str]:
 
     Checks that each gadget has exactly one neighboring edge per original
     incident edge and that every neighboring edge joins exactly the attach
-    vertices of its original edge's endpoint gadgets.  Returns violation
+    vertices of its original edge's endpoint gadgets.  The build adds the
+    neighboring edges last, in original edge order, so original edge e's
+    is reduced edge ``reduced.num_edges - original.num_edges + e``.  Returns violation
     descriptions; empty means the audit passed.
     """
     if rmap.direction != "vstash":
@@ -273,9 +269,9 @@ def audit_p1(rmap: ReductionMap) -> list[str]:
         if got != expected:
             problems.append(f"vertex {v}: ports {got} != incident edges {expected}")
     attach = {v: dict(rmap.ports[v]) for v in range(g.num_vertices)}
-    for e in range(g.num_edges):
-        members = g.edge_vertices(e)
-        shared = rmap.edge_map[e][0]
+    first = rmap.reduced.num_edges - g.num_edges
+    for e, members in enumerate(g._edges):
+        shared = first + e
         want = {attach[w].get(e) for w in members}
         have = set(rmap.reduced.edge_vertices(shared))
         if want != have:

@@ -91,7 +91,9 @@ def test_ck_embedding_peels_when_an_endpoint_is_stashed(k):
     # the images of its two endpoints
     for d in gadgets.GRID_D:
         reduced, rmap = reduce_vc_to_vertex_stash(mkgraph(2, [(0, 1)]), k, d)
-        assert set(rmap.gadget_of) <= k_core_after(reduced, k).core_vertices, (k, d)
+        # the gadget's vertices follow the two original ones
+        inside = set(range(2, reduced.num_vertices))
+        assert inside and inside <= k_core_after(reduced, k).core_vertices, (k, d)
         for u in (0, 1):
             assert k_core_after(reduced, k, stash_vertices=[u]).core_empty, (k, d, u)
 
@@ -809,7 +811,8 @@ def test_pk_frontier_matches_full_scan_at_every_small_degree(k):
 def test_frontier_is_counted_before_it_is_built(monkeypatch):
     # delta = k = 200: the frontier keeps all 200 ports, or all but one.
     # Removals are drawn one at a time, so a sweep that fails stops drawing,
-    # and the empty removal is the intact harness, never drawn.
+    # and the empty removal, drawn first, is the intact harness, not peeled
+    # again.
     drawn = []
     real = gadgets.combinations
 
@@ -822,12 +825,12 @@ def test_frontier_is_counted_before_it_is_built(monkeypatch):
     doubled = replace(star, ports=tuple(Port(p.name, p.edges * 2) for p in star.ports))
     monkeypatch.setattr(gadgets, "combinations", counting)
     assert check_gadget(star).all_passed
-    assert drawn == [(f"p{i}",) for i in range(200)]
+    assert drawn == [()] + [(f"p{i}",) for i in range(200)]
     drawn.clear()
     # with every port doubled the star keeps its vertex without p0
     report = check_gadget(doubled)
     assert report.checks[1].witness == "removed=['p0'] expected_peel=True survivors=[0]"
-    assert drawn == [("p0",)]
+    assert drawn == [(), ("p0",)]
 
 
 def test_grid_peels_the_frontier_not_the_pool(monkeypatch):

@@ -262,6 +262,27 @@ def test_incidence_consistent_under_random_adds(g, rng):
         g.validate()
 
 
+def test_validate_reports_each_corruption():
+    # tests that check a graph with validate() rely on it raising for each
+    # way the edge list and the incidence index can disagree
+    g = mkgraph(3, [(0, 1), (1, 2)])
+    g.validate()
+    corruptions = [
+        ("_edges", 0, (0, 0), "edge 0 is not a set of 2 distinct vertices"),
+        ("_edges", 1, (0, 1, 2), "edge 1 is not a set of 2 distinct vertices"),
+        ("_edges", 1, (1, 3), "edge 1 references missing vertex 3"),
+        ("_edges", 0, (-1, 1), "edge 0 references missing vertex -1"),
+        ("_incidence", 0, [0, 1], "incidence index does not match edge list"),
+        ("_incidence", 2, [], "incidence index does not match edge list"),
+    ]
+    for table, i, value, message in corruptions:
+        h = g.copy()
+        getattr(h, table)[i] = value
+        with pytest.raises(AssertionError) as exc:
+            h.validate()
+        assert str(exc.value) == message, (table, i, value)
+
+
 @settings(max_examples=60, deadline=None)
 @given(hypergraphs())
 def test_serialize_parse_roundtrip_random(g):

@@ -25,7 +25,7 @@ INTEGER_ENTRY_POINTS = {
     "Hypergraph": dict(d=2),
     "PeelTrace": dict(k=2, peeled_vertices=(), peeled_edges=EMPTY, core_vertices=EMPTY, core_edges=EMPTY),
     "ReductionMap": dict(
-        direction="vc", k=2, d=2, original=triangle(), reduced=triangle(), edge_map={}
+        direction="vc", k=2, d=2, original=triangle(), reduced=triangle(), owner={}
     ),
     "build_b_block": dict(b=2, k=3, d=2),
     "build_ck_gadget": dict(k=2, d=2),
@@ -74,7 +74,7 @@ def test_gadget_checkers_import_no_rng():
 def test_cli_reads_no_reduction_map_table():
     # naming, building and lifting a reduction belong to `reductions`: the
     # CLI reads no table of a map, on any name it binds from that module
-    tables = {"edge_map", "gadget_of", "estar_pick", "owner", "ports"}
+    tables = {"owner", "estar_pick", "ports"}
     tree = ast.parse((SRC / "cli.py").read_text())
     bound = set()
     for node in ast.walk(tree):

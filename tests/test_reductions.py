@@ -10,6 +10,7 @@ from stashpeel import (
     InvalidArityError,
     ParameterError,
     ParseError,
+    ReductionMap,
     UnsupportedCaseError,
     audit_p1,
     audit_pk_properties,
@@ -70,6 +71,18 @@ def test_original_vertices_keep_only_gadget_edges():
             assert reduced.degree(v) == k * g.degree(v)
 
 
+def test_reduction_map_refuses_an_unknown_direction():
+    # a direction that is not a REDUCTIONS key would serialize to a header
+    # parse_map refuses, and every map function would misread it
+    _, rmap = reduce_vc_to_vertex_stash(triangle(), 2, 2)
+    for direction in ("VC", "Vstash", "", "vc ", None):
+        with pytest.raises(ParameterError) as exc:
+            dataclasses.replace(rmap, direction=direction)
+        assert str(exc.value) == f"direction must be one of vc, vstash, got {direction!r}"
+    fields = dict(k=2, d=2, original=triangle(), reduced=triangle(), owner={})
+    assert [ReductionMap(direction=name, **fields).direction for name in REDUCTIONS] == ["vc", "vstash"]
+
+
 def test_vc_reduction_parameter_errors():
     with pytest.raises(InvalidArityError, match=r"^vertex cover instances are standard graphs \(d=2\)$"):
         reduce_vc_to_vertex_stash(mkgraph(3, [(0, 1, 2)], d=3), 2, 3)
@@ -82,14 +95,29 @@ def test_vc_reduction_parameter_errors():
     assert str(exc.value) == "line 1: reduction needs k >= 2 and d >= 2, got k=1, d=2"
 
 
+def _cover_blocks(rmap):
+    """(internal vertex range, edge range) of each original edge's cover
+    gadget, found from the reduced instance alone: after the original
+    vertices, the build copies one equal block of fresh vertices and edges
+    per original edge, in edge order, and a block's edges are those on its
+    vertices and reach no original vertex but its edge's endpoints."""
+    g, reduced = rmap.original, rmap.reduced
+    n, m = g.num_vertices, g.num_edges
+    size, spare_vertices = divmod(reduced.num_vertices - n, m)
+    count, spare_edges = divmod(reduced.num_edges, m)
+    assert size and count and not spare_vertices and not spare_edges
+    blocks = []
+    for e, ends in enumerate(g._edges):
+        inside, edges = range(n + e * size, n + (e + 1) * size), range(e * count, (e + 1) * count)
+        assert {f for w in inside for f in reduced._incidence[w]} == set(edges)
+        assert {w for f in edges for w in reduced.edge_vertices(f)} - set(inside) == set(ends)
+        blocks.append((inside, edges))
+    return blocks
+
+
 def _gadget_vertices(rmap, e):
-    """Internal vertices of the cover gadget that replaced original edge e:
-    those on its reduced edges that are not original vertices, each sent by
-    ``gadget_of`` to e's endpoints."""
-    inside = {w for f in rmap.edge_map[e] for w in rmap.reduced.edge_vertices(f)} - set(rmap.original.vertices)
-    ends = rmap.original.edge_vertices(e)
-    assert inside and all(rmap.gadget_of[w] == ends for w in inside)
-    return sorted(inside)
+    """Internal vertices of the cover gadget that replaced original edge e."""
+    return list(_cover_blocks(rmap)[e][0])
 
 
 def test_normalize_replaces_gadget_vertex_with_endpoint():
@@ -97,8 +125,23 @@ def test_normalize_replaces_gadget_vertex_with_endpoint():
     reduced, rmap = reduce_vc_to_vertex_stash(g, 2, 2)
     internal = _gadget_vertices(rmap, 0)[0]
     normalized = normalize_stash(rmap, {internal})
-    assert normalized == {rmap.gadget_of[internal][0]}
+    assert normalized == {g.edge_vertices(0)[0]}
     assert k_core_after(reduced, 2, stash_vertices=normalized).core_empty
+
+
+@pytest.mark.parametrize("k, d", PAIRS)
+def test_vc_owner_charges_gadget_vertices_to_first_endpoint(k, d):
+    # the owners are derived from the reduced instance's edges: a gadget
+    # block's lowest edge that reaches an original vertex is a port edge of
+    # its edge's first endpoint, which the edge lists first
+    for g in (mkgraph(3, [(1, 0), (0, 2), (1, 0)]), gen_random(6, 8, 2, 3)):
+        reduced, rmap = reduce_vc_to_vertex_stash(g, k, d)
+        want = {v: v for v in range(g.num_vertices)}
+        for (inside, edges), ends in zip(_cover_blocks(rmap), g._edges):
+            first = next(w for f in edges for w in reduced.edge_vertices(f) if w < g.num_vertices)
+            assert first == ends[0]
+            want.update(dict.fromkeys(inside, first))
+        assert rmap.owner == want
 
 
 def test_normalize_keeps_original_only_stashes():
@@ -343,13 +386,30 @@ def test_vc_build_adds_no_edge_per_original_edge(k, d, monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+def _wrapper_blocks(rmap):
+    """(vertex range, edge range) of each original vertex's wrapper gadget,
+    and the id of the first neighboring edge, found from the reduced
+    instance and the gadgets' sizes alone: the build copies one wrapper per
+    original vertex, in vertex order, and then adds one neighboring edge per
+    original edge, in edge order, joining its endpoints' wrappers."""
+    g, reduced = rmap.original, rmap.reduced
+    blocks, dv, de = [], 0, 0
+    for v in range(g.num_vertices):
+        gadget = build_pk_gadget(g.degree(v), rmap.k, rmap.d).graph
+        blocks.append((range(dv, dv + gadget.num_vertices), range(de, de + gadget.num_edges)))
+        dv, de = dv + gadget.num_vertices, de + gadget.num_edges
+    assert dv == reduced.num_vertices and reduced.num_edges - de == g.num_edges
+    wrapper_of = {w: v for v, (inside, _) in enumerate(blocks) for w in inside}
+    for e, members in enumerate(g._edges):
+        assert sorted(wrapper_of[w] for w in reduced.edge_vertices(de + e)) == sorted(members)
+    return blocks, de
+
+
 def _estar_edges(rmap, v):
     """E* edges of v's wrapper gadget, found without trusting ``estar_pick``:
-    the gadget has one port per entry of ``ports[v]``, and its embedded
-    edges are those ``owner`` gives v, in the gadget's own order."""
-    neighboring = {shared for shared, in rmap.edge_map.values()}
-    first = min(e for e, o in rmap.owner.items() if o == v and e not in neighboring)
-    gadget = build_pk_gadget(len(rmap.ports[v]), rmap.k, rmap.d)
+    its embedded edges keep the gadget's own order."""
+    first = _wrapper_blocks(rmap)[0][v][1].start
+    gadget = build_pk_gadget(rmap.original.degree(v), rmap.k, rmap.d)
     return {first + e for e in gadget.estar}
 
 
@@ -364,8 +424,13 @@ def test_estar_pick_is_lowest_estar_edge():
 def test_neighboring_edge_ownership_is_lowest_endpoint():
     g = triangle()
     _, rmap = reduce_vertex_to_edge_stash(g, 3, 2)
-    for e, (shared,) in rmap.edge_map.items():
-        assert rmap.owner[shared] == min(g.edge_vertices(e))
+    blocks, first = _wrapper_blocks(rmap)
+    for e, members in enumerate(g._edges):
+        assert rmap.owner[first + e] == min(members)
+    # and a wrapper's own edges are owned by its vertex, with no id left out
+    want = {f: v for v, (_, edges) in enumerate(blocks) for f in edges}
+    want.update({first + e: min(members) for e, members in enumerate(g._edges)})
+    assert rmap.owner == want
 
 
 def test_audits_pass_for_both_cases():
@@ -393,10 +458,11 @@ def test_audit_p1_reports_miswired_graph_and_ports():
     _, rmap = reduce_vertex_to_edge_stash(g, 3, 2)
     e = 0
     v = g.edge_vertices(e)[0]
-    (shared,) = rmap.edge_map[e]
+    blocks, first = _wrapper_blocks(rmap)
+    shared = first + e
     # v's gadget is embedded whole, so its first vertex, the primary node,
     # is the lowest one on the gadget's own edges
-    inner = {f for f, o in rmap.owner.items() if o == v} - {f for f, in rmap.edge_map.values()}
+    inner = blocks[v][1]
     attach, primary = dict(rmap.ports[v])[e], min(w for f in inner for w in rmap.reduced.edge_vertices(f))
     assert primary not in rmap.reduced.edge_vertices(shared)
     rewired = dataclasses.replace(rmap, reduced=_rewired(rmap.reduced, shared, attach, primary))
@@ -430,7 +496,7 @@ def test_map_roundtrip_vstash():
     g = gen_random(4, 5, 2, 9)
     _, rmap = reduce_vertex_to_edge_stash(g, 3, 2)
     loaded = parse_map(serialize_map(rmap))
-    assert loaded == rmap  # every field: both instances and all five lookup tables
+    assert loaded == rmap  # every field: both instances and all three lookup tables
     assert audit_p1(loaded) == []
     stash = min_vertex_stash_exact(g, 3).stash
     assert push_vertex_stash(loaded, stash) == push_vertex_stash(rmap, stash)
@@ -565,8 +631,9 @@ def test_old_format_map_is_input_error_under_python_optimize(tmp_path):
     rmap = reduce_vc_to_vertex_stash(triangle(), 2, 2)[1]
     text = serialize_map(rmap)
     tables = [f"M v {v} {v}" for v in range(rmap.original.num_vertices)]
-    tables += [f"M g {w} {u} {x}" for w, (u, x) in sorted(rmap.gadget_of.items())]
-    tables += [f"M n {e} " + " ".join(map(str, ids)) for e, ids in sorted(rmap.edge_map.items())]
+    blocks = _cover_blocks(rmap)
+    tables += [f"M g {w} {u} {x}" for (inside, _), (u, x) in zip(blocks, rmap.original._edges) for w in inside]
+    tables += [f"M n {e} " + " ".join(map(str, ids)) for e, (_, ids) in enumerate(blocks)]
     mp = tmp_path / "tri.map"
     mp.write_text(text + "\n".join(tables) + "\n")
     stash = tmp_path / "stash.txt"
