@@ -349,7 +349,7 @@ def build_b_block(b: int, k: int, d: int) -> Gadget:
     if k < 3 or d < 2:
         raise ParameterError(f"b-blocks need k >= 3 and d >= 2, got k={k}, d={d}")
     g2 = Hypergraph(2)
-    hubs = (_add_2block(g2, k) if b == 2 else _add_3block(g2, k))[:b]
+    hubs = _add_2block(g2, k) if b == 2 else _add_3block(g2, k)
     g, dummies = _lift_to_d(g2, d)
     ports = tuple(Port(f"p{i}", ((hub,),)) for i, hub in enumerate(hubs))
     return Gadget(

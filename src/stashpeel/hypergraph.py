@@ -14,7 +14,7 @@ handed freely between threads.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import NotFoundError, ParameterError, ParseError, check_ints
 
@@ -179,51 +179,73 @@ def gen_random(n_vertices: int, n_edges: int, d: int, seed: int) -> Hypergraph:
 #
 # Line 1:  h <d> <num_vertices> <num_edges>
 # Then exactly num_edges lines:  e v1 v2 ... vd   (d distinct vertex indices)
-# Vertices are implicitly 0..num_vertices-1; lines starting '#' are comments.
-# Numbers are ASCII decimal, an optional leading '-' aside: a line that is
-# not a comment and holds a non-ASCII character, '_' or '+' is refused,
-# though int() would read some such spellings as numbers.
+# Vertices are implicitly 0..num_vertices-1.
 # Stash files hold one line:  S v <vertex ids...>  or  S e <edge indices...>
 # where edge indices are 0-based positions in the instance file's edge order.
+# Instance, stash and reduction map files share one line reader,
+# ``content_lines``: lines are numbered as str.splitlines numbers them,
+# blank lines and lines starting '#' are skipped, and the whitespace around
+# a line is ignored.  Numbers are ASCII decimal, an optional leading '-'
+# aside: any other line holding a non-ASCII character (whitespace around it
+# included), '_' or '+' is refused, though int() would read some such
+# spellings as numbers.
+
+
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Yield (line number, stripped line) for each line of text that is not
+    blank or a '#' comment, then (one past the last line number, "") for
+    the end of the text.  Raises ParseError at a line holding a non-ASCII
+    character, '_' or '+'."""
+    lineno = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and line[0] != "#":
+            if not raw.isascii() or "_" in raw or "+" in raw:
+                raise ParseError(f"non-ASCII, '_' or '+' character in {raw!r}", lineno)
+            yield lineno, line
+    yield lineno + 1, ""
 
 
 def parse(text: str) -> Hypergraph:
-    """Parse the standard text format. Raises ParseError with a line number.
+    """Parse the standard text format. Raises ParseError with a line number."""
+    return parse_lines(content_lines(text))
+
+
+def parse_lines(lines: Iterator[tuple[int, str]]) -> Hypergraph:
+    """Read one instance in the standard text format from ``content_lines``
+    items, up to the first empty line.
 
     Each edge gets the checks of ``Hypergraph.add_edge``, with its messages,
     but is appended straight to the edge list and incidence index.
     """
-    g: Hypergraph | None = None
-    header_at = d = m = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        fields = raw.split()
-        if not fields or fields[0][0] == "#":
-            continue
-        if not raw.isascii() or "_" in raw or "+" in raw:
-            raise ParseError(f"non-ASCII, '_' or '+' character in {raw!r}", lineno)
-        if g is None:
-            if fields[0] != "h" or len(fields) != 4:
-                raise ParseError(f"expected header 'h <d> <n> <m>', got {raw!r}", lineno)
-            try:
-                d, n, m = (int(x) for x in fields[1:])
-            except ValueError:
-                raise ParseError(f"non-integer field in header {raw!r}", lineno) from None
-            if d < 2 or n < 0 or m < 0:
-                raise ParseError(f"header out of range: d={d}, n={n}, m={m}", lineno)
-            header_at = lineno
-            g = Hypergraph(d)
-            edges = g._edges
-            incidence = g._incidence = [[] for _ in range(n)]
-            continue
+    header_at, header = next(lines)
+    if not header:
+        raise ParseError("empty input: missing 'h' header", header_at)
+    fields = header.split()
+    if fields[0] != "h" or len(fields) != 4:
+        raise ParseError(f"expected header 'h <d> <n> <m>', got {header!r}", header_at)
+    try:
+        d, n, m = (int(x) for x in fields[1:])
+    except ValueError:
+        raise ParseError(f"non-integer field in header {header!r}", header_at) from None
+    if d < 2 or n < 0 or m < 0:
+        raise ParseError(f"header out of range: d={d}, n={n}, m={m}", header_at)
+    g = Hypergraph(d)
+    edges = g._edges
+    incidence = g._incidence = [[] for _ in range(n)]
+    for lineno, line in lines:
+        if not line:
+            break
+        fields = line.split()
         if fields[0] != "e":
-            raise ParseError(f"expected edge line 'e v1 ... vd', got {raw!r}", lineno)
+            raise ParseError(f"expected edge line 'e v1 ... vd', got {line!r}", lineno)
         eid = len(edges)
         if eid >= m:
             raise ParseError(f"more than the declared {m} edges", lineno)
         try:
             vs = tuple(map(int, fields[1:]))
         except ValueError:
-            raise ParseError(f"non-integer vertex index in {raw!r}", lineno) from None
+            raise ParseError(f"non-integer vertex index in {line!r}", lineno) from None
         if len(vs) != d:
             raise ParseError(f"edge needs {d} vertices, got {len(vs)}", lineno)
         if len(set(vs)) != d:
@@ -233,8 +255,6 @@ def parse(text: str) -> Hypergraph:
                 raise ParseError(f"unknown vertex id {v}", lineno)
             incidence[v].append(eid)
         edges.append(vs)
-    if g is None:
-        raise ParseError("empty input: missing 'h' header", 1)
     if len(edges) != m:
         raise ParseError(f"declared {m} edges but found {len(edges)}", header_at)
     return g
@@ -250,29 +270,25 @@ def serialize(g: Hypergraph) -> str:
 
 
 def parse_stash(text: str) -> tuple[str, list[int]]:
-    """Parse a stash file; returns ('v'|'e', ids)."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not raw.isascii() or "_" in raw or "+" in raw:
-            raise ParseError(f"non-ASCII, '_' or '+' character in {raw!r}", lineno)
-        fields = line.split()
-        if fields[0] != "S" or len(fields) < 2 or fields[1] not in ("v", "e"):
-            raise ParseError(f"expected 'S v|e <ids...>', got {raw!r}", lineno)
-        try:
-            ids = [int(x) for x in fields[2:]]
-        except ValueError:
-            raise ParseError(f"non-integer id in {raw!r}", lineno) from None
-        return fields[1], ids
-    raise ParseError("empty stash file", 1)
+    """Parse a stash file, whose first content line is the stash; returns
+    ('v'|'e', ids)."""
+    at, line = next(content_lines(text))
+    if not line:
+        raise ParseError("empty stash file", at)
+    fields = line.split()
+    if fields[0] != "S" or len(fields) < 2 or fields[1] not in ("v", "e"):
+        raise ParseError(f"expected 'S v|e <ids...>', got {line!r}", at)
+    try:
+        return fields[1], [int(x) for x in fields[2:]]
+    except ValueError:
+        raise ParseError(f"non-integer id in {line!r}", at) from None
 
 
 def format_stash(kind: str, ids: Iterable[int]) -> str:
     """Render a stash as ``parse_stash`` reads it; every id must be an int."""
     if kind not in ("v", "e"):
         raise ParameterError(f"stash kind must be 'v' or 'e', got {kind!r}")
-    ids = sorted(ids)
+    ids = list(ids)
     for i in ids:
         check_ints(id=i)
-    return f"S {kind} {' '.join(map(str, ids))}".rstrip() + "\n"
+    return f"S {kind} {' '.join(map(str, sorted(ids)))}".rstrip() + "\n"

@@ -33,12 +33,16 @@ each direction's name, the word a sidecar header and ``reduce --from``
 use, to its builder.  Maps round-trip through a text sidecar format (see
 ``serialize_map``) so the CLI can lift certificates from files alone:
 the file holds a header and both instances, and the tables are rebuilt.
+``parse_map`` reads the file through ``hypergraph.content_lines``, the
+line reader instance and stash files share, so its line numbers, comment
+and blank-line skipping and character rules are theirs, and it hands the
+embedded original's lines straight to ``hypergraph.parse_lines``.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
+from itertools import chain
 
 from . import peeling
 from .errors import (ContractViolationError, InvalidArityError, ParameterError, ParseError,
@@ -51,7 +55,7 @@ from .gadgets import (
     check_gadget,
     embed_graph,
 )
-from .hypergraph import Hypergraph, parse, serialize
+from .hypergraph import Hypergraph, content_lines, parse_lines, serialize
 
 
 @dataclass
@@ -294,31 +298,8 @@ def audit_pk_properties(rmap: ReductionMap) -> list[GadgetReport]:
 def serialize_map(rmap: ReductionMap) -> str:
     """Sidecar text form of a reduction map: its header, then both
     instances; ``parse_map`` rebuilds every lookup table from these."""
-    lines = [f"M {rmap.direction} {rmap.k} {rmap.d}"]
-    for label, g in (("orig", rmap.original), ("reduced", rmap.reduced)):
-        lines.append(f"G {label}")
-        lines.extend(serialize(g).rstrip("\n").split("\n"))
-        lines.append("G end")
-    return "\n".join(lines) + "\n"
-
-
-# the line breaks of str.splitlines, which parse uses, so a map's line
-# numbers are those its embedded instances would have
-_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-_LINE = re.compile(f"[^{_BREAKS}]*(?:\r\n|[{_BREAKS}])?")
-
-
-def _content_lines(text: str):
-    """Yield (line number, stripped line) for each line that is not blank or
-    a '#' comment, without splitting the whole text at once; then (one past
-    the last line number, "") for the end of the text."""
-    lineno = 0
-    # the last match is the empty one at the end of the text
-    for lineno, match in enumerate(_LINE.finditer(text), start=1):
-        line = match.group().strip()
-        if line and not line.startswith("#"):
-            yield lineno, line
-    yield lineno, ""
+    return (f"M {rmap.direction} {rmap.k} {rmap.d}\nG orig\n{serialize(rmap.original)}G end\n"
+            f"G reduced\n{serialize(rmap.reduced)}G end\n")
 
 
 def parse_map(text: str) -> ReductionMap:
@@ -330,7 +311,7 @@ def parse_map(text: str) -> ReductionMap:
     comment lines and whitespace around a line; the first line that
     differs raises ParseError.  The rebuild is returned.
     """
-    lines = _content_lines(text)
+    lines = content_lines(text)
     header_at, header = next(lines)
     fields = header.split()
     if len(fields) != 4 or fields[0] != "M" or fields[1] not in REDUCTIONS:
@@ -342,18 +323,13 @@ def parse_map(text: str) -> ReductionMap:
     at, line = next(lines)
     if line != "G orig":
         raise ParseError(f"expected 'G orig', got {line!r}", at)
-    # a missing 'G end' is reported by the comparison below; the end of the
-    # text is the one blank item `lines` yields
-    section = {}
-    for end_at, line in lines:
-        if line in ("G end", ""):
-            break
-        section[end_at] = line
-    if not section:
-        raise ParseError("empty 'G orig' section: missing 'h' header", end_at)
-    # blank lines in place of the rest keep parse's line numbers the file's
-    last = max(section)
-    original = parse("\n".join(section.get(n, "") for n in range(1, last + 1)))
+    # the original ends at 'G end'; a missing one is reported by the
+    # comparison below
+    section = ((at, "" if line == "G end" else line) for at, line in lines)
+    first = next(section)
+    if not first[1]:
+        raise ParseError("empty 'G orig' section: missing 'h' header", first[0])
+    original = parse_lines(chain([first], section))
     tag = fields[1]
     # refuse a header asking for more reduced edges than the text can hold
     # before building any: each is an 'e' line of d ids, and there are at
@@ -372,7 +348,7 @@ def parse_map(text: str) -> ReductionMap:
         raise ParseError(str(exc), header_at) from None
     expected = serialize_map(rmap)
     if text != expected:
-        for (at, got), (_, want) in zip(_content_lines(text), _content_lines(expected)):
+        for (at, got), (_, want) in zip(content_lines(text), content_lines(expected)):
             if got != want:
                 raise ParseError(f"expected {want!r}, got {got!r}", at)
     return rmap

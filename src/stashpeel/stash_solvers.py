@@ -356,8 +356,8 @@ def greedy_stash(
     picks uniformly with a deterministic seed.  Always valid, never
     certified optimal.
 
-    ``max_degree`` keeps one heap entry per live element and re-scores an
-    entry only when it reaches the top, so its picks cost
+    ``max_degree`` and ``min_id`` keep one heap entry per live element and
+    re-score an entry only when it reaches the top, so their picks cost
     O((|E| + score drops) * log |E|) in all, not a scan of every element
     per pick, O(picks * |E| * d).
     """
@@ -377,7 +377,9 @@ def greedy_stash(
 def _greedy_picks(core: PeelCore, mode: str, tie_break: str, rng: random.Random) -> frozenset[int]:
     deg = core.degree
     alive, remove = _kind_ops(core, mode)
-    if mode == "vertex":
+    if tie_break == "min_id":
+        score = lambda x: 0  # every entry ties, so the top live one is the lowest live id
+    elif mode == "vertex":
         score = deg.__getitem__
     else:
         edge_vertices = core.edge_vertices
@@ -386,11 +388,13 @@ def _greedy_picks(core: PeelCore, mode: str, tie_break: str, rng: random.Random)
     # stored score bounds the current one from above, and an entry whose
     # stored score is current outranks every other live element: it is the
     # lowest-id maximum.
-    heap = [(-score(x), x) for x in compress(count(), alive)] if tie_break == "max_degree" else []
+    heap = [(-score(x), x) for x in compress(count(), alive)] if tie_break != "seeded_random" else []
     heapify(heap)
     stash: set[int] = set()
     while core.live_edges:
-        if tie_break == "max_degree":
+        if tie_break == "seeded_random":
+            pick = rng.choice(list(compress(range(len(alive)), alive)))
+        else:
             while True:
                 stored, pick = heap[0]
                 if not alive[pick]:
@@ -401,10 +405,6 @@ def _greedy_picks(core: PeelCore, mode: str, tie_break: str, rng: random.Random)
                     heappop(heap)
                     break
                 heapreplace(heap, (now, pick))
-        elif tie_break == "min_id":
-            pick = alive.index(True)
-        else:
-            pick = rng.choice(list(compress(range(len(alive)), alive)))
         stash.add(pick)
         remove(pick)
     return frozenset(stash)

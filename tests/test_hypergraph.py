@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import pytest
@@ -111,8 +112,13 @@ def test_bools_are_not_ids(bad):
         with pytest.raises(NotFoundError, match=f"^unknown (vertex|edge) id {bad}( in stash)?$"):
             call()
     assert layout(g) == layout(triangle())
-    # a stash file holds int ids only, as parse_stash reads them
-    with pytest.raises(ParameterError, match=f"^id must be an integer, got {bad}$"):
+
+
+@pytest.mark.parametrize("bad", [True, False, "1", None, 1.0], ids=repr)
+def test_format_stash_refuses_non_int_ids(bad):
+    # a stash file holds int ids only, as parse_stash reads them; every id is
+    # checked before the ids are sorted, so no mix of types ends in TypeError
+    with pytest.raises(ParameterError, match=f"^id must be an integer, got {re.escape(repr(bad))}$"):
         format_stash("v", [0, bad])
 
 

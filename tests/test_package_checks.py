@@ -92,6 +92,22 @@ def test_cli_reads_no_reduction_map_table():
     assert reads == []
 
 
+def test_reductions_reads_lines_through_hypergraph():
+    # how a line of instance, stash or map text is numbered and read belongs
+    # to `hypergraph.content_lines`: `reductions` neither splits text into
+    # lines nor imports a regex module to do so
+    tree = ast.parse((SRC / "reductions.py").read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.add(node.module)
+    splits = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "splitlines"]
+    assert "re" not in modules
+    assert splits == []
+
+
 def test_package_has_no_dead_imports():
     # a deletion can leave an import behind; every imported name must be
     # read somewhere in its module

@@ -6,6 +6,8 @@ valid files after a few random line and token edits.  Numbers are kept
 small so that no mutated header asks for millions of vertices.  Valid
 maps with blank lines, comments and surrounding whitespace must parse to
 the same map, and a changed number must be reported on its own line.
+The three readers share one line reader, so a spelling one refuses is
+refused by all of them at the same line.
 """
 
 from __future__ import annotations
@@ -144,3 +146,46 @@ def test_parse_map_reports_a_changed_number_on_its_line(maps, data):
     with pytest.raises(ParseError) as exc:
         parse_map("\n".join(lines))
     assert exc.value.line == i + 1
+
+
+# spellings that int() reads as the number they replace but the formats
+# refuse, each applied to the last number of a line
+REFUSED = {
+    "trailing-nbsp": lambda line: line + "\xa0",
+    "trailing-ideographic-space": lambda line: line + "\u3000",
+    "underscore": lambda line: line[:-1] + "0_" + line[-1],
+    "plus": lambda line: line[:-1] + "+" + line[-1],
+    "non-ascii-digit": lambda line: line[:-1] + chr(0x660 + int(line[-1])),
+}
+MAP = MAPS[0]
+
+
+def _after(marker):
+    """Index of the first 'e' line after `marker` in MAP's lines."""
+    lines = MAP.splitlines()
+    return next(i for i in range(lines.index(marker), len(lines)) if lines[i].startswith("e "))
+
+
+# (reader, valid text, index of the line to spell badly)
+READERS = {
+    "instance": (parse, serialize(triangle()), 2),
+    "stash": (parse_stash, "# stash\nS v 0 2\n", 1),
+    "map-header": (parse_map, MAP, 0),
+    "map-original": (parse_map, MAP, _after("G orig")),
+    "map-reduced": (parse_map, MAP, _after("G reduced")),
+}
+
+
+@pytest.mark.parametrize("spelling", REFUSED)
+@pytest.mark.parametrize("reader", READERS)
+def test_readers_refuse_the_same_spellings_at_the_same_line(reader, spelling):
+    # instance, stash and map text share one line reader, so each refused
+    # spelling is refused alike wherever it stands, at the file's own line
+    read, text, i = READERS[reader]
+    lines = text.splitlines()
+    bad = REFUSED[spelling](lines[i])
+    at = 20  # pad with comments so the bad line is line 20 in every file
+    lines = ["# pad"] * (at - 1 - i) + [*lines[:i], bad, *lines[i + 1:]]
+    with pytest.raises(ParseError) as exc:
+        read("\n".join(lines) + "\n")
+    assert str(exc.value) == f"line {at}: non-ASCII, '_' or '+' character in {bad!r}"
