@@ -14,6 +14,7 @@ handed freely between threads.
 from __future__ import annotations
 
 import random
+import re
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NotFoundError, ParameterError, ParseError, check_ints
@@ -182,7 +183,10 @@ def gen_random(n_vertices: int, n_edges: int, d: int, seed: int) -> Hypergraph:
 # Vertices are implicitly 0..num_vertices-1.
 # Stash files hold one line:  S v <vertex ids...>  or  S e <edge indices...>
 # where edge indices are 0-based positions in the instance file's edge order.
-# Instance, stash and reduction map files share one line reader,
+# Text exactly as ``serialize`` writes it (single spaces, ASCII digits, a
+# '\n' after every line and nothing else) is read in bulk.  All other
+# instance text, and every error, goes through ``parse_lines`` and the one
+# line reader that instance, stash and reduction map files share,
 # ``content_lines``: lines are numbered as str.splitlines numbers them,
 # blank lines and lines starting '#' are skipped, and the whitespace around
 # a line is ignored.  Numbers are ASCII decimal, an optional leading '-'
@@ -207,8 +211,67 @@ def content_lines(text: str) -> Iterator[tuple[int, str]]:
 
 
 def parse(text: str) -> Hypergraph:
-    """Parse the standard text format. Raises ParseError with a line number."""
-    return parse_lines(content_lines(text))
+    """Parse the standard text format. Raises ParseError with a line number.
+
+    Text in the exact form ``serialize`` writes is read in bulk; any other
+    text, and every error with its message and line, goes through
+    ``parse_lines(content_lines(text))``, which gives the same result."""
+    g = _parse_serialized(text)
+    return g if g is not None else parse_lines(content_lines(text))
+
+
+_HEADER = re.compile(r"h ([0-9]+) ([0-9]+) ([0-9]+)\n")
+# Each chunk of edge lines is checked by one fullmatch, whose backtracking
+# stack grows with the lines it spans (16.7 MiB over 32,000 d=3 lines), so
+# chunks stay small; a possessive quantifier would need Python 3.11.
+_CHUNK = 1 << 15
+
+
+def _parse_serialized(text: str) -> Hypergraph | None:
+    """The hypergraph of text in the exact form ``serialize`` writes, or None
+    for any other text, valid or not, which ``parse_lines`` then reads."""
+    header = _HEADER.match(text)
+    if header is None:
+        return None
+    try:
+        # int() refuses a number of more than 4,300 digits
+        d, n, m = map(int, header.groups())
+    except ValueError:
+        return None
+    pos = header.end()
+    # an edge line is at least 2d + 2 characters long, so with an edge this
+    # bounds d, the regex's repeat count
+    if d < 2 or m < 1 or text.count("\n", pos) != m or m * (2 * d + 2) > len(text) - pos:
+        return None
+    g = Hypergraph(d)
+    edges = g._edges
+    line = re.compile("(?:e(?: [0-9]+){%d}\n)*" % d)
+    while pos < len(text):
+        end = text.find("\n", pos + _CHUNK) + 1 or len(text)
+        if line.fullmatch(text, pos, end) is None:
+            return None
+        tokens = text[pos:end].split()
+        del tokens[:: d + 1]  # the 'e' that opens each line
+        try:
+            # zip over d references to one iterator takes its items d at a time
+            edges.extend(zip(*[map(int, tokens)] * d))
+        except ValueError:
+            return None
+        pos = end
+    if max(map(max, edges)) >= n or min(map(len, map(set, edges))) != d:
+        return None
+    g._incidence = _incidence(n, edges)
+    return g
+
+
+def _incidence(n: int, edges: list[tuple[int, ...]]) -> list[list[int]]:
+    """Each of n vertices' incident edge ids, ascending, for an edge list
+    whose ends all lie below n."""
+    incidence: list[list[int]] = [[] for _ in range(n)]
+    for e, vs in enumerate(edges):
+        for v in vs:
+            incidence[v].append(e)
+    return incidence
 
 
 def parse_lines(lines: Iterator[tuple[int, str]]) -> Hypergraph:

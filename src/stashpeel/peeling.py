@@ -25,7 +25,7 @@ from operator import not_
 from typing import Collection, Iterable
 
 from .errors import NotFoundError, ParameterError, check_ints
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _incidence
 
 
 @dataclass(frozen=True)
@@ -153,10 +153,7 @@ def core_subgraph(g: Hypergraph, trace: PeelTrace) -> Hypergraph:
     h = Hypergraph(g._d)
     # zip over d references to one iterator takes its items d at a time
     edges = h._edges = list(zip(*[ends] * g._d))
-    incidence = h._incidence = [[] for _ in core_v]
-    for e, vs in enumerate(edges):
-        for v in vs:
-            incidence[v].append(e)
+    h._incidence = _incidence(len(core_v), edges)
     return h
 
 

@@ -9,12 +9,21 @@ import sys
 from itertools import combinations
 from pathlib import Path
 
+import pytest
 from hypothesis import strategies as st
 
 from stashpeel import Gadget, Hypergraph
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# int() refuses a decimal string longer than the interpreter's limit (4,300
+# digits by default), so a number this long in a file is an input error
+OVERSIZED = "9" * 5000
+needs_int_digit_limit = pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(OVERSIZED),
+    reason="int() reads a 5,000-digit string on this interpreter",
+)
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:

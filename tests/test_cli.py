@@ -7,7 +7,7 @@ from stashpeel import (ParameterError, ParseError, cli, gen_random, is_k_peelabl
                        reductions, stash_solvers)
 from stashpeel.cli import run
 
-from helpers import mkgraph, run_python
+from helpers import OVERSIZED, mkgraph, needs_int_digit_limit, run_python
 
 TRIANGLE = "h 2 3 3\ne 0 1\ne 1 2\ne 2 0\n"
 FOREST = "h 2 4 3\ne 0 1\ne 1 2\ne 2 3\n"
@@ -184,6 +184,15 @@ def test_malformed_file_is_input_error(tmp_path):
     bad.write_text("h 2 2 1\ne 0 0\n")
     code, _, err = invoke("peel", "--k", "2", str(bad))
     assert code == 2 and "line 2" in err
+
+
+@needs_int_digit_limit
+@pytest.mark.parametrize("text, line", [(f"h 2 {OVERSIZED} 1\ne 0 1\n", 1), (f"h 2 3 1\ne 0 {OVERSIZED}\n", 2)])
+def test_oversized_number_is_input_error(tmp_path, text, line):
+    bad = tmp_path / "bad.hg"
+    bad.write_text(text)
+    code, out, err = invoke("peel", "--k", "2", str(bad))
+    assert (code, out) == (2, "") and err.startswith(f"error: line {line}: non-integer ")
 
 
 def test_edge_count_mismatch_names_the_header_line(tmp_path):

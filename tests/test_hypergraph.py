@@ -11,6 +11,7 @@ from stashpeel import (
     ParameterError,
     ParseError,
     format_stash,
+    gen_random,
     is_k_peelable,
     k_core_after,
     parse,
@@ -19,8 +20,9 @@ from stashpeel import (
 )
 
 from stashpeel.gadgets import embed_graph
+from stashpeel.hypergraph import _parse_serialized, content_lines, parse_lines
 
-from helpers import hypergraphs, layout, mkgraph, triangle
+from helpers import OVERSIZED, hypergraphs, layout, mkgraph, needs_int_digit_limit, triangle
 from oracles import serialize_by_rendering
 
 TRIANGLE_TEXT = "h 2 3 3\ne 0 1\ne 1 2\ne 2 0\n"
@@ -222,6 +224,22 @@ def test_declared_vertices_stay_small():
     assert per_vertex < 114
 
 
+def test_bulk_parse_peaks_no_higher_than_the_line_reader():
+    # the bulk reader checks its text in chunks, so no regex match holds a
+    # backtracking stack over the whole text
+    text = serialize(gen_random(40_000, 32_000, 3, 1))
+    assert _parse_serialized(text) is not None
+    peaks = []
+    for read in (parse, lambda t: parse_lines(content_lines(t))):
+        tracemalloc.start()
+        try:
+            read(text)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
+
+
 def test_roundtrip_identity_on_canonical_input():
     g = triangle()
     assert parse(serialize(g)) == g
@@ -335,6 +353,13 @@ def test_parse_fills_the_same_layout_as_add_edge():
         ("h 2 3 1\ne +1 2\n", 2, "non-ASCII, '_' or '+' character in 'e +1 2'"),
         ("h 2 3 1\n# ok\ne 1\xa02\n", 3, "non-ASCII, '_' or '+' character in 'e 1\\xa02'"),
         ("h 2 1_0 0\n", 1, "non-ASCII, '_' or '+' character in 'h 2 1_0 0'"),
+        # serialize-form text whose arity no regex repeat count can hold
+        ("h 10000000000 3 1\ne 0 1\n", 2, "edge needs 10000000000 vertices, got 2"),
+        # serialize-form text whose number int() refuses to read
+        pytest.param(f"h 2 {OVERSIZED} 1\ne 0 1\n", 1, f"non-integer field in header 'h 2 {OVERSIZED} 1'",
+                     marks=needs_int_digit_limit, id="oversized-header-field"),
+        pytest.param(f"h 2 3 1\ne 0 {OVERSIZED}\n", 2, f"non-integer vertex index in 'e 0 {OVERSIZED}'",
+                     marks=needs_int_digit_limit, id="oversized-edge-id"),
     ],
 )
 def test_parse_edge_errors_name_their_line(text, line, message):

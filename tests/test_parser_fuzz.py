@@ -7,7 +7,9 @@ small so that no mutated header asks for millions of vertices.  Valid
 maps with blank lines, comments and surrounding whitespace must parse to
 the same map, and a changed number must be reported on its own line.
 The three readers share one line reader, so a spelling one refuses is
-refused by all of them at the same line.
+refused by all of them at the same line.  ``parse`` reads text in the exact
+form ``serialize`` writes in bulk, and must give what the line reader gives
+on every text: the same hypergraph, or the same error at the same line.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stashpeel import ParseError, StashpeelError, format_stash, gen_random, parse, parse_stash, serialize
+from stashpeel.hypergraph import _CHUNK, _parse_serialized, content_lines, parse_lines
 from stashpeel.reductions import (
     parse_map,
     reduce_vc_to_vertex_stash,
@@ -26,7 +29,7 @@ from stashpeel.reductions import (
     serialize_map,
 )
 
-from helpers import hypergraphs, triangle
+from helpers import hypergraphs, layout, triangle
 
 WORDS = ("h", "e", "S", "v", "M", "G", "vc", "vstash", "g", "n", "orig", "reduced", "end",
          "#", "x", "-1", "1.5", "٣", "﻿")
@@ -81,6 +84,74 @@ def only_stashpeel_errors(parser, text: str) -> None:
 @given(st.one_of(ARBITRARY, mutated(INSTANCES)))
 def test_parse_raises_only_stashpeel_errors(text):
     only_stashpeel_errors(parse, text)
+
+
+def line_reader(text: str):
+    return parse_lines(content_lines(text))
+
+
+def outcome(reader, text: str) -> tuple:
+    """The layout reader(text) gives, or its ParseError's text and line."""
+    try:
+        return layout(reader(text))
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+def _edit_token(text: str, line: int, token: int, edit) -> str:
+    lines = text.splitlines()
+    fields = lines[line].split(" ")
+    fields[token] = edit(fields[token])
+    lines[line] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def near_serialized(draw):
+    """Serialize text as written, or after one edit that leaves it readable
+    but outside the exact form (all but the leading zero, which the bulk
+    reader takes)."""
+    text = draw(INSTANCES)
+    line = draw(st.integers(0, text.count("\n") - 1))
+    token = draw(st.integers(1, text.splitlines()[line].count(" ")))
+    return draw(st.sampled_from((
+        text,
+        text.replace("\n", "\r\n"),
+        text[:-1],
+        text + "# map: x\n",
+        _edit_token(text, line, token, lambda field: " " + field),
+        _edit_token(text, line, token, lambda field: "0" + field),
+    )))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(near_serialized(), mutated(INSTANCES)))
+def test_parse_agrees_with_the_line_reader(text):
+    assert outcome(parse, text) == outcome(line_reader, text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hypergraphs(max_vertices=6, max_edges=8))
+def test_serialize_text_with_edges_is_read_in_bulk(g):
+    bulk = _parse_serialized(serialize(g))
+    assert (bulk is not None) == (g.num_edges > 0)
+    if bulk is not None:
+        assert layout(bulk) == layout(g)
+
+
+def test_bulk_reader_crosses_chunk_boundaries():
+    g = gen_random(6000, 5000, 3, 1)
+    text = serialize(g)
+    assert len(text) > 2 * _CHUNK
+    assert layout(_parse_serialized(text)) == layout(line_reader(text)) == layout(g)
+    # a bad edge in the last chunk sends the whole text to the line reader
+    lines = text.splitlines()
+    lines[-2] = "e 7 3 7"
+    bad = "\n".join(lines) + "\n"
+    assert _parse_serialized(bad) is None
+    with pytest.raises(ParseError) as exc:
+        parse(bad)
+    assert str(exc.value) == f"line {len(lines) - 1}: edge has a repeated vertex: (7, 3, 7)"
 
 
 @settings(max_examples=200, deadline=None)
