@@ -86,12 +86,10 @@ class Hypergraph:
         return len(self._edges)
 
     @property
-    def vertices(self) -> frozenset[int]:
-        return frozenset(range(len(self._incidence)))
-
-    @property
     def edges(self) -> dict[int, tuple[int, ...]]:
-        """Snapshot of edge id -> vertex sequence."""
+        """Snapshot of edge id -> vertex sequence.  No package code calls
+        it; the benchmark's set-up does.  Read ``num_edges`` and
+        ``edge_vertices`` instead."""
         return dict(enumerate(self._edges))
 
     # A list accepts a negative index, so an outside id is range-checked
@@ -107,11 +105,6 @@ class Hypergraph:
         if not self.has_edge(e):
             raise NotFoundError(f"unknown edge id {e}")
         return self._edges[e]
-
-    def incident_edges(self, v: int) -> frozenset[int]:
-        if not self.has_vertex(v):
-            raise NotFoundError(f"unknown vertex id {v}")
-        return frozenset(self._incidence[v])
 
     def degree(self, v: int) -> int:
         """Number of incident edges, counting parallel edges separately."""

@@ -197,7 +197,7 @@ def peel_edges(edges: dict[int, tuple[int, ...]], k: int) -> dict[int, tuple[int
 
     The edge ids must be 0..m-1 and the vertex ids non-negative, as in
     ``Hypergraph.edges``; the map is checked like ``Hypergraph.add_edge``
-    input.
+    input.  No package code calls it; the benchmark's set-up does.
     """
     check_k(k)
     m = len(edges)

@@ -77,10 +77,14 @@ def without(g: Hypergraph, vertices=(), edges=()) -> tuple[Hypergraph, dict[int,
     edges, through the public builders.  Survivors are renumbered in
     ascending order of their old ids; returns (graph, vertex map, edge map),
     each from old id to new id."""
-    gone = set(edges).union(*(g.incident_edges(v) for v in vertices))
+    gone_v, gone_e = set(vertices), set(edges)
     h = Hypergraph(g.d)
-    vmap = {v: h.add_vertex() for v in sorted(g.vertices - set(vertices))}
-    emap = {e: h.add_edge([vmap[v] for v in g.edge_vertices(e)]) for e in sorted(g.edges) if e not in gone}
+    vmap = {v: h.add_vertex() for v in range(g.num_vertices) if v not in gone_v}
+    emap = {
+        e: h.add_edge([vmap[v] for v in g.edge_vertices(e)])
+        for e in range(g.num_edges)
+        if e not in gone_e and gone_v.isdisjoint(g.edge_vertices(e))
+    }
     return h, vmap, emap
 
 

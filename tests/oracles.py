@@ -1,7 +1,7 @@
 """Independent brute-force oracles the engine and solvers are checked against.
 
 Everything here works on plain sets and dicts built from the input through
-its read-only queries (``vertices``, ``edges``, ``edge_vertices``), by
+its read-only queries (``num_vertices``, ``num_edges``, ``edge_vertices``), by
 subset enumeration or naive repeated removal, with no worklists, no pruning
 to cores, and no shared code with the package's algorithms, so agreement is
 meaningful.
@@ -18,8 +18,8 @@ from stashpeel import Hypergraph
 def _live(g: Hypergraph, stash_vertices=(), stash_edges=()) -> tuple[set[int], dict[int, tuple[int, ...]]]:
     """The vertices and edges of g left after a stash: the stashed vertices,
     the stashed edges and the edges on stashed vertices are gone."""
-    vertices = set(g.vertices) - set(stash_vertices)
-    edges = {e: g.edge_vertices(e) for e in set(g.edges) - set(stash_edges)}
+    vertices = set(range(g.num_vertices)) - set(stash_vertices)
+    edges = {e: g.edge_vertices(e) for e in set(range(g.num_edges)) - set(stash_edges)}
     return vertices, {e: vs for e, vs in edges.items() if vertices.issuperset(vs)}
 
 
@@ -114,12 +114,11 @@ def core_layout_by_renumbering(g: Hypergraph, core_vertices, core_edges) -> tupl
 
 
 def serialize_by_rendering(g: Hypergraph) -> str:
-    """The text format written line by line through the public queries:
-    vertices ranked by ascending id, edges in ascending id order."""
-    rank = {v: i for i, v in enumerate(sorted(g.vertices))}
+    """The text format written line by line through the public queries,
+    edges in ascending id order."""
     lines = [f"h {g.d} {g.num_vertices} {g.num_edges}"]
-    for e in sorted(g.edges):
-        lines.append("e " + " ".join(str(rank[v]) for v in g.edge_vertices(e)))
+    for e in range(g.num_edges):
+        lines.append("e " + " ".join(str(v) for v in g.edge_vertices(e)))
     return "\n".join(lines) + "\n"
 
 
@@ -133,7 +132,7 @@ def min_stash_by_enumeration(g: Hypergraph, k: int, kind: str) -> frozenset[int]
     """Lexicographically first minimum stash: the first subset, in
     ``combinations(sorted(pool), size)`` order for increasing size, whose
     removal leaves an empty core.  The pool is every vertex or edge."""
-    pool = sorted(g.vertices) if kind == "vertex" else sorted(g.edges)
+    pool = range(g.num_vertices if kind == "vertex" else g.num_edges)
     for size in range(len(pool) + 1):
         for subset in combinations(pool, size):
             if not _core_after(g, k, kind, subset)[0]:
@@ -183,8 +182,8 @@ def greedy_stash_by_repeeling(
 def min_cover_size_by_enumeration(g: Hypergraph) -> int:
     """Smallest vertex set meeting every edge, by unpruned enumeration."""
     assert g.d == 2
-    vertices = sorted(g.vertices)
-    edges = list(g.edges.values())
+    vertices = range(g.num_vertices)
+    edges = [g.edge_vertices(e) for e in range(g.num_edges)]
     for size in range(len(vertices) + 1):
         for subset in combinations(vertices, size):
             chosen = set(subset)
@@ -194,10 +193,15 @@ def min_cover_size_by_enumeration(g: Hypergraph) -> int:
 
 
 def connected_components(g: Hypergraph) -> int:
-    """Component count by depth-first search over the incidence structure."""
+    """Component count by depth-first search over a neighbour table built
+    from the edge list."""
+    neighbours: list[set[int]] = [set() for _ in range(g.num_vertices)]
+    for e in range(g.num_edges):
+        for v in g.edge_vertices(e):
+            neighbours[v].update(g.edge_vertices(e))
     seen: set[int] = set()
     count = 0
-    for start in sorted(g.vertices):
+    for start in range(g.num_vertices):
         if start in seen:
             continue
         count += 1
@@ -205,11 +209,10 @@ def connected_components(g: Hypergraph) -> int:
         seen.add(start)
         while stack:
             v = stack.pop()
-            for e in g.incident_edges(v):
-                for w in g.edge_vertices(e):
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
+            for w in neighbours[v]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
     return count
 
 

@@ -59,6 +59,17 @@ def test_package_has_no_bare_asserts():
     assert found == []
 
 
+def test_hypergraph_public_names_are_pinned():
+    # one read API: counts, per-id queries and the builders.  `edges`, a
+    # snapshot dict of every edge, is kept only for the benchmark's set-up;
+    # no other accessor that copies the graph may come back unnoticed.
+    public = {name for name in vars(stashpeel.Hypergraph) if not name.startswith("_")}
+    assert public == {
+        "add_vertex", "add_vertices", "add_edge", "d", "num_vertices", "num_edges", "edges",
+        "has_vertex", "has_edge", "edge_vertices", "degree", "copy", "validate",
+    }
+
+
 def test_gadget_checkers_import_no_rng():
     # every gadget verdict is exhaustive on its removal frontier, so no
     # checker draws a sample

@@ -117,8 +117,8 @@ def test_trace_replay_and_core_subgraph():
     trace = k_core(g, 2)
     assert verify_trace(g, trace)
     core = core_subgraph(g, trace)
-    assert core.vertices == trace.core_vertices
-    assert set(core.edges) == trace.core_edges
+    assert set(range(core.num_vertices)) == trace.core_vertices
+    assert set(range(core.num_edges)) == trace.core_edges
 
 
 def test_verify_trace_rejects_a_vertex_peeled_twice():
@@ -140,7 +140,7 @@ def test_peel_trace_refuses_k_below_one(k):
     # a k=0 trace with everything in its core would otherwise replay as valid
     g = triangle()
     with pytest.raises(ParameterError, match=f"^k must be at least 1, got {k}$"):
-        PeelTrace(k, (), frozenset(), g.vertices, frozenset(g.edges))
+        PeelTrace(k, (), frozenset(), frozenset(range(g.num_vertices)), frozenset(range(g.num_edges)))
 
 
 def test_verify_trace_replays_stash_free_traces_only():
@@ -187,7 +187,7 @@ def test_verify_trace_rejects_bad_traces(g, peeled, wrong_order):
     trace = k_core(g, 2)
     assert trace.peeled_vertices == peeled and verify_trace(g, trace)
     first, last = peeled[0], peeled[-1]
-    first_edges = g.incident_edges(first)
+    first_edges = frozenset(e for e in range(g.num_edges) if first in g.edge_vertices(e))
     core_edge = min(trace.core_edges)
     bad = {
         # the second vertex still has degree >= k at the first removal
@@ -222,7 +222,7 @@ def test_verify_trace_rejects_bad_traces(g, peeled, wrong_order):
 def _trace_of_schedule(g: Hypergraph, k: int, order_seed: int | None) -> PeelTrace:
     """The trace of the oracle's peel schedule for this seed."""
     order, core_v, core_e = peel_by_repeated_removal(g, k, order_seed)
-    return PeelTrace(k, order, frozenset(g.edges) - core_e, core_v, core_e)
+    return PeelTrace(k, order, frozenset(range(g.num_edges)) - core_e, core_v, core_e)
 
 
 @settings(max_examples=80, deadline=None)
@@ -235,8 +235,8 @@ def test_verify_trace_accepts_every_k_core_trace(g, k, order_seed):
 @settings(max_examples=80, deadline=None)
 @given(hypergraphs(), st.sampled_from((1, 2, 3)), st.data())
 def test_core_subgraph_matches_copy_and_remove(g, k, data):
-    stash_v = data.draw(st.sets(st.sampled_from(sorted(g.vertices)), max_size=2)) if g.num_vertices else set()
-    stash_e = data.draw(st.sets(st.sampled_from(sorted(g.edges)), max_size=2)) if g.num_edges else set()
+    stash_v = data.draw(st.sets(st.sampled_from(range(g.num_vertices)), max_size=2)) if g.num_vertices else set()
+    stash_e = data.draw(st.sets(st.sampled_from(range(g.num_edges)), max_size=2)) if g.num_edges else set()
     before = layout(g)
     for trace in (k_core(g, k), k_core_after(g, k, stash_v, stash_e)):
         core = core_subgraph(g, trace)
@@ -244,8 +244,8 @@ def test_core_subgraph_matches_copy_and_remove(g, k, data):
         core.validate()
         # the result shares no mutable state with its input
         core.add_edge(core.add_vertices(core.d))
-        for vs in list(core.edges.values()):
-            core.add_edge(vs)
+        for e in range(core.num_edges):
+            core.add_edge(core.edge_vertices(e))
         assert layout(g) == before
         g.validate()
 
@@ -278,8 +278,8 @@ def test_idempotence_and_threshold_monotonicity(g, k):
     core = core_subgraph(g, trace)
     assert (core.num_vertices, core.num_edges) == (len(trace.core_vertices), len(trace.core_edges))
     again = k_core(core, k)
-    assert again.core_vertices == core.vertices
-    assert again.core_edges == set(core.edges)
+    assert again.core_vertices == set(range(core.num_vertices))
+    assert again.core_edges == set(range(core.num_edges))
     higher = k_core(g, k + 1)
     assert higher.core_vertices <= trace.core_vertices
     assert higher.core_edges <= trace.core_edges
@@ -289,11 +289,11 @@ def test_idempotence_and_threshold_monotonicity(g, k):
 @given(hypergraphs(max_edges=8), st.sampled_from((2, 3)))
 def test_removal_monotonicity(g, k):
     base = k_core(g, k)
-    for e in sorted(g.edges):
+    for e in range(g.num_edges):
         smaller = k_core_after(g, k, stash_edges=[e])
         assert smaller.core_vertices <= base.core_vertices
         assert smaller.core_edges <= base.core_edges and e not in smaller.core_edges
-    for v in sorted(g.vertices):
+    for v in range(g.num_vertices):
         smaller = k_core_after(g, k, stash_vertices=[v])
         assert smaller.core_vertices <= base.core_vertices and v not in smaller.core_vertices
 
@@ -347,8 +347,8 @@ def test_peel_edges_matches_enumeration(g, k):
 @settings(max_examples=60, deadline=None)
 @given(hypergraphs(max_edges=12), st.sampled_from((1, 2, 3)), st.data())
 def test_k_core_after_mixed_stash_matches_enumeration(g, k, data):
-    stash_v = data.draw(st.sets(st.sampled_from(sorted(g.vertices)), max_size=3))
-    stash_e = data.draw(st.sets(st.sampled_from(sorted(g.edges)), max_size=3)) if g.num_edges else set()
+    stash_v = data.draw(st.sets(st.sampled_from(range(g.num_vertices)), max_size=3))
+    stash_e = data.draw(st.sets(st.sampled_from(range(g.num_edges)), max_size=3)) if g.num_edges else set()
     got = k_core_after(g, k, stash_vertices=stash_v, stash_edges=stash_e)
     assert (got.core_vertices, got.core_edges) == core_by_enumeration(g, k, stash_v, stash_e)
     assert is_k_peelable(g, k, stash_v, stash_e) == got.core_empty
@@ -372,8 +372,8 @@ def test_k_core_peels_lowest_id_first(g, k, data):
     assert (trace.peeled_vertices, trace.core_vertices, trace.core_edges) == (order, core_v, core_e)
     # with a stash, the whole stash goes first and the peel order is still
     # lowest id first among what is left
-    stash_v = data.draw(st.sets(st.sampled_from(sorted(g.vertices)), max_size=3))
-    stash_e = data.draw(st.sets(st.sampled_from(sorted(g.edges)), max_size=3)) if g.num_edges else set()
+    stash_v = data.draw(st.sets(st.sampled_from(range(g.num_vertices)), max_size=3))
+    stash_e = data.draw(st.sets(st.sampled_from(range(g.num_edges)), max_size=3)) if g.num_edges else set()
     got = k_core_after(g, k, stash_vertices=stash_v, stash_edges=stash_e)
     want = peel_by_repeated_removal(g, k, None, stash_v, stash_e)
     assert (got.peeled_vertices, got.core_vertices, got.core_edges) == want

@@ -67,7 +67,7 @@ def test_original_vertices_keep_only_gadget_edges():
     for k, d in PAIRS:
         reduced, rmap = reduce_vc_to_vertex_stash(g, k, d)
         # the original vertices keep their ids in the reduced instance
-        for v in g.vertices:
+        for v in range(g.num_vertices):
             assert reduced.degree(v) == k * g.degree(v)
 
 
@@ -149,7 +149,7 @@ def test_normalize_keeps_original_only_stashes():
     _, rmap = reduce_vc_to_vertex_stash(g, 2, 2)
     originals = {0, 1}
     assert normalize_stash(rmap, originals) == originals
-    everyone = frozenset(g.vertices)
+    everyone = frozenset(range(g.num_vertices))
     assert normalize_stash(rmap, everyone) == everyone
 
 
@@ -159,7 +159,7 @@ def test_normalize_never_grows_mixed_stashes():
     mixed = {0, _gadget_vertices(rmap, 1)[0]}
     normalized = normalize_stash(rmap, mixed)
     assert len(normalized) <= len(mixed)
-    assert normalized <= set(g.vertices)
+    assert normalized <= set(range(g.num_vertices))
 
 
 def test_normalize_rejects_invalid_stash():
@@ -256,7 +256,7 @@ def test_push_empty_and_full_stashes():
     g = triangle()
     fg, rmap = reduce_vertex_to_edge_stash(g, 3, 2)
     assert push_vertex_stash(rmap, frozenset()) == frozenset()
-    full = push_vertex_stash(rmap, g.vertices)
+    full = push_vertex_stash(rmap, range(g.num_vertices))
     assert len(full) == 3
     assert k_core_after(fg, 3, stash_edges=full).core_empty
 
@@ -416,7 +416,7 @@ def _estar_edges(rmap, v):
 def test_estar_pick_is_lowest_estar_edge():
     g = triangle()
     _, rmap = reduce_vertex_to_edge_stash(g, 3, 2)
-    for v in g.vertices:
+    for v in range(g.num_vertices):
         assert rmap.owner[rmap.estar_pick[v]] == v
         assert rmap.estar_pick[v] == min(_estar_edges(rmap, v))
 
@@ -469,7 +469,7 @@ def test_audit_p1_reports_miswired_graph_and_ports():
     problems = audit_p1(rewired)
     assert len(problems) == 1 and problems[0].startswith(f"edge {e}: neighboring edge {shared} joins")
 
-    v = max(g.vertices, key=g.degree)
+    v = max(range(g.num_vertices), key=g.degree)
     (e1, a1), (e2, a2), *rest = rmap.ports[v]
     swapped = dataclasses.replace(rmap, ports={**rmap.ports, v: ((e1, a2), (e2, a1), *rest)})
     assert [p.split(":")[0] for p in audit_p1(swapped)] == [f"edge {e}" for e in sorted((e1, e2))]

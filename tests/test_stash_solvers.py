@@ -182,11 +182,34 @@ def test_bad_size_cap_is_refused_before_any_peeling(solver, monkeypatch):
     assert built == []
 
 
+def assert_cover_is_one_stash(g, cap):
+    # G - S has an empty 1-core iff S meets every edge, so the first minimum
+    # cover is the first minimum 1-vertex-stash, and a cap below its size
+    # fails alike in both
+    cover = min_vertex_cover_exact(g, size_cap=cap)
+    assert cover == min_vertex_stash_exact(g, 1, size_cap=cap).stash
+    if cover:
+        below = len(cover) - 1
+        with pytest.raises(CapExceededError) as ours:
+            min_vertex_cover_exact(g, size_cap=below)
+        with pytest.raises(CapExceededError) as theirs:
+            min_vertex_stash_exact(g, 1, size_cap=below)
+        assert ours.value.cap == theirs.value.cap == below
+    return cover
+
+
 @settings(max_examples=40, deadline=None)
 @given(hypergraphs(d=2, max_vertices=6, max_edges=8))
 def test_cover_equals_one_stash(g):
-    cover = min_vertex_cover_exact(g, size_cap=6)
+    cover = assert_cover_is_one_stash(g, 6)
     assert len(cover) == min_stash_size_by_enumeration(g, 1, "vertex")
+
+
+@pytest.mark.parametrize("n", (12, 14, 16, 18))
+def test_cover_equals_one_stash_on_random_graphs(n):
+    # covers of 5 to 10
+    for seed in (0, 1, 2):
+        assert_cover_is_one_stash(gen_random(n, 2 * n - 4, 2, seed), n)
 
 
 def test_greedy_on_forest_is_empty():
@@ -370,9 +393,9 @@ def test_candidates_hold_the_first_minimum_stash(g, repeats, kind, k):
     # on the search's own core, which it must leave as it found it.
     g = g.copy()
     if g.num_edges:
-        edges = sorted(g.edges)
+        m = g.num_edges
         for i in repeats:  # parallel copies of existing edges
-            g.add_edge(g.edge_vertices(edges[i % len(edges)]))
+            g.add_edge(g.edge_vertices(i % m))
     core = PeelCore(g, k)
     before = (core.degree.copy(), core.vertex_alive.copy(), core.edge_alive.copy(),
               core.live_edges, core.trail.copy())
@@ -529,9 +552,9 @@ def test_search_invariants_hold_at_every_node(monkeypatch):
 def test_exact_returns_lexicographically_first_minimum(g, repeats, k):
     g = g.copy()
     if g.num_edges:
-        edges = sorted(g.edges)
+        m = g.num_edges
         for i in repeats:  # parallel copies of existing edges
-            g.add_edge(g.edge_vertices(edges[i % len(edges)]))
+            g.add_edge(g.edge_vertices(i % m))
     cap = max(g.num_vertices, g.num_edges)
     assert min_vertex_stash_exact(g, k, size_cap=cap).stash == min_stash_by_enumeration(g, k, "vertex")
     assert min_edge_stash_exact(g, k, size_cap=cap).stash == min_stash_by_enumeration(g, k, "edge")
