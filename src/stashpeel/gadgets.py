@@ -5,10 +5,12 @@ neighboring edges attach (its ports) and which internal edges are
 designated stashable (its E* set).  Builders only create internal
 structure; the neighboring edges themselves are created later, by a
 reduction or by the check harness.  A reduction copies a template into
-its output with ``embed_graph``, once per gadget: a pk gadget as built,
+its output with ``embed_graph``, which makes one copy per tuple of
+external ends in one call: a pk gadget as built, one copy per call,
 whose ports are joined afterwards, or the ck gadget with its port edges
-already on two vertices that the copy maps onto the original edge's
-endpoints, its external ends.  Builders hand out
+already on two vertices, every cover gadget in one call, each copy
+mapping those two onto its original edge's endpoints, its external
+ends.  Builders hand out
 vertices in the order the construction uses them: a block returns its hub
 tuple, a chain takes each block's hubs one wiring at a time, and the
 stable tree queues the central vertex of each free port.  The harness is a
@@ -124,36 +126,51 @@ class GadgetReport:
         return [c for c in self.checks if not c.passed]
 
 
-def embed_graph(g: Hypergraph, target: Hypergraph, external=()) -> tuple[int, int]:
-    """Append a copy of g to target and return its (vertex, edge) offsets.
+def embed_graph(g: Hypergraph, target: Hypergraph, externals) -> list[tuple[int, int]]:
+    """Append one copy of g to target per tuple of external ends in
+    ``externals``, in order, and return each copy's (vertex, edge) offsets.
 
-    g's first ``len(external)`` vertices are the target vertices listed in
-    ``external``, in order; every other vertex v of g becomes target's
-    v + the first offset, and every edge e of g target's e + the second.
-    The copied edges' ids are past all of target's, so each external end
-    takes them at the tail of its incidence list, still ascending.  Edges
-    are copied without ``add_edge``'s per-edge checks: g's edges already
-    passed them, so only the arity and the ends are checked here.
+    In each copy, g's first ``len(ends)`` vertices are the target vertices
+    listed in its ends tuple, in order, each one that target had before the
+    call; every other vertex v of g becomes target's v + the copy's first
+    offset, and every edge e of g target's e + its second.  Ids, offsets
+    and incidence order are those of one call per copy, in order: the
+    copied edges' ids are past all of target's, so each external end takes
+    them at the tail of its incidence list, still ascending.  Every ends
+    tuple is checked before anything is appended, so a refused call leaves
+    target unchanged.  Edges are copied without ``add_edge``'s per-edge
+    checks: g's edges already passed them, so only the arity and the ends
+    are checked here.
     """
     if g._d != target._d:
         raise ParameterError(f"edge needs {target._d} vertices, got {g._d}")
-    ends = tuple(external)
-    n, de = len(target._incidence), len(target._edges)
-    if len(ends) > len(g._incidence):
-        raise ParameterError(f"{len(ends)} external ends for a graph of {len(g._incidence)} vertices")
-    if len(set(ends)) != len(ends):
-        raise ParameterError(f"external ends repeat a vertex: {ends}")
-    for v in ends:
-        # has_vertex, inlined: a reduction embeds once per original edge
-        if not (type(v) is int and 0 <= v < n):
-            raise NotFoundError(f"unknown vertex id {v}")
-    dv = n - len(ends)
-    ids = [*ends, *range(n, dv + len(g._incidence))]
-    target._edges.extend(zip(*[map(ids.__getitem__, chain.from_iterable(g._edges))] * g._d))
-    for v, es in zip(ends, g._incidence):
-        target._incidence[v].extend([e + de for e in es])
-    target._incidence.extend([[e + de for e in es] for es in g._incidence[len(ends):]])
-    return dv, de
+    size, me = len(g._incidence), len(g._edges)
+    had = n = len(target._incidence)
+    m = len(target._edges)
+    copies, offsets = [], []  # per copy: (ends, fresh vertex ids, edge offset), offsets
+    for ends in externals:
+        ends = tuple(ends)
+        if len(ends) > size:
+            raise ParameterError(f"{len(ends)} external ends for a graph of {size} vertices")
+        if len(set(ends)) != len(ends):
+            raise ParameterError(f"external ends repeat a vertex: {ends}")
+        for v in ends:
+            # has_vertex, inlined, against the target as the call found it
+            if not (type(v) is int and 0 <= v < had):
+                raise NotFoundError(f"unknown vertex id {v}")
+        copies.append((ends, range(n, n + size - len(ends)), m))
+        offsets.append((n - len(ends), m))
+        n += size - len(ends)
+        m += me
+    edges, incidence, local = target._edges, target._incidence, g._incidence
+    flat = list(chain.from_iterable(g._edges))
+    for ends, fresh, de in copies:
+        # the copy's vertex for g's vertex v is [*ends, *fresh][v]
+        edges.extend(zip(*[map([*ends, *fresh].__getitem__, flat)] * g._d))
+        for v, es in zip(ends, local):
+            incidence[v].extend([e + de for e in es])
+    incidence.extend([[e + de for e in es] for ends, _, de in copies for es in local[len(ends):]])
+    return offsets
 
 
 # -- internal 2-uniform assembly ---------------------------------------------

@@ -177,7 +177,8 @@ def gen_random(n_vertices: int, n_edges: int, d: int, seed: int) -> Hypergraph:
 # Stash files hold one line:  S v <vertex ids...>  or  S e <edge indices...>
 # where edge indices are 0-based positions in the instance file's edge order.
 # Text exactly as ``serialize`` writes it (single spaces, ASCII digits, a
-# '\n' after every line and nothing else) is read in bulk.  All other
+# '\n' after every line), followed by nothing or by blank and '#' comment
+# lines only, as the CLI's own outputs are, is read in bulk.  All other
 # instance text, and every error, goes through ``parse_lines`` and the one
 # line reader that instance, stash and reduction map files share,
 # ``content_lines``: lines are numbered as str.splitlines numbers them,
@@ -206,8 +207,9 @@ def content_lines(text: str) -> Iterator[tuple[int, str]]:
 def parse(text: str) -> Hypergraph:
     """Parse the standard text format. Raises ParseError with a line number.
 
-    Text in the exact form ``serialize`` writes is read in bulk; any other
-    text, and every error with its message and line, goes through
+    Text in the exact form ``serialize`` writes, with or without a tail of
+    blank and '#' comment lines, is read in bulk; any other text, and
+    every error with its message and line, goes through
     ``parse_lines(content_lines(text))``, which gives the same result."""
     g = _parse_serialized(text)
     return g if g is not None else parse_lines(content_lines(text))
@@ -221,8 +223,9 @@ _CHUNK = 1 << 15
 
 
 def _parse_serialized(text: str) -> Hypergraph | None:
-    """The hypergraph of text in the exact form ``serialize`` writes, or None
-    for any other text, valid or not, which ``parse_lines`` then reads."""
+    """The hypergraph of text in the exact form ``serialize`` writes, then
+    only lines that ``content_lines`` skips, or None for any other text,
+    valid or not, which ``parse_lines`` then reads."""
     header = _HEADER.match(text)
     if header is None:
         return None
@@ -234,24 +237,35 @@ def _parse_serialized(text: str) -> Hypergraph | None:
     pos = header.end()
     # an edge line is at least 2d + 2 characters long, so with an edge this
     # bounds d, the regex's repeat count
-    if d < 2 or m < 1 or text.count("\n", pos) != m or m * (2 * d + 2) > len(text) - pos:
+    if d < 2 or m < 1 or text.count("\n", pos) < m or m * (2 * d + 2) > len(text) - pos:
         return None
     g = Hypergraph(d)
     edges = g._edges
     line = re.compile("(?:e(?: [0-9]+){%d}\n)*" % d)
     while pos < len(text):
         end = text.find("\n", pos + _CHUNK) + 1 or len(text)
-        if line.fullmatch(text, pos, end) is None:
-            return None
-        tokens = text[pos:end].split()
+        # the edge lines run up to the first line that is not one, which
+        # starts the tail
+        stop = line.match(text, pos, end).end()
+        tokens = text[pos:stop].split()
         del tokens[:: d + 1]  # the 'e' that opens each line
         try:
-            # zip over d references to one iterator takes its items d at a time
-            edges.extend(zip(*[map(int, tokens)] * d))
+            ids = list(map(int, tokens))
         except ValueError:
             return None
-        pos = end
-    if max(map(max, edges)) >= n or min(map(len, map(set, edges))) != d:
+        if ids and max(ids) >= n:
+            return None
+        # zip over d references to one iterator takes its items d at a time
+        edges.extend(zip(*[iter(ids)] * d))
+        pos = stop
+        if stop < end:
+            break
+    if len(edges) != m or min(map(len, map(set, edges))) != d:
+        return None
+    try:
+        if next(content_lines(text[pos:]))[1]:
+            return None
+    except ParseError:  # a content line that the line reader refuses
         return None
     g._incidence = _incidence(n, edges)
     return g

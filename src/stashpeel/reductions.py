@@ -16,10 +16,11 @@ can be checked end to end on small instances:
 Each build makes its templates once, through ``Hypergraph.add_edge`` and
 its checks, and copies one per gadget by offset with
 ``gadgets.embed_graph``: the cover direction's template is the
-edge-replacement gadget with its port edges, on two external ends that
-each copy maps to its edge's endpoints, and the stash direction has one
-wrapper template per vertex degree.  The lookup tables are filled from
-the id ranges the copies take.
+edge-replacement gadget with its port edges, on two external ends, and
+one call copies it once per original edge, each copy mapping those ends
+to its edge's endpoints; the stash direction has one wrapper template
+per vertex degree, copied one vertex per call.  The lookup tables are
+filled from the id ranges the copies take.
 
 Reduction maps carry the original and reduced instances plus the lookup
 tables that normalizing, pushing, lifting and auditing read: ``owner``,
@@ -33,10 +34,14 @@ each direction's name, the word a sidecar header and ``reduce --from``
 use, to its builder.  Maps round-trip through a text sidecar format (see
 ``serialize_map``) so the CLI can lift certificates from files alone:
 the file holds a header and both instances, and the tables are rebuilt.
-``parse_map`` reads the file through ``hypergraph.content_lines``, the
-line reader instance and stash files share, so its line numbers, comment
-and blank-line skipping and character rules are theirs, and it hands the
-embedded original's lines straight to ``hypergraph.parse_lines``.
+``parse_map`` reads a header and ``G orig`` section in the form
+``serialize_map`` writes in bulk, the original as ``hypergraph.parse``
+reads serialize-form text, and splits no line of the rest unless the
+text differs from the rebuild's.  Any other map goes through
+``hypergraph.content_lines``, the line reader instance and stash files
+share, so its line numbers, comment and blank-line skipping and
+character rules are theirs, and the embedded original's lines go
+straight to ``hypergraph.parse_lines``.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ from .gadgets import (
     check_gadget,
     embed_graph,
 )
-from .hypergraph import Hypergraph, content_lines, parse_lines, serialize
+from .hypergraph import Hypergraph, _parse_serialized, content_lines, parse_lines, serialize
 
 
 @dataclass
@@ -127,14 +132,16 @@ def reduce_vc_to_vertex_stash(g: Hypergraph, k: int, d: int) -> tuple[Hypergraph
         gadget = build_ck_gadget(k, d)
         template = Hypergraph(d)
         template.add_vertices(2)
-        dv = embed_graph(gadget.graph, template)[0]
+        [(dv, _)] = embed_graph(gadget.graph, template, [()])
         for endpoint, port in enumerate(gadget.ports):
             for attach in port.edges:
                 template.add_edge((endpoint, *(dv + a for a in attach)))
-        size = template.num_vertices
-    for ends in g._edges:
-        dv = embed_graph(template, out, external=ends)[0]
-        owner.update(dict.fromkeys(range(dv + 2, dv + size), ends[0]))
+        # one copy per original edge, in edge order, each one's fresh
+        # vertices owned by the edge's first endpoint
+        embed_graph(template, out, g._edges)
+        fresh = template.num_vertices - 2
+        owner.update(zip(range(g.num_vertices, out.num_vertices),
+                         chain.from_iterable([(u,) * fresh for u, _ in g._edges])))
     return out, ReductionMap(
         direction="vc",
         k=k,
@@ -198,7 +205,7 @@ def reduce_vertex_to_edge_stash(g: Hypergraph, k: int, d: int) -> tuple[Hypergra
         if len(incident) not in built:
             built[len(incident)] = build_pk_gadget(len(incident), k, d)
         gadget = built[len(incident)]
-        dv, de = embed_graph(gadget.graph, out)
+        [(dv, de)] = embed_graph(gadget.graph, out, [()])
         owner.update(dict.fromkeys(range(de, out.num_edges), v))
         estar_pick[v] = de + min(gadget.estar)
         ports[v] = tuple((e, dv + port.edges[0][0]) for e, port in zip(incident, gadget.ports))
@@ -306,31 +313,16 @@ def parse_map(text: str) -> ReductionMap:
     """Rebuild a reduction map from its sidecar text.
 
     A map is a function of its header and its embedded original, so those
-    are read and the reduction is built again.  The text must then be what
-    ``serialize_map`` writes for the rebuild, apart from blank lines, '#'
-    comment lines and whitespace around a line; the first line that
-    differs raises ParseError.  The rebuild is returned.
+    are read and the reduction is built again.  A header and ``G orig``
+    section as ``serialize_map`` writes them are read in bulk, the original
+    by ``hypergraph._parse_serialized``; any other text is read through
+    ``content_lines`` and ``parse_lines``, with their errors and line
+    numbers.  The text must then be what ``serialize_map`` writes for the
+    rebuild, apart from blank lines, '#' comment lines and whitespace
+    around a line; the first line that differs raises ParseError.  The
+    rebuild is returned.
     """
-    lines = content_lines(text)
-    header_at, header = next(lines)
-    fields = header.split()
-    if len(fields) != 4 or fields[0] != "M" or fields[1] not in REDUCTIONS:
-        raise ParseError(f"expected 'M vc|vstash <k> <d>', got {header!r}", header_at)
-    try:
-        k, d = int(fields[2]), int(fields[3])
-    except ValueError:
-        raise ParseError(f"non-integer field in {header!r}", header_at) from None
-    at, line = next(lines)
-    if line != "G orig":
-        raise ParseError(f"expected 'G orig', got {line!r}", at)
-    # the original ends at 'G end'; a missing one is reported by the
-    # comparison below
-    section = ((at, "" if line == "G end" else line) for at, line in lines)
-    first = next(section)
-    if not first[1]:
-        raise ParseError("empty 'G orig' section: missing 'h' header", first[0])
-    original = parse_lines(chain([first], section))
-    tag = fields[1]
+    header_at, tag, k, d, original = _written_head(text) or _read_head(text)
     # refuse a header asking for more reduced edges than the text can hold
     # before building any: each is an 'e' line of d ids, and there are at
     # least these many (checked for k = 2..20 and d = 2..5; a test samples
@@ -352,3 +344,48 @@ def parse_map(text: str) -> ReductionMap:
             if got != want:
                 raise ParseError(f"expected {want!r}, got {got!r}", at)
     return rmap
+
+
+def _written_head(text: str) -> tuple[int, str, int, int, Hypergraph] | None:
+    """(1, direction, k, d, original) of a map whose first line is its
+    header and whose ``G orig`` section follows, both as ``serialize_map``
+    writes them, else None; reads only those lines."""
+    at = text.find("\nG orig\n")
+    end = text.find("\nG end\n", at + 1)
+    if at < 0 or end < 0:
+        return None
+    fields = text[:at].split(" ")
+    if len(fields) != 4 or fields[0] != "M" or fields[1] not in REDUCTIONS:
+        return None
+    try:
+        k, d = int(fields[2]), int(fields[3])
+    except ValueError:
+        return None
+    if text[:at] != f"M {fields[1]} {k} {d}":
+        return None
+    original = _parse_serialized(text[at + len("\nG orig\n"):end + 1])
+    return None if original is None else (1, fields[1], k, d, original)
+
+
+def _read_head(text: str) -> tuple[int, str, int, int, Hypergraph]:
+    """(header line number, direction, k, d, original) read from a map's
+    header and ``G orig`` section through the line reader."""
+    lines = content_lines(text)
+    header_at, header = next(lines)
+    fields = header.split()
+    if len(fields) != 4 or fields[0] != "M" or fields[1] not in REDUCTIONS:
+        raise ParseError(f"expected 'M vc|vstash <k> <d>', got {header!r}", header_at)
+    try:
+        k, d = int(fields[2]), int(fields[3])
+    except ValueError:
+        raise ParseError(f"non-integer field in {header!r}", header_at) from None
+    at, line = next(lines)
+    if line != "G orig":
+        raise ParseError(f"expected 'G orig', got {line!r}", at)
+    # the original ends at 'G end'; a missing one is reported by the
+    # comparison in parse_map
+    section = ((at, "" if line == "G end" else line) for at, line in lines)
+    first = next(section)
+    if not first[1]:
+        raise ParseError("empty 'G orig' section: missing 'h' header", first[0])
+    return header_at, fields[1], k, d, parse_lines(chain([first], section))

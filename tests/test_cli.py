@@ -1,13 +1,15 @@
 import time
 from io import StringIO
+from pathlib import Path
 
 import pytest
 
-from stashpeel import (ParameterError, ParseError, cli, gen_random, is_k_peelable, parse, peeling,
-                       reductions, stash_solvers)
+from stashpeel import (ParameterError, ParseError, cli, gen_random, hypergraph, is_k_peelable, parse,
+                       peeling, reductions, serialize, stash_solvers)
 from stashpeel.cli import run
+from stashpeel.hypergraph import _parse_serialized, content_lines, parse_lines
 
-from helpers import OVERSIZED, mkgraph, needs_int_digit_limit, run_python
+from helpers import OVERSIZED, layout, mkgraph, needs_int_digit_limit, run_python
 
 TRIANGLE = "h 2 3 3\ne 0 1\ne 1 2\ne 2 0\n"
 FOREST = "h 2 4 3\ne 0 1\ne 1 2\ne 2 3\n"
@@ -533,3 +535,55 @@ def test_identical_invocations_are_byte_identical(files):
     b = invoke("stash-greedy", "--k", "2", "--mode", "edge", "--tie-break",
                "seeded_random", "--seed", "4", files["tri"])
     assert a == b
+
+
+# -- bulk reading of the CLI's own files -------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ("reduce", "--from", "vc", "--k", "3", "--d", "2"),
+    ("reduce", "--from", "vstash", "--k", "2", "--d", "3"),
+    ("peel", "--k", "2"),
+])
+def test_reduce_and_peel_output_is_read_in_bulk(tmp_path, argv):
+    # the output ends in '# map:' or '# peeled:'/'# core:' lines, which the
+    # bulk reader takes as a tail of comment lines
+    d = 3 if "vstash" in argv else 2
+    source = tmp_path / "g.hg"
+    source.write_text(serialize(gen_random(40, 60 if d == 3 else 50, d, 7)))
+    map_out = ("--map-out", str(tmp_path / "g.map")) if "reduce" in argv else ()
+    code, out, err = invoke(*argv, *map_out, str(source))
+    assert (code, err) == (0, "") and out.splitlines()[-1].startswith("#")
+    bulk = _parse_serialized(out)
+    assert bulk is not None
+    assert layout(bulk) == layout(parse_lines(content_lines(out)))
+
+
+def _refuse(*_):
+    raise AssertionError("the line reader read an instance")
+
+
+@pytest.mark.parametrize("source, k, d, arity", [("vc", 3, 2, 2), ("vc", 2, 3, 2), ("vstash", 3, 2, 2),
+                                                 ("vstash", 2, 3, 3)])
+def test_round_trips_never_reach_the_line_reader(tmp_path, monkeypatch, source, k, d, arity):
+    # every instance and map a round trip reads is one the CLI wrote, and
+    # each is read in bulk: with the line reader refusing, every step exits 0
+    original = tmp_path / "g.hg"
+    original.write_text(serialize(gen_random(20, 24, arity, 3)))
+    mp, reduced, stash = (str(tmp_path / name) for name in ("g.map", "g.reduced.hg", "stash.txt"))
+    monkeypatch.setattr(hypergraph, "parse_lines", _refuse)
+    monkeypatch.setattr(reductions, "parse_lines", _refuse)
+    ks = str(k)
+    steps = [("reduce", "--from", source, "--k", ks, "--d", str(d), "--map-out", mp, str(original))]
+    if source == "vstash":
+        steps.append(("stash-greedy", "--k", ks, "--mode", "vertex", str(original)))
+        steps.append(("lift", "--map", mp, "--stash", stash))
+    steps.append(("stash-greedy", "--k", ks, "--mode", "edge" if source == "vstash" else "vertex", reduced))
+    steps.append(("lift", "--map", mp, "--stash", stash))
+    for i, argv in enumerate(steps):
+        code, out, err = invoke(*argv)
+        assert (code, err) == (0, ""), argv
+        if i == 0:
+            Path(reduced).write_text(out)
+        elif argv[0] == "stash-greedy":
+            Path(stash).write_text(out)

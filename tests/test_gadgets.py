@@ -374,20 +374,33 @@ def test_pk_gadget_rejects_polynomial_case():
 
 def test_embed_graph_rejects_another_arity():
     with pytest.raises(ParameterError, match="^edge needs 2 vertices, got 3$"):
-        gadgets.embed_graph(Hypergraph(3), Hypergraph(2))
+        gadgets.embed_graph(Hypergraph(3), Hypergraph(2), [()])
 
 
-@pytest.mark.parametrize("external, error, message", [
+BAD_ENDS = [
     ((1, 1), ParameterError, r"^external ends repeat a vertex: \(1, 1\)$"),
     ((0, 3), NotFoundError, "^unknown vertex id 3$"),
     ((-1,), NotFoundError, "^unknown vertex id -1$"),
     ((0, 1.0), NotFoundError, "^unknown vertex id 1.0$"),
     ((0, 1, 2, 0), ParameterError, "^4 external ends for a graph of 3 vertices$"),
-])
+]
+
+
+@pytest.mark.parametrize("external, error, message", BAD_ENDS)
 def test_embed_graph_refuses_bad_external_ends(external, error, message):
     target = mkgraph(3, [(0, 1), (1, 2)])
     with pytest.raises(error, match=message):
-        gadgets.embed_graph(mkgraph(3, [(0, 2)]), target, external=external)
+        gadgets.embed_graph(mkgraph(3, [(0, 2)]), target, [external])
+    assert (target._edges, target._incidence) == ([(0, 1), (1, 2)], [[0], [0, 1], [1]])
+
+
+@pytest.mark.parametrize("external, error, message", BAD_ENDS)
+def test_embed_graph_refuses_a_bad_second_tuple_before_copying_the_first(external, error, message):
+    # every ends tuple is checked before anything is appended, against the
+    # target as the call found it: the first copy would make vertex 3
+    target = mkgraph(3, [(0, 1), (1, 2)])
+    with pytest.raises(error, match=message):
+        gadgets.embed_graph(mkgraph(3, [(0, 2)]), target, [(2, 0), external])
     assert (target._edges, target._incidence) == ([(0, 1), (1, 2)], [[0], [0, 1], [1]])
 
 
@@ -395,11 +408,21 @@ def test_embed_graph_external_ends_gain_the_new_edges_in_order():
     # a 4-cycle whose vertices 0 and 1 are target vertices 2 and 0, and
     # whose vertices 2 and 3 are fresh, so 3 and 4 (vertex offset 1)
     target = mkgraph(3, [(0, 1), (1, 2)])
-    offsets = gadgets.embed_graph(mkgraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), target, external=(2, 0))
-    assert offsets == (1, 2)
+    offsets = gadgets.embed_graph(mkgraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), target, [(2, 0)])
+    assert offsets == [(1, 2)]
     assert target._edges == [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 2)]
     assert target._incidence == [[0, 2, 3], [0, 1], [1, 2, 5], [3, 4], [4, 5]]
     target.validate()
+
+
+@pytest.mark.parametrize("first, second", [((2, 0), (1, 2)), ((), (0,)), ((1,), (1, 2, 0)), ((0, 1), ())])
+def test_embed_graph_two_copies_equal_two_one_copy_calls(first, second):
+    g = mkgraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    one, two = mkgraph(3, [(0, 1), (1, 2)]), mkgraph(3, [(0, 1), (1, 2)])
+    offsets = gadgets.embed_graph(g, one, [first]) + gadgets.embed_graph(g, one, [second])
+    assert gadgets.embed_graph(g, two, [first, second]) == offsets
+    assert (two._edges, two._incidence) == (one._edges, one._incidence)
+    two.validate()
 
 
 def test_pk_gadget_negative_control():

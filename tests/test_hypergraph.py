@@ -114,7 +114,7 @@ def test_bools_are_not_ids(bad):
     assert not g.has_vertex(bad) and not g.has_edge(bad)
     calls = [
         lambda: g.add_edge((2, bad)),
-        lambda: embed_graph(mkgraph(2, [(0, 1)]), g, external=(2, bad)),
+        lambda: embed_graph(mkgraph(2, [(0, 1)]), g, [(2, bad)]),
         lambda: is_k_peelable(g, 1, stash_vertices=[bad]),
         lambda: is_k_peelable(g, 1, stash_edges=[bad]),
     ]

@@ -8,21 +8,27 @@ maps with blank lines, comments and surrounding whitespace must parse to
 the same map, and a changed number must be reported on its own line.
 The three readers share one line reader, so a spelling one refuses is
 refused by all of them at the same line.  ``parse`` reads text in the exact
-form ``serialize`` writes in bulk, and must give what the line reader gives
-on every text: the same hypergraph, or the same error at the same line.
+form ``serialize`` writes in bulk, also when blank and comment lines follow
+it, and must give what the line reader gives on every text: the same
+hypergraph, or the same error at the same line.  ``parse_map`` reads the
+header and original of a map as written in bulk, and must give the same
+map as for that map padded.
 """
 
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stashpeel import ParseError, StashpeelError, format_stash, gen_random, parse, parse_stash, serialize
+from stashpeel import (ParseError, StashpeelError, format_stash, gen_random, parse, parse_stash, reductions,
+                       serialize)
 from stashpeel.hypergraph import _CHUNK, _parse_serialized, content_lines, parse_lines
 from stashpeel.reductions import (
+    _written_head,
     parse_map,
     reduce_vc_to_vertex_stash,
     reduce_vertex_to_edge_stash,
@@ -108,9 +114,9 @@ def _edit_token(text: str, line: int, token: int, edit) -> str:
 
 @st.composite
 def near_serialized(draw):
-    """Serialize text as written, or after one edit that leaves it readable
-    but outside the exact form (all but the leading zero, which the bulk
-    reader takes)."""
+    """Serialize text as written, with a tail of comment or blank lines, or
+    after one edit that leaves it readable but outside the exact form (all
+    but the leading zero and the tails, which the bulk reader takes)."""
     text = draw(INSTANCES)
     line = draw(st.integers(0, text.count("\n") - 1))
     token = draw(st.integers(1, text.splitlines()[line].count(" ")))
@@ -119,6 +125,10 @@ def near_serialized(draw):
         text.replace("\n", "\r\n"),
         text[:-1],
         text + "# map: x\n",
+        text + "# peeled: 4 0 1\n# core: 2 3\n",
+        text + "\n",
+        text + "# map: x\n" + text.splitlines()[line] + "\n",
+        text + "# map: x\ne 0 \u0661\n",
         _edit_token(text, line, token, lambda field: " " + field),
         _edit_token(text, line, token, lambda field: "0" + field),
     )))
@@ -219,6 +229,41 @@ def test_parse_map_reports_a_changed_number_on_its_line(maps, data):
     assert exc.value.line == i + 1
 
 
+def map_outcome(text: str, bulk: bool) -> tuple:
+    """What parse_map gives for text, with or without its bulk reading of
+    a written header and original: the map, or the error and its line."""
+    with mock.patch.object(reductions, "_written_head", reductions._written_head if bulk else lambda text: None):
+        try:
+            return (parse_map(text),)
+        except StashpeelError as exc:
+            return type(exc), str(exc), getattr(exc, "line", None)
+
+
+@st.composite
+def head_mutated_maps(draw):
+    """A valid map after one to four edits of its header and original."""
+    head, end, rest = draw(st.sampled_from(MAPS)).partition("\nG end\n")
+    return draw(mutated(st.just(head))) + end + rest
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(mutated(st.sampled_from(MAPS)), head_mutated_maps(), padded_maps().map(lambda maps: maps[1])))
+def test_parse_map_agrees_with_its_line_reader(text):
+    assert map_outcome(text, bulk=True) == map_outcome(text, bulk=False)
+
+
+@pytest.mark.parametrize("text", MAPS)
+def test_a_written_map_and_the_same_map_padded_give_equal_maps(text):
+    # a map as written is read without the line reader; a comment or a
+    # padded line before its original sends it to the line reader
+    header, rest = text.split("\n", 1)
+    assert _written_head(text) is not None
+    rmap = parse_map(text)
+    for noisy in ("# a map\n" + text, " " + header + "\t\n" + rest, text + "# end\n"):
+        assert parse_map(noisy) == rmap
+    assert _written_head("# a map\n" + text) is _written_head(" " + header + "\n" + rest) is None
+
+
 # spellings that int() reads as the number they replace but the formats
 # refuse, each applied to the last number of a line
 REFUSED = {
@@ -260,3 +305,25 @@ def test_readers_refuse_the_same_spellings_at_the_same_line(reader, spelling):
     with pytest.raises(ParseError) as exc:
         read("\n".join(lines) + "\n")
     assert str(exc.value) == f"line {at}: non-ASCII, '_' or '+' character in {bad!r}"
+
+
+@pytest.mark.parametrize("spelling", REFUSED)
+@pytest.mark.parametrize("line", [0, 2, 3])
+def test_a_map_as_written_with_one_bad_spelling_is_refused_at_its_line(line, spelling):
+    # unpadded, the header and original would be read in bulk, which must
+    # refuse what the line reader refuses: line 0 is the header, 2 and 3
+    # the original's header and first edge
+    lines = MAP.splitlines()
+    bad = REFUSED[spelling](lines[line])
+    with pytest.raises(ParseError) as exc:
+        parse_map("\n".join([*lines[:line], bad, *lines[line + 1:]]) + "\n")
+    assert str(exc.value) == f"line {line + 1}: non-ASCII, '_' or '+' character in {bad!r}"
+
+
+@pytest.mark.parametrize("header", ["M vc 2 +1", "M vc 2 ١", "M vc 2 0_1"])
+def test_a_map_header_that_int_reads_but_the_line_reader_refuses_is_refused(header):
+    # int() reads these as d = 1, for which the build would fail first
+    text = header + MAP[MAP.index("\n"):]
+    with pytest.raises(ParseError) as exc:
+        parse_map(text)
+    assert str(exc.value) == f"line 1: non-ASCII, '_' or '+' character in {header!r}"
