@@ -4,19 +4,20 @@ A gadget is a hypergraph fragment plus a description of where future
 neighboring edges attach (its ports) and which internal edges are
 designated stashable (its E* set).  Builders only create internal
 structure; the neighboring edges themselves are created later, by a
-reduction or by the check harness.  A reduction copies a template into
-its output with ``embed_graph``, which makes one copy per tuple of
-external ends in one call: a pk gadget as built, one copy per call,
-whose ports are joined afterwards, or the ck gadget with its port edges
-already on two vertices, every cover gadget in one call, each copy
-mapping those two onto its original edge's endpoints, its external
-ends.  Builders hand out
-vertices in the order the construction uses them: a block returns its hub
-tuple, a chain takes each block's hubs one wiring at a time, and the
-stable tree queues the central vertex of each free port.  The harness is a
-copy of the gadget plus one pool of d vertices pinned by k parallel edges,
-and fills every port edge's free slots from that pool, so ports count
-toward internal degrees while no pool vertex ever peels.  A removal is
+reduction or by the check harness.  Builders and the harness grow a
+graph only through the ``add_*`` methods of ``Hypergraph``.  A reduction
+copies a template into its output with ``hypergraph.embed_graph``, which
+makes one copy per tuple of external ends in one call: a pk gadget as
+built, one copy per call, whose ports are joined afterwards, or the ck
+gadget with its port edges already on two vertices, every cover gadget
+in one call, each copy mapping those two onto its original edge's
+endpoints, its external ends.  Builders hand out vertices in the order
+the construction uses them: a block returns its hub tuple, a chain
+takes each block's hubs one wiring at a time, and the stable tree queues
+the central vertex of each free port.  The harness is a copy of the gadget
+plus one pool of d vertices pinned by k parallel edges, and fills every
+port edge's free slots from that pool, so ports count toward internal
+degrees while no pool vertex ever peels.  A removal is
 named by its ports and takes away their edges; for the ck gadget, removing
 the u port edges is, as far as the gadget can see, stashing u.  Every
 check builds one ``PeelCore`` of the harness graph with the removed edges
@@ -72,7 +73,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from itertools import chain, combinations, compress
 
-from .errors import NotFoundError, ParameterError, check_ints
+from .errors import ParameterError, check_ints
 from .hypergraph import Hypergraph
 from .peeling import PeelCore
 
@@ -124,53 +125,6 @@ class GadgetReport:
 
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
-
-
-def embed_graph(g: Hypergraph, target: Hypergraph, externals) -> list[tuple[int, int]]:
-    """Append one copy of g to target per tuple of external ends in
-    ``externals``, in order, and return each copy's (vertex, edge) offsets.
-
-    In each copy, g's first ``len(ends)`` vertices are the target vertices
-    listed in its ends tuple, in order, each one that target had before the
-    call; every other vertex v of g becomes target's v + the copy's first
-    offset, and every edge e of g target's e + its second.  Ids, offsets
-    and incidence order are those of one call per copy, in order: the
-    copied edges' ids are past all of target's, so each external end takes
-    them at the tail of its incidence list, still ascending.  Every ends
-    tuple is checked before anything is appended, so a refused call leaves
-    target unchanged.  Edges are copied without ``add_edge``'s per-edge
-    checks: g's edges already passed them, so only the arity and the ends
-    are checked here.
-    """
-    if g._d != target._d:
-        raise ParameterError(f"edge needs {target._d} vertices, got {g._d}")
-    size, me = len(g._incidence), len(g._edges)
-    had = n = len(target._incidence)
-    m = len(target._edges)
-    copies, offsets = [], []  # per copy: (ends, fresh vertex ids, edge offset), offsets
-    for ends in externals:
-        ends = tuple(ends)
-        if len(ends) > size:
-            raise ParameterError(f"{len(ends)} external ends for a graph of {size} vertices")
-        if len(set(ends)) != len(ends):
-            raise ParameterError(f"external ends repeat a vertex: {ends}")
-        for v in ends:
-            # has_vertex, inlined, against the target as the call found it
-            if not (type(v) is int and 0 <= v < had):
-                raise NotFoundError(f"unknown vertex id {v}")
-        copies.append((ends, range(n, n + size - len(ends)), m))
-        offsets.append((n - len(ends), m))
-        n += size - len(ends)
-        m += me
-    edges, incidence, local = target._edges, target._incidence, g._incidence
-    flat = list(chain.from_iterable(g._edges))
-    for ends, fresh, de in copies:
-        # the copy's vertex for g's vertex v is [*ends, *fresh][v]
-        edges.extend(zip(*[map([*ends, *fresh].__getitem__, flat)] * g._d))
-        for v, es in zip(ends, local):
-            incidence[v].extend([e + de for e in es])
-    incidence.extend([[e + de for e in es] for ends, _, de in copies for es in local[len(ends):]])
-    return offsets
 
 
 # -- internal 2-uniform assembly ---------------------------------------------

@@ -1,5 +1,5 @@
-"""d-uniform hypergraph data model, its text serialization, and a seeded
-random generator.
+"""d-uniform hypergraph data model, the copier that embeds one graph into
+another, its text serialization, and a seeded random generator.
 
 Every edge spans exactly ``d`` distinct vertices.  Parallel edges (two edges
 over the same vertex set) are allowed and count separately toward degree.
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 import re
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NotFoundError, ParameterError, ParseError, check_ints
@@ -26,7 +27,8 @@ class Hypergraph:
     ``_edges[e]`` is edge e's vertex sequence in insertion order, which
     matters only for serialization; degree and equality are set-based.
     ``_incidence[v]`` lists the ids of the edges on v in ascending order.
-    The peeling engine reads both lists in place.
+    Package modules read both lists in place; only ``hypergraph`` writes
+    them.
     """
 
     __slots__ = ("_d", "_edges", "_incidence")
@@ -148,6 +150,66 @@ class Hypergraph:
         return f"Hypergraph(d={self._d}, vertices={self.num_vertices}, edges={self.num_edges})"
 
 
+def _from_edges(d: int, n: int, edges: list[tuple[int, ...]]) -> Hypergraph:
+    """A hypergraph of n vertices whose edge list is ``edges`` itself, for
+    edges that each hold d distinct ids below n: no ``add_edge`` check
+    runs, and each vertex's incidence list is built ascending."""
+    g = Hypergraph(d)
+    g._edges = edges
+    incidence = g._incidence = [[] for _ in range(n)]
+    for e, vs in enumerate(edges):
+        for v in vs:
+            incidence[v].append(e)
+    return g
+
+
+def embed_graph(g: Hypergraph, target: Hypergraph, externals) -> list[tuple[int, int]]:
+    """Append one copy of g to target per tuple of external ends in
+    ``externals``, in order, and return each copy's (vertex, edge) offsets.
+
+    In each copy, g's first ``len(ends)`` vertices are the target vertices
+    listed in its ends tuple, in order, each one that target had before the
+    call; every other vertex v of g becomes target's v + the copy's first
+    offset, and every edge e of g target's e + its second.  Ids, offsets
+    and incidence order are those of one call per copy, in order: the
+    copied edges' ids are past all of target's, so each external end takes
+    them at the tail of its incidence list, still ascending.  Every ends
+    tuple is checked before anything is appended, so a refused call leaves
+    target unchanged.  Edges are copied without ``add_edge``'s per-edge
+    checks: g's edges already passed them, so only the arity and the ends
+    are checked here.
+    """
+    if g._d != target._d:
+        raise ParameterError(f"edge needs {target._d} vertices, got {g._d}")
+    size, me = len(g._incidence), len(g._edges)
+    had = n = len(target._incidence)
+    m = len(target._edges)
+    copies, offsets = [], []  # per copy: (ends, fresh vertex ids, edge offset), offsets
+    for ends in externals:
+        ends = tuple(ends)
+        if len(ends) > size:
+            raise ParameterError(f"{len(ends)} external ends for a graph of {size} vertices")
+        if len(set(ends)) != len(ends):
+            raise ParameterError(f"external ends repeat a vertex: {ends}")
+        for v in ends:
+            # has_vertex, inlined, against the target as the call found it
+            if not (type(v) is int and 0 <= v < had):
+                raise NotFoundError(f"unknown vertex id {v}")
+        copies.append((ends, range(n, n + size - len(ends)), m))
+        offsets.append((n - len(ends), m))
+        n += size - len(ends)
+        m += me
+    edges, incidence, local = target._edges, target._incidence, g._incidence
+    flat = list(chain.from_iterable(g._edges))
+    for ends, fresh, de in copies:
+        # the copy's vertex for g's vertex v is [*ends, *fresh][v]
+        edges.extend(zip(*[map([*ends, *fresh].__getitem__, flat)] * g._d))
+        for v, es in zip(ends, local):
+            incidence[v].extend([e + de for e in es])
+    incidence.extend([[e + de for e in es] for ends, _, de in copies for es in local[len(ends):]])
+    return offsets
+
+
 def gen_random(n_vertices: int, n_edges: int, d: int, seed: int) -> Hypergraph:
     """Seeded random d-uniform hypergraph: each edge picks d distinct
     vertices uniformly at random.
@@ -216,9 +278,10 @@ def parse(text: str) -> Hypergraph:
 
 
 _HEADER = re.compile(r"h ([0-9]+) ([0-9]+) ([0-9]+)\n")
-# Each chunk of edge lines is checked by one fullmatch, whose backtracking
-# stack grows with the lines it spans (16.7 MiB over 32,000 d=3 lines), so
-# chunks stay small; a possessive quantifier would need Python 3.11.
+# Each chunk of text is read by one match, up to its first line that is
+# not an edge line; the match's backtracking stack grows with the lines it
+# spans (16.7 MiB over 32,000 d=3 lines), so chunks stay small; a
+# possessive quantifier would need Python 3.11.
 _CHUNK = 1 << 15
 
 
@@ -239,8 +302,7 @@ def _parse_serialized(text: str) -> Hypergraph | None:
     # bounds d, the regex's repeat count
     if d < 2 or m < 1 or text.count("\n", pos) < m or m * (2 * d + 2) > len(text) - pos:
         return None
-    g = Hypergraph(d)
-    edges = g._edges
+    edges: list[tuple[int, ...]] = []
     line = re.compile("(?:e(?: [0-9]+){%d}\n)*" % d)
     while pos < len(text):
         end = text.find("\n", pos + _CHUNK) + 1 or len(text)
@@ -267,26 +329,15 @@ def _parse_serialized(text: str) -> Hypergraph | None:
             return None
     except ParseError:  # a content line that the line reader refuses
         return None
-    g._incidence = _incidence(n, edges)
-    return g
-
-
-def _incidence(n: int, edges: list[tuple[int, ...]]) -> list[list[int]]:
-    """Each of n vertices' incident edge ids, ascending, for an edge list
-    whose ends all lie below n."""
-    incidence: list[list[int]] = [[] for _ in range(n)]
-    for e, vs in enumerate(edges):
-        for v in vs:
-            incidence[v].append(e)
-    return incidence
+    return _from_edges(d, n, edges)
 
 
 def parse_lines(lines: Iterator[tuple[int, str]]) -> Hypergraph:
     """Read one instance in the standard text format from ``content_lines``
     items, up to the first empty line.
 
-    Each edge gets the checks of ``Hypergraph.add_edge``, with its messages,
-    but is appended straight to the edge list and incidence index.
+    Each edge is added by ``Hypergraph.add_edge``, whose refusal becomes a
+    ParseError with the same message at the edge's line.
     """
     header_at, header = next(lines)
     if not header:
@@ -301,32 +352,26 @@ def parse_lines(lines: Iterator[tuple[int, str]]) -> Hypergraph:
     if d < 2 or n < 0 or m < 0:
         raise ParseError(f"header out of range: d={d}, n={n}, m={m}", header_at)
     g = Hypergraph(d)
-    edges = g._edges
-    incidence = g._incidence = [[] for _ in range(n)]
+    # add_vertices(n) would also build a list of the n ids
+    g._incidence = [[] for _ in range(n)]
     for lineno, line in lines:
         if not line:
             break
         fields = line.split()
         if fields[0] != "e":
             raise ParseError(f"expected edge line 'e v1 ... vd', got {line!r}", lineno)
-        eid = len(edges)
-        if eid >= m:
+        if len(g._edges) >= m:
             raise ParseError(f"more than the declared {m} edges", lineno)
         try:
             vs = tuple(map(int, fields[1:]))
         except ValueError:
             raise ParseError(f"non-integer vertex index in {line!r}", lineno) from None
-        if len(vs) != d:
-            raise ParseError(f"edge needs {d} vertices, got {len(vs)}", lineno)
-        if len(set(vs)) != d:
-            raise ParseError(f"edge has a repeated vertex: {vs}", lineno)
-        for v in vs:
-            if not 0 <= v < n:
-                raise ParseError(f"unknown vertex id {v}", lineno)
-            incidence[v].append(eid)
-        edges.append(vs)
-    if len(edges) != m:
-        raise ParseError(f"declared {m} edges but found {len(edges)}", header_at)
+        try:
+            g.add_edge(vs)
+        except (ParameterError, NotFoundError) as exc:
+            raise ParseError(str(exc), lineno) from None
+    if len(g._edges) != m:
+        raise ParseError(f"declared {m} edges but found {len(g._edges)}", header_at)
     return g
 
 

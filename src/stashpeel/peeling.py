@@ -13,7 +13,9 @@ one, the gadget checks read its alive flags, ``is_k_peelable`` and
 one.  The replay auditor ``verify_trace`` shares no code with it and also
 reads the graph in place, replaying on a degree list, and
 ``core_subgraph`` builds the core alone, so no step from peel to core
-extraction copies the whole graph.
+extraction copies the whole graph.  This module writes no graph's lists:
+``core_subgraph`` hands the core's renumbered edges to
+``hypergraph._from_edges``, which builds the incidence lists.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from operator import not_
 from typing import Collection, Iterable
 
 from .errors import NotFoundError, ParameterError, check_ints
-from .hypergraph import Hypergraph, _incidence
+from .hypergraph import Hypergraph, _from_edges
 
 
 @dataclass(frozen=True)
@@ -150,11 +152,8 @@ def core_subgraph(g: Hypergraph, trace: PeelTrace) -> Hypergraph:
     for i, v in enumerate(core_v):
         rank[v] = i
     ends = map(rank.__getitem__, chain.from_iterable(map(g._edges.__getitem__, sorted(trace.core_edges))))
-    h = Hypergraph(g._d)
     # zip over d references to one iterator takes its items d at a time
-    edges = h._edges = list(zip(*[ends] * g._d))
-    h._incidence = _incidence(len(core_v), edges)
-    return h
+    return _from_edges(g._d, len(core_v), list(zip(*[ends] * g._d)))
 
 
 def verify_trace(g: Hypergraph, trace: PeelTrace) -> bool:

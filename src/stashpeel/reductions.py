@@ -15,7 +15,7 @@ can be checked end to end on small instances:
 
 Each build makes its templates once, through ``Hypergraph.add_edge`` and
 its checks, and copies one per gadget by offset with
-``gadgets.embed_graph``: the cover direction's template is the
+``hypergraph.embed_graph``: the cover direction's template is the
 edge-replacement gadget with its port edges, on two external ends, and
 one call copies it once per original edge, each copy mapping those ends
 to its edge's endpoints; the stash direction has one wrapper template
@@ -58,9 +58,8 @@ from .gadgets import (
     build_ck_gadget,
     build_pk_gadget,
     check_gadget,
-    embed_graph,
 )
-from .hypergraph import Hypergraph, _parse_serialized, content_lines, parse_lines, serialize
+from .hypergraph import Hypergraph, _parse_serialized, content_lines, embed_graph, parse_lines, serialize
 
 
 @dataclass

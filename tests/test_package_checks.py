@@ -119,6 +119,42 @@ def test_reductions_reads_lines_through_hypergraph():
     assert splits == []
 
 
+GRAPH_LISTS = frozenset({"_edges", "_incidence"})
+LIST_WRITERS = frozenset({"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"})
+
+
+def _graph_list(node):
+    # the `_edges` or `_incidence` attribute that node reads, under any
+    # number of subscripts (`g._incidence[v]`), or None
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return node if isinstance(node, ast.Attribute) and node.attr in GRAPH_LISTS else None
+
+
+def test_only_hypergraph_writes_a_graphs_lists():
+    # that each incidence list is ascending and inverts the edge list is
+    # kept by `hypergraph` alone: no other module assigns, deletes or
+    # calls a list method that writes a graph's `_edges` or `_incidence`,
+    # directly or by subscript, nor imports a name `_incidence`.
+    # A local alias (`edges = g._edges; edges.extend(...)`) is not caught.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "hypergraph.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.Attribute, ast.Subscript)) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                written = _graph_list(node)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in LIST_WRITERS:
+                written = _graph_list(node.func.value)
+            elif isinstance(node, ast.ImportFrom):
+                written = next((alias for alias in node.names if alias.name == "_incidence"), None)
+            else:
+                written = None
+            if written is not None:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_package_has_no_dead_imports():
     # a deletion can leave an import behind; every imported name must be
     # read somewhere in its module
