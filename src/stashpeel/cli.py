@@ -92,10 +92,11 @@ def _cmd_cover(args, out) -> int:
 def _cmd_reduce(args, out) -> int:
     reduced, rmap = reductions.REDUCTIONS[args.source](_load(args.file), args.k, args.d)
     map_path = args.map_out or args.file + ".map"
+    text = serialize(reduced)
     # the map goes first, so a path that cannot be written leaves stdout empty
     with open(map_path, "w", encoding="utf-8") as fh:
-        fh.write(reductions.serialize_map(rmap))
-    out.write(serialize(reduced))
+        fh.write(reductions._map_text(rmap, text))
+    out.write(text)
     out.write(f"# map: {map_path}\n")
     return EXIT_OK
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import random
 import re
-from itertools import chain
+from itertools import chain, combinations, islice
+from operator import eq
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NotFoundError, ParameterError, ParseError, check_ints
@@ -317,12 +318,16 @@ def _parse_serialized(text: str) -> Hypergraph | None:
             return None
         if ids and max(ids) >= n:
             return None
+        # an edge repeats an end when two of its columns agree there; each
+        # pair of columns is compared as it streams, with no list per column
+        if any(any(map(eq, islice(ids, i, None, d), islice(ids, j, None, d))) for i, j in combinations(range(d), 2)):
+            return None
         # zip over d references to one iterator takes its items d at a time
         edges.extend(zip(*[iter(ids)] * d))
         pos = stop
         if stop < end:
             break
-    if len(edges) != m or min(map(len, map(set, edges))) != d:
+    if len(edges) != m:
         return None
     try:
         if next(content_lines(text[pos:]))[1]:

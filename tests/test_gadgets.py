@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import itertools
+import random
 import re
 import textwrap
 from dataclasses import replace
@@ -27,11 +28,13 @@ from stashpeel.gadgets import (
     CheckResult,
     GadgetReport,
     Port,
+    _pk_contract_holds,
     _report_params,
     _survivors,
     build_harness,
 )
-from stashpeel.reductions import reduce_vc_to_vertex_stash
+from stashpeel.hypergraph import gen_random
+from stashpeel.reductions import audit_pk_properties, reduce_vc_to_vertex_stash, reduce_vertex_to_edge_stash
 
 from helpers import gadget_without, mkgraph, run_python
 
@@ -813,6 +816,160 @@ def test_grid_peels_the_frontier_not_the_pool(monkeypatch):
     monkeypatch.setattr(gadgets, "_survivors", counting)
     assert all(r.all_passed for r in run_gadget_grid())
     assert calls == 1639  # peeling every removal, as full_scan does, makes 4,683
+
+
+# -- the composed pk proof against the frontier sweep ---------------------------
+
+
+def frontier_sweep(gadget: Gadget) -> GadgetReport:
+    """The report as ``check_gadget`` made it before pk wrappers had a
+    composed proof, kept as the oracle: the frontier sweep, with t from
+    ``family_threshold``, decides every threshold row."""
+    t, n = family_threshold(gadget.kind, gadget.params)
+    harness = build_harness(gadget)
+    names = [p.name for p in gadget.ports]
+    intact = _survivors(harness)
+    checks = []
+    if t:
+        peeled = sorted(set(range(harness.block)).difference(intact))
+        checks.append(CheckResult("unpeelable_with_all_ports", not peeled, f"peeled={peeled}" if peeled else ""))
+    witness = ""
+    sizes = range(max(0, t - 1), t + 1)
+    for removed in itertools.chain.from_iterable(itertools.combinations(names, r) for r in sizes):
+        surv = _survivors(harness, removal_edges(harness, removed)) if removed else intact
+        expect_peel = len(removed) == t
+        if (not surv) != expect_peel:
+            witness = f"removed={list(removed)} expected_peel={expect_peel} survivors={surv}"
+            break
+    checks.append(CheckResult(f"peels_iff_at_least_{t}_of_{n}_ports_removed", not witness, witness))
+    for e in sorted(gadget.estar):
+        surv = _survivors(harness, (e,))
+        checks.append(CheckResult(f"estar_{e}_peels", not surv, f"stash_edge={e} survivors={surv}" if surv else ""))
+    return GadgetReport(gadget.kind, _report_params(gadget), tuple(checks))
+
+
+def threshold_row(report: GadgetReport) -> CheckResult:
+    return next(c for c in report.checks if THRESHOLD_ROW.fullmatch(c.name))
+
+
+PK_KD = [(k, d) for k in range(2, 7) for d in range(2, 5) if k >= 3 or d >= 3]
+
+
+@pytest.mark.parametrize("k, d", PK_KD)
+def test_pk_proof_matches_the_sweep_at_every_degree_to_12(k, d):
+    # the proof holds on every wrapper the builder makes, also where
+    # check_gadget leaves the row to the sweep (a frontier of fewer than
+    # 3 delta removals), and the reports are the sweep's to the byte
+    for delta in range(13):
+        g = build_pk_gadget(delta, k, d)
+        assert _pk_contract_holds(g, build_harness(g)), delta
+        assert check_gadget(g) == frontier_sweep(g), delta
+
+
+@pytest.mark.parametrize("k, d", [(3, 2), (4, 2), (3, 3), (2, 3)])
+@pytest.mark.parametrize("delta", [3, 5, 7])
+def test_pk_proof_matches_the_sweep_on_broken_wrappers(delta, k, d):
+    for g in broken_variants(build_pk_gadget(delta, k, d)):
+        oracle = frontier_sweep(g)
+        assert check_gadget(g) == oracle
+        if _pk_contract_holds(g, build_harness(g)):
+            assert threshold_row(oracle).passed
+
+
+def with_edges(gadget: Gadget, edges) -> Gadget:
+    g = gadget.graph.copy()
+    for vs in edges:
+        g.add_edge(vs)
+    return Gadget(g, gadget.ports, gadget.estar, dict(gadget.params), dict(gadget.meta))
+
+
+@pytest.mark.parametrize("delta, k, d", [(5, 3, 2), (6, 3, 3), (5, 4, 2), (5, 2, 3)])
+def test_pk_proof_is_sound_where_it_holds_on_extra_edges(delta, k, d):
+    # one or two random extra edges; the proof holds on some of these
+    # gadgets, and on each of them the sweep's threshold row passes
+    rng = random.Random(delta * 100 + k * 10 + d)
+    base = build_pk_gadget(delta, k, d)
+    held = 0
+    for _ in range(60):
+        n = base.graph.num_vertices
+        g = with_edges(base, [rng.sample(range(n), d) for _ in range(rng.randint(1, 2))])
+        oracle = frontier_sweep(g)
+        assert check_gadget(g) == oracle
+        if _pk_contract_holds(g, build_harness(g)):
+            held += 1
+            assert threshold_row(oracle).passed
+    assert held > 0
+
+
+def edges_on(g: Hypergraph, v: int) -> list[tuple[int, ...]]:
+    return [g.edge_vertices(e) for e in range(g.num_edges) if v in g.edge_vertices(e)]
+
+
+def locality_violations():
+    # pk(5, 3, 2): each relay is one vertex x_i on P, its attach vertex in
+    # the stable block S, and its port
+    g = build_pk_gadget(5, 3, 2)
+    primary, relays = g.meta["primary"], g.meta["relays"]
+    attach = [next(v for vs in edges_on(g.graph, x) for v in vs if v not in (x, primary)) for x in relays]
+    yield "stable-to-primary", with_edges(g, [(attach[0], primary)])
+    other = next(a for a in attach if a != attach[0])
+    yield "relay-on-two-attach-vertices", with_edges(g, [(relays[0], other)])
+    # a stable-block edge split in two at new vertices that meta calls
+    # dummies: pinned, they would keep both ends' degrees, but they lie on
+    # no edge of P and peel
+    a, b = g.graph.edge_vertices(0)
+    split = gadget_without(g, edges=[0])
+    x, y = split.graph.add_vertices(2)
+    split = with_edges(split, [(a, x), (b, y)])
+    split.meta["dummies"] = [x, y]
+    yield "stable-edge-split-at-fake-dummies", split
+    # with no ports there is no edge of P to hold dummies, and two that
+    # meta calls dummies hold each other at degree 3
+    lone = build_pk_gadget(0, 3, 2)
+    x, y = lone.graph.add_vertices(2)
+    lone = with_edges(lone, [(x, y)] * 3)
+    lone.meta["dummies"] = [x, y]
+    yield "fake-dummies-on-their-own-edges", lone
+
+
+@pytest.mark.parametrize("name, g", list(locality_violations()))
+def test_pk_proof_refuses_a_locality_violation(name, g):
+    assert not _pk_contract_holds(g, build_harness(g))
+    report = check_gadget(g)
+    assert report == frontier_sweep(g)
+    assert not threshold_row(report).passed
+    assert_witness_violates(g, report)
+
+
+def count_peels(monkeypatch) -> list[int]:
+    calls = [0]
+    real = gadgets._survivors
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gadgets, "_survivors", counting)
+    return calls
+
+
+def test_pk_20_10_checks_in_order_delta_peels(monkeypatch):
+    # at most 1 intact peel, 4 for the relay harness all 20 relays share,
+    # delta + 1 on the stable block and one per E* edge; the sweep would
+    # make 352,716.  Ports on one attach vertex share a peel, so it is 26.
+    calls = count_peels(monkeypatch)
+    g = build_pk_gadget(20, 10, 2)
+    assert check_gadget(g).all_passed
+    assert calls[0] <= 1 + 4 + 21 + len(g.estar)
+    assert calls[0] <= 26
+
+
+def test_vstash_audit_peel_count(monkeypatch):
+    # the k=3 wrappers of degrees 0-8 and 10; the sweep made 413 peels
+    _, rmap = reduce_vertex_to_edge_stash(gen_random(100, 200, 2, 1), 3, 2)
+    calls = count_peels(monkeypatch)
+    assert all(r.all_passed for r in audit_pk_properties(rmap))
+    assert calls[0] <= 97
 
 
 # -- the pool harness against per-slot anchors ----------------------------------

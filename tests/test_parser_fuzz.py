@@ -17,6 +17,7 @@ map as for that map padded.
 
 from __future__ import annotations
 
+import itertools
 import random
 from unittest import mock
 
@@ -162,6 +163,28 @@ def test_bulk_reader_crosses_chunk_boundaries():
     with pytest.raises(ParseError) as exc:
         parse(bad)
     assert str(exc.value) == f"line {len(lines) - 1}: edge has a repeated vertex: (7, 3, 7)"
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("where", ["first", "last", "past-a-chunk"])
+def test_bulk_reader_sends_a_repeated_end_to_the_line_reader(d, where):
+    # every pair of columns, repeated in the first edge, the last edge, or
+    # an edge in the second chunk: the bulk reader declines the text, and
+    # the line reader refuses that edge at its line
+    lines = serialize(gen_random(9000, 8000, d, 2)).splitlines()
+    starts = list(itertools.accumulate((len(line) + 1 for line in lines), initial=0))
+    assert starts[-1] > 2 * _CHUNK
+    at = {"first": 1, "last": len(lines) - 1,
+          "past-a-chunk": next(j for j, start in enumerate(starts) if start > _CHUNK) + 2}[where]
+    for i, j in itertools.combinations(range(d), 2):
+        ends = lines[at].split()[1:]
+        ends[j] = ends[i]
+        bad = "\n".join([*lines[:at], "e " + " ".join(ends), *lines[at + 1:]]) + "\n"
+        assert _parse_serialized(bad) is None
+        with pytest.raises(ParseError) as exc:
+            parse(bad)
+        assert str(exc.value) == f"line {at + 1}: edge has a repeated vertex: ({', '.join(ends)})"
+        assert outcome(parse, bad) == outcome(line_reader, bad)
 
 
 @settings(max_examples=200, deadline=None)
