@@ -7,16 +7,10 @@ structure; the neighboring edges themselves are created later, by a
 reduction or by the check harness.  Builders and the harness grow a
 graph only through the ``add_*`` methods of ``Hypergraph``; the pk proof
 builds each part's harness from already checked harness edges through
-``hypergraph._from_edges``.  A reduction
-copies a template into its output with ``hypergraph.embed_graph``, which
-makes one copy per tuple of external ends in one call: a pk gadget as
-built, one copy per call, whose ports are joined afterwards, or the ck
-gadget with its port edges already on two vertices, every cover gadget
-in one call, each copy mapping those two onto its original edge's
-endpoints, its external ends.  Builders hand out vertices in the order
-the construction uses them: a block returns its hub tuple, a chain
-takes each block's hubs one wiring at a time, and the stable tree queues
-the central vertex of each free port.  The harness is a copy of the gadget
+``hypergraph._from_edges``.  Builders hand out vertices in the order the
+construction uses them: a block returns its hub tuple, a chain takes each
+block's hubs one wiring at a time, and the stable tree queues the central
+vertex of each free port.  The harness is a copy of the gadget
 plus one pool of d vertices pinned by k parallel edges, and fills every
 port edge's free slots from that pool, so ports count toward internal
 degrees while no pool vertex ever peels.  A removal is

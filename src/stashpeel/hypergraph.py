@@ -1,5 +1,5 @@
-"""d-uniform hypergraph data model, the copier that embeds one graph into
-another, its text serialization, and a seeded random generator.
+"""d-uniform hypergraph data model, its text serialization, and a seeded
+random generator.
 
 Every edge spans exactly ``d`` distinct vertices.  Parallel edges (two edges
 over the same vertex set) are allowed and count separately toward degree.
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 import re
-from itertools import chain, combinations, islice
+from itertools import combinations, islice
 from operator import eq
 from typing import Iterable, Iterator, Sequence
 
@@ -154,7 +154,9 @@ class Hypergraph:
 def _from_edges(d: int, n: int, edges: list[tuple[int, ...]]) -> Hypergraph:
     """A hypergraph of n vertices whose edge list is ``edges`` itself, for
     edges that each hold d distinct ids below n: no ``add_edge`` check
-    runs, and each vertex's incidence list is built ascending."""
+    runs, and each vertex's incidence list is built ascending.  This is
+    the package's one bulk constructor: bulk parses, cores, part harnesses
+    and both reductions build through it, from edges already checked."""
     g = Hypergraph(d)
     g._edges = edges
     incidence = g._incidence = [[] for _ in range(n)]
@@ -162,53 +164,6 @@ def _from_edges(d: int, n: int, edges: list[tuple[int, ...]]) -> Hypergraph:
         for v in vs:
             incidence[v].append(e)
     return g
-
-
-def embed_graph(g: Hypergraph, target: Hypergraph, externals) -> list[tuple[int, int]]:
-    """Append one copy of g to target per tuple of external ends in
-    ``externals``, in order, and return each copy's (vertex, edge) offsets.
-
-    In each copy, g's first ``len(ends)`` vertices are the target vertices
-    listed in its ends tuple, in order, each one that target had before the
-    call; every other vertex v of g becomes target's v + the copy's first
-    offset, and every edge e of g target's e + its second.  Ids, offsets
-    and incidence order are those of one call per copy, in order: the
-    copied edges' ids are past all of target's, so each external end takes
-    them at the tail of its incidence list, still ascending.  Every ends
-    tuple is checked before anything is appended, so a refused call leaves
-    target unchanged.  Edges are copied without ``add_edge``'s per-edge
-    checks: g's edges already passed them, so only the arity and the ends
-    are checked here.
-    """
-    if g._d != target._d:
-        raise ParameterError(f"edge needs {target._d} vertices, got {g._d}")
-    size, me = len(g._incidence), len(g._edges)
-    had = n = len(target._incidence)
-    m = len(target._edges)
-    copies, offsets = [], []  # per copy: (ends, fresh vertex ids, edge offset), offsets
-    for ends in externals:
-        ends = tuple(ends)
-        if len(ends) > size:
-            raise ParameterError(f"{len(ends)} external ends for a graph of {size} vertices")
-        if len(set(ends)) != len(ends):
-            raise ParameterError(f"external ends repeat a vertex: {ends}")
-        for v in ends:
-            # has_vertex, inlined, against the target as the call found it
-            if not (type(v) is int and 0 <= v < had):
-                raise NotFoundError(f"unknown vertex id {v}")
-        copies.append((ends, range(n, n + size - len(ends)), m))
-        offsets.append((n - len(ends), m))
-        n += size - len(ends)
-        m += me
-    edges, incidence, local = target._edges, target._incidence, g._incidence
-    flat = list(chain.from_iterable(g._edges))
-    for ends, fresh, de in copies:
-        # the copy's vertex for g's vertex v is [*ends, *fresh][v]
-        edges.extend(zip(*[map([*ends, *fresh].__getitem__, flat)] * g._d))
-        for v, es in zip(ends, local):
-            incidence[v].extend([e + de for e in es])
-    incidence.extend([[e + de for e in es] for ends, _, de in copies for es in local[len(ends):]])
-    return offsets
 
 
 def gen_random(n_vertices: int, n_edges: int, d: int, seed: int) -> Hypergraph:

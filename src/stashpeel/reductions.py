@@ -14,13 +14,15 @@ can be checked end to end on small instances:
   without growing.
 
 Each build makes its templates once, through ``Hypergraph.add_edge`` and
-its checks, and copies one per gadget by offset with
-``hypergraph.embed_graph``: the cover direction's template is the
-edge-replacement gadget with its port edges, on two external ends, and
-one call copies it once per original edge, each copy mapping those ends
-to its edge's endpoints; the stash direction has one wrapper template
-per vertex degree, copied one vertex per call.  The lookup tables are
-filled from the id ranges the copies take.
+its checks, assembles the reduced edge list from renumbered copies of
+them, and builds the reduced instance once with ``hypergraph._from_edges``:
+the cover direction's template is the edge-replacement gadget with its
+port edges on two endpoint vertices, which each original edge (u, v)
+copies with those two mapped to u and v and the rest to fresh ids; the
+stash direction shifts each vertex's wrapper, one template per vertex
+degree, past the vertices before it, and then adds the neighboring edges
+with ``add_edge``.  The lookup tables are filled from the id ranges the
+copies take.
 
 Reduction maps carry the original and reduced instances plus the lookup
 tables that normalizing, pushing, lifting and auditing read: ``owner``,
@@ -59,7 +61,7 @@ from .gadgets import (
     build_pk_gadget,
     check_gadget,
 )
-from .hypergraph import Hypergraph, _parse_serialized, content_lines, embed_graph, parse_lines, serialize
+from .hypergraph import Hypergraph, _from_edges, _parse_serialized, content_lines, parse_lines, serialize
 
 
 @dataclass
@@ -120,9 +122,9 @@ def reduce_vc_to_vertex_stash(g: Hypergraph, k: int, d: int) -> tuple[Hypergraph
         raise InvalidArityError("vertex cover instances are standard graphs (d=2)")
     if k < 2 or d < 2:
         raise ParameterError(f"reduction needs k >= 2 and d >= 2, got k={k}, d={d}")
-    out = Hypergraph(d)
-    out.add_vertices(g.num_vertices)
-    owner = {v: v for v in range(g.num_vertices)}
+    n = g.num_vertices
+    edges: list[tuple[int, ...]] = []
+    owner = {v: v for v in range(n)}
     # only an original with edges needs the template, and parse_map's size
     # guard lets an edgeless one ask for any k
     if g.num_edges:
@@ -130,17 +132,24 @@ def reduce_vc_to_vertex_stash(g: Hypergraph, k: int, d: int) -> tuple[Hypergraph
         # the u and v port edges, each checked by add_edge
         gadget = build_ck_gadget(k, d)
         template = Hypergraph(d)
-        template.add_vertices(2)
-        [(dv, _)] = embed_graph(gadget.graph, template, [()])
+        template.add_vertices(2 + gadget.graph.num_vertices)
+        for vs in gadget.graph._edges:
+            template.add_edge([2 + v for v in vs])
         for endpoint, port in enumerate(gadget.ports):
             for attach in port.edges:
-                template.add_edge((endpoint, *(dv + a for a in attach)))
-        # one copy per original edge, in edge order, each one's fresh
-        # vertices owned by the edge's first endpoint
-        embed_graph(template, out, g._edges)
+                template.add_edge((endpoint, *(2 + a for a in attach)))
+        # one copy per original edge, in edge order: template vertex t is
+        # ids[t], so the endpoints are u and v and the rest fresh ids,
+        # owned by the edge's first endpoint
         fresh = template.num_vertices - 2
-        owner.update(zip(range(g.num_vertices, out.num_vertices),
+        flat = list(chain.from_iterable(template._edges))
+        for i, (u, v) in enumerate(g._edges):
+            ids = [u, v, *range(n + i * fresh, n + (i + 1) * fresh)]
+            # zip over d references to one iterator takes its items d at a time
+            edges.extend(zip(*[map(ids.__getitem__, flat)] * d))
+        owner.update(zip(range(n, n + g.num_edges * fresh),
                          chain.from_iterable([(u,) * fresh for u, _ in g._edges])))
+    out = _from_edges(d, len(owner), edges)  # owner keys every reduced vertex
     return out, ReductionMap(
         direction="vc",
         k=k,
@@ -194,20 +203,25 @@ def reduce_vertex_to_edge_stash(g: Hypergraph, k: int, d: int) -> tuple[Hypergra
         raise ParameterError(f"reduction needs k >= 3, or k = 2 with d >= 3; got k={k}, d={d}")
     if g.d != d:
         raise InvalidArityError(f"instance arity {g.d} does not match requested d={d}")
-    out = Hypergraph(d)
+    edges: list[tuple[int, ...]] = []
     estar_pick: dict[int, int] = {}
     owner: dict[int, int] = {}
     ports: dict[int, tuple[tuple[int, int], ...]] = {}
-    built: dict[int, Gadget] = {}  # embedding only reads a gadget
+    built: dict[int, Gadget] = {}  # copying only reads a gadget
+    n = 0  # the vertices of the wrappers before v's
     for v in range(g.num_vertices):
         incident = g._incidence[v]
         if len(incident) not in built:
             built[len(incident)] = build_pk_gadget(len(incident), k, d)
         gadget = built[len(incident)]
-        [(dv, de)] = embed_graph(gadget.graph, out, [()])
-        owner.update(dict.fromkeys(range(de, out.num_edges), v))
+        de = len(edges)
+        # the wrapper's edges shifted by n, taken d ends at a time
+        edges.extend(zip(*[map(n.__add__, chain.from_iterable(gadget.graph._edges))] * d))
+        owner.update(dict.fromkeys(range(de, len(edges)), v))
         estar_pick[v] = de + min(gadget.estar)
-        ports[v] = tuple((e, dv + port.edges[0][0]) for e, port in zip(incident, gadget.ports))
+        ports[v] = tuple((e, n + port.edges[0][0]) for e, port in zip(incident, gadget.ports))
+        n += gadget.graph.num_vertices
+    out = _from_edges(d, n, edges)
     # ports follow incidence order, which is ascending edge order, so the
     # edges below take each vertex's ports one after the other
     unread = [iter(ports[v]) for v in range(g.num_vertices)]

@@ -25,9 +25,11 @@ stash whose first element is above y misses it.  At budget 1 the one
 element must lie in the prefix witness, and each failed candidate leaves a
 core that is another witness, so the elements still to try shrink to those
 alive in it.  A parent hands each child its witness: its own when the
-stashed element lies outside it, else one found right after the stash.
-New witnesses are found on a throwaway copy of the core, so the search
-core's trail holds only the branch's stashes.
+stashed element lies outside it; else, to a budget-1 child, the child's
+whole core, which that scan shrinks without a prefix sweep; else one
+found right after the stash.  New witnesses are found on a throwaway
+copy of the core, so the search core's trail holds only the branch's
+stashes.
 
 A minimum stash is a minimum hitting set of the witnesses, so witnesses
 that share no element a stash may still use bound it from below.  A node
@@ -209,14 +211,19 @@ def _search(
     element is outside the witness is handed the same one: the witness has
     minimum degree >= k without that element, so it survives the cascade
     and is the child's prefix core at y, while the child's prefix cores
-    below y lie inside the parent's empty ones.
+    below y lie inside the parent's empty ones.  A budget-1 child whose
+    element is inside the witness is handed its whole core as the
+    witness, y = cands[-1] with its own alive flags: the leaf's scan
+    shrinks that to each failed candidate's core, so a prefix sweep would
+    only narrow the first trial list.
 
     Below the root, a node with more disjoint witnesses (`_packing`) than
     `budget` holds no stash and is cut.  A failed search leaves `core` as
     it found it; a successful one leaves the stash applied.
 
     Invariants: y >= `first`, as a witness at or below the stashed
-    `first` - 1 would be one of the parent's below its y; and at budget 2
+    `first` - 1 would be one of the parent's below its y (and a leaf's
+    whole core has y = cands[-1], above the parent's y); and at budget 2
     or more no stash empties `core`, as every smaller budget failed.
     """
     alive, stash = _kind_ops(core, kind)
@@ -239,7 +246,8 @@ def _search(
         if not alive[x]:
             continue
         stash(x)
-        witness = _prefix_witness(core, kind, cands) if flags[x] else (y, flags)
+        # a leaf needs no prefix sweep: its scan keeps only what each failed candidate leaves
+        witness = (y, flags) if not flags[x] else (cands[-1], alive) if budget == 2 else _prefix_witness(core, kind, cands)
         rest = _search(core, kind, cands, budget - 1, x + 1, *witness)
         if rest is not None:
             return [x] + rest

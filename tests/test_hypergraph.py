@@ -19,7 +19,7 @@ from stashpeel import (
     serialize,
 )
 
-from stashpeel.hypergraph import _parse_serialized, content_lines, embed_graph, parse_lines
+from stashpeel.hypergraph import _from_edges, _parse_serialized, content_lines, parse_lines
 
 from helpers import OVERSIZED, hypergraphs, layout, mkgraph, needs_int_digit_limit, triangle
 from oracles import serialize_by_rendering
@@ -113,7 +113,6 @@ def test_bools_are_not_ids(bad):
     assert not g.has_vertex(bad) and not g.has_edge(bad)
     calls = [
         lambda: g.add_edge((2, bad)),
-        lambda: embed_graph(mkgraph(2, [(0, 1)]), g, [(2, bad)]),
         lambda: is_k_peelable(g, 1, stash_vertices=[bad]),
         lambda: is_k_peelable(g, 1, stash_edges=[bad]),
     ]
@@ -375,54 +374,21 @@ def test_parse_edge_errors_name_their_line(text, line, message):
     assert (exc.value.line, str(exc.value)) == (line, f"line {line}: {message}")
 
 
-def test_embed_graph_rejects_another_arity():
-    with pytest.raises(ParameterError, match="^edge needs 2 vertices, got 3$"):
-        embed_graph(Hypergraph(3), Hypergraph(2), [()])
+@settings(max_examples=60, deadline=None)
+@given(hypergraphs(max_edges=12), st.lists(st.integers(0, 11), max_size=4))
+def test_from_edges_builds_what_add_edge_builds(g, repeats):
+    # the bulk constructor takes the edge list as the graph's own and must
+    # build exactly the incidence lists add_edge builds, parallel edges
+    # included
+    edges = list(g._edges) + [g._edges[i % g.num_edges] for i in repeats if g.num_edges]
+    want = mkgraph(g.num_vertices, edges, g.d)
+    got = _from_edges(g.d, g.num_vertices, edges)
+    assert got._edges is edges
+    assert layout(got) == layout(want)
+    got.validate()
 
 
-BAD_ENDS = [
-    ((1, 1), ParameterError, r"^external ends repeat a vertex: \(1, 1\)$"),
-    ((0, 3), NotFoundError, "^unknown vertex id 3$"),
-    ((-1,), NotFoundError, "^unknown vertex id -1$"),
-    ((0, 1.0), NotFoundError, "^unknown vertex id 1.0$"),
-    ((0, 1, 2, 0), ParameterError, "^4 external ends for a graph of 3 vertices$"),
-]
-
-
-@pytest.mark.parametrize("external, error, message", BAD_ENDS)
-def test_embed_graph_refuses_bad_external_ends(external, error, message):
-    target = mkgraph(3, [(0, 1), (1, 2)])
-    with pytest.raises(error, match=message):
-        embed_graph(mkgraph(3, [(0, 2)]), target, [external])
-    assert (target._edges, target._incidence) == ([(0, 1), (1, 2)], [[0], [0, 1], [1]])
-
-
-@pytest.mark.parametrize("external, error, message", BAD_ENDS)
-def test_embed_graph_refuses_a_bad_second_tuple_before_copying_the_first(external, error, message):
-    # every ends tuple is checked before anything is appended, against the
-    # target as the call found it: the first copy would make vertex 3
-    target = mkgraph(3, [(0, 1), (1, 2)])
-    with pytest.raises(error, match=message):
-        embed_graph(mkgraph(3, [(0, 2)]), target, [(2, 0), external])
-    assert (target._edges, target._incidence) == ([(0, 1), (1, 2)], [[0], [0, 1], [1]])
-
-
-def test_embed_graph_external_ends_gain_the_new_edges_in_order():
-    # a 4-cycle whose vertices 0 and 1 are target vertices 2 and 0, and
-    # whose vertices 2 and 3 are fresh, so 3 and 4 (vertex offset 1)
-    target = mkgraph(3, [(0, 1), (1, 2)])
-    offsets = embed_graph(mkgraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), target, [(2, 0)])
-    assert offsets == [(1, 2)]
-    assert target._edges == [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 2)]
-    assert target._incidence == [[0, 2, 3], [0, 1], [1, 2, 5], [3, 4], [4, 5]]
-    target.validate()
-
-
-@pytest.mark.parametrize("first, second", [((2, 0), (1, 2)), ((), (0,)), ((1,), (1, 2, 0)), ((0, 1), ())])
-def test_embed_graph_two_copies_equal_two_one_copy_calls(first, second):
-    g = mkgraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    one, two = mkgraph(3, [(0, 1), (1, 2)]), mkgraph(3, [(0, 1), (1, 2)])
-    offsets = embed_graph(g, one, [first]) + embed_graph(g, one, [second])
-    assert embed_graph(g, two, [first, second]) == offsets
-    assert (two._edges, two._incidence) == (one._edges, one._incidence)
-    two.validate()
+def test_from_edges_builds_the_empty_graph():
+    g = _from_edges(3, 0, [])
+    assert layout(g) == layout(Hypergraph(3)) == (3, [], [])
+    g.validate()

@@ -1,18 +1,26 @@
-"""networkx as a third-party oracle for standard graphs (d = 2), at sizes the
-subset-enumeration oracles cannot reach."""
+"""networkx as a third-party oracle for standard graphs (d = 2): at sizes the
+subset-enumeration oracles cannot reach, and on every graph of its atlas."""
+
+from collections import Counter
 
 import pytest
 
 from stashpeel import (
     CapExceededError,
     gen_random,
+    is_k_peelable,
     k_core,
+    lift_edge_stash,
+    min_edge_stash_exact,
     min_vertex_stash_exact,
+    normalize_stash,
     reduce_vc_to_vertex_stash,
+    reduce_vertex_to_edge_stash,
     two_edge_stash_standard,
 )
 
-from helpers import without
+from helpers import mkgraph, without
+from oracles import min_stash_size_by_enumeration, peel_by_repeated_removal
 
 nx = pytest.importorskip("networkx")
 
@@ -90,3 +98,46 @@ def test_one_vertex_stash_matches_networkx_cover(n):
         assert min_vertex_stash_exact(g, 1, size_cap=n).size == cover, seed
         with pytest.raises(CapExceededError):
             min_vertex_stash_exact(g, 1, size_cap=cover - 1)
+
+
+def atlas():
+    """(atlas index, graph) for every graph of networkx's atlas: all 1,253
+    graphs on 0 to 7 vertices, up to isomorphism."""
+    return [(i, mkgraph(a.number_of_nodes(), a.edges)) for i, a in enumerate(nx.graph_atlas_g())]
+
+
+@pytest.mark.parametrize("k, d", [(2, 2), (3, 2), (2, 3)])
+def test_cover_reduction_matches_networkx_cover_on_the_atlas(k, d):
+    # acceptance criterion 5 on every graph of up to 7 vertices: the cover
+    # comes from networkx, the stash from the package, and the normalized
+    # stash is a cover of that size
+    covers = set()
+    for i, g in atlas():
+        cover = min_cover_size(g)
+        covers.add(cover)
+        reduced, rmap = reduce_vc_to_vertex_stash(g, k, d)
+        stash = min_vertex_stash_exact(reduced, k, size_cap=g.num_vertices).stash
+        assert len(stash) == cover, i
+        normalized = normalize_stash(rmap, stash)
+        assert is_k_peelable(reduced, k, stash_vertices=normalized), i
+        assert len(normalized) == cover, i
+        assert all(normalized.intersection(g.edge_vertices(e)) for e in range(g.num_edges)), i
+    assert covers == set(range(7))
+
+
+def test_stash_reduction_matches_enumeration_on_the_atlas():
+    # acceptance criterion 6 at (3, 2) on every graph of up to 7 vertices:
+    # the original's vertex stash comes from unpruned enumeration, the
+    # reduced instance's edge stash from the package, and the lifted stash
+    # is checked by naive repeated removal
+    sizes = Counter()
+    for i, g in atlas():
+        want = min_stash_size_by_enumeration(g, 3, "vertex")
+        sizes[want] += 1
+        reduced, rmap = reduce_vertex_to_edge_stash(g, 3, 2)
+        stash = min_edge_stash_exact(reduced, 3).stash
+        assert len(stash) == want, i
+        lifted = lift_edge_stash(rmap, stash)
+        assert len(lifted) <= want, i
+        assert not peel_by_repeated_removal(g, 3, stash_vertices=lifted)[1], i
+    assert sizes == {0: 659, 1: 481, 2: 103, 3: 9, 4: 1}

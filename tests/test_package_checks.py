@@ -3,6 +3,7 @@ public entry point keeps."""
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,8 @@ from stashpeel import ParameterError
 
 from helpers import triangle
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "stashpeel"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "stashpeel"
 
 # Parameters that only a value of type int itself may fill: no bool, float
 # or string.
@@ -174,6 +176,34 @@ def test_package_has_no_dead_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         dead += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert dead == []
+
+
+def _names_read(node) -> set[str]:
+    # every name and attribute that node's code mentions
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_function_has_a_caller():
+    # a deletion can leave a function behind with no caller: every public
+    # module-level function must be named in the package or the benchmark
+    # somewhere other than its own def (an import does not count); an
+    # entry point in pyproject.toml counts for the function it names
+    modules = {path: ast.parse(path.read_text(), filename=str(path))
+               for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))}
+    read = {path: [(node, _names_read(node)) for node in tree.body] for path, tree in modules.items()}
+    entry_points = set(re.findall(r'"stashpeel\.(\w+):(\w+)"', (ROOT / "pyproject.toml").read_text()))
+    assert entry_points == {("cli", "main")}
+    uncalled = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in modules[path].body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            if (path.stem, node.name) in entry_points:
+                continue
+            if not any(node.name in names for where in read.values() for other, names in where if other is not node):
+                uncalled.append(f"{path.name}:{node.lineno} {node.name}")
+    assert uncalled == []
 
 
 @pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)

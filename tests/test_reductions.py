@@ -344,13 +344,14 @@ def test_peelability_equivalence_random():
         assert is_k_peelable(g, 2) == is_k_peelable(fg, 2)
 
 
-# -- embedding by offset ---------------------------------------------------------
+# -- one bulk build ---------------------------------------------------------------
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("d", [2, 3])
 def test_reduced_edges_are_what_add_edge_would_build(k, d):
-    # the embedding copies template edges without add_edge's per-edge
+    # each build renumbers copies of checked template edges and builds the
+    # reduced instance with _from_edges, without add_edge's per-edge
     # checks; re-adding every reduced edge through add_edge must accept
     # each one and reproduce the edge list and incidence index exactly
     reduced = [reduce_vc_to_vertex_stash(gen_random(9, 14, 2, seed), k, d)[0] for seed in range(3)]
@@ -367,7 +368,7 @@ def test_reduced_edges_are_what_add_edge_would_build(k, d):
 
 @pytest.mark.parametrize("k, d", PAIRS)
 def test_vc_build_adds_no_edge_per_original_edge(k, d, monkeypatch):
-    # add_edge runs only on the one template a build embeds, so its calls
+    # add_edge runs only on the one template a build copies, so its calls
     # do not grow with the original
     originals = (mkgraph(2, [(0, 1)]), gen_random(30, 50, 2, 1))
     calls = []

@@ -348,14 +348,16 @@ def test_exact_search_prunes_to_prefix_witnesses(monkeypatch):
     # budget-1 search at the root.  Each node scans only up to its prefix
     # witness, and a budget-1 node only the elements every failed candidate
     # left in the core.  A child whose stashed element lies outside the
-    # witness inherits it, and a node with budget >= 2 is cut when it packs
+    # witness inherits it, a budget-1 child whose element lies inside scans
+    # its whole core, and a node with budget >= 2 is cut when it packs
     # more disjoint witnesses than its budget.  The walk and the witnesses,
     # found and packed on copies of the core, make stash calls that are
-    # counted too: 15 on the edge instance and 127 on the vertex one.
-    # Without the packing bound the counts are 13 and 159; recomputing the
-    # witness at every node as well makes 15 and 203; scanning every live
-    # candidate makes 15 and 224; the same search over every live element,
-    # without the walk, makes 97 and 857.
+    # counted too: 13 on the edge instance and 126 on the vertex one, and
+    # 15 and 127 when such a budget-1 child gets a fresh prefix witness.
+    # With fresh ones, without the packing bound the counts are 13 and 159;
+    # recomputing the witness at every node as well makes 15 and 203;
+    # scanning every live candidate makes 15 and 224; the same search over
+    # every live element, without the walk, makes 97 and 857.
     calls = Counter()
 
     class CountingCore(stash_solvers.PeelCore):
@@ -375,7 +377,7 @@ def test_exact_search_prunes_to_prefix_witnesses(monkeypatch):
     assert min_edge_stash_exact(edge_case, 3).stash == {28, 89}
     vertex_case, _ = reduce_vc_to_vertex_stash(gen_random(9, 14, 2, 60308648), 2, 2)
     assert min_vertex_stash_exact(vertex_case, 2).stash == {0, 1, 2, 5, 8}
-    assert calls["edge"] <= 15 and calls["vertex"] <= 127, calls
+    assert calls["edge"] <= 13 and calls["vertex"] <= 126, calls
 
 
 @settings(max_examples=40, deadline=None)
@@ -541,6 +543,39 @@ def test_search_invariants_hold_at_every_node(monkeypatch):
     vertex_case, _ = reduce_vc_to_vertex_stash(gen_random(9, 14, 2, 60308648), 2, 2)
     assert min_vertex_stash_exact(vertex_case, 2).stash == {0, 1, 2, 5, 8}
     assert checked["nodes"] and checked["witnesses"] and checked["roots"], checked
+
+
+def test_leaves_match_a_fresh_prefix_witness(monkeypatch):
+    # A budget-1 child whose stashed element lies in its parent's witness
+    # scans its whole core, y = cands[-1] with the core's own alive flags,
+    # where it used to get a fresh prefix witness; one whose element lies
+    # outside inherits the parent's.  Each leaf must return what it returns
+    # when handed a fresh prefix witness, in both modes.
+    search, prefix_witness = stash_solvers._search, stash_solvers._prefix_witness
+    leaves = Counter()
+
+    def checked_search(core, kind, cands, budget, first, y, flags):
+        if budget == 1:
+            mark = len(core.trail)
+            fresh = search(core, kind, cands, 1, first, *prefix_witness(core, kind, cands))
+            core.undo(mark)
+            whole = flags is stash_solvers._kind_ops(core, kind)[0]
+            leaves[kind, whole] += 1
+            assert not whole or y == cands[-1]
+            assert search(core, kind, cands, 1, first, y, flags) == fresh
+            return fresh
+        return search(core, kind, cands, budget, first, y, flags)
+
+    monkeypatch.setattr(stash_solvers, "_search", checked_search)
+    for kind, n, m, d, k, seeds in DEEP_STASH_CASES:
+        solver = min_vertex_stash_exact if kind == "vertex" else min_edge_stash_exact
+        for seed in range(seeds):
+            solver(gen_random(n, m, d, seed), k, size_cap=m)
+    edge_case, _ = reduce_vertex_to_edge_stash(gen_random(10, 20, 2, 349375932), 3, 2)
+    assert min_edge_stash_exact(edge_case, 3).stash == {28, 89}
+    # a 3-uniform draw just above the 2-core threshold, the paper's setting
+    assert min_edge_stash_exact(gen_random(100, 86, 3, 3), 2).stash == {1, 11, 13, 47}
+    assert all(leaves[kind, whole] for kind in ("vertex", "edge") for whole in (True, False)), leaves
 
 
 @settings(max_examples=40, deadline=None)
