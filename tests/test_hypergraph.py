@@ -388,6 +388,21 @@ def test_from_edges_builds_what_add_edge_builds(g, repeats):
     got.validate()
 
 
+@pytest.mark.parametrize("d, n, edges", [
+    (2, 4, [(1, 0), (0, 1), (1, 0)]),  # one pair, written both ways
+    (3, 5, [(4, 2, 0), (0, 2, 4), (2, 4, 0)]),  # one triple in three orders
+    (2, 6, [(5, 4)]),  # vertices 0 to 3 on no edge
+    (4, 4, [(3, 2, 1, 0), (0, 1, 2, 3)]),
+])
+def test_from_edges_keeps_each_edges_own_order(d, n, edges):
+    # an edge is stored as given, not sorted, and each incidence list
+    # ascends, as add_edge leaves them
+    got = _from_edges(d, n, list(edges))
+    assert layout(got) == layout(mkgraph(n, edges, d))
+    assert got._edges == edges
+    got.validate()
+
+
 def test_from_edges_builds_the_empty_graph():
     g = _from_edges(3, 0, [])
     assert layout(g) == layout(Hypergraph(3)) == (3, [], [])

@@ -125,19 +125,24 @@ def test_cover_reduction_matches_networkx_cover_on_the_atlas(k, d):
     assert covers == set(range(7))
 
 
-def test_stash_reduction_matches_enumeration_on_the_atlas():
-    # acceptance criterion 6 at (3, 2) on every graph of up to 7 vertices:
+# how many atlas graphs need a minimum k-vertex-stash of each size
+ATLAS_STASH_SIZES = {3: {0: 659, 1: 481, 2: 103, 3: 9, 4: 1}, 4: {0: 1150, 1: 93, 2: 9, 3: 1}}
+
+
+@pytest.mark.parametrize("k", sorted(ATLAS_STASH_SIZES))
+def test_stash_reduction_matches_enumeration_on_the_atlas(k):
+    # acceptance criterion 6 at (k, 2) on every graph of up to 7 vertices:
     # the original's vertex stash comes from unpruned enumeration, the
     # reduced instance's edge stash from the package, and the lifted stash
     # is checked by naive repeated removal
     sizes = Counter()
     for i, g in atlas():
-        want = min_stash_size_by_enumeration(g, 3, "vertex")
+        want = min_stash_size_by_enumeration(g, k, "vertex")
         sizes[want] += 1
-        reduced, rmap = reduce_vertex_to_edge_stash(g, 3, 2)
-        stash = min_edge_stash_exact(reduced, 3).stash
+        reduced, rmap = reduce_vertex_to_edge_stash(g, k, 2)
+        stash = min_edge_stash_exact(reduced, k).stash
         assert len(stash) == want, i
         lifted = lift_edge_stash(rmap, stash)
         assert len(lifted) <= want, i
-        assert not peel_by_repeated_removal(g, 3, stash_vertices=lifted)[1], i
-    assert sizes == {0: 659, 1: 481, 2: 103, 3: 9, 4: 1}
+        assert not peel_by_repeated_removal(g, k, stash_vertices=lifted)[1], i
+    assert sizes == ATLAS_STASH_SIZES[k]

@@ -4,6 +4,7 @@ public entry point keeps."""
 import ast
 import inspect
 import re
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -184,26 +185,63 @@ def _names_read(node) -> set[str]:
             for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
 
 
-def test_every_public_function_has_a_caller():
-    # a deletion can leave a function behind with no caller: every public
-    # module-level function must be named in the package or the benchmark
-    # somewhere other than its own def (an import does not count); an
-    # entry point in pyproject.toml counts for the function it names
-    modules = {path: ast.parse(path.read_text(), filename=str(path))
-               for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))}
-    read = {path: [(node, _names_read(node)) for node in tree.body] for path, tree in modules.items()}
-    entry_points = set(re.findall(r'"stashpeel\.(\w+):(\w+)"', (ROOT / "pyproject.toml").read_text()))
-    assert entry_points == {("cli", "main")}
+def _uncalled(defining, readers, entry_points=frozenset()) -> list[str]:
+    """Public module-level functions of the defining files that no reader
+    file names outside their own def (an import does not count), except
+    the (module, function) pairs of entry_points."""
+    modules = {path: ast.parse(path.read_text(), filename=str(path)) for path in {*defining, *readers}}
+    read = [(node, _names_read(node)) for path in readers for node in modules[path].body]
     uncalled = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in defining:
         for node in modules[path].body:
             if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
                 continue
             if (path.stem, node.name) in entry_points:
                 continue
-            if not any(node.name in names for where in read.values() for other, names in where if other is not node):
+            if not any(node.name in names for other, names in read if other is not node):
                 uncalled.append(f"{path.name}:{node.lineno} {node.name}")
-    assert uncalled == []
+    return uncalled
+
+
+def test_every_public_function_has_a_caller():
+    # a deletion can leave a function behind with no caller: every public
+    # module-level function must be named in the package or the benchmark
+    # somewhere other than its own def (an import does not count); an
+    # entry point in pyproject.toml counts for the function it names
+    package = sorted(SRC.glob("*.py"))
+    entry_points = set(re.findall(r'"stashpeel\.(\w+):(\w+)"', (ROOT / "pyproject.toml").read_text()))
+    assert entry_points == {("cli", "main")}
+    assert _uncalled(package, package + sorted((ROOT / "bench").glob("*.py")), entry_points) == []
+
+
+def test_the_caller_check_flags_a_function_only_its_def_and_imports_name(tmp_path):
+    # negative control: a public function that only its own def, an import
+    # and a recursive call name is flagged; a call from another function,
+    # a use as a value, or an entry point clears a function
+    (tmp_path / "lib.py").write_text(textwrap.dedent("""\
+        def left_behind(n):
+            return left_behind(n - 1) if n else 0
+
+        def called():
+            return 1
+
+        def passed():
+            return 2
+
+        def entry():
+            return 3
+
+        def _private():
+            return called()
+        """))
+    (tmp_path / "user.py").write_text(textwrap.dedent("""\
+        from lib import called, left_behind, passed
+
+        TABLE = {"p": passed}
+        """))
+    files = [tmp_path / "lib.py", tmp_path / "user.py"]
+    assert _uncalled(files[:1], files, {("lib", "entry")}) == ["lib.py:1 left_behind"]
+    assert _uncalled(files[:1], files) == ["lib.py:1 left_behind", "lib.py:10 entry"]
 
 
 @pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)

@@ -14,6 +14,7 @@ from stashpeel import (
     UnsupportedCaseError,
     audit_p1,
     audit_pk_properties,
+    build_ck_gadget,
     build_pk_gadget,
     gen_random,
     greedy_stash,
@@ -385,6 +386,50 @@ def test_vc_build_adds_no_edge_per_original_edge(k, d, monkeypatch):
         reduce_vc_to_vertex_stash(g, k, d)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("k, d", PAIRS)
+def test_vc_copies_are_the_one_edge_reduction_renumbered(k, d):
+    # the reduction of a single edge (0, 1) is the template itself: the ck
+    # gadget on vertices 2.., then each port's edges on its endpoint.  In
+    # any original, edge i's copy is that template with 0 and 1 sent to the
+    # edge's endpoints, in the order the edge lists them, and the rest to
+    # the i-th run of fresh ids after the original vertices, all owned by
+    # the first endpoint
+    one, _ = reduce_vc_to_vertex_stash(mkgraph(2, [(0, 1)]), k, d)
+    gadget = build_ck_gadget(k, d)
+    assert one._edges == [tuple(2 + w for w in vs) for vs in gadget.graph._edges] + [
+        (end, *(2 + a for a in attach)) for end, port in enumerate(gadget.ports) for attach in port.edges]
+    fresh, size = one.num_vertices - 2, one.num_edges
+    originals = (mkgraph(5, [(3, 1), (1, 3), (0, 4), (1, 3)]), gen_random(9, 14, 2, 4))
+    for g in originals:
+        n = g.num_vertices
+        reduced, rmap = reduce_vc_to_vertex_stash(g, k, d)
+        assert (reduced.num_vertices, reduced.num_edges) == (n + g.num_edges * fresh, g.num_edges * size)
+        for i, (u, v) in enumerate(g._edges):
+            ids = [u, v, *range(n + i * fresh, n + (i + 1) * fresh)]
+            want = [tuple(ids[t] for t in vs) for vs in one._edges]
+            assert reduced._edges[i * size:(i + 1) * size] == want
+            assert all(rmap.owner[w] == u for w in ids[2:])
+
+
+@pytest.mark.parametrize("k, d", [(3, 2), (4, 2), (2, 3)])
+def test_vstash_wrappers_are_their_gadgets_shifted(k, d):
+    # each wrapper's edges are its gadget's, in the gadget's order, shifted
+    # past the vertices of the wrappers before it, and each neighboring edge
+    # joins the attach vertices its endpoints' ports name for it
+    # parallel edges in two orders, and isolated vertices
+    hand = {2: [(2, 0), (0, 2), (0, 1)], 3: [(4, 2, 0), (0, 2, 4)]}[d]
+    originals = (mkgraph(5, hand, d), gen_random(9, 12, d, 2))
+    for g in originals:
+        reduced, rmap = reduce_vertex_to_edge_stash(g, k, d)
+        blocks, first = _wrapper_blocks(rmap)
+        for v, (inside, edges) in enumerate(blocks):
+            gadget = build_pk_gadget(g.degree(v), k, d).graph
+            assert reduced._edges[edges.start:edges.stop] == [
+                tuple(inside.start + w for w in vs) for vs in gadget._edges]
+        for e, members in enumerate(g._edges):
+            assert reduced.edge_vertices(first + e) == tuple(dict(rmap.ports[w])[e] for w in members)
 
 
 def _wrapper_blocks(rmap):
