@@ -5,9 +5,11 @@ neighboring edges attach (its ports) and which internal edges are
 designated stashable (its E* set).  Builders only create internal
 structure; the neighboring edges themselves are created later, by a
 reduction or by the check harness.  Builders and the harness grow a
-graph only through the ``add_*`` methods of ``Hypergraph``; the pk proof
-builds each part's harness from already checked harness edges through
-``hypergraph._from_edges``.  Builders hand out vertices in the order the
+graph through the ``add_*`` methods of ``Hypergraph``, with two bulk
+builds through ``hypergraph._from_edges`` from edges already checked:
+``_lift_to_d`` appends the same fresh dummies to every edge of a checked
+2-uniform assembly, and the pk proof builds each part's harness from
+checked harness edges.  Builders hand out vertices in the order the
 construction uses them: a block returns its hub tuple, a chain takes each
 block's hubs one wiring at a time, and the stable tree queues the central
 vertex of each free port.  The harness is a copy of the gadget
@@ -77,7 +79,7 @@ The families:
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import chain, combinations, compress
 from math import comb
@@ -271,17 +273,14 @@ def _add_tree_stable(g: Hypergraph, d: int, p: int) -> dict:
 
 def _lift_to_d(g2: Hypergraph, d: int) -> tuple[Hypergraph, list[int]]:
     """Extend a 2-uniform assembly to arity d by appending d-2 shared dummy
-    vertices to every internal edge; ids are preserved."""
+    vertices to every internal edge; ids are preserved.  The edges were
+    checked when g2 took them and the dummies are fresh, so the lifted
+    graph is built in one ``_from_edges`` call."""
     if d == 2:
         return g2, []
-    g = Hypergraph(d)
-    g.add_vertices(g2.num_vertices)
-    if g2.num_edges == 0:
-        return g, []
-    dummies = g.add_vertices(d - 2)
-    for vs in g2._edges:
-        g.add_edge((*vs, *dummies))
-    return g, dummies
+    n = g2.num_vertices
+    dummies = list(range(n, n + d - 2)) if g2.num_edges else []
+    return _from_edges(d, n + len(dummies), [(*vs, *dummies) for vs in g2._edges]), dummies
 
 
 # -- public builders ----------------------------------------------------------
@@ -652,9 +651,8 @@ def _pk_contract_holds(gadget: Gadget, harness: Harness) -> bool:
 def _report_params(gadget: Gadget) -> dict[str, int]:
     """Gadget params plus a record of whether parallel edges were produced
     (the data model permits them; the builders happen not to need any)."""
-    counts = Counter(frozenset(vs) for vs in gadget.graph._edges)
-    parallel = sum(c - 1 for c in counts.values() if c > 1)
-    return {**gadget.params, "parallel_edges": parallel}
+    edges = gadget.graph._edges
+    return {**gadget.params, "parallel_edges": len(edges) - len(set(map(frozenset, edges)))}
 
 
 def check_gadget(gadget: Gadget) -> GadgetReport:

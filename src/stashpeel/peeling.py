@@ -5,9 +5,12 @@ edges until none remain; the survivors form the k-core, which is unique
 regardless of removal order.
 
 One engine, ``PeelCore``, computes every k-core in the package: a k-core
-under delete/restore that reads the hypergraph's lists in place, takes a
-stash at construction and then peels lowest vertex id first, so traces
-are reproducible.  ``k_core`` and ``k_core_after`` read their trace off
+under delete/restore that reads the hypergraph's lists in place and takes
+a stash at construction.  Only a trace reads the order of the peel that
+follows, so only ``k_core_after`` builds its core heap-ordered, lowest
+vertex id first with the order on the core's trail, and traces are
+reproducible; every other core peels from a plain stack and leaves its
+trail empty.  ``k_core`` and ``k_core_after`` read their trace off
 one, the gadget checks read its alive flags, ``is_k_peelable`` and
 ``peel_edges`` its live edges, and the stash solvers stash and undo on
 one.  The replay auditor ``verify_trace`` shares no code with it and also
@@ -125,13 +128,14 @@ def k_core_after(
 
     The trace covers what is left after the stash: stashed vertices and
     edges, and the edges on stashed vertices, are in neither part.  It is
-    read off one ``PeelCore``: the peel order from its trail, the core from
+    read off one ``PeelCore``, the one caller of the heap-ordered
+    construction: the peel order from its trail, the core from
     its alive flags, and the peeled edges are the dead ones outside the
     stash.  The trace does not record the stash, so ``verify_trace`` can
     replay it only when the stash is empty.
     """
     sv, se = _stash_ids(g, stash_vertices, stash_edges)
-    core = PeelCore(g, k, sv, se)
+    core = PeelCore(g, k, sv, se, _ordered=True)
     dead_edges = frozenset(compress(count(), map(not_, core.edge_alive)))
     return PeelTrace(
         k=k,
@@ -229,16 +233,19 @@ class PeelCore:
     place and never writes them, so its ids are the graph's.
 
     A vertex dies when its degree first falls below k and is peeled when it
-    is taken from the dead vertices not yet peeled: it goes onto ``trail``
-    as v, and each live edge on it dies and goes on as ~e.  At construction
-    the dead vertices wait in a heap and leave it lowest id first, which is
-    ``k_core``'s peel order; after construction the trail holds the stash's
-    edges and then that peel, but not the stashed vertices, so an undo mark
-    is taken after construction.  ``degree[v]`` counts the live edges on v
-    whether v is alive or not, so it is 0 for every peeled v.
-    ``stash_vertex`` and ``stash_edge`` kill a live element and peel its
-    cascade the same way, from a stack rather than a heap; ``undo(mark)``
-    revives all killed since ``len(trail)`` was ``mark``.  A stash with its
+    is taken from the dead vertices not yet peeled, and each live edge on
+    it dies.  A construction peels from a stack and puts nothing on
+    ``trail``, since the core does not depend on the order.  Only
+    ``k_core_after``, whose trace is the peel order, asks for the ordered
+    construction: the dead vertices wait in a heap and leave it lowest id
+    first, each goes onto the trail as v and each edge it kills as ~e, so
+    the trail holds the stash's edges and then that peel, but not the
+    stashed vertices.  Either way an undo mark is taken after
+    construction.  ``degree[v]`` counts the live edges on v whether v is
+    alive or not, so it is 0 for every peeled v.  ``stash_vertex`` and
+    ``stash_edge`` kill a live element and peel its cascade from a stack,
+    putting it on the trail; ``undo(mark)`` revives all killed since
+    ``len(trail)`` was ``mark``.  A stash with its
     undo costs time linear in the incidences of what it kills, not in the
     core's size.
     """
@@ -252,6 +259,8 @@ class PeelCore:
         k: int,
         stash_vertices: Collection[int] = (),
         stash_edges: Collection[int] = (),
+        *,
+        _ordered: bool = False,
     ):
         check_k(k)
         self.k = k
@@ -266,7 +275,11 @@ class PeelCore:
         # the other vertices of degree < k, ascending, which is already a
         # heap; the stash's edges push the vertices they drop below k
         low = [v for v in compress(count(), map(k.__gt__, deg)) if v not in stash_vertices]
-        self._peel(low, chain(stash_edges, *map(incidence.__getitem__, stash_vertices)))
+        dying = chain(stash_edges, *map(incidence.__getitem__, stash_vertices))
+        if _ordered:
+            self._peel(low, dying)
+        else:
+            self._peel_untraced(low, dying)
 
     def copy(self) -> PeelCore:
         """A core in this one's state with an empty trail, to stash on and
@@ -297,9 +310,9 @@ class PeelCore:
         # in `dead` until none is left: `pop` one, put it on the trail and
         # kill the live edges on it; each vertex that dies on the way goes
         # into `dead` by `push`.  By default `dead` is a heap, lowest id
-        # first.  A stash passes list.append and list.pop, a stack, which
-        # costs less per vertex: the cascade is the same, and undo does
-        # not depend on the trail's order.
+        # first, for the ordered construction.  A stash passes list.append
+        # and list.pop, a stack, which costs less per vertex: the cascade
+        # is the same, and undo does not depend on the trail's order.
         k, deg, record = self.k, self.degree, self.trail.append
         vertex_alive, edge_alive = self.vertex_alive, self.edge_alive
         edge_vertices, vertex_edges = self.edge_vertices, self.vertex_edges
@@ -321,6 +334,30 @@ class PeelCore:
             v = pop(dead)
             record(v)
             dying = vertex_edges[v]
+        self.live_edges -= killed
+
+    def _peel_untraced(self, dead: list[int], dying: Iterable[int]) -> None:
+        # _peel from a stack with nothing put on the trail: the cascade
+        # and so the core are the same, and a construction no one replays
+        # does not pay for the heap or for one trail entry per element.
+        k, deg, push, pop = self.k, self.degree, dead.append, dead.pop
+        vertex_alive, edge_alive = self.vertex_alive, self.edge_alive
+        edge_vertices, vertex_edges = self.edge_vertices, self.vertex_edges
+        killed = 0
+        while True:
+            for e in dying:
+                if edge_alive[e]:
+                    edge_alive[e] = False
+                    killed += 1
+                    for w in edge_vertices[e]:
+                        c = deg[w] - 1
+                        deg[w] = c
+                        if c < k and vertex_alive[w]:
+                            vertex_alive[w] = False
+                            push(w)
+            if not dead:
+                break
+            dying = vertex_edges[pop()]
         self.live_edges -= killed
 
     def undo(self, mark: int) -> None:

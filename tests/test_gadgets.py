@@ -36,7 +36,7 @@ from stashpeel.gadgets import (
 from stashpeel.hypergraph import gen_random
 from stashpeel.reductions import audit_pk_properties, reduce_vc_to_vertex_stash, reduce_vertex_to_edge_stash
 
-from helpers import gadget_without, mkgraph, run_python
+from helpers import gadget_without, layout, mkgraph, run_python
 
 
 def drop_edge(gadget: Gadget, eid: int) -> Gadget:
@@ -397,6 +397,59 @@ def test_dummy_lifting_preserves_checker_outcomes():
                 assert [c.name for c in low.checks] == [c.name for c in high.checks]
                 assert [c.passed for c in low.checks] == [c.passed for c in high.checks]
                 assert low.all_passed
+
+
+def lift_by_add_edge(g2: Hypergraph, d: int) -> tuple[Hypergraph, list[int]]:
+    """The d-lift of a 2-uniform assembly, built edge by edge with add_edge."""
+    g = Hypergraph(d)
+    g.add_vertices(g2.num_vertices)
+    dummies = g.add_vertices(d - 2) if g2.num_edges else []
+    for e in range(g2.num_edges):
+        g.add_edge((*g2.edge_vertices(e), *dummies))
+    return g, dummies
+
+
+def test_lift_to_d_builds_what_add_edge_builds(monkeypatch):
+    # _lift_to_d builds the lifted graph in one _from_edges call: every
+    # assembly the grid's b-blocks, stable blocks and pk wrappers lift must
+    # come out as add_edge builds it, with the same ids and edge order
+    lift, lifted = gadgets._lift_to_d, set()
+
+    def checked_lift(g2, d):
+        got, dummies = lift(g2, d)
+        want, want_dummies = lift_by_add_edge(g2, d)
+        assert (layout(got), dummies) == (layout(want), want_dummies)
+        got.validate()
+        lifted.add((d, g2.num_edges > 0))
+        return got, dummies
+
+    monkeypatch.setattr(gadgets, "_lift_to_d", checked_lift)
+    ds = range(2, 6)
+    for k in (k for k in gadgets.GRID_K if k >= 3):
+        for d in ds:
+            build_b_block(2, k, d)
+            build_b_block(3, k, d)
+            for m in range(1, k):
+                build_simple_stable_block(m, k, d)
+            for m in gadgets.GRID_M:
+                build_stable_block(m, k, d)
+            for delta in range(8):
+                build_pk_gadget(delta, k, d)
+    # an edgeless assembly gains no dummies
+    for d in ds:
+        checked_lift(mkgraph(3, [], 2), d)
+    assert lifted == {(d, edges) for d in ds for edges in (False, True)}
+
+
+@pytest.mark.parametrize("edges, parallel", [
+    ([], 0),
+    ([(0, 1), (1, 2)], 0),
+    ([(0, 1), (1, 0), (0, 1)], 2),  # one pair three times, written both ways
+    ([(0, 1), (2, 3), (1, 0), (3, 2)], 2),
+])
+def test_report_params_counts_parallel_edges(edges, parallel):
+    gadget = Gadget(graph=mkgraph(4, edges), ports=(), estar=frozenset(), params={"k": 3}, meta={})
+    assert _report_params(gadget) == {"k": 3, "parallel_edges": parallel}
 
 
 def test_full_grid_passes():

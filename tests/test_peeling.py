@@ -9,6 +9,8 @@ from stashpeel import (
     NotFoundError,
     ParameterError,
     PeelTrace,
+    build_ck_gadget,
+    check_gadget,
     core_subgraph,
     gen_random,
     greedy_stash,
@@ -19,7 +21,7 @@ from stashpeel import (
     min_vertex_stash_exact,
     verify_trace,
 )
-from stashpeel.peeling import PeelCore, peel_edges
+from stashpeel.peeling import PeelCore, certify_stash, peel_edges
 
 from helpers import complete_graph, hypergraphs, layout, mkgraph, path, triangle, two_triangles, without
 from oracles import core_by_enumeration, core_layout_by_renumbering, peel_by_repeated_removal
@@ -302,10 +304,23 @@ def test_removal_monotonicity(g, k):
 @given(
     hypergraphs(max_edges=12),
     st.sampled_from((1, 2, 3)),
+    st.lists(st.tuples(st.booleans(), st.integers(0, 2**16)), max_size=3),
+    st.booleans(),
     st.lists(st.tuples(st.booleans(), st.integers(0, 2**16)), max_size=5),
 )
-def test_peel_core_stash_and_undo_track_k_core_after(g, k, picks):
-    core = PeelCore(g, k)
+def test_peel_core_stash_and_undo_track_k_core_after(g, k, start, ordered, picks):
+    # A core is built untraced, from a stack with an empty trail, unless
+    # k_core_after asks for the heap-ordered trace.  Both are the same
+    # k-core under any starting stash, and stash and undo on either track
+    # k_core_after.
+    stash_v = sorted({i % g.num_vertices for by_vertex, i in start if by_vertex and g.num_vertices})
+    stash_e = sorted({i % g.num_edges for by_vertex, i in start if not by_vertex and g.num_edges})
+    traced = PeelCore(g, k, frozenset(stash_v), frozenset(stash_e), _ordered=True)
+    untraced = PeelCore(g, k, frozenset(stash_v), frozenset(stash_e))
+    assert untraced.trail == []
+    assert (untraced.vertex_alive, untraced.edge_alive, untraced.degree, untraced.live_edges) == (
+        traced.vertex_alive, traced.edge_alive, traced.degree, traced.live_edges)
+    core = traced if ordered else untraced
 
     def state():
         live_v = frozenset(v for v, a in enumerate(core.vertex_alive) if a)
@@ -315,9 +330,9 @@ def test_peel_core_stash_and_undo_track_k_core_after(g, k, picks):
             assert c == sum(1 for e in core.vertex_edges[v] if core.edge_alive[e])
         return live_v, live_e, tuple(core.degree)
 
-    base = k_core(g, k)
+    base = k_core_after(g, k, stash_vertices=stash_v, stash_edges=stash_e)
     assert state()[:2] == (base.core_vertices, base.core_edges)
-    stash_v, stash_e, history = [], [], []
+    history = []
     for by_vertex, i in picks:
         alive = core.vertex_alive if by_vertex else core.edge_alive
         live = [x for x, a in enumerate(alive) if a]
@@ -336,6 +351,38 @@ def test_peel_core_stash_and_undo_track_k_core_after(g, k, picks):
     for mark, before in reversed(history):
         core.undo(mark)
         assert state() == before
+
+
+def test_only_k_core_after_builds_a_heap_ordered_core(monkeypatch):
+    # Only a trace reads the peel order, so every other entry point builds
+    # its cores untraced.
+    init, built = PeelCore.__init__, []
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(kwargs.get("_ordered", False))
+
+    monkeypatch.setattr(PeelCore, "__init__", spy)
+    g = two_triangles()
+    assert not k_core(g, 2).core_empty
+
+    def ordered(call):
+        built.clear()
+        call()
+        return set(built)
+
+    assert ordered(lambda: k_core(g, 2)) == {True}
+    assert ordered(lambda: k_core_after(g, 2, [0], [3])) == {True}
+    for call in (
+        lambda: is_k_peelable(g, 2, [0]),
+        lambda: certify_stash("test", g, 2, (), [0, 3]),
+        lambda: peel_edges(g.edges, 2),
+        lambda: min_vertex_stash_exact(g, 2),
+        lambda: min_edge_stash_exact(g, 2),
+        lambda: greedy_stash(g, 2, "edge"),
+        lambda: check_gadget(build_ck_gadget(3, 2)),
+    ):
+        assert ordered(call) == {False}
 
 
 @settings(max_examples=60, deadline=None)
