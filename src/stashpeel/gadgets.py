@@ -45,6 +45,16 @@ removal is the intact harness, peeled once for both clauses.  Counting
 that peel, a stable block of degree m >= 2 costs m + 2 peels besides its
 E* rows.
 
+The same lemma cuts the peels short.  If the cascade of a removal R kills
+a vertex w on an edge e whose loss alone was seen to leave no block
+vertex, then e is dead in the core of H-R, so that core lies inside the
+core of H-e and R empties the block too.  ``check_gadget`` decides the E*
+rows first, in ascending order, and keeps the vertices of every edge
+whose single-edge row (an E* stash, or a removal of a one-edge port)
+emptied the block.  Each later peel stops at the first of them to die,
+with no survivors, so rows that share a cascade do not peel it to the
+end again; the reports, witnesses included, are those of full peels.
+
 A pk gadget's frontier holds C(delta+1, t) removals, which grows as
 C(delta, k) + C(delta, k-1), so once it holds at least 3 delta of them
 (from delta = 5 at k = 2 to 4, and delta = k+1 above) ``check_gadget``
@@ -83,6 +93,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import chain, combinations, compress
 from math import comb
+from typing import Collection, Iterable
 
 from .errors import ParameterError, check_ints
 from .hypergraph import Hypergraph, _from_edges
@@ -503,28 +514,38 @@ def build_harness(gadget: Gadget) -> Harness:
     return Harness(h, k, gadget.graph.num_vertices, port_edges)
 
 
-def _survivors(harness: Harness, removed_edges: tuple[int, ...] = ()) -> list[int]:
+def _survivors(
+    harness: Harness, removed_edges: tuple[int, ...] = (), fatal: Collection[int] = frozenset()
+) -> list[int]:
     """The gadget vertices left in the k-core once the given edges are gone,
-    in ascending order."""
-    alive = PeelCore(harness.graph, harness.k, (), removed_edges).vertex_alive
-    return list(compress(range(harness.block), alive))
+    in ascending order.  ``fatal`` holds vertices known to empty the block
+    when they go: the peel stops at the first of them to die, and there are
+    no survivors.  With none, the peel is a plain full one."""
+    core = PeelCore(harness.graph, harness.k, (), removed_edges, _stop=fatal)
+    return [] if core.stopped else list(compress(range(harness.block), core.vertex_alive))
 
 
-def _part_harness(harness: Harness, members: list[int], internal: list[int], crossing: dict) -> Harness:
-    """One part of a harness on a harness of its own: its ``members``, in
-    order, then a pinned pool as in ``build_harness``.  Each of the
-    ``internal`` edges and the ``crossing`` edge of each name is the
-    members on it followed by pool vertices standing in for the rest, and
-    the crossing edges come last, each a port edge of its name."""
+def _part_edges(harness: Harness, members: list[int], part_edges: Iterable[int]) -> list[tuple[int, ...]]:
+    """The edge list of one part's own harness: its ``members``, in order,
+    then a pinned pool as in ``build_harness``.  The pool's k edges come
+    first, then each of ``part_edges`` as the members on it followed by
+    pool vertices standing in for the rest."""
     k, d, n = harness.k, harness.graph.d, len(members)
     pool = tuple(range(n, n + d))
     local = dict(zip(members, range(n)))
     edges = [pool] * k
-    for e in chain(internal, crossing.values()):
+    for e in part_edges:
         vs = [local[v] for v in harness.graph._edges[e] if v in local]
         edges.append((*vs, *pool[: d - len(vs)]))
-    first = len(edges) - len(crossing)
-    return Harness(_from_edges(d, n + d, edges), k, n, {name: (first + i,) for i, name in enumerate(crossing)})
+    return edges
+
+
+def _part_harness(harness: Harness, n: int, edges: list[tuple[int, ...]], crossing: int) -> Harness:
+    """The harness of a part of n members over its ``_part_edges`` list,
+    whose last ``crossing`` edges are the crossing ones, each a port edge
+    of its own, named by its place among them."""
+    d, first = harness.graph.d, len(edges) - crossing
+    return Harness(_from_edges(d, n + d, edges), harness.k, n, {i: (first + i,) for i in range(crossing)})
 
 
 def _pk_contract_holds(gadget: Gadget, harness: Harness) -> bool:
@@ -626,16 +647,19 @@ def _pk_contract_holds(gadget: Gadget, harness: Harness) -> bool:
             members[label[v]].append(v)
     relay_holds: dict[tuple, bool] = {}
     for i, roles in enumerate(crossing):
-        relay = _part_harness(harness, members[i], internal[i], roles)
-        # the check reads the graph alone, whose last three edges are the
-        # crossing ones, so relays with equal edge lists share it
-        key = tuple(relay.graph._edges)
+        edges = _part_edges(harness, members[i], chain(internal[i], roles.values()))
+        # the check reads the edge list alone, whose last three edges are
+        # the crossing ones, so relays with equal lists share it, and only
+        # a new list is built into a harness
+        key = tuple(edges)
         if key not in relay_holds:
+            relay = _part_harness(harness, len(members[i]), edges, 3)
             relay_holds[key] = len(_survivors(relay)) == relay.block and not any(
                 _survivors(relay, es) for es in relay.port_edges.values())
         if not relay_holds[key]:
             return False
-    sb = _part_harness(harness, members[stable], internal[stable], {i: roles["s"] for i, roles in enumerate(crossing)})
+    s_edges = _part_edges(harness, members[stable], chain(internal[stable], (roles["s"] for roles in crossing)))
+    sb = _part_harness(harness, len(members[stable]), s_edges, n)
     every = [e for (e,) in sb.port_edges.values()]
     if _survivors(sb, tuple(every)):
         return False
@@ -668,6 +692,12 @@ def check_gadget(gadget: Gadget) -> GadgetReport:
     at least 3 delta removals, and whose contract ``_pk_contract_holds``
     proves from its parts', passes the row without the sweep; the proof
     is sound, so the sweep would pass it too.
+
+    The E* rows are decided first, in ascending order, and reported after
+    the threshold row.  Every later peel stops at a vertex of an edge whose
+    single-edge row emptied the block, since by monotonicity its removal
+    empties the block as well (see the module docstring); a stopped row's
+    survivors are [], as a full peel's would be.
     """
     kind, n = gadget.kind, len(gadget.ports)
     if kind in ("ck", "b2", "b3"):
@@ -685,6 +715,14 @@ def check_gadget(gadget: Gadget) -> GadgetReport:
     if t:
         peeled = sorted(set(range(harness.block)).difference(intact))
         checks.append(CheckResult("unpeelable_with_all_ports", not peeled, f"peeled={peeled}" if peeled else ""))
+    # the vertices of each edge whose loss alone was seen to empty the block
+    fatal: set[int] = set()
+    estar_rows = []
+    for e in sorted(gadget.estar):
+        surv = _survivors(harness, (e,), fatal)
+        if not surv:
+            fatal.update(harness.graph._edges[e])
+        estar_rows.append(CheckResult(f"estar_{e}_peels", not surv, f"stash_edge={e} survivors={surv}" if surv else ""))
     witness = ""
     # the frontier holds C(n+1, t) removals, and the proof costs about as
     # much as 3n of them (measured at k = 2..6), so it runs only past that
@@ -692,17 +730,16 @@ def check_gadget(gadget: Gadget) -> GadgetReport:
     sizes = range(max(0, t - 1), t + 1) if not proven else ()
     for removed in chain.from_iterable(combinations(names, r) for r in sizes):
         edges = tuple(e for name in removed for e in harness.port_edges[name])
-        surv = _survivors(harness, edges) if removed else intact
+        surv = _survivors(harness, edges, fatal) if removed else intact
+        if not surv and len(edges) == 1:
+            fatal.update(harness.graph._edges[edges[0]])
         expect_peel = len(removed) == t
         if (not surv) != expect_peel:
             witness = f"removed={list(removed)} expected_peel={expect_peel} survivors={surv}"
             break
     name = f"peels_iff_at_least_{t}_of_{n}_ports_removed"
     checks.append(CheckResult(name, not witness, witness))
-    for e in sorted(gadget.estar):
-        surv = _survivors(harness, (e,))
-        checks.append(CheckResult(f"estar_{e}_peels", not surv, f"stash_edge={e} survivors={surv}" if surv else ""))
-    return GadgetReport(kind, _report_params(gadget), tuple(checks))
+    return GadgetReport(kind, _report_params(gadget), (*checks, *estar_rows))
 
 
 # -- parameter grid -----------------------------------------------------------

@@ -248,10 +248,22 @@ class PeelCore:
     ``len(trail)`` was ``mark``.  A stash with its
     undo costs time linear in the incidences of what it kills, not in the
     core's size.
+
+    The untraced construction takes a private keyword-only ``_stop``, a
+    set of vertices whose death the caller knows to settle its question
+    (the gadget checks pass the vertices of edges whose loss alone empties
+    the block).  The peel ends as soon as one of them dies and sets
+    ``stopped``.  A stopped core holds the peel as it was cut off:
+    ``live_edges`` counts the edges ``edge_alive`` marks live, but the
+    dead vertices not yet peeled keep their edges, and the vertices after
+    the stopping one on the last killed edge still count it, so it is no
+    k-core; only ``stopped`` is read from it, and nothing stashes on it.
+    With no ``_stop``, as everywhere but the gadget checks, ``stopped`` is
+    False.
     """
 
     __slots__ = ("k", "edge_vertices", "vertex_edges", "degree", "vertex_alive", "edge_alive",
-                 "live_edges", "trail")
+                 "live_edges", "trail", "stopped")
 
     def __init__(
         self,
@@ -261,6 +273,7 @@ class PeelCore:
         stash_edges: Collection[int] = (),
         *,
         _ordered: bool = False,
+        _stop: Collection[int] = frozenset(),
     ):
         check_k(k)
         self.k = k
@@ -272,6 +285,7 @@ class PeelCore:
         for v in stash_vertices:
             alive[v] = False
         self.trail: list[int] = []
+        self.stopped = False
         # the other vertices of degree < k, ascending, which is already a
         # heap; the stash's edges push the vertices they drop below k
         low = [v for v in compress(count(), map(k.__gt__, deg)) if v not in stash_vertices]
@@ -279,7 +293,7 @@ class PeelCore:
         if _ordered:
             self._peel(low, dying)
         else:
-            self._peel_untraced(low, dying)
+            self._peel_untraced(low, dying, _stop)
 
     def copy(self) -> PeelCore:
         """A core in this one's state with an empty trail, to stash on and
@@ -293,6 +307,7 @@ class PeelCore:
         c.edge_alive = self.edge_alive.copy()
         c.live_edges = self.live_edges
         c.trail = []
+        c.stopped = self.stopped
         return c
 
     def stash_vertex(self, v: int) -> None:
@@ -336,10 +351,12 @@ class PeelCore:
             dying = vertex_edges[v]
         self.live_edges -= killed
 
-    def _peel_untraced(self, dead: list[int], dying: Iterable[int]) -> None:
+    def _peel_untraced(self, dead: list[int], dying: Iterable[int], stop: Collection[int]) -> None:
         # _peel from a stack with nothing put on the trail: the cascade
         # and so the core are the same, and a construction no one replays
         # does not pay for the heap or for one trail entry per element.
+        # The first vertex of `stop` to die ends the peel and sets
+        # `stopped`.
         k, deg, push, pop = self.k, self.degree, dead.append, dead.pop
         vertex_alive, edge_alive = self.vertex_alive, self.edge_alive
         edge_vertices, vertex_edges = self.edge_vertices, self.vertex_edges
@@ -354,6 +371,10 @@ class PeelCore:
                         deg[w] = c
                         if c < k and vertex_alive[w]:
                             vertex_alive[w] = False
+                            if w in stop:
+                                self.stopped = True
+                                self.live_edges -= killed
+                                return
                             push(w)
             if not dead:
                 break

@@ -34,6 +34,7 @@ from stashpeel.gadgets import (
     build_harness,
 )
 from stashpeel.hypergraph import gen_random
+from stashpeel.peeling import PeelCore
 from stashpeel.reductions import audit_pk_properties, reduce_vc_to_vertex_stash, reduce_vertex_to_edge_stash
 
 from helpers import gadget_without, layout, mkgraph, run_python
@@ -48,6 +49,16 @@ def drop_vertex(gadget: Gadget, v: int) -> Gadget:
     """Negative-control mutation: the gadget without one non-port vertex
     and its edges."""
     return gadget_without(gadget, vertices=[v])
+
+
+def pin_vertex(gadget: Gadget, v: int) -> Gadget:
+    """Negative-control mutation: vertex v held at degree k or more by k
+    parallel edges over d-1 new vertices, so v never peels."""
+    g = gadget.graph.copy()
+    held = (v, *g.add_vertices(g.d - 1))
+    for _ in range(gadget.params["k"]):
+        g.add_edge(held)
+    return Gadget(g, gadget.ports, gadget.estar, dict(gadget.params), dict(gadget.meta))
 
 
 def double_edges(gadget: Gadget) -> Gadget:
@@ -740,10 +751,12 @@ def assert_matches_full_scan(gadget: Gadget, ours: GadgetReport, theirs: GadgetR
 
 def broken_variants(gadget: Gadget):
     """The gadget without each one of its edges, without each one of its
-    non-port vertices, and with every edge doubled."""
+    non-port vertices, with each one of its vertices pinned, and with
+    every edge doubled."""
     ported = {v for p in gadget.ports for attach in p.edges for v in attach}
     yield from (drop_edge(gadget, e) for e in range(gadget.graph.num_edges))
     yield from (drop_vertex(gadget, v) for v in range(gadget.graph.num_vertices) if v not in ported)
+    yield from (pin_vertex(gadget, v) for v in range(gadget.graph.num_vertices))
     yield double_edges(gadget)
 
 
@@ -786,6 +799,9 @@ def test_frontier_matches_full_scan_on_broken_gadgets(build):
     reports = [(g, check_gadget(g), full_scan(g)) for g in broken_variants(build())]
     for g, ours, theirs in reports:
         assert_matches_full_scan(g, ours, theirs)
+        # every row to the byte, witnesses included, against peels that
+        # all run to the core
+        assert ours == frontier_sweep(g)
     assert sum(not ours.all_passed for _, ours, _ in reports) > len(reports) // 2
 
 
@@ -858,7 +874,7 @@ def test_frontier_is_counted_before_it_is_built(monkeypatch):
 
 
 def test_grid_peels_the_frontier_not_the_pool(monkeypatch):
-    calls = 0
+    calls = killed = 0
     real = gadgets._survivors
 
     def counting(*args, **kwargs):
@@ -866,9 +882,66 @@ def test_grid_peels_the_frontier_not_the_pool(monkeypatch):
         calls += 1
         return real(*args, **kwargs)
 
+    class CountingCore(PeelCore):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            nonlocal killed
+            super().__init__(*args, **kwargs)
+            killed += self.edge_alive.count(False)
+
     monkeypatch.setattr(gadgets, "_survivors", counting)
+    monkeypatch.setattr(gadgets, "PeelCore", CountingCore)
     assert all(r.all_passed for r in run_gadget_grid())
     assert calls == 1639  # peeling every removal, as full_scan does, makes 4,683
+    # a peel stops at the first vertex whose loss is known to empty the
+    # block; run to the core, the same peels kill 118,678 edges
+    assert killed <= 45_000
+
+
+def test_grid_reports_are_the_frontier_sweeps_to_the_byte(monkeypatch):
+    built = []
+    real = gadgets.check_gadget
+
+    def keeping(gadget):
+        report = real(gadget)
+        built.append((gadget, report))
+        return report
+
+    monkeypatch.setattr(gadgets, "check_gadget", keeping)
+    run_gadget_grid()
+    assert len(built) == 175
+    for gadget, report in built:
+        assert report == frontier_sweep(gadget), report.params
+
+
+def stopped_peels(monkeypatch, call) -> list[bool]:
+    """Whether each harness peel of ``call`` stopped short of its core."""
+    stopped = []
+
+    class Recording(PeelCore):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            stopped.append(self.stopped)
+
+    with monkeypatch.context() as m:
+        m.setattr(gadgets, "PeelCore", Recording)
+        call()
+    return stopped
+
+
+@pytest.mark.parametrize("build", [lambda: build_stable_block(5, 3, 2), lambda: build_b_block(3, 4, 3)],
+                         ids=["stable", "b3"])
+def test_only_check_gadget_stops_a_peel(monkeypatch, build):
+    # the stable block's fatal vertices come from its E* rows, the
+    # b-block's from its one-edge ports.  _survivors with no fatal set is a
+    # plain full peel, so the oracles never take the shortcut
+    g = build()
+    assert any(stopped_peels(monkeypatch, lambda: check_gadget(g)))
+    for oracle in (full_scan, frontier_sweep):
+        assert not any(stopped_peels(monkeypatch, lambda: oracle(g)))
 
 
 # -- the composed pk proof against the frontier sweep ---------------------------

@@ -1,7 +1,8 @@
 import dataclasses
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from stashpeel import (
@@ -10,6 +11,7 @@ from stashpeel import (
     ParameterError,
     PeelTrace,
     build_ck_gadget,
+    build_stable_block,
     check_gadget,
     core_subgraph,
     gen_random,
@@ -21,6 +23,7 @@ from stashpeel import (
     min_vertex_stash_exact,
     verify_trace,
 )
+from stashpeel import gadgets
 from stashpeel.peeling import PeelCore, certify_stash, peel_edges
 
 from helpers import complete_graph, hypergraphs, layout, mkgraph, path, triangle, two_triangles, without
@@ -355,12 +358,15 @@ def test_peel_core_stash_and_undo_track_k_core_after(g, k, start, ordered, picks
 
 def test_only_k_core_after_builds_a_heap_ordered_core(monkeypatch):
     # Only a trace reads the peel order, so every other entry point builds
-    # its cores untraced.
-    init, built = PeelCore.__init__, []
+    # its cores untraced.  Only the gadget checks' _survivors passes a
+    # non-empty stop set, so no other entry point sees a stopped core.
+    init, built, stoppers = PeelCore.__init__, [], set()
 
     def spy(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        built.append(kwargs.get("_ordered", False))
+        built.append((kwargs.get("_ordered", False), self.stopped))
+        if kwargs.get("_stop"):
+            stoppers.add(sys._getframe(1).f_code)
 
     monkeypatch.setattr(PeelCore, "__init__", spy)
     g = two_triangles()
@@ -369,7 +375,8 @@ def test_only_k_core_after_builds_a_heap_ordered_core(monkeypatch):
     def ordered(call):
         built.clear()
         call()
-        return set(built)
+        assert not any(stopped for _, stopped in built)
+        return {ordered for ordered, _ in built}
 
     assert ordered(lambda: k_core(g, 2)) == {True}
     assert ordered(lambda: k_core_after(g, 2, [0], [3])) == {True}
@@ -383,6 +390,41 @@ def test_only_k_core_after_builds_a_heap_ordered_core(monkeypatch):
         lambda: check_gadget(build_ck_gadget(3, 2)),
     ):
         assert ordered(call) == {False}
+    assert not stoppers
+    built.clear()
+    check_gadget(build_stable_block(5, 3, 2))
+    assert {ordered for ordered, _ in built} == {False} and any(stopped for _, stopped in built)
+    assert stoppers == {gadgets._survivors.__code__}
+
+
+def test_stop_set_ends_the_construction_peel():
+    # stashing edge 0 of the triangle kills vertices 0 and 1; the death of
+    # 1 stops the peel, and the live edges still count the flags
+    core = PeelCore(triangle(), 2, (), (0,), _stop={1})
+    assert core.stopped and core.live_edges == core.edge_alive.count(True) < 3
+    assert core.copy().stopped
+    assert not PeelCore(triangle(), 2, (), (0,), _stop={5}).stopped
+    assert not PeelCore(triangle(), 2, (), (0,)).stopped
+
+
+@settings(max_examples=200, deadline=None)
+@given(hypergraphs(max_vertices=9, max_edges=16), st.sampled_from((1, 2, 3)), st.data())
+def test_stop_set_stops_only_peels_whose_core_is_empty(g, k, data):
+    # The vertices of each edge whose stash alone empties the core: once one
+    # dies, that edge is dead, and the core lies inside the empty core
+    # without it.  A peel that never reaches one is the full construction.
+    fatal = {v for e in range(g.num_edges) if not PeelCore(g, k, (), (e,)).live_edges for v in g.edge_vertices(e)}
+    sv = data.draw(st.frozensets(st.integers(0, g.num_vertices - 1), max_size=2))
+    se = data.draw(st.frozensets(st.sampled_from(range(g.num_edges)), max_size=3)) if g.num_edges else frozenset()
+    full = PeelCore(g, k, sv, se)
+    cut = PeelCore(g, k, sv, se, _stop=fatal)
+    assert not full.stopped and cut.live_edges == cut.edge_alive.count(True)
+    event("stopped" if cut.stopped else "ran to the core")
+    if cut.stopped:
+        assert not full.live_edges
+    else:
+        assert (cut.vertex_alive, cut.edge_alive, cut.degree, cut.live_edges) == (
+            full.vertex_alive, full.edge_alive, full.degree, full.live_edges)
 
 
 @settings(max_examples=60, deadline=None)
