@@ -11,14 +11,15 @@ follows, so only ``k_core_after`` builds its core heap-ordered, lowest
 vertex id first with the order on the core's trail, and traces are
 reproducible; every other core peels from a plain stack and leaves its
 trail empty.  ``k_core`` and ``k_core_after`` read their trace off
-one, the gadget checks read its alive flags, ``is_k_peelable`` and
-``peel_edges`` its live edges, and the stash solvers stash and undo on
-one.  The replay auditor ``verify_trace`` shares no code with it and also
-reads the graph in place, replaying on a degree list, and
-``core_subgraph`` builds the core alone, so no step from peel to core
-extraction copies the whole graph.  This module writes no graph's lists:
-``core_subgraph`` hands the core's renumbered edges to
-``hypergraph._from_edges``, which builds the incidence lists.
+one, the gadget checks peel copies of one intact core per harness and
+read their alive flags, ``is_k_peelable`` and ``peel_edges`` its live
+edges, and the stash solvers stash and undo on one.  The replay auditor
+``verify_trace`` shares no code with it and also reads the graph in
+place, replaying on a degree list, and ``core_subgraph`` builds the core
+alone, so no step from peel to core extraction copies the whole graph.
+This module writes no graph's lists: ``core_subgraph`` hands the core's
+renumbered edges to ``hypergraph._from_edges``, which builds the
+incidence lists.
 """
 
 from __future__ import annotations
@@ -249,21 +250,20 @@ class PeelCore:
     undo costs time linear in the incidences of what it kills, not in the
     core's size.
 
-    The untraced construction takes a private keyword-only ``_stop``, a
-    set of vertices whose death the caller knows to settle its question
-    (the gadget checks pass the vertices of edges whose loss alone empties
-    the block).  The peel ends as soon as one of them dies and sets
-    ``stopped``.  A stopped core holds the peel as it was cut off:
-    ``live_edges`` counts the edges ``edge_alive`` marks live, but the
-    dead vertices not yet peeled keep their edges, and the vertices after
-    the stopping one on the last killed edge still count it, so it is no
-    k-core; only ``stopped`` is read from it, and nothing stashes on it.
-    With no ``_stop``, as everywhere but the gadget checks, ``stopped`` is
-    False.
+    The gadget checks build one core per harness and peel each removal on
+    a ``copy``, through the untraced cascade ``_peel_untraced`` with a
+    stop set: vertices whose death the caller knows to settle its question
+    (the vertices of edges whose loss alone empties the block).  That
+    cascade ends as soon as one of them dies and returns True.  A stopped
+    core holds the peel as it was cut off: ``live_edges`` counts the edges
+    ``edge_alive`` marks live, but the dead vertices not yet peeled keep
+    their edges, and the vertices after the stopping one on the last
+    killed edge still count it, so it is no k-core; it is thrown away,
+    and nothing stashes on it.  A construction never stops.
     """
 
     __slots__ = ("k", "edge_vertices", "vertex_edges", "degree", "vertex_alive", "edge_alive",
-                 "live_edges", "trail", "stopped")
+                 "live_edges", "trail")
 
     def __init__(
         self,
@@ -273,7 +273,6 @@ class PeelCore:
         stash_edges: Collection[int] = (),
         *,
         _ordered: bool = False,
-        _stop: Collection[int] = frozenset(),
     ):
         check_k(k)
         self.k = k
@@ -285,7 +284,6 @@ class PeelCore:
         for v in stash_vertices:
             alive[v] = False
         self.trail: list[int] = []
-        self.stopped = False
         # the other vertices of degree < k, ascending, which is already a
         # heap; the stash's edges push the vertices they drop below k
         low = [v for v in compress(count(), map(k.__gt__, deg)) if v not in stash_vertices]
@@ -293,12 +291,14 @@ class PeelCore:
         if _ordered:
             self._peel(low, dying)
         else:
-            self._peel_untraced(low, dying, _stop)
+            self._peel_untraced(low, dying)
 
     def copy(self) -> PeelCore:
-        """A core in this one's state with an empty trail, to stash on and
-        throw away.  It shares the incidence lists, which no stash or undo
-        writes, and copies the degrees and alive flags."""
+        """A core in this one's state with an empty trail, to stash on or
+        peel further and throw away.  It shares the incidence lists, which
+        no peel, stash or undo writes, and copies the degrees and alive
+        flags: three list copies, where a construction rebuilds all three
+        from the incidence lists and peels."""
         c = type(self).__new__(type(self))
         c.k = self.k
         c.edge_vertices, c.vertex_edges = self.edge_vertices, self.vertex_edges
@@ -307,7 +307,6 @@ class PeelCore:
         c.edge_alive = self.edge_alive.copy()
         c.live_edges = self.live_edges
         c.trail = []
-        c.stopped = self.stopped
         return c
 
     def stash_vertex(self, v: int) -> None:
@@ -351,12 +350,12 @@ class PeelCore:
             dying = vertex_edges[v]
         self.live_edges -= killed
 
-    def _peel_untraced(self, dead: list[int], dying: Iterable[int], stop: Collection[int]) -> None:
+    def _peel_untraced(self, dead: list[int], dying: Iterable[int], stop: Collection[int] = ()) -> bool:
         # _peel from a stack with nothing put on the trail: the cascade
-        # and so the core are the same, and a construction no one replays
-        # does not pay for the heap or for one trail entry per element.
-        # The first vertex of `stop` to die ends the peel and sets
-        # `stopped`.
+        # and so the core are the same, and a peel no one replays or
+        # undoes does not pay for the heap or for one trail entry per
+        # element.  The first vertex of `stop` to die ends the peel, which
+        # returns True; one that runs to the core returns False.
         k, deg, push, pop = self.k, self.degree, dead.append, dead.pop
         vertex_alive, edge_alive = self.vertex_alive, self.edge_alive
         edge_vertices, vertex_edges = self.edge_vertices, self.vertex_edges
@@ -372,14 +371,14 @@ class PeelCore:
                         if c < k and vertex_alive[w]:
                             vertex_alive[w] = False
                             if w in stop:
-                                self.stopped = True
                                 self.live_edges -= killed
-                                return
+                                return True
                             push(w)
             if not dead:
                 break
             dying = vertex_edges[pop()]
         self.live_edges -= killed
+        return False
 
     def undo(self, mark: int) -> None:
         """Revive everything killed since the trail had length ``mark``."""

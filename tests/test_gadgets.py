@@ -12,6 +12,7 @@ from stashpeel import (
     Gadget,
     Hypergraph,
     ParameterError,
+    StashpeelError,
     build_b_block,
     build_ck_gadget,
     build_pk_gadget,
@@ -692,6 +693,14 @@ def removal_edges(harness, removed) -> tuple[int, ...]:
     return tuple(e for name in removed for e in harness.port_edges[name])
 
 
+def fresh_survivors(harness, removed_edges: tuple[int, ...] = ()) -> list[int]:
+    """The oracles' peel: the block vertices alive in a ``PeelCore`` built
+    from the harness graph with the removed edges as its stash, so it
+    shares no intact core, copy or stop set with ``_survivors``."""
+    core = PeelCore(harness.graph, harness.k, (), removed_edges)
+    return list(itertools.compress(range(harness.block), core.vertex_alive))
+
+
 def full_scan(gadget: Gadget) -> GadgetReport:
     """The threshold report by brute force, with no frontier and t from
     ``family_threshold``: every removal of neighboring edges, all 2^n of
@@ -703,19 +712,19 @@ def full_scan(gadget: Gadget) -> GadgetReport:
     n = len(names)
     checks = []
     if t:
-        peeled = sorted(set(range(harness.block)) - set(_survivors(harness)))
+        peeled = sorted(set(range(harness.block)) - set(fresh_survivors(harness)))
         checks.append(CheckResult("unpeelable_with_all_ports", not peeled, f"peeled={peeled}" if peeled else ""))
     witness = ""
     for mask in range(2**n):
         removed = [names[i] for i in range(n) if mask >> i & 1]
-        surv = _survivors(harness, removal_edges(harness, removed))
+        surv = fresh_survivors(harness, removal_edges(harness, removed))
         expect_peel = len(removed) >= t
         if (not surv) != expect_peel:
             witness = f"removed={removed} expected_peel={expect_peel} survivors={surv}"
             break
     checks.append(CheckResult(f"peels_iff_at_least_{t}_of_{n}_ports_removed", not witness, witness))
     for e in sorted(gadget.estar):
-        surv = _survivors(harness, (e,))
+        surv = fresh_survivors(harness, (e,))
         checks.append(CheckResult(f"estar_{e}_peels", not surv, f"stash_edge={e} survivors={surv}" if surv else ""))
     return GadgetReport(gadget.kind, _report_params(gadget), tuple(checks))
 
@@ -734,7 +743,7 @@ def assert_witness_violates(gadget: Gadget, report: GadgetReport) -> None:
         removed = ast.literal_eval(re.search(r"removed=(\[.*?\])", c.witness).group(1))
         assert len(set(removed)) == len(removed) and set(removed) <= set(names), c
         assert len(removed) in (t - 1, t), c
-        surv = _survivors(harness, removal_edges(harness, removed))
+        surv = fresh_survivors(harness, removal_edges(harness, removed))
         expect_peel = len(removed) == t
         assert (not surv) != expect_peel, c
         assert c.witness == f"removed={removed} expected_peel={expect_peel} survivors={surv}"
@@ -874,26 +883,35 @@ def test_frontier_is_counted_before_it_is_built(monkeypatch):
 
 
 def test_grid_peels_the_frontier_not_the_pool(monkeypatch):
-    calls = killed = 0
-    real = gadgets._survivors
+    calls = built = killed = 0
+    real, init, cascade = gadgets._survivors, PeelCore.__init__, PeelCore._peel_untraced
 
     def counting(*args, **kwargs):
         nonlocal calls
         calls += 1
         return real(*args, **kwargs)
 
-    class CountingCore(PeelCore):
-        __slots__ = ()
+    def building(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
 
-        def __init__(self, *args, **kwargs):
-            nonlocal killed
-            super().__init__(*args, **kwargs)
-            killed += self.edge_alive.count(False)
+    def killing(self, *args):
+        # every untraced cascade: each construction's and each copy's
+        nonlocal killed
+        before = self.live_edges
+        stopped = cascade(self, *args)
+        killed += before - self.live_edges
+        return stopped
 
     monkeypatch.setattr(gadgets, "_survivors", counting)
-    monkeypatch.setattr(gadgets, "PeelCore", CountingCore)
+    monkeypatch.setattr(PeelCore, "__init__", building)
+    monkeypatch.setattr(PeelCore, "_peel_untraced", killing)
     assert all(r.all_passed for r in run_gadget_grid())
     assert calls == 1639  # peeling every removal, as full_scan does, makes 4,683
+    # one core per harness, built from its graph, and every peel runs on a
+    # copy of it; a core per peel would be 1,639
+    assert built == 175
     # a peel stops at the first vertex whose loss is known to empty the
     # block; run to the core, the same peels kill 118,678 edges
     assert killed <= 45_000
@@ -916,18 +934,17 @@ def test_grid_reports_are_the_frontier_sweeps_to_the_byte(monkeypatch):
 
 
 def stopped_peels(monkeypatch, call) -> list[bool]:
-    """Whether each harness peel of ``call`` stopped short of its core."""
+    """Whether each untraced cascade of ``call``, a construction's or a
+    copy's, stopped short of its core."""
     stopped = []
+    cascade = PeelCore._peel_untraced
 
-    class Recording(PeelCore):
-        __slots__ = ()
-
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            stopped.append(self.stopped)
+    def recording(self, *args):
+        stopped.append(cascade(self, *args))
+        return stopped[-1]
 
     with monkeypatch.context() as m:
-        m.setattr(gadgets, "PeelCore", Recording)
+        m.setattr(PeelCore, "_peel_untraced", recording)
         call()
     return stopped
 
@@ -936,12 +953,104 @@ def stopped_peels(monkeypatch, call) -> list[bool]:
                          ids=["stable", "b3"])
 def test_only_check_gadget_stops_a_peel(monkeypatch, build):
     # the stable block's fatal vertices come from its E* rows, the
-    # b-block's from its one-edge ports.  _survivors with no fatal set is a
-    # plain full peel, so the oracles never take the shortcut
+    # b-block's from its one-edge ports.  The oracles peel fresh cores
+    # with no stop set, so they never take the shortcut
     g = build()
     assert any(stopped_peels(monkeypatch, lambda: check_gadget(g)))
     for oracle in (full_scan, frontier_sweep):
-        assert not any(stopped_peels(monkeypatch, lambda: oracle(g)))
+        peels = stopped_peels(monkeypatch, lambda: oracle(g))
+        assert peels and not any(peels)
+
+
+# -- peels on copies of the intact core against fresh peels --------------------
+
+
+def single_edge_fatal(harness) -> set[int]:
+    """The vertices of every harness edge whose removal alone leaves no
+    block vertex, by fresh peels: every stop set ``check_gadget`` collects
+    lies inside it."""
+    g = harness.graph
+    return {v for e in range(g.num_edges) if not fresh_survivors(harness, (e,)) for v in g.edge_vertices(e)}
+
+
+def assert_copies_match_fresh_peels(harness, rng: random.Random, draws: int) -> None:
+    # random removals of any harness edges, pool edges included, peeled on
+    # a copy with no stop set and with the widest one
+    m, fatal = harness.graph.num_edges, single_edge_fatal(harness)
+    for _ in range(draws):
+        removed = tuple(rng.sample(range(m), rng.randint(0, min(m, 4))))
+        want = fresh_survivors(harness, removed)
+        assert _survivors(harness, removed) == want, removed
+        assert _survivors(harness, removed, fatal) == want, removed
+
+
+def lost_block_vertices(harness) -> int:
+    return harness.core.vertex_alive[: harness.block].count(False)
+
+
+def test_copies_match_fresh_peels_on_the_grid(monkeypatch):
+    seen = []
+    real = gadgets.build_harness
+    monkeypatch.setattr(gadgets, "build_harness", lambda g: seen.append(real(g)) or seen[-1])
+    run_gadget_grid()
+    assert len(seen) == 175
+    rng = random.Random(40)
+    for harness in seen:
+        assert_copies_match_fresh_peels(harness, rng, 4)
+
+
+@ONE_PER_FAMILY
+def test_copies_match_fresh_peels_on_broken_gadgets(build):
+    harnesses = [build_harness(g) for g in broken_variants(build())]
+    rng = random.Random(len(harnesses))
+    for harness in harnesses:
+        assert_copies_match_fresh_peels(harness, rng, 3)
+    # some copies start from an intact core that has already lost block
+    # vertices
+    assert any(map(lost_block_vertices, harnesses))
+
+
+@pytest.mark.parametrize("delta, k, d", [(1, 3, 2), (2, 4, 2), (2, 5, 3), (1, 2, 3)])
+def test_copies_of_a_peeled_intact_core_match_fresh_peels(delta, k, d):
+    # fewer than k ports: t = 0, so the intact peel already kills the block
+    g = build_pk_gadget(delta, k, d)
+    harness = build_harness(g)
+    assert not any(harness.core.vertex_alive[: harness.block])
+    assert harness.core.live_edges < harness.graph.num_edges
+    assert_copies_match_fresh_peels(harness, random.Random(delta * k * d), 20)
+
+
+def core_state(core: PeelCore):
+    return core.vertex_alive.copy(), core.edge_alive.copy(), core.degree.copy(), core.live_edges, core.trail.copy()
+
+
+def test_check_gadget_leaves_every_harness_core_as_built(monkeypatch):
+    # part harnesses of the pk proof included
+    built = []
+    post_init = gadgets.Harness.__post_init__
+
+    def keeping(self):
+        post_init(self)
+        built.append((self, core_state(self.core)))
+
+    monkeypatch.setattr(gadgets.Harness, "__post_init__", keeping)
+    run_gadget_grid()
+    for delta, k, d in [(1, 3, 2), (6, 3, 2), (8, 4, 3), (6, 2, 3)]:
+        check_gadget(build_pk_gadget(delta, k, d))
+    assert len(built) > 180
+    for harness, before in built:
+        assert core_state(harness.core) == before
+
+
+@pytest.mark.parametrize("attach", [(99,), (0, 0), (0, 1, 2), (-1,), (True,)])
+def test_harness_refuses_a_port_edge_that_is_no_edge(attach):
+    # a gadget is caller input, and its harness takes each port edge
+    # through a check: an unchecked bulk build would index past the
+    # vertices, or file -1 under the last one
+    g = build_b_block(2, 3, 2)
+    bad = replace(g, ports=(*g.ports, Port("bad", (attach,))))
+    with pytest.raises(StashpeelError):
+        check_gadget(bad)
 
 
 # -- the composed pk proof against the frontier sweep ---------------------------
@@ -954,7 +1063,7 @@ def frontier_sweep(gadget: Gadget) -> GadgetReport:
     t, n = family_threshold(gadget.kind, gadget.params)
     harness = build_harness(gadget)
     names = [p.name for p in gadget.ports]
-    intact = _survivors(harness)
+    intact = fresh_survivors(harness)
     checks = []
     if t:
         peeled = sorted(set(range(harness.block)).difference(intact))
@@ -962,14 +1071,14 @@ def frontier_sweep(gadget: Gadget) -> GadgetReport:
     witness = ""
     sizes = range(max(0, t - 1), t + 1)
     for removed in itertools.chain.from_iterable(itertools.combinations(names, r) for r in sizes):
-        surv = _survivors(harness, removal_edges(harness, removed)) if removed else intact
+        surv = fresh_survivors(harness, removal_edges(harness, removed)) if removed else intact
         expect_peel = len(removed) == t
         if (not surv) != expect_peel:
             witness = f"removed={list(removed)} expected_peel={expect_peel} survivors={surv}"
             break
     checks.append(CheckResult(f"peels_iff_at_least_{t}_of_{n}_ports_removed", not witness, witness))
     for e in sorted(gadget.estar):
-        surv = _survivors(harness, (e,))
+        surv = fresh_survivors(harness, (e,))
         checks.append(CheckResult(f"estar_{e}_peels", not surv, f"stash_edge={e} survivors={surv}" if surv else ""))
     return GadgetReport(gadget.kind, _report_params(gadget), tuple(checks))
 
@@ -1144,10 +1253,10 @@ def assert_pool_matches_anchors(gadget: Gadget) -> None:
     assert len(names) <= 8
     for r in range(len(names) + 1):
         for removed in itertools.combinations(names, r):
-            ours = _survivors(harness, removal_edges(harness, removed))
+            ours = fresh_survivors(harness, removal_edges(harness, removed))
             assert ours == anchored_survivors(gadget, reference, removed), (gadget.params, removed)
     for e in sorted(gadget.estar):
-        assert _survivors(harness, (e,)) == anchored_survivors(gadget, reference, (), (e,)), (gadget.params, e)
+        assert fresh_survivors(harness, (e,)) == anchored_survivors(gadget, reference, (), (e,)), (gadget.params, e)
 
 
 def test_pool_harness_matches_per_slot_anchors_on_the_grid(monkeypatch):

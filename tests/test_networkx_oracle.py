@@ -146,3 +146,50 @@ def test_stash_reduction_matches_enumeration_on_the_atlas(k):
         assert len(lifted) <= want, i
         assert not peel_by_repeated_removal(g, k, stash_vertices=lifted)[1], i
     assert sizes == ATLAS_STASH_SIZES[k]
+
+
+# how many atlas graphs have each cyclomatic number h
+ATLAS_CYCLOMATIC_NUMBERS = {0: 80, 1: 106, 2: 136, 3: 175, 4: 181, 5: 170, 6: 148, 7: 105, 8: 68, 9: 42, 10: 23,
+                            11: 10, 12: 5, 13: 2, 14: 1, 15: 1}
+
+
+def test_cyclomatic_stash_matches_networkx_and_enumeration_on_the_atlas():
+    # every graph of up to 7 vertices: h is the size of networkx's cycle
+    # basis, the graph minus the set-aside edges is a forest, and up to
+    # h = 3 no smaller 2-edge-stash exists by unpruned enumeration
+    hs = Counter()
+    for (i, g), a in zip(atlas(), nx.graph_atlas_g()):
+        cert = two_edge_stash_standard(g)
+        hs[cert.h] += 1
+        assert cert.h == len(cert.removed_edges) == len(nx.cycle_basis(a)), i
+        rest = to_networkx(without(g, edges=cert.removed_edges)[0], nx.Graph())
+        assert not rest or nx.is_forest(rest), i
+        if cert.h <= 3:
+            assert min_stash_size_by_enumeration(g, 2, "edge") == cert.h, i
+    assert hs == ATLAS_CYCLOMATIC_NUMBERS
+    assert sum(hs[h] for h in range(4)) == 497
+
+
+def stash_draws():
+    """200 seeded 3-uniform draws on 5 to 8 vertices, with n, 3n/2, 2n and
+    3n edges in turn."""
+    for s in range(200):
+        n = 5 + s % 4
+        yield s, gen_random(n, (n, 3 * n // 2, 2 * n, 3 * n)[s // 4 % 4], 3, s)
+
+
+def test_stash_reduction_at_k2_d3_matches_enumeration():
+    # acceptance criterion 6 at (2, 3): the original's vertex stash comes
+    # from unpruned enumeration, the reduced instance's edge stash from the
+    # package, and the lifted stash is checked by naive repeated removal
+    sizes = Counter()
+    for s, g in stash_draws():
+        want = min_stash_size_by_enumeration(g, 2, "vertex")
+        sizes[want] += 1
+        reduced, rmap = reduce_vertex_to_edge_stash(g, 2, 3)
+        stash = min_edge_stash_exact(reduced, 2).stash
+        assert len(stash) == want, s
+        lifted = lift_edge_stash(rmap, stash)
+        assert len(lifted) <= want, s
+        assert not peel_by_repeated_removal(g, 2, stash_vertices=lifted)[1], s
+    assert sizes == {1: 104, 2: 83, 3: 13}

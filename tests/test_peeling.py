@@ -359,24 +359,32 @@ def test_peel_core_stash_and_undo_track_k_core_after(g, k, start, ordered, picks
 def test_only_k_core_after_builds_a_heap_ordered_core(monkeypatch):
     # Only a trace reads the peel order, so every other entry point builds
     # its cores untraced.  Only the gadget checks' _survivors passes a
-    # non-empty stop set, so no other entry point sees a stopped core.
-    init, built, stoppers = PeelCore.__init__, [], set()
+    # non-empty stop set to the untraced cascade, so no other entry point
+    # sees a stopped core.
+    init, cascade = PeelCore.__init__, PeelCore._peel_untraced
+    built, stopped, stoppers = [], [], set()
 
     def spy(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        built.append((kwargs.get("_ordered", False), self.stopped))
-        if kwargs.get("_stop"):
+        built.append(kwargs.get("_ordered", False))
+
+    def spy_cascade(self, dead, dying, stop=()):
+        if stop:
             stoppers.add(sys._getframe(1).f_code)
+        stopped.append(cascade(self, dead, dying, stop))
+        return stopped[-1]
 
     monkeypatch.setattr(PeelCore, "__init__", spy)
+    monkeypatch.setattr(PeelCore, "_peel_untraced", spy_cascade)
     g = two_triangles()
     assert not k_core(g, 2).core_empty
 
     def ordered(call):
         built.clear()
+        stopped.clear()
         call()
-        assert not any(stopped for _, stopped in built)
-        return {ordered for ordered, _ in built}
+        assert not any(stopped)
+        return set(built)
 
     assert ordered(lambda: k_core(g, 2)) == {True}
     assert ordered(lambda: k_core_after(g, 2, [0], [3])) == {True}
@@ -393,18 +401,21 @@ def test_only_k_core_after_builds_a_heap_ordered_core(monkeypatch):
     assert not stoppers
     built.clear()
     check_gadget(build_stable_block(5, 3, 2))
-    assert {ordered for ordered, _ in built} == {False} and any(stopped for _, stopped in built)
+    assert set(built) == {False} and any(stopped)
     assert stoppers == {gadgets._survivors.__code__}
 
 
-def test_stop_set_ends_the_construction_peel():
+def test_stop_set_ends_the_cascade():
     # stashing edge 0 of the triangle kills vertices 0 and 1; the death of
-    # 1 stops the peel, and the live edges still count the flags
-    core = PeelCore(triangle(), 2, (), (0,), _stop={1})
-    assert core.stopped and core.live_edges == core.edge_alive.count(True) < 3
-    assert core.copy().stopped
-    assert not PeelCore(triangle(), 2, (), (0,), _stop={5}).stopped
-    assert not PeelCore(triangle(), 2, (), (0,)).stopped
+    # 1 stops the cascade, and the live edges still count the flags
+    core = PeelCore(triangle(), 2)
+    cut = core.copy()
+    assert cut._peel_untraced([], (0,), {1})
+    assert cut.live_edges == cut.edge_alive.count(True) < 3
+    assert not core.copy()._peel_untraced([], (0,), {5})
+    assert not core.copy()._peel_untraced([], (0,))
+    # the copies left the intact core as built
+    assert core.vertex_alive == [True] * 3 and core.live_edges == 3
 
 
 @settings(max_examples=200, deadline=None)
@@ -412,15 +423,17 @@ def test_stop_set_ends_the_construction_peel():
 def test_stop_set_stops_only_peels_whose_core_is_empty(g, k, data):
     # The vertices of each edge whose stash alone empties the core: once one
     # dies, that edge is dead, and the core lies inside the empty core
-    # without it.  A peel that never reaches one is the full construction.
+    # without it.  A cascade that never reaches one, on a copy of the core
+    # with the stashed vertices, runs to the full construction's core.
     fatal = {v for e in range(g.num_edges) if not PeelCore(g, k, (), (e,)).live_edges for v in g.edge_vertices(e)}
     sv = data.draw(st.frozensets(st.integers(0, g.num_vertices - 1), max_size=2))
     se = data.draw(st.frozensets(st.sampled_from(range(g.num_edges)), max_size=3)) if g.num_edges else frozenset()
     full = PeelCore(g, k, sv, se)
-    cut = PeelCore(g, k, sv, se, _stop=fatal)
-    assert not full.stopped and cut.live_edges == cut.edge_alive.count(True)
-    event("stopped" if cut.stopped else "ran to the core")
-    if cut.stopped:
+    cut = PeelCore(g, k, sv).copy()
+    stopped = cut._peel_untraced([], se, fatal)
+    assert cut.live_edges == cut.edge_alive.count(True)
+    event("stopped" if stopped else "ran to the core")
+    if stopped:
         assert not full.live_edges
     else:
         assert (cut.vertex_alive, cut.edge_alive, cut.degree, cut.live_edges) == (
